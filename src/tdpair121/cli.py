@@ -235,7 +235,11 @@ def _d4_orbit(arr):
 
 def cmd_enumerate(args) -> int:
     p = args.p
-    if not _is_prime(p):
+    try:
+        prime = _is_prime(p)
+    except ValueError as exc:
+        return _fail_io(str(exc))
+    if not prime:
         return _fail_io(f"{p} is not prime")
     max_p = DEFAULT_MAX_PRIME
     env = os.environ.get("TDP_MAX_GRID")

@@ -11,18 +11,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# smallest strong pseudoprime to all of _MR_BASES (Sorenson & Webster 2017)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the first 13 prime bases.
+
+    Exact for n below _MR_LIMIT; from there on n raises ValueError rather
+    than get an answer that could be wrong.
+    """
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"cannot certify primality of {n}: primes must be below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -2,9 +2,13 @@
 
 Matrices are immutable grids of :class:`~tdpair121.fields.FieldElement`.
 Subspaces are kept in a canonical echelon form so that equality of
-subspaces is equality of representations.  Eigenvalues are found by
-factoring the characteristic polynomial over the base field: trial over
-all residues for GF(p), rational-root search for the rationals.
+subspaces is equality of representations.  Eigenvalues are the roots of
+the characteristic polynomial in the base field.  Over GF(p) they are
+found in time polynomial in log p: the product of the distinct linear
+factors is gcd(f, x^p - x), which equal-degree splitting
+(Cantor-Zassenhaus) breaks into single roots.  Over the rationals they
+come from a rational-root search over divisors of the cleared
+coefficients.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import count, permutations
 
 from .fields import Field, FieldElement
 
@@ -114,11 +118,18 @@ class Matrix:
         """Matrix-vector product."""
         return tuple(_dot(row, v) for row in self.rows)
 
+    def _check_same_shape(self, other: Matrix) -> None:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(
+                f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}")
+
     def __add__(self, other: Matrix) -> Matrix:
+        self._check_same_shape(other)
         return Matrix._raw(self.field, tuple(
             tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: Matrix) -> Matrix:
+        self._check_same_shape(other)
         return Matrix._raw(self.field, tuple(
             tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
 
@@ -308,6 +319,8 @@ class Subspace:
 
     def contains(self, v) -> bool:
         v = [self.field(x) for x in v]
+        if len(v) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
         for row in self.basis:
             lead = next(j for j, x in enumerate(row) if not x.is_zero)
             if not v[lead].is_zero:
@@ -522,6 +535,53 @@ def _int_divisors(n: int):
     return small + large[::-1]
 
 
+def _p_mulmod(field, a, b, mod):
+    return _p_divmod(field, _p_mul(field, a, b), mod)[1]
+
+
+def _p_powmod(field, base, e: int, mod):
+    """base**e reduced mod a polynomial of degree >= 1, by repeated squaring."""
+    acc = [field.one]
+    base = _p_divmod(field, base, mod)[1]
+    while e:
+        if e & 1:
+            acc = _p_mulmod(field, acc, base, mod)
+        e >>= 1
+        if e:
+            base = _p_mulmod(field, base, base, mod)
+    return acc
+
+
+def _gf_distinct_roots(field: Field, cs):
+    """Distinct roots in GF(p) of the nonzero polynomial cs."""
+    if field.p == 2:
+        return [x for x in field.elements() if _p_eval(cs, x).is_zero]
+    if len(cs) < 2:
+        return []
+    z, one = field.zero, field.one
+    xp = _p_powmod(field, [z, one], field.p, cs)
+    return _gf_split(field, _p_gcd(field, cs, _p_add(xp, [z, -one])))
+
+
+def _gf_split(field: Field, h):
+    """Roots of a monic h over GF(p), p odd, that is a product of distinct
+    linear factors.
+
+    A root r divides off into gcd(h, (x + a)^((p-1)/2) - 1) exactly when
+    r + a is a nonzero square.  The shifts a = 0, 1, 2, ... are tried in
+    turn; for roots r != s the ratio (r + a)/(s + a) takes every value but
+    1 as a varies, a non-square among them, so some shift splits h.
+    """
+    if len(h) <= 2:
+        return [-h[0]] if len(h) == 2 else []
+    one = field.one
+    for a in count():
+        t = _p_powmod(field, [field(a), one], (field.p - 1) // 2, h)
+        d = _p_gcd(field, h, _p_add(t, [-one]))
+        if 1 < len(d) < len(h):
+            return _gf_split(field, d) + _gf_split(field, _p_divmod(field, h, d)[0])
+
+
 def poly_roots(field: Field, coeffs):
     """Roots in the field with multiplicities, as a list of (root, mult)."""
     cs = _p_trim([field(c) for c in coeffs])
@@ -529,7 +589,7 @@ def poly_roots(field: Field, coeffs):
         raise ValueError("the zero polynomial has every element as a root")
     found = []
     if field.p:
-        candidates = field.elements()
+        candidates = _gf_distinct_roots(field, cs)
     else:
         # rational root theorem on the integer-cleared polynomial
         lcm = 1

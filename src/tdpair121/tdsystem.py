@@ -23,6 +23,7 @@ from .linalg import (
     _p_gcd,
     _p_trim,
     eigen_data,
+    poly_roots,
     primitive_idempotents,
     vec_add,
     vec_is_zero,
@@ -158,7 +159,7 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     witness = None
     irreducible = False
     if diag_a and diag_s and tri_astar and tri_a:
-        witness = common_invariant_subspace(a, astar)
+        witness = _invariant_search(field, theta, spaces, astar)
         irreducible = witness is None
     else:
         skipped.append("irreducible")
@@ -323,22 +324,35 @@ def verify_split_actions(tds: TDSystem) -> bool:
 def common_invariant_subspace(a: Matrix, astar: Matrix) -> Subspace | None:
     """A subspace W with 0 != W != V invariant under both, or None.
 
-    Requires the first matrix diagonalizable over the field.  Any
-    invariant W is then the direct sum of its slices W /\\ (eigenspace),
-    so the search runs over eigenspace slices: whole-or-nothing pieces
-    for 1-dimensional eigenspaces, and a projective line of candidate
-    slices inside a 2-dimensional eigenspace, where invariance under the
-    second matrix reduces to a polynomial system of degree at most 2.
+    Requires the first matrix diagonalizable over the field; its
+    eigenspaces come from :func:`eigen_data`.  Any invariant W is then the
+    direct sum of its slices W /\\ (eigenspace), so the search runs over
+    eigenspace slices: whole-or-nothing pieces for 1-dimensional
+    eigenspaces, and a projective line of candidate slices inside a
+    2-dimensional eigenspace.  There, invariance under the second matrix
+    is a system of polynomial conditions of degree at most 2, solved
+    through the roots of their gcd.  Other eigenspace profiles are
+    searched by enumeration, over prime fields only.
     """
     ed = eigen_data(a)
     if not ed.diagonalizable:
         raise ValueError("first matrix is not diagonalizable over its field")
-    spaces = sorted(ed.eigenspaces, key=lambda s: s.dim)
+    return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar)
+
+
+def _invariant_search(field, eigenvalues, eigenspaces, astar):
+    """The search behind :func:`common_invariant_subspace`, on eigenspaces
+    the caller already has.  Slices are taken by dimension, ties by
+    eigenvalue, so the first witness found does not depend on the order
+    in which the caller lists the eigenvalues."""
+    order = sorted(range(len(eigenspaces)),
+                   key=lambda i: (eigenspaces[i].dim, eigenvalues[i].val))
+    spaces = [eigenspaces[i] for i in order]
     dims = [s.dim for s in spaces]
     if dims[-1] == 1 or dims == [1, 1, 2]:
-        return _search_profile_211(a.field, spaces, astar)
-    if a.field.is_prime_field:
-        return _search_enumerate(a.field, spaces, astar)
+        return _search_profile_211(field, spaces, astar)
+    if field.is_prime_field:
+        return _search_enumerate(field, spaces, astar)
     raise ValueError(
         f"eigenspace dimension profile {dims} is only searchable over prime fields")
 
@@ -439,13 +453,8 @@ def _solve_line_family(field, gens, u1, u2, astar):
             and all((a * x * x + b * x * y + c * y * y).is_zero for a, b, c in quad)
         )
 
-    if field.is_prime_field:
-        for x in field.elements():
-            if holds(x, one):
-                return x, one
-        return None
-
-    # rationals: gcd of the dehomogenized conditions, degree at most 2
+    # the points (x : 1) are the roots of the gcd of the dehomogenized
+    # conditions, which has degree at most 2; the smallest comes first
     polys = [_p_trim([b, a]) for a, b in lin]
     polys += [_p_trim([c, b, a]) for a, b, c in quad]
     g = polys[0]
@@ -454,9 +463,11 @@ def _solve_line_family(field, gens, u1, u2, astar):
     if len(g) <= 1:
         return None
     if len(g) == 2:
-        root = -g[0] / g[1]
-        return (root, one) if holds(root, one) else None
-    roots = _rational_quadratic_roots(field, g)
+        roots = [-g[0] / g[1]]
+    elif field.is_prime_field:
+        roots = [r for r, _ in poly_roots(field, g)]
+    else:
+        roots = _rational_quadratic_roots(field, g)
     for root in roots:
         if holds(root, one):
             return root, one

@@ -219,3 +219,41 @@ def eigenspace_dim_fraction(rows, theta):
                 work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
         rank += 1
     return 4 - rank
+
+
+def rank_mod(rows, p):
+    """Rank of a list of int vectors over GF(p), by row reduction."""
+    work = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][c], -1, p)
+        work[rank] = [x * inv % p for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def roots_mod(coeffs, p):
+    """[(root, multiplicity)] of an int polynomial (low degree first) over
+    GF(p), by evaluation at every residue and repeated synthetic division."""
+    out = []
+    for r in range(p):
+        cs, mult = [c % p for c in coeffs], 0
+        while len(cs) > 1:
+            quot, acc = [], 0
+            for c in reversed(cs):
+                acc = (acc * r + c) % p
+                quot.append(acc)
+            if quot.pop():
+                break
+            cs, mult = quot[::-1], mult + 1
+        if mult:
+            out.append((r, mult))
+    return out

@@ -236,3 +236,30 @@ def test_report_idempotent_on_extracted_array(capsys, tmp_path, p0_file):
     assert main(["report", p0_file, "--out", str(out1)]) == 0
     assert main(["report", str(path), "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_prime_beyond_certified_range_exit_1(capsys, tmp_path):
+    eye = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+           ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": {"kind": "Fp", "p": 3317044064679887385961981},
+                                "A": eye, "Astar": eye}))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["enumerate", "--p", "3317044064679887385961981"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_boundary_witness_bytes_pinned(capsys, tmp_path):
+    # verify output of conjugated boundary pairs over GF(101) and GF(10007),
+    # recorded when root finding over GF(p) still scanned every residue
+    from pathlib import Path
+    pins = json.loads((Path(__file__).parent / "data" / "verify_witness_pins.json").read_text())
+    assert len(pins) == 4
+    for i, pin in enumerate(pins):
+        path = tmp_path / f"pin{i}.json"
+        path.write_text(json.dumps(pin["system"]))
+        assert main(["verify", str(path)]) == 3
+        assert capsys.readouterr().out == pin["stdout"]

@@ -81,6 +81,41 @@ def test_characteristic_must_be_prime():
     Field(2), Field(3), Field(97)  # fine
 
 
+def test_primality_matches_sieve():
+    from tdpair121.fields import _is_prime
+    n = 20000
+    sieve = [False, False] + [True] * (n - 2)
+    for i in range(2, n):
+        if sieve[i]:
+            for j in range(i * i, n, i):
+                sieve[j] = False
+    assert [k for k in range(n) if _is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+
+def test_characteristic_rejects_pseudoprimes():
+    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        with pytest.raises(ValueError):
+            Field(n)
+
+
+def test_large_prime_characteristic_is_fast():
+    import time
+    t0 = time.perf_counter()
+    assert Field(10**16 + 61).p == 10**16 + 61
+    Field(2**61 - 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_characteristic_beyond_certified_range_rejected():
+    from tdpair121.fields import _is_prime
+    limit = 3317044064679887385961981  # a strong pseudoprime to all 13 bases
+    assert _is_prime(limit - 1) is False
+    for n in (limit, 2**127 - 1):
+        with pytest.raises(ValueError):
+            Field(n)
+
+
 def test_field_axioms_random_triples(rng):
     for field in (QQ, Field(13), Field(2), Field(3)):
         for _ in range(150):

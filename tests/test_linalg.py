@@ -105,6 +105,75 @@ def test_poly_roots_prime_field():
     assert [(str(r), m) for r, m in roots] == [("2", 1), ("3", 1)]
 
 
+def _int_poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _random_split_poly(rng, p):
+    """Int coefficients (low degree first) of a random polynomial of degree
+    1 to 4 over GF(p): a nonzero scalar times linear factors, some of them
+    repeated, and irreducible quadratics."""
+    degree = rng.randint(1, 4)
+    cs = [rng.randrange(1, p)]
+    while len(cs) - 1 < degree:
+        if degree - (len(cs) - 1) >= 2 and rng.random() < 0.3:
+            factor = [rng.randrange(p), rng.randrange(p), 1]
+            if oracle.roots_mod(factor, p):
+                continue
+        elif len(cs) > 1 and rng.random() < 0.4:
+            factor = [-rng.choice(oracle.roots_mod(cs, p) or [(0, 1)])[0], 1]
+        else:
+            factor = [-rng.randrange(p), 1]
+        cs = _int_poly_mul(cs, factor, p)
+    return cs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 10007])
+def test_poly_roots_prime_field_matches_bruteforce(p):
+    import random
+    rng = random.Random(f"poly_roots:{p}")
+    field = Field(p)
+    for _ in range(40 if p < 10007 else 15):
+        cs = _random_split_poly(rng, p)
+        got = [(r.val, m) for r, m in poly_roots(field, [field(c) for c in cs])]
+        assert got == oracle.roots_mod(cs, p), cs
+
+
+def test_poly_roots_large_prime():
+    p = 2**31 - 1
+    field = Field(p)
+    # (x - 5)^2 (x + 1) (x^2 + 1); -1 is not a square because p = 3 mod 4
+    cs = [1]
+    for factor in ([-5, 1], [-5, 1], [1, 1], [1, 0, 1]):
+        cs = _int_poly_mul(cs, factor, p)
+    roots = poly_roots(field, [field(c) for c in cs])
+    assert [(r.val, m) for r, m in roots] == [(5, 2), (p - 1, 1)]
+
+
+def test_matrix_add_sub_reject_shape_mismatch():
+    big = Matrix.identity(QQ, 3)
+    small = Matrix.identity(QQ, 2)
+    wide = Matrix(QQ, [[1, 2, 3], [4, 5, 6]])
+    for x, y in ((big, small), (small, big), (small, wide)):
+        with pytest.raises(ValueError):
+            x + y
+        with pytest.raises(ValueError):
+            x - y
+
+
+def test_subspace_contains_rejects_length_mismatch():
+    line = Subspace(QQ, 4, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError):
+        line.contains((1,))
+    with pytest.raises(ValueError):
+        line.contains((1, 0, 0, 0, 0))
+    assert line.contains((3, 0, 0, 0))
+
+
 def test_primitive_idempotents_diagonal():
     m = Matrix.diagonal(QQ, [1, 0, 0, -1])
     e = primitive_idempotents(m, [QQ(1), QQ(0), QQ(-1)])

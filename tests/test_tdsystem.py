@@ -271,6 +271,53 @@ def test_invariant_search_finds_rational_line():
     assert w.is_invariant(a) and w.is_invariant(astar)
 
 
+def test_verify_boundary_pair_over_large_prime():
+    # root finding over GF(p) must not depend on p being small: a residue
+    # scan would touch 2^31 elements here
+    import random
+    from tdpair121 import ParameterArray
+    p = 2**31 - 1
+    field = Field(p)
+    rng = random.Random("large-p boundary")
+    while True:
+        theta = tuple(field(rng.randrange(p)) for _ in range(3))
+        thetastar = tuple(field(rng.randrange(p)) for _ in range(3))
+        delta = field(rng.randrange(p))
+        varphi = ((delta - (theta[0] - theta[1]) * (thetastar[0] - thetastar[1]))
+                  * (delta - (theta[1] - theta[2]) * (thetastar[1] - thetastar[2])))
+        phi = varphi + delta * (theta[0] - theta[2]) * (thetastar[0] - thetastar[2])
+        if len(set(theta)) == 3 and len(set(thetastar)) == 3 and varphi and phi:
+            break
+    pa = ParameterArray(field, theta, thetastar, varphi, phi)
+    a, astar = canonical_matrices(pa)
+    s = random_invertible(rng, field, Matrix)
+    si = s.invert()
+    a, astar = s * a * si, s * astar * si
+    report = verify_td_system(a, astar, theta, thetastar)
+    assert report.diagonalizable_a and report.diagonalizable_astar
+    assert report.tridiagonal_astar_e and report.tridiagonal_a_estar
+    assert not report.irreducible and report.witness is not None
+    basis = [[x.val for x in v] for v in report.witness.basis]
+    dim = oracle.rank_mod(basis, p)
+    assert 0 < dim < 4 and dim == len(basis)
+    for m in (a, astar):
+        rows = [[x.val for x in row] for row in m.rows]
+        for v in basis:
+            assert oracle.rank_mod(basis + [oracle.mat_vec_mod(rows, v, p)], p) == dim
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_invariant_search_quadratic_line_condition(p):
+    # A* swaps the plane of A's double eigenvalue as (x, y) -> (9y, x), so
+    # the invariant lines in it are x^2 = 9y^2, x = +-3y; the smallest root
+    # comes first.  No eigenline of A is invariant under A*.
+    field = Field(p)
+    a = Matrix.diagonal(field, [1, 2, 3, 3])
+    astar = Matrix(field, [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 9], [0, 0, 1, 0]])
+    w = common_invariant_subspace(a, astar)
+    assert w == Subspace(field, 4, [(0, 0, 3, 1)])
+
+
 def test_verify_conjugated_systems(rng, gf101):
     # non-canonical presentations: conjugate by random invertible maps
     from tdpair121 import extract_parameter_array
