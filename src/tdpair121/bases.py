@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .linalg import Matrix, SingularMatrixError, vec_is_zero, vec_scale
 from .params import ParameterArray, admissible, derived_params, extract_parameter_array
@@ -73,26 +72,48 @@ def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
     return EtaVectors(seed, eta0, eta2, eta2star)
 
 
-@lru_cache(maxsize=256)
-def _system_scalars(tds: TDSystem):
-    pa = extract_parameter_array(tds)
-    return pa.varphi, pa.phi
+class _SystemBases:
+    """One system's chain vectors for one seed, its split scalars (varphi,
+    phi), and its six (basis, inverse) pairs, each built on first use."""
+
+    def __init__(self, tds: TDSystem, eta: EtaVectors | None = None):
+        self.eta = eta_vectors(tds) if eta is None else eta
+        self._scalars = None
+        self._pairs = {}
+
+    def scalars(self, tds: TDSystem):
+        if self._scalars is None:
+            pa = extract_parameter_array(tds)
+            self._scalars = pa.varphi, pa.phi
+        return self._scalars
+
+    def pair(self, tds: TDSystem, basis: BasisId):
+        """The basis matrix and its inverse."""
+        got = self._pairs.get(basis)
+        if got is None:
+            m = _basis_columns(tds, basis, self)
+            try:
+                got = self._pairs[basis] = m, m.invert()
+            except SingularMatrixError:
+                raise SingularMatrixError(
+                    f"{basis.value} columns are dependent; input is not shape (1,2,1)"
+                ) from None
+        return got
 
 
-@lru_cache(maxsize=256)
-def _canonical_eta(tds: TDSystem) -> EtaVectors:
-    return eta_vectors(tds)
+def _bases_for(tds: TDSystem, eta: EtaVectors | None) -> _SystemBases:
+    """The system's own record for the canonical seed, else a fresh one."""
+    own = tds._bases
+    return own if eta is None or eta == own.eta else _SystemBases(tds, eta)
 
 
 def basis_matrix(tds: TDSystem, basis: BasisId, eta: EtaVectors | None = None) -> Matrix:
     """4x4 matrix whose columns are the requested basis, in order."""
-    if eta is None:
-        eta = _canonical_eta(tds)
-    return _basis_cached(tds, basis, eta)
+    return _bases_for(tds, eta).pair(tds, basis)[0]
 
 
-@lru_cache(maxsize=8192)
-def _basis_cached(tds: TDSystem, basis: BasisId, eta: EtaVectors) -> Matrix:
+def _basis_columns(tds: TDSystem, basis: BasisId, rec: _SystemBases) -> Matrix:
+    eta = rec.eta
     t0, t1, t2 = tds.theta
     s0, s1, s2 = tds.thetastar
     a, astar = tds.A, tds.Astar
@@ -103,12 +124,12 @@ def _basis_cached(tds: TDSystem, basis: BasisId, eta: EtaVectors) -> Matrix:
         cols = [eta.eta0star, a.shift(t2).apply(eta.eta0star),
                 astar.shift(s2).apply(eta.eta0), eta.eta0]
     elif basis is BasisId.SPLIT_DZ:
-        vp, _ = _system_scalars(tds)
+        vp, _ = rec.scalars(tds)
         cols = [eta.eta2star, a.shift(t2).apply(eta.eta2star),
                 vec_scale(vp, astar.shift(s0).apply(eta.eta0)),
                 vec_scale(vp, eta.eta0)]
     elif basis is BasisId.SPLIT_DD:
-        _, ph = _system_scalars(tds)
+        _, ph = rec.scalars(tds)
         cols = [eta.eta2star, a.shift(t0).apply(eta.eta2star),
                 vec_scale(ph, astar.shift(s0).apply(eta.eta2)),
                 vec_scale(ph, eta.eta2)]
@@ -121,16 +142,7 @@ def _basis_cached(tds: TDSystem, basis: BasisId, eta: EtaVectors) -> Matrix:
                 eta.eta2star]
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    m = Matrix.from_columns(tds.field, cols)
-    if m.det().is_zero:
-        raise SingularMatrixError(
-            f"{basis.value} columns are dependent; input is not shape (1,2,1)")
-    return m
-
-
-@lru_cache(maxsize=8192)
-def _basis_inverse(tds: TDSystem, basis: BasisId, eta: EtaVectors) -> Matrix:
-    return _basis_cached(tds, basis, eta).invert()
+    return Matrix.from_columns(tds.field, cols)
 
 
 def represent(tds: TDSystem, which: str, basis: BasisId,
@@ -142,17 +154,15 @@ def represent(tds: TDSystem, which: str, basis: BasisId,
         m = tds.Astar
     else:
         raise ValueError("operator must be 'A' or 'Astar'")
-    if eta is None:
-        eta = _canonical_eta(tds)
-    return _basis_inverse(tds, basis, eta) * m * _basis_cached(tds, basis, eta)
+    b, b_inv = _bases_for(tds, eta).pair(tds, basis)
+    return b_inv * m * b
 
 
 def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
                        eta: EtaVectors | None = None) -> Matrix:
     """Transition matrix computed as (from basis)^-1 (to basis)."""
-    if eta is None:
-        eta = _canonical_eta(tds)
-    return _basis_inverse(tds, frm, eta) * _basis_cached(tds, to, eta)
+    rec = _bases_for(tds, eta)
+    return rec.pair(tds, frm)[1] * rec.pair(tds, to)[0]
 
 
 # -- closed-form tables -------------------------------------------------------

@@ -15,7 +15,6 @@ import sys
 from .bases import (
     BasisId,
     basis_matrix,
-    eta_vectors,
     represent,
     represent_formula,
     transition_formula,
@@ -74,7 +73,6 @@ def cmd_report(args) -> int:
         return EXIT_INADMISSIBLE
 
     tds = construct(pa)
-    eta = eta_vectors(tds)
     verification = verify_td_system(tds.A, tds.Astar, tds.theta, tds.thetastar)
     doc["verification"] = verification.to_json()
 
@@ -83,9 +81,9 @@ def cmd_report(args) -> int:
     reps_doc: dict = {"A": {}, "Astar": {}}
     trans_doc = []
     for basis in BasisId:
-        bases_doc[basis.value] = basis_matrix(tds, basis, eta).to_json()
+        bases_doc[basis.value] = basis_matrix(tds, basis).to_json()
         for which in ("A", "Astar"):
-            numeric = represent(tds, which, basis, eta)
+            numeric = represent(tds, which, basis)
             if numeric != represent_formula(pa, which, basis):
                 cross = False
             reps_doc[which][basis.value] = numeric.to_json()
@@ -93,7 +91,7 @@ def cmd_report(args) -> int:
         for to in BasisId:
             if frm is to:
                 continue
-            numeric = transition_numeric(tds, frm, to, eta)
+            numeric = transition_numeric(tds, frm, to)
             if numeric != transition_formula(pa, frm, to):
                 cross = False
             trans_doc.append({"from": frm.value, "to": to.value,
@@ -108,15 +106,31 @@ def cmd_report(args) -> int:
     return EXIT_OK if cross and verification.overall else EXIT_UNVERIFIED
 
 
+def _elements(field: Field, value, shape: tuple, key: str):
+    """Parse a list (shape (n,)) or a matrix (shape (n, m)) of element strings."""
+    def fits(v, dims):
+        if not dims:
+            return isinstance(v, str)
+        return isinstance(v, list) and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
+
+    if not fits(value, shape):
+        raise ValueError(f"{key} must be a list of {' lists of '.join(map(str, shape))} "
+                         "element strings")
+    return Matrix.from_json(field, value) if len(shape) == 2 else [field.parse(s) for s in value]
+
+
 def cmd_verify(args) -> int:
     try:
         data = _load_json(args.system)
+        if not isinstance(data, dict) or not isinstance(data.get("field"), dict):
+            raise ValueError("a system file is a JSON object with a field object")
         field = Field.from_json(data["field"])
-        a = Matrix.from_json(field, data["A"])
-        astar = Matrix.from_json(field, data["Astar"])
-        theta = [field.parse(s) for s in data["theta"]] if "theta" in data else None
-        thetastar = [field.parse(s) for s in data["thetastar"]] if "thetastar" in data else None
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        a = _elements(field, data["A"], (4, 4), "A")
+        astar = _elements(field, data["Astar"], (4, 4), "Astar")
+        theta, thetastar = (_elements(field, data[k], (3,), k) if k in data else None
+                            for k in ("theta", "thetastar"))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
+            json.JSONDecodeError) as exc:
         return _fail_io(str(exc))
 
     doc: dict = {}

@@ -652,16 +652,20 @@ def primitive_idempotents(m: Matrix, eigenvalues):
     """Projections onto the eigenspaces along each other.
 
     E_i is the product of (M - e_j I)/(e_i - e_j) over j != i.  Requires m
-    diagonalizable with exactly the given eigenvalues; this is validated
-    through the projector identities (sum E_i = I, E_i E_j = delta E_i,
-    each E_i nonzero).
+    diagonalizable with exactly the given distinct eigenvalues, which holds
+    exactly when (M - e_0 I) E_0 = 0 and every E_i is nonzero.  Proof:
+    (M - e_0 I) E_0 is a unit multiple of P = prod_j (M - e_j I).  If P = 0,
+    the e_j being distinct, M is diagonalizable with its spectrum inside
+    {e_j}; the E_i are then its spectral projectors, and E_i != 0 exactly
+    when e_i is an eigenvalue.  Conversely, for such an M the minimal
+    polynomial divides prod_j (x - e_j), so P = 0.
     """
     field = m.field
     evs = [field(e) for e in eigenvalues]
-    for i, a in enumerate(evs):
-        for b in evs[i + 1:]:
-            if a == b:
-                raise ValueError("repeated eigenvalue supplied")
+    if not evs:
+        raise ValueError("no eigenvalues supplied")
+    if len(set(evs)) != len(evs):
+        raise ValueError("repeated eigenvalue supplied")
     out = []
     for i, ei in enumerate(evs):
         acc = Matrix.identity(field, m.nrows)
@@ -670,14 +674,6 @@ def primitive_idempotents(m: Matrix, eigenvalues):
                 continue
             acc = acc * m.shift(ej).scale((ei - ej).inverse())
         out.append(acc)
-    total = out[0]
-    for e in out[1:]:
-        total = total + e
-    if total != Matrix.identity(field, m.nrows) or any(e.is_zero for e in out):
+    if not (m.shift(evs[0]) * out[0]).is_zero or any(e.is_zero for e in out):
         raise ValueError("matrix is not diagonalizable with exactly these eigenvalues")
-    for i, ei in enumerate(out):
-        for j, ej in enumerate(out):
-            prod = ei * ej
-            if (prod != ei if i == j else not prod.is_zero):
-                raise ValueError("matrix is not diagonalizable with exactly these eigenvalues")
     return out

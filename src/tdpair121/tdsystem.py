@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 from .fields import Field
@@ -25,6 +25,7 @@ from .linalg import (
     eigen_data,
     poly_roots,
     primitive_idempotents,
+    subspace_sum,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -54,6 +55,20 @@ class TDSystem:
     @property
     def field(self) -> Field:
         return self.A.field
+
+    @cached_property
+    def _decomps(self):
+        """The six decompositions of the eigenspaces, built on first use."""
+        spaces = [Subspace(self.field, 4, self.A.shift(t).kernel()) for t in self.theta]
+        duals = [Subspace(self.field, 4, self.Astar.shift(t).kernel()) for t in self.thetastar]
+        return _decompositions(spaces, duals)
+
+    @cached_property
+    def _bases(self):
+        """Chain vectors, split scalars and bases of the canonical seed."""
+        from .bases import _SystemBases
+
+        return _SystemBases(self)
 
     def to_json(self) -> dict:
         return {
@@ -149,24 +164,21 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
 
     tri_astar = tri_a = False
     if diag_a and diag_s:
-        e = primitive_idempotents(a, theta)
-        estar = primitive_idempotents(astar, thetastar)
-        tri_astar = (e[0] * astar * e[2]).is_zero and (e[2] * astar * e[0]).is_zero
-        tri_a = (estar[0] * a * estar[2]).is_zero and (estar[2] * a * estar[0]).is_zero
+        far_a = _zero_blocks(astar, spaces)
+        far_s = _zero_blocks(a, dual_spaces)
+        tri_astar = far_a[0][2] and far_a[2][0]
+        tri_a = far_s[0][2] and far_s[2][0]
     else:
         skipped += ["tridiagonal_AstarE", "tridiagonal_AEstar"]
 
-    witness = None
+    witness = shape_dims = None
     irreducible = False
     if diag_a and diag_s and tri_astar and tri_a:
         witness = _invariant_search(field, theta, spaces, astar)
         irreducible = witness is None
+        shape_dims = _consistent_shape(_decompositions(spaces, dual_spaces))
     else:
         skipped.append("irreducible")
-
-    shape_dims = None
-    if diag_a and diag_s and tri_astar and tri_a:
-        shape_dims = _consistent_shape(field, spaces, dual_spaces)
 
     return VerificationReport(
         diag_a, diag_s, tri_astar, tri_a, irreducible,
@@ -186,10 +198,8 @@ def find_td_orderings(a: Matrix, astar: Matrix):
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    e = primitive_idempotents(a, eda.eigenvalues)
-    estar = primitive_idempotents(astar, eds.eigenvalues)
-    far_a = [[(e[i] * astar * e[j]).is_zero for j in range(3)] for i in range(3)]
-    far_s = [[(estar[i] * a * estar[j]).is_zero for j in range(3)] for i in range(3)]
+    far_a = _zero_blocks(astar, eda.eigenspaces)
+    far_s = _zero_blocks(a, eds.eigenspaces)
     out = []
     for pa in permutations(range(3)):
         if not (far_a[pa[0]][pa[2]] and far_a[pa[2]][pa[0]]):
@@ -203,53 +213,50 @@ def find_td_orderings(a: Matrix, astar: Matrix):
     return out
 
 
-@lru_cache(maxsize=256)
-def _eigenspace_chains(tds: TDSystem):
-    spaces = tuple(Subspace(tds.field, 4, tds.A.shift(t).kernel()) for t in tds.theta)
-    duals = tuple(Subspace(tds.field, 4, tds.Astar.shift(t).kernel()) for t in tds.thetastar)
-    return spaces, duals
+def _zero_blocks(m: Matrix, spaces):
+    """Entry [i][j] tells whether E_i M E_j = 0, for the projectors E_i of
+    the direct sum V = spaces[0] + spaces[1] + spaces[2]: whether M maps
+    spaces[j] into the kernel of E_i, the sum of the other two spaces."""
+    others = [subspace_sum(s for k, s in enumerate(spaces) if k != i) for i in range(3)]
+    return [[_maps_into(m, spaces[j], others[i]) for j in range(3)] for i in range(3)]
 
 
-def _components(field, spaces, duals, dec: Decomposition):
+def _decompositions(spaces, duals):
+    """All six decompositions, from the four eigenspace chains: pa[i] =
+    spaces[0] + ... + spaces[i], sa[i] = spaces[i] + ... + spaces[2], and
+    pd, sd likewise for the duals."""
     def prefix(seq):
         out = [seq[0]]
         for s in seq[1:]:
             out.append(out[-1] + s)
         return out
 
-    pa = prefix(spaces)
-    sa = prefix(spaces[::-1])[::-1]     # sa[i] = spaces[i] + ... + spaces[2]
-    pd = prefix(duals)
-    sd = prefix(duals[::-1])[::-1]
-    if dec is Decomposition.ZSTAR_D:
-        return [pd[i] & sa[i] for i in range(3)]
-    if dec is Decomposition.ZSTAR_Z:
-        return [pd[i] & pa[2 - i] for i in range(3)]
-    if dec is Decomposition.DSTAR_Z:
-        return [sd[2 - i] & pa[2 - i] for i in range(3)]
-    if dec is Decomposition.DSTAR_D:
-        return [sd[2 - i] & sa[i] for i in range(3)]
-    if dec is Decomposition.Z_D:
-        return list(spaces)
-    if dec is Decomposition.ZSTAR_DSTAR:
-        return list(duals)
-    raise ValueError(f"unknown decomposition {dec!r}")
+    pa, pd = prefix(spaces), prefix(duals)
+    sa, sd = prefix(spaces[::-1])[::-1], prefix(duals[::-1])[::-1]
+    return {
+        Decomposition.ZSTAR_D: tuple(pd[i] & sa[i] for i in range(3)),
+        Decomposition.ZSTAR_Z: tuple(pd[i] & pa[2 - i] for i in range(3)),
+        Decomposition.DSTAR_Z: tuple(sd[2 - i] & pa[2 - i] for i in range(3)),
+        Decomposition.DSTAR_D: tuple(sd[2 - i] & sa[i] for i in range(3)),
+        Decomposition.Z_D: tuple(spaces),
+        Decomposition.ZSTAR_DSTAR: tuple(duals),
+    }
 
 
 def split_decomposition(tds: TDSystem, dec: Decomposition):
     """The three components of the named decomposition."""
-    spaces, duals = _eigenspace_chains(tds)
-    return _components(tds.field, spaces, duals, dec)
+    if not isinstance(dec, Decomposition):
+        raise ValueError(f"unknown decomposition {dec!r}")
+    return list(tds._decomps[dec])
 
 
-def _consistent_shape(field, spaces, duals):
+def _consistent_shape(decomps):
     """Dims of the six decompositions, or None if they disagree or fail
     to be direct."""
     dims = None
-    for dec in Decomposition:
-        comps = _components(field, spaces, duals, dec)
+    for comps in decomps.values():
         these = tuple(c.dim for c in comps)
-        total = comps[0] + comps[1] + comps[2]
+        total = subspace_sum(comps)
         if sum(these) != 4 or total.dim != 4:
             return None
         if dims is None:
@@ -261,8 +268,7 @@ def _consistent_shape(field, spaces, duals):
 
 def shape(tds: TDSystem):
     """Component dimensions, cross-checked over all six decompositions."""
-    spaces, duals = _eigenspace_chains(tds)
-    dims = _consistent_shape(tds.field, spaces, duals)
+    dims = _consistent_shape(tds._decomps)
     if dims is None:
         raise ValueError("decomposition dimensions are inconsistent; "
                          "not a verified tridiagonal system")
@@ -293,7 +299,7 @@ def verify_split_actions(tds: TDSystem) -> bool:
     a, astar = tds.A, tds.Astar
     theta, thetastar = tds.theta, tds.thetastar
     for dec, (a_idx, s_idx) in _SPLIT_ACTION.items():
-        comps = split_decomposition(tds, dec)
+        comps = tds._decomps[dec]
         for i in range(3):
             up = comps[i + 1] if i + 1 < 3 else None
             down = comps[i - 1] if i - 1 >= 0 else None
@@ -305,15 +311,11 @@ def verify_split_actions(tds: TDSystem) -> bool:
         (Decomposition.Z_D, tds.A, theta, tds.Astar),
         (Decomposition.ZSTAR_DSTAR, tds.Astar, thetastar, tds.A),
     ):
-        comps = split_decomposition(tds, dec)
+        comps = tds._decomps[dec]
         for i in range(3):
             if not _maps_into(m.shift(shifts[i]), comps[i], None):
                 return False
-            window = comps[i]
-            if i > 0:
-                window = window + comps[i - 1]
-            if i < 2:
-                window = window + comps[i + 1]
+            window = subspace_sum(comps[max(i - 1, 0):i + 2])
             if not _maps_into(other, comps[i], window):
                 return False
     return True
@@ -360,33 +362,21 @@ def _invariant_search(field, eigenvalues, eigenspaces, astar):
 def _search_profile_211(field, spaces, astar):
     """Search when every eigenspace is a line except at most one plane."""
     lines = [s for s in spaces if s.dim == 1]
-    planes = [s for s in spaces if s.dim == 2]
-    plane = planes[0] if planes else None
+    plane = next((s for s in spaces if s.dim == 2), None)
 
-    def fixed_candidates():
-        for r in range(1, len(spaces) + 1):
-            for chosen in combinations(range(len(spaces)), r):
-                w = spaces[chosen[0]]
-                for i in chosen[1:]:
-                    w = w + spaces[i]
-                if 0 < w.dim < 4:
-                    yield w
-
-    candidates = sorted(fixed_candidates(), key=lambda s: s.dim)
-    line_families = []
+    # candidates by dimension: sums of whole eigenspaces, then a family of
+    # r eigenlines plus a variable line of the plane
+    by_dim = {1: [], 2: [], 3: []}
+    for r in range(1, len(spaces) + 1):
+        for chosen in combinations(spaces, r):
+            w = subspace_sum(chosen)
+            if 0 < w.dim < 4:
+                by_dim[w.dim].append(("fixed", w))
     if plane is not None:
         u1, u2 = plane.basis
         for r in range(len(lines) + 1):
             for chosen in combinations(lines, r):
-                gens = [v for s in chosen for v in s.basis]
-                line_families.append(gens)
-        line_families.sort(key=len)
-
-    by_dim = {1: [], 2: [], 3: []}
-    for w in candidates:
-        by_dim[w.dim].append(("fixed", w))
-    for gens in line_families:
-        by_dim[len(gens) + 1].append(("line", gens))
+                by_dim[r + 1].append(("line", [v for s in chosen for v in s.basis]))
 
     for d in (1, 2, 3):
         for kind, payload in by_dim[d]:
@@ -442,19 +432,11 @@ def _solve_line_family(field, gens, u1, u2, astar):
     """A projective point (x : y) satisfying every condition, or None."""
     lin, quad = _line_conditions(field, gens, u1, u2, astar)
     one, zero = field.one, field.zero
-    if not lin and not quad:
-        return one, zero
     if all(a.is_zero for a, _ in lin) and all(a.is_zero for a, _, _ in quad):
         return one, zero
 
-    def holds(x, y):
-        return (
-            all((a * x + b * y).is_zero for a, b in lin)
-            and all((a * x * x + b * x * y + c * y * y).is_zero for a, b, c in quad)
-        )
-
     # the points (x : 1) are the roots of the gcd of the dehomogenized
-    # conditions, which has degree at most 2; the smallest comes first
+    # conditions, which has degree at most 2; the smallest is returned
     polys = [_p_trim([b, a]) for a, b in lin]
     polys += [_p_trim([c, b, a]) for a, b, c in quad]
     g = polys[0]
@@ -463,15 +445,12 @@ def _solve_line_family(field, gens, u1, u2, astar):
     if len(g) <= 1:
         return None
     if len(g) == 2:
-        roots = [-g[0] / g[1]]
-    elif field.is_prime_field:
+        return -g[0] / g[1], one
+    if field.is_prime_field:
         roots = [r for r, _ in poly_roots(field, g)]
     else:
         roots = _rational_quadratic_roots(field, g)
-    for root in roots:
-        if holds(root, one):
-            return root, one
-    return None
+    return (roots[0], one) if roots else None
 
 
 def _rational_quadratic_roots(field, cs):
@@ -511,9 +490,7 @@ def _search_enumerate(field, spaces, astar):
         per_space.append(subs)
     found = []
     for combo in product(*per_space):
-        w = combo[0]
-        for s in combo[1:]:
-            w = w + s
+        w = subspace_sum(combo)
         if 0 < w.dim < 4 and w.is_invariant(astar):
             found.append(w)
     if not found:

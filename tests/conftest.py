@@ -36,9 +36,8 @@ def random_boundary_array(rng, field):
     product condition forced to fail: varphi == varphi1 * varphi2."""
     while True:
         if field.p:
-            pool = list(range(field.p))
-            theta = tuple(field(x) for x in rng.sample(pool, 3))
-            thetastar = tuple(field(x) for x in rng.sample(pool, 3))
+            theta = tuple(field(x) for x in rng.sample(range(field.p), 3))
+            thetastar = tuple(field(x) for x in rng.sample(range(field.p), 3))
             delta = field(rng.randrange(field.p))
         else:
             theta = tuple(field(x) for x in rng.sample(range(-5, 6), 3))

@@ -168,6 +168,33 @@ def test_verify_identity_pair_exit_3(capsys, tmp_path):
     assert doc["verification"]["overall"] is False
 
 
+EYE = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+       ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
+EYE3 = [row[:3] for row in EYE[:3]]
+ORDERS = {"theta": ["1", "0", "-1"], "thetastar": ["1", "0", "-1"]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"field": {"kind": "Q"}, "A": EYE3, "Astar": EYE3, **ORDERS},
+    {"field": {"kind": "Q"}, "A": EYE3, "Astar": EYE3},
+    {"field": {"kind": "Q"}, "A": EYE, "Astar": EYE, "theta": ["1", "0"],
+     "thetastar": ["1", "0", "-1"]},
+    {"field": {"kind": "Q"}, "A": [[int(x) for x in row] for row in EYE], "Astar": EYE},
+    [{"field": {"kind": "Q"}, "A": EYE, "Astar": EYE}],
+    {"field": "Q", "A": EYE, "Astar": EYE},
+    {"field": {"kind": "Q"}, "A": EYE, "Astar": EYE,
+     "theta": ["1/0", "0", "-1"], "thetastar": ["1", "0", "-1"]},
+], ids=["3x3", "3x3-no-orderings", "theta-length-2", "json-numbers", "top-level-array",
+        "field-not-object", "zero-denominator"])
+def test_verify_malformed_system_exit_1(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_boundary_system_exit_3_with_witness(capsys, tmp_path, rng):
     pa = random_boundary_array(rng, QQ)
     a, astar = canonical_matrices(pa)

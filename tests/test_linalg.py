@@ -225,6 +225,43 @@ def test_primitive_idempotents_rejects_bad_input():
         primitive_idempotents(jordan, [QQ(0), QQ(1), QQ(2)])
 
 
+def test_primitive_idempotents_rejects_empty_list_and_lone_jordan_block():
+    with pytest.raises(ValueError):
+        primitive_idempotents(Matrix.diagonal(QQ, [1, 0, 0, -1]), [])
+    jordan = Matrix(QQ, [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    with pytest.raises(ValueError):
+        primitive_idempotents(jordan, [QQ(2)])
+    scalar = Matrix.diagonal(QQ, [2, 2, 2, 2])
+    assert primitive_idempotents(scalar, [QQ(2)]) == [Matrix.identity(QQ, 4)]
+
+
+def test_primitive_idempotents_accepts_exactly_diagonalizable_gf3(rng):
+    # accepted exactly when the nullities of M - e I over the supplied
+    # eigenvalues are all positive and add up to 4 (rank by the oracle)
+    p, field = 3, Field(3)
+    accepted = rejected = 0
+    for trial in range(300):
+        evs = rng.sample(range(p), rng.choice((2, 3)))
+        if trial % 2:
+            diag = [rng.choice(evs) for _ in range(4)]
+            s = random_invertible(rng, field, Matrix)
+            m = s * Matrix.diagonal(field, diag) * s.invert()
+        else:
+            m = Matrix(field, [[rng.randrange(p) for _ in range(4)] for _ in range(4)])
+        rows = [[x.val for x in row] for row in m.rows]
+        nullities = [4 - oracle.rank_mod([[r[c] - e * (i == c) for c in range(4)]
+                                          for i, r in enumerate(rows)], p)
+                     for e in evs]
+        if all(nullities) and sum(nullities) == 4:
+            accepted += 1
+            assert len(primitive_idempotents(m, evs)) == len(evs)
+        else:
+            rejected += 1
+            with pytest.raises(ValueError):
+                primitive_idempotents(m, evs)
+    assert accepted and rejected
+
+
 def test_subspace_sum_and_intersection_basics():
     e1 = (1, 0, 0, 0)
     e2 = (0, 1, 0, 0)

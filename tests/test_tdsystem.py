@@ -157,6 +157,91 @@ def test_find_orderings_symmetric_in_the_pair(tds):
     assert {(ts, th) for th, ts in direct} == set(swapped)
 
 
+def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
+    """Ordering pairs passing the tridiagonal axioms, by raw-int products
+    E_i A* E_j and E*_i A E*_j mod p of the primitive idempotents."""
+    from itertools import permutations
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(4)) % p for j in range(4)]
+                for i in range(4)]
+
+    def idempotents(rows, evs):
+        out = []
+        for i, ei in enumerate(evs):
+            acc = [[int(r == c) for c in range(4)] for r in range(4)]
+            for ej in evs:
+                if ej != ei:
+                    inv = pow(ei - ej, -1, p)
+                    acc = mul(acc, [[(rows[r][c] - ej * (r == c)) * inv for c in range(4)]
+                                    for r in range(4)])
+            out.append(acc)
+        return out
+
+    def far(e, m):
+        return [[not any(map(any, mul(mul(e[i], m), e[j]))) for j in range(3)]
+                for i in range(3)]
+
+    fa = far(idempotents(a_rows, evs_a), astar_rows)
+    fs = far(idempotents(astar_rows, evs_s), a_rows)
+    return [(tuple(evs_a[i] for i in pa), tuple(evs_s[i] for i in ps))
+            for pa in permutations(range(3)) if fa[pa[0]][pa[2]] and fa[pa[2]][pa[0]]
+            for ps in permutations(range(3)) if fs[ps[0]][ps[2]] and fs[ps[2]][ps[0]]]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_find_orderings_match_idempotent_definition(rng, p):
+    # pairs with eigenvalue pattern (a, b, b, c) on both sides: independently
+    # conjugated (mostly not tridiagonal), conjugated by one matrix (every
+    # ordering passes), and conjugated canonical systems (four orderings)
+    field = Field(p)
+    counts = {0: 0, 4: 0, 36: 0}
+    for trial in range(36):
+        kind = trial % 3
+        if kind == 2:
+            pa = random_admissible_array(rng, field)
+            a, astar = canonical_matrices(pa)
+            s = random_invertible(rng, field, Matrix)
+            a, astar = s * a * s.invert(), s * astar * s.invert()
+            evs_a = sorted(x.val for x in pa.theta)
+            evs_s = sorted(x.val for x in pa.thetastar)
+        else:
+            evs_a, evs_s = sorted(rng.sample(range(p), 3)), sorted(rng.sample(range(p), 3))
+            s = random_invertible(rng, field, Matrix)
+            s_star = random_invertible(rng, field, Matrix) if kind == 0 else s
+            x, y, z = rng.sample(evs_a, 3)
+            a = s * Matrix.diagonal(field, [x, y, y, z]) * s.invert()
+            x, y, z = rng.sample(evs_s, 3)
+            astar = s_star * Matrix.diagonal(field, [x, y, y, z]) * s_star.invert()
+        a_rows = [[x.val for x in row] for row in a.rows]
+        astar_rows = [[x.val for x in row] for row in astar.rows]
+        expected = _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p)
+        got = [(tuple(x.val for x in th), tuple(x.val for x in ts))
+               for th, ts in find_td_orderings(a, astar)]
+        assert got == expected
+        if len(got) in counts:
+            counts[len(got)] += 1
+    assert all(counts.values()), counts
+
+
+def test_derived_objects_die_with_the_system(p0):
+    import gc
+    import weakref
+
+    from tdpair121 import BasisId, basis_matrix, represent, transition_numeric
+    system = construct(p0)
+    represent(system, "A", BasisId.SPLIT_ZD)
+    transition_numeric(system, BasisId.SPLIT_DZ, BasisId.EIG_A)
+    basis_matrix(system, BasisId.SPLIT_DD)
+    assert shape(system) == (1, 2, 1)
+    split_decomposition(system, Decomposition.ZSTAR_D)
+    assert verify_split_actions(system)
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+
+
 def test_split_decomposition_eigenspace_rows(tds):
     spaces = [Subspace(QQ, 4, tds.A.shift(t).kernel()) for t in tds.theta]
     duals = [Subspace(QQ, 4, tds.Astar.shift(t).kernel()) for t in tds.thetastar]
@@ -275,25 +360,15 @@ def test_verify_boundary_pair_over_large_prime():
     # root finding over GF(p) must not depend on p being small: a residue
     # scan would touch 2^31 elements here
     import random
-    from tdpair121 import ParameterArray
     p = 2**31 - 1
     field = Field(p)
     rng = random.Random("large-p boundary")
-    while True:
-        theta = tuple(field(rng.randrange(p)) for _ in range(3))
-        thetastar = tuple(field(rng.randrange(p)) for _ in range(3))
-        delta = field(rng.randrange(p))
-        varphi = ((delta - (theta[0] - theta[1]) * (thetastar[0] - thetastar[1]))
-                  * (delta - (theta[1] - theta[2]) * (thetastar[1] - thetastar[2])))
-        phi = varphi + delta * (theta[0] - theta[2]) * (thetastar[0] - thetastar[2])
-        if len(set(theta)) == 3 and len(set(thetastar)) == 3 and varphi and phi:
-            break
-    pa = ParameterArray(field, theta, thetastar, varphi, phi)
+    pa = random_boundary_array(rng, field)
     a, astar = canonical_matrices(pa)
     s = random_invertible(rng, field, Matrix)
     si = s.invert()
     a, astar = s * a * si, s * astar * si
-    report = verify_td_system(a, astar, theta, thetastar)
+    report = verify_td_system(a, astar, pa.theta, pa.thetastar)
     assert report.diagonalizable_a and report.diagonalizable_astar
     assert report.tridiagonal_astar_e and report.tridiagonal_a_estar
     assert not report.irreducible and report.witness is not None
