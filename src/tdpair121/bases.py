@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .linalg import Matrix, SingularMatrixError, vec_is_zero, vec_scale
-from .params import ParameterArray, admissible, derived_params, extract_parameter_array
+from .params import ParameterArray, extract_parameter_array
 from .tdsystem import TDSystem
 
 
@@ -168,7 +168,7 @@ def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
 # -- closed-form tables -------------------------------------------------------
 
 def _ctx(pa: ParameterArray):
-    dp = derived_params(pa)
+    dp = pa._derived
     f = pa.field
     return (*pa.theta, *pa.thetastar, pa.varphi, pa.phi,
             dp.varphi1, dp.varphi2, dp.phi1, dp.phi2, f.one, f.zero)
@@ -189,7 +189,7 @@ def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
     nothing here is composed from other pairs, so agreement with
     transition_numeric is an actual check.
     """
-    report = admissible(pa)
+    report = pa._admissibility
     if not report.ok:
         raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
     if frm is to:

@@ -33,6 +33,10 @@ EXIT_UNVERIFIED = 3
 DEFAULT_MAX_PRIME = 7
 
 
+# what reading and parsing an input file can raise on malformed input
+_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError)
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -55,7 +59,7 @@ def _fail_io(message: str) -> int:
 def cmd_report(args) -> int:
     try:
         pa = ParameterArray.from_json(_load_json(args.parameter_array))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _PARSE_ERRORS as exc:
         return _fail_io(str(exc))
 
     report = admissible(pa)
@@ -129,8 +133,7 @@ def cmd_verify(args) -> int:
         astar = _elements(field, data["Astar"], (4, 4), "Astar")
         theta, thetastar = (_elements(field, data[k], (3,), k) if k in data else None
                             for k in ("theta", "thetastar"))
-    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError,
-            json.JSONDecodeError) as exc:
+    except _PARSE_ERRORS as exc:
         return _fail_io(str(exc))
 
     doc: dict = {}
@@ -170,7 +173,7 @@ def _unverifiable_report() -> VerificationReport:
 def cmd_construct(args) -> int:
     try:
         pa = ParameterArray.from_json(_load_json(args.parameter_array))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except _PARSE_ERRORS as exc:
         return _fail_io(str(exc))
     report = admissible(pa)
     if not report.ok:

@@ -47,28 +47,43 @@ def _is_prime(n: int) -> bool:
 
 
 def _inv_mod(a: int, p: int) -> int:
-    """Inverse of a mod p by extended Euclid (deterministic cost)."""
+    """Inverse of a mod p."""
     a %= p
     if a == 0:
         raise ZeroDivisionError(f"division by zero in GF({p})")
-    r0, r1 = p, a
-    s0, s1 = 0, 1
-    while r1:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    return s0 % p
+    return pow(a, -1, p)
+
+
+# the one Field per characteristic, so that field checks are identity tests
+_FIELDS: dict = {}
 
 
 class Field:
-    """Descriptor for the rationals (``p == 0``) or GF(p) with p prime."""
+    """Descriptor for the rationals (``p == 0``) or GF(p) with p prime.
+
+    There is one instance per characteristic: ``Field(p) is Field(p)``, and
+    pickling or copying returns that instance.
+    """
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = 0):
-        if p != 0 and not _is_prime(p):
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
-        self.p = p
+    def __new__(cls, p: int = 0):
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise TypeError(f"characteristic must be an int, got {p!r}")
+        field = _FIELDS.get(p)
+        if field is None:
+            if p != 0 and not _is_prime(p):
+                raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+            field = object.__new__(cls)
+            object.__setattr__(field, "p", int(p))
+            field = _FIELDS.setdefault(field.p, field)
+        return field
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self!r} is shared by every user of it and cannot change")
+
+    def __reduce__(self):
+        return Field, (self.p,)
 
     @property
     def characteristic(self) -> int:
@@ -81,11 +96,14 @@ class Field:
     def __call__(self, value) -> FieldElement:
         """Coerce an int, Fraction, string or element of this field."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self:
                 raise ValueError(f"element of {value.field} is not in {self}")
             return value
         if isinstance(value, str):
             return self.parse(value)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(f"cannot coerce {value!r} into {self}: "
+                            "expected an int, Fraction, string or element")
         if self.p:
             if isinstance(value, Fraction):
                 num = value.numerator % self.p
@@ -132,15 +150,20 @@ class Field:
 
     @classmethod
     def from_json(cls, data: dict) -> Field:
+        if not isinstance(data, dict):
+            raise ValueError(f"a field descriptor is a JSON object, got {data!r}")
         kind = data.get("kind")
         if kind == "Q":
             return cls(0)
         if kind == "Fp":
-            return cls(int(data["p"]))
+            p = data["p"]
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise ValueError(f"characteristic must be a JSON integer, got {p!r}")
+            return cls(p)
         raise ValueError(f"unknown field descriptor {data!r}")
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.p == other.p
+        return self is other
 
     def __hash__(self):
         return hash(("Field", self.p))
@@ -175,7 +198,7 @@ class FieldElement:
         return self.val != 0
 
     def _check(self, other) -> None:
-        if not isinstance(other, FieldElement) or other.field != self.field:
+        if not isinstance(other, FieldElement) or other.field is not self.field:
             raise ValueError(f"cannot mix {self!r} with {other!r}")
 
     def __add__(self, other):
@@ -220,7 +243,7 @@ class FieldElement:
     def __eq__(self, other):
         return (
             isinstance(other, FieldElement)
-            and self.field == other.field
+            and self.field is other.field
             and self.val == other.val
         )
 

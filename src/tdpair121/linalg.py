@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, permutations
+from operator import mul
 
 from .fields import Field, FieldElement
 
@@ -27,6 +28,101 @@ class SingularMatrixError(ValueError):
 
 Vector = tuple  # tuple of FieldElement
 
+# The kernels below work on raw values: Fractions over QQ, ints over GF(p).
+# Products and entrywise operations may leave ints unreduced: _box reduces
+# once per entry, and _holds before its zero test.  _rref and _det_rows
+# take entries in [0, p) and keep them there.  Matrix.rows and
+# Subspace.basis stay tuples of FieldElements.
+
+_new = object.__new__
+
+
+def _unbox(field: Field, vec) -> list:
+    """Raw values of a vector over field.
+
+    Elements of field pass by an identity test; ints, Fractions and strings
+    are coerced; an element of another field raises ValueError and any
+    other value TypeError.
+    """
+    return [field(x).val for x in vec]
+
+
+def _box(field: Field, vals) -> Vector:
+    """Elements of field from raw values (any ints over GF(p), which are
+    reduced here; Fractions over QQ)."""
+    p = field.p
+    out = []
+    for v in vals:
+        e = _new(FieldElement)
+        e.field = field
+        e.val = v % p if p else v
+        out.append(e)
+    return tuple(out)
+
+
+def _mat_vec(rows, v) -> list:
+    """Raw product of the rows with the vector, unreduced."""
+    return [sum(map(mul, row, v)) for row in rows]
+
+
+def _inverse(x, p: int):
+    return pow(x, -1, p) if p else 1 / x
+
+
+def _row_sub(row, f, top, p: int) -> list:
+    """row - f * top, reduced mod p over GF(p)."""
+    if p:
+        return [(a - f * b) % p for a, b in zip(row, top)]
+    return [a - f * b for a, b in zip(row, top)]
+
+
+def _rref(work, p: int):
+    """In-place reduced row echelon form of raw rows over GF(p) (p > 0) or
+    QQ (p == 0); returns the pivot columns.  Rows are replaced, never
+    mutated, so they may be tuples."""
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = _inverse(work[r][c], p)
+        top = work[r] = [x * inv % p if p else x * inv for x in work[r]]
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                work[i] = _row_sub(work[i], f, top, p)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
+def _det_rows(rows, field: Field) -> FieldElement:
+    """Determinant of a square list of rows over field, by elimination."""
+    work = [_unbox(field, r) for r in rows]
+    p = field.p
+    n = len(work)
+    det = field.one.val
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c]), None)
+        if pivot is None:
+            return field.zero
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = -det
+        top = work[c]
+        det = det * top[c]
+        inv = _inverse(top[c], p)
+        for i in range(c + 1, n):
+            if work[i][c]:
+                work[i] = _row_sub(work[i], work[i][c] * inv, top, p)
+    return _box(field, (det,))[0]
+
 
 def vec_is_zero(v) -> bool:
     return all(x.is_zero for x in v)
@@ -34,9 +130,6 @@ def vec_is_zero(v) -> bool:
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v):
@@ -61,6 +154,13 @@ class Matrix:
         m.field = field
         m.rows = rows
         return m
+
+    @classmethod
+    def _from_vals(cls, field, rows) -> Matrix:
+        return cls._raw(field, tuple(_box(field, r) for r in rows))
+
+    def _vals(self) -> list:
+        return [[x.val for x in r] for r in self.rows]
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
@@ -103,56 +203,58 @@ class Matrix:
         return Matrix._raw(self.field, tuple(zip(*self.rows)))
 
     def __mul__(self, other: Matrix) -> Matrix:
-        if self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("field mismatch in matrix product")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        bt = tuple(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append(tuple(
-                _dot(row, bcol) for bcol in bt))
-        return Matrix._raw(self.field, tuple(out))
+        cols = list(zip(*other._vals()))
+        return Matrix._from_vals(self.field, [_mat_vec(cols, row) for row in self._vals()])
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
-        return tuple(_dot(row, v) for row in self.rows)
+        vals = _unbox(self.field, v)
+        if len(vals) != self.ncols:
+            raise ValueError("vector length does not match the matrix")
+        return _box(self.field, _mat_vec(self._vals(), vals))
 
-    def _check_same_shape(self, other: Matrix) -> None:
+    def _check_compatible(self, other: Matrix) -> None:
+        if self.field is not other.field:
+            raise ValueError("field mismatch in entrywise operation")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} and {other.nrows}x{other.ncols}")
 
     def __add__(self, other: Matrix) -> Matrix:
-        self._check_same_shape(other)
-        return Matrix._raw(self.field, tuple(
-            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        self._check_compatible(other)
+        return Matrix._from_vals(self.field, [
+            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._vals(), other._vals())])
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._check_same_shape(other)
-        return Matrix._raw(self.field, tuple(
-            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
+        self._check_compatible(other)
+        return Matrix._from_vals(self.field, [
+            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._vals(), other._vals())])
 
     def __neg__(self) -> Matrix:
-        return Matrix._raw(self.field, tuple(tuple(-a for a in r) for r in self.rows))
+        return Matrix._from_vals(self.field, [[-a for a in r] for r in self._vals()])
 
     def scale(self, c: FieldElement) -> Matrix:
-        c = self.field(c)
-        return Matrix._raw(self.field, tuple(tuple(c * a for a in r) for r in self.rows))
+        c = self.field(c).val
+        return Matrix._from_vals(self.field, [[c * a for a in r] for r in self._vals()])
 
     def shift(self, c: FieldElement) -> Matrix:
         """self - c*I."""
-        c = self.field(c)
-        return self - Matrix.identity(self.field, self.nrows).scale(c)
+        c = self.field(c).val
+        return Matrix._from_vals(self.field, [
+            [a - c if i == j else a for j, a in enumerate(r)] for i, r in enumerate(self._vals())])
 
     @property
     def is_zero(self) -> bool:
-        return all(x.is_zero for r in self.rows for x in r)
+        return not any(x.val for r in self.rows for x in r)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
-            and self.field == other.field
+            and self.field is other.field
             and self.rows == other.rows
         )
 
@@ -164,41 +266,39 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def rank(self) -> int:
-        work = [list(r) for r in self.rows]
-        _, pivots = _rref(work)
-        return len(pivots)
+        return len(_rref(self._vals(), self.field.p))
 
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _det_rows([list(r) for r in self.rows], self.field)
+        return _det_rows(self.rows, self.field)
 
     def invert(self) -> Matrix:
         """Exact inverse; raises SingularMatrixError if rank < n."""
         n = self.nrows
         if n != self.ncols:
             raise SingularMatrixError("cannot invert a non-square matrix")
-        work = [list(r) + list(Matrix.identity(self.field, n).rows[i])
-                for i, r in enumerate(self.rows)]
-        _, pivots = _rref(work)
-        if pivots != list(range(n)):
+        one, zero = self.field.one.val, self.field.zero.val
+        work = [r + [one if i == j else zero for j in range(n)]
+                for i, r in enumerate(self._vals())]
+        if _rref(work, self.field.p) != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        return Matrix._raw(self.field, tuple(tuple(row[n:]) for row in work))
+        return Matrix._from_vals(self.field, [r[n:] for r in work])
 
     def kernel(self):
         """Basis of the null space, as a list of vectors."""
-        work = [list(r) for r in self.rows]
-        rows, pivots = _rref(work)
+        work = self._vals()
+        pivots = _rref(work, self.field.p)
         n = self.ncols
-        z, o = self.field.zero, self.field.one
+        one, zero = self.field.one.val, self.field.zero.val
         free = [j for j in range(n) if j not in pivots]
         basis = []
         for f in free:
-            v = [z] * n
-            v[f] = o
+            v = [zero] * n
+            v[f] = one
             for i, pj in enumerate(pivots):
-                v[pj] = -rows[i][f]
-            basis.append(tuple(v))
+                v[pj] = -work[i][f]
+            basis.append(_box(self.field, v))
         return basis
 
     def to_json(self):
@@ -209,66 +309,6 @@ class Matrix:
         return cls(field, [[field.parse(s) for s in row] for row in data])
 
 
-def _dot(u, v):
-    it = iter(zip(u, v))
-    a, b = next(it)
-    acc = a * b
-    for a, b in it:
-        acc = acc + a * b
-    return acc
-
-
-def _rref(work):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not work[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and not work[i][c].is_zero:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return work, pivots
-
-
-def _det_rows(work, field):
-    n = len(work)
-    det = field.one
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not work[i][c].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            return field.zero
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det = det * work[c][c]
-        inv = work[c][c].inverse()
-        for i in range(c + 1, n):
-            if not work[i][c].is_zero:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-    return det
-
-
 class Subspace:
     """Subspace of F^n with a canonical echelon basis.
 
@@ -276,20 +316,29 @@ class Subspace:
     generating set, so two equal subspaces have identical representations.
     """
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "basis", "_rows", "_pivots")
 
     def __init__(self, field: Field, ambient: int, vectors=()):
-        self.field = field
-        self.ambient = ambient
-        work = [[field(x) for x in v] for v in vectors]
+        work = [_unbox(field, v) for v in vectors]
         for v in work:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        if work:
-            rows, pivots = _rref(work)
-            self.basis = tuple(tuple(rows[i]) for i in range(len(pivots)))
-        else:
-            self.basis = ()
+        self._span(field, ambient, work)
+
+    @classmethod
+    def _from_vals(cls, field: Field, ambient: int, work) -> Subspace:
+        """Span of raw vectors of length ambient, entries in canonical form."""
+        s = object.__new__(cls)
+        s._span(field, ambient, work)
+        return s
+
+    def _span(self, field, ambient, work) -> None:
+        pivots = _rref(work, field.p)
+        self.field = field
+        self.ambient = ambient
+        self._rows = tuple(tuple(r) for r in work[:len(pivots)])
+        self._pivots = tuple(pivots)
+        self.basis = tuple(_box(field, r) for r in self._rows)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> Subspace:
@@ -317,43 +366,45 @@ class Subspace:
             raise ValueError("the zero subspace has no basis matrix")
         return Matrix.from_columns(self.field, self.basis)
 
-    def contains(self, v) -> bool:
-        v = [self.field(x) for x in v]
-        if len(v) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if not x.is_zero)
-            if not v[lead].is_zero:
-                c = v[lead]
+    def _holds(self, v) -> bool:
+        """Whether the raw vector v (over GF(p), any ints) lies in self.
+
+        In reduced echelon form the coefficient of each basis row is the
+        entry of v at that row's pivot."""
+        for j, row in zip(self._pivots, self._rows):
+            c = v[j]
+            if c:
                 v = [a - c * b for a, b in zip(v, row)]
-        return all(x.is_zero for x in v)
+        p = self.field.p
+        return not any(x % p for x in v) if p else not any(v)
+
+    def contains(self, v) -> bool:
+        vals = _unbox(self.field, v)
+        if len(vals) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        return self._holds(vals)
 
     def contains_subspace(self, other: Subspace) -> bool:
-        return all(self.contains(v) for v in other.basis)
+        self._compat(other)
+        return all(self._holds(v) for v in other._rows)
 
     def __add__(self, other: Subspace) -> Subspace:
         self._compat(other)
-        return Subspace(self.field, self.ambient, self.basis + other.basis)
+        return Subspace._from_vals(self.field, self.ambient, list(self._rows + other._rows))
 
     def __and__(self, other: Subspace) -> Subspace:
         """Intersection via Zassenhaus elimination on stacked blocks."""
         self._compat(other)
         n = self.ambient
-        z = self.field.zero
-        work = [list(v) + list(v) for v in self.basis]
-        work += [list(v) + [z] * n for v in other.basis]
-        if not work:
-            return Subspace.zero(self.field, n)
-        rows, pivots = _rref(work)
-        inter = []
+        zeros = (self.field.zero.val,) * n
+        work = [v + v for v in self._rows] + [v + zeros for v in other._rows]
+        pivots = _rref(work, self.field.p)
         # rows whose left block vanished carry an intersection vector on the right
-        for row in rows[: len(pivots)]:
-            if all(x.is_zero for x in row[:n]):
-                inter.append(tuple(row[n:]))
-        return Subspace(self.field, n, inter)
+        inter = [row[n:] for row in work[:len(pivots)] if not any(row[:n])]
+        return Subspace._from_vals(self.field, n, inter)
 
     def _compat(self, other: Subspace) -> None:
-        if self.field != other.field or self.ambient != other.ambient:
+        if self.field is not other.field or self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
 
     def image(self, m: Matrix) -> Subspace:
@@ -361,18 +412,21 @@ class Subspace:
         return Subspace(self.field, m.nrows, [m.apply(v) for v in self.basis])
 
     def is_invariant(self, m: Matrix) -> bool:
-        return all(self.contains(m.apply(v)) for v in self.basis)
+        if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
+            raise ValueError("matrix does not act on the ambient space")
+        rows = m._vals()
+        return all(self._holds(_mat_vec(rows, v)) for v in self._rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
-            and self.field == other.field
+            and self.field is other.field
             and self.ambient == other.ambient
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient, self.basis))
+        return hash((self.field, self.ambient, self._rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, basis={[tuple(str(x) for x in v) for v in self.basis]})"

@@ -11,6 +11,7 @@ order 8 acting on arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fields import Field, FieldElement
 from .linalg import Matrix
@@ -39,6 +40,16 @@ class ParameterArray:
         if len(self.theta) != 3 or len(self.thetastar) != 3:
             raise ValueError("eigenvalue sequences must have length 3")
 
+    # computed once per array; cached_property stores into the instance
+    # __dict__, which the dataclass's eq, hash and repr never read
+    @cached_property
+    def _derived(self) -> DerivedParams:
+        return derived_params(self)
+
+    @cached_property
+    def _admissibility(self) -> AdmissibilityReport:
+        return admissible(self)
+
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),
@@ -50,7 +61,12 @@ class ParameterArray:
 
     @classmethod
     def from_json(cls, data: dict) -> ParameterArray:
+        if not isinstance(data, dict):
+            raise ValueError("a parameter array is a JSON object")
         field = Field.from_json(data["field"])
+        for key in ("theta", "thetastar"):
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key} must be a list of 3 field elements")
         return cls.make(field, data["theta"], data["thetastar"], data["varphi"], data["phi"])
 
 
@@ -106,7 +122,7 @@ def admissible(pa: ParameterArray) -> AdmissibilityReport:
     if pa.varphi.is_zero or pa.phi.is_zero:
         failed.append("(ii)")
     if t[0] != t[2] and s[0] != s[2]:
-        dp = derived_params(pa)
+        dp = pa._derived
         if pa.varphi == dp.varphi1 * dp.varphi2:
             failed.append("(iii)")
     return AdmissibilityReport(not failed, tuple(failed))
@@ -118,7 +134,7 @@ def canonical_matrices(pa: ParameterArray):
     Available for any array with defined derived parameters, admissible or
     not, so that boundary arrays can be probed.
     """
-    dp = derived_params(pa)
+    dp = pa._derived
     f = pa.field
     z, o = f.zero, f.one
     t0, t1, t2 = pa.theta
@@ -140,7 +156,7 @@ def canonical_matrices(pa: ParameterArray):
 
 def construct(pa: ParameterArray) -> TDSystem:
     """Build the tridiagonal system with this parameter array."""
-    report = admissible(pa)
+    report = pa._admissibility
     if not report.ok:
         raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
     a, astar = canonical_matrices(pa)

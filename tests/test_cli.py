@@ -195,6 +195,29 @@ def test_verify_malformed_system_exit_1(capsys, tmp_path, doc):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+MALFORMED_PARAMETER_FILES = {
+    "string field descriptor": {**P0_DOC, "field": "Q"},
+    "top-level array": [P0_DOC],
+    "nested theta": {**P0_DOC, "theta": [["1"], "0", "-1"]},
+    "string theta": {**P0_DOC, "theta": "102"},
+    "zero denominator": {**P0_DOC, "varphi": "1/0"},
+    "float split scalar": {**P0_DOC, "field": {"kind": "Fp", "p": 7}, "varphi": 2.5},
+    "float characteristic": {**P0_DOC, "field": {"kind": "Fp", "p": 7.9}},
+}
+
+
+@pytest.mark.parametrize("command", ["report", "construct"])
+@pytest.mark.parametrize("doc", list(MALFORMED_PARAMETER_FILES.values()),
+                         ids=list(MALFORMED_PARAMETER_FILES))
+def test_malformed_parameter_array_exit_1(capsys, tmp_path, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_boundary_system_exit_3_with_witness(capsys, tmp_path, rng):
     pa = random_boundary_array(rng, QQ)
     a, astar = canonical_matrices(pa)

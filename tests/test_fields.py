@@ -1,9 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 
 import oracle
-from tdpair121 import Field, QQ, field_arith, parse_element
+from tdpair121 import Field, Matrix, QQ, field_arith, parse_element
 
 
 def test_parse_reduces_fractions():
@@ -169,3 +171,36 @@ def test_unknown_arith_op():
 
 def test_parse_element_helper():
     assert parse_element("3/6", QQ) == QQ("1/2")
+
+
+def test_field_is_interned_through_pickle_and_copy():
+    assert Field(0) is QQ
+    for p in (0, 2, 101, 2**31 - 1):
+        field = Field(p)
+        assert Field(p) is field
+        assert pickle.loads(pickle.dumps(field)) is field
+        assert copy.copy(field) is field and copy.deepcopy(field) is field
+        with pytest.raises(AttributeError):
+            field.p = 11
+        assert field.p == p
+        m = Matrix(field, [[1, 2], [3, 4]])
+        for clone in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            assert clone.field is field and clone == m
+            assert all(x.field is field for r in clone.rows for x in r)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, 0.1, True, False])
+def test_coercion_rejects_inexact_and_foreign_values(value):
+    for field in (QQ, Field(7)):
+        with pytest.raises(TypeError):
+            field(value)
+
+
+@pytest.mark.parametrize("p", [7.0, 7.9, "7", True, None])
+def test_characteristic_must_be_an_int(p):
+    with pytest.raises(TypeError):
+        Field(p)
+    with pytest.raises(ValueError):
+        Field.from_json({"kind": "Fp", "p": p})
+    # a rejected float never takes the place of the int characteristic
+    assert type(Field(7).p) is int

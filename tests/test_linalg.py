@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -326,3 +328,147 @@ def test_transition_pair_mutual_inverse_at_p0():
     back = transition_formula(pa, BasisId.SPLIT_ZZ, BasisId.SPLIT_ZD)
     assert fwd.invert() == back
     assert back.invert() == fwd
+
+
+# -- the raw kernels against independent oracles -------------------------------
+
+KERNEL_CHARACTERISTICS = [0, 2, 3, 101, 10007, 2**31 - 1]
+
+
+def _raw_entry(rng, p):
+    if p:
+        return rng.randrange(p)
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+
+
+def _raw_mul(a, b, p):
+    out = [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+           for i in range(len(a))]
+    return [[x % p for x in r] for r in out] if p else out
+
+
+def _raw_matrices(rng, p, count):
+    """4x4 raw matrices of every rank 0..4, each a product of random 4xr
+    and rx4 factors, interleaved with unconstrained ones."""
+    zero = 0 if p else Fraction(0)
+    out = []
+    for i in range(count):
+        r = i % 6
+        if r == 0:
+            out.append([[zero] * 4 for _ in range(4)])
+        elif r == 5:
+            out.append([[_raw_entry(rng, p) for _ in range(4)] for _ in range(4)])
+        else:
+            left = [[_raw_entry(rng, p) for _ in range(r)] for _ in range(4)]
+            right = [[_raw_entry(rng, p) for _ in range(4)] for _ in range(r)]
+            out.append(_raw_mul(left, right, p))
+    return out
+
+
+def _oracle_rank(rows, p):
+    """Rank of at most four raw vectors of length 4."""
+    if p:
+        return oracle.rank_mod(rows, p)
+    padded = list(rows) + [[Fraction(0)] * 4] * (4 - len(rows))
+    return 4 - oracle.eigenspace_dim_fraction(padded, Fraction(0))
+
+
+def _leibniz_det(rows, p):
+    total = 0
+    for perm in permutations(range(4)):
+        inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+        term = -1 if inversions % 2 else 1
+        for i in range(4):
+            term *= rows[i][perm[i]]
+        total += term
+    return total % p if p else Fraction(total)
+
+
+def _canonical(vals, p):
+    """Raw values of boxed entries, each checked to be in canonical form."""
+    vals = list(vals)
+    for v in vals:
+        assert (type(v) is int and 0 <= v < p) if p else type(v) is Fraction
+    return vals
+
+
+def _mat_vals(m):
+    return [_canonical((x.val for x in r), m.field.p) for r in m.rows]
+
+
+@pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
+def test_matrix_kernels_match_raw_oracles(p):
+    rng = random.Random(f"matrix-kernels:{p}")
+    field = Field(p)
+    mats = _raw_matrices(rng, p, 36)
+    eye = [[int(i == j) for j in range(4)] for i in range(4)]
+    for a_rows, b_rows in zip(mats, mats[1:] + mats[:1]):
+        a, b = Matrix(field, a_rows), Matrix(field, b_rows)
+        assert _mat_vals(a * b) == _raw_mul(a_rows, b_rows, p)
+        v = [_raw_entry(rng, p) for _ in range(4)]
+        got = _canonical((x.val for x in a.apply(tuple(field(x) for x in v))), p)
+        if p:
+            assert tuple(got) == oracle.mat_vec_mod(a_rows, v, p)
+        else:
+            assert got == [r[0] for r in _raw_mul(a_rows, [[x] for x in v], 0)]
+        rank = _oracle_rank(a_rows, p)
+        assert a.rank() == rank
+        assert a.det().val == _leibniz_det(a_rows, p)
+        if rank == 4:
+            assert _raw_mul(a_rows, _mat_vals(a.invert()), p) == eye
+        else:
+            with pytest.raises(SingularMatrixError):
+                a.invert()
+        kernel = a.kernel()
+        assert len(kernel) == 4 - rank
+        for k in kernel:
+            col = [[x] for x in _canonical((x.val for x in k), p)]
+            assert all(r[0] == 0 for r in _raw_mul(a_rows, col, p))
+
+
+@pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
+def test_subspace_kernels_match_raw_ranks(p):
+    rng = random.Random(f"subspace-kernels:{p}")
+    field = Field(p)
+    for _ in range(40):
+        us = [[_raw_entry(rng, p) for _ in range(4)] for _ in range(rng.randint(1, 2))]
+        ws = [[_raw_entry(rng, p) for _ in range(4)] for _ in range(rng.randint(0, 1))]
+        if rng.random() < 0.5:
+            # a combination of the first generators, so that the two meet
+            c = _raw_entry(rng, p)
+            ws.append(_raw_mul([[1, c]], [us[0], us[-1]], p)[0])
+        u, w = Subspace(field, 4, us), Subspace(field, 4, ws)
+        total, meet = u + w, u & w
+        assert u.dim == _oracle_rank(us, p)
+        assert w.dim == _oracle_rank(ws, p)
+        assert total.dim == _oracle_rank(us + ws, p)
+        assert meet.dim == u.dim + w.dim - total.dim
+        for vec in meet.basis:
+            vals = _canonical((x.val for x in vec), p)
+            assert _oracle_rank(us + [vals], p) == u.dim
+            assert _oracle_rank(ws + [vals], p) == w.dim
+            assert u.contains(vec) and w.contains(vec)
+        for vec in total.basis:
+            assert _oracle_rank(us + ws + [[x.val for x in vec]], p) == total.dim
+
+
+def test_kernels_reject_mixed_fields():
+    f7, f11 = Field(7), Field(11)
+    rows = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]]
+    m7, m11 = Matrix(f7, rows), Matrix(f11, rows)
+    v11 = tuple(f11(x) for x in (1, 0, 0, 0))
+    s7, s11 = Subspace(f7, 4, [(1, 0, 0, 0)]), Subspace(f11, 4, [(1, 0, 0, 0)])
+    for attempt in (
+        lambda: m7 * m11,
+        lambda: m7 + m11,
+        lambda: m7 - m11,
+        lambda: m7.apply(v11),
+        lambda: m7.shift(f11(1)),
+        lambda: Subspace(f7, 4, [v11]),
+        lambda: s7.contains(v11),
+        lambda: s7 + s11,
+        lambda: s7 & s11,
+        lambda: s7.is_invariant(m11),
+    ):
+        with pytest.raises(ValueError):
+            attempt()
