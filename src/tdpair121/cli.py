@@ -20,10 +20,10 @@ from .bases import (
     transition_formula,
     transition_numeric,
 )
-from .fields import Field, _inv_mod, _is_prime
-from .linalg import Matrix, eigen_data
-from .params import ParameterArray, admissible, construct, derived_params
-from .tdsystem import VerificationReport, find_td_orderings, verify_td_system
+from .fields import Field, _is_prime
+from .linalg import Matrix
+from .params import ParameterArray, _enumerate_counts, admissible, construct, derived_params
+from .tdsystem import VerificationReport, _verify_unordered, verify_td_system
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -141,33 +141,23 @@ def cmd_verify(args) -> int:
         report = verify_td_system(a, astar, theta, thetastar)
     else:
         try:
-            orderings = find_td_orderings(a, astar)
+            doc["orderings_found"], theta, thetastar, report = _verify_unordered(a, astar)
         except ValueError as exc:
-            doc["orderings_found"] = 0
-            doc["reason"] = str(exc)
-            doc["verification"] = _unverifiable_report().to_json()
-            _emit(doc, None)
-            return EXIT_UNVERIFIED
-        doc["orderings_found"] = len(orderings)
-        if orderings:
-            theta, thetastar = orderings[0]
+            doc.update(orderings_found=0, reason=str(exc))
+            report = _UNVERIFIABLE
         else:
-            eda, eds = eigen_data(a), eigen_data(astar)
-            theta, thetastar = eda.eigenvalues, eds.eigenvalues
-        doc["theta"] = [str(x) for x in theta]
-        doc["thetastar"] = [str(x) for x in thetastar]
-        report = verify_td_system(a, astar, theta, thetastar)
+            doc["theta"] = [str(x) for x in theta]
+            doc["thetastar"] = [str(x) for x in thetastar]
     doc["verification"] = report.to_json()
     _emit(doc, None)
     ok = report.overall and report.shape == (1, 2, 1)
     return EXIT_OK if ok else EXIT_UNVERIFIED
 
 
-def _unverifiable_report() -> VerificationReport:
-    return VerificationReport(
-        False, False, False, False, False, None, None,
-        ("tridiagonal_AstarE", "tridiagonal_AEstar", "irreducible"),
-    )
+# the report when a matrix is not diagonalizable with 3 eigenvalues
+_UNVERIFIABLE = VerificationReport(
+    False, False, False, False, False, None, None,
+    ("tridiagonal_AstarE", "tridiagonal_AEstar", "irreducible"))
 
 
 def cmd_construct(args) -> int:
@@ -183,71 +173,6 @@ def cmd_construct(args) -> int:
     tds = construct(pa)
     _emit(tds.to_json(), args.out)
     return EXIT_OK
-
-
-def _enumerate_counts(p: int, want_orbits: bool):
-    """Counts over GF(p) of arrays passing (i), (i)+(ii), all three; with
-    orbit statistics of the admissible set under the dihedral action."""
-    triples = [
-        (a, b, c)
-        for a in range(p) for b in range(p) for c in range(p)
-        if a != b and a != c and b != c
-    ]
-    n_triples = len(triples)
-    count_i = n_triples * n_triples * p * p
-    count_i_ii = n_triples * n_triples * (p - 1) * (p - 1)
-    admissible_count = 0
-    orbit_count = 0
-    orbit_sizes: dict[int, int] = {}
-    nonzero = range(1, p)
-    for t in triples:
-        t0, t1, t2 = t
-        for s in triples:
-            s0, s1, s2 = s
-            den_inv = _inv_mod((t0 - t2) * (s0 - s2) % p, p)
-            e1 = (t0 - t1) * (s0 - s1) % p
-            e2 = (t1 - t2) * (s1 - s2) % p
-            for f in nonzero:
-                for g in nonzero:
-                    d = (g - f) * den_inv % p
-                    if (d - e1) * (d - e2) % p == f:
-                        continue
-                    admissible_count += 1
-                    if want_orbits:
-                        arr = (t0, t1, t2, s0, s1, s2, f, g)
-                        orbit = _d4_orbit(arr)
-                        if arr == min(orbit):
-                            orbit_count += 1
-                            size = len(orbit)
-                            orbit_sizes[size] = orbit_sizes.get(size, 0) + 1
-    result = {
-        "p": p,
-        "pass_i": count_i,
-        "pass_i_ii": count_i_ii,
-        "admissible": admissible_count,
-    }
-    if want_orbits:
-        result["orbits"] = {
-            "count": orbit_count,
-            "sizes": {str(k): v for k, v in sorted(orbit_sizes.items())},
-        }
-    return result
-
-
-def _d4_orbit(arr):
-    seen = {arr}
-    frontier = [arr]
-    while frontier:
-        t0, t1, t2, s0, s1, s2, f, g = frontier.pop()
-        for nxt in (
-            (s0, s1, s2, t0, t1, t2, f, g),
-            (t0, t1, t2, s2, s1, s0, g, f),
-            (t2, t1, t0, s0, s1, s2, g, f),
-        ):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
 
 
 def cmd_enumerate(args) -> int:

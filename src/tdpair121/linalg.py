@@ -102,16 +102,15 @@ def _rref(work, p: int):
     return pivots
 
 
-def _det_rows(rows, field: Field) -> FieldElement:
-    """Determinant of a square list of rows over field, by elimination."""
-    work = [_unbox(field, r) for r in rows]
+def _det_rows(work, field: Field):
+    """Raw determinant of square raw rows over field, by elimination."""
     p = field.p
     n = len(work)
     det = field.one.val
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return field.zero
+            return field.zero.val
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             det = -det
@@ -121,7 +120,7 @@ def _det_rows(rows, field: Field) -> FieldElement:
         for i in range(c + 1, n):
             if work[i][c]:
                 work[i] = _row_sub(work[i], work[i][c] * inv, top, p)
-    return _box(field, (det,))[0]
+    return det % p if p else det
 
 
 def vec_is_zero(v) -> bool:
@@ -271,7 +270,7 @@ class Matrix:
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _det_rows(self.rows, self.field)
+        return _box(self.field, (_det_rows(self._vals(), self.field),))[0]
 
     def invert(self) -> Matrix:
         """Exact inverse; raises SingularMatrixError if rank < n."""

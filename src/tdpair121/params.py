@@ -304,3 +304,63 @@ def derived_of_relative_consistency(pa: ParameterArray) -> bool:
         if (got.varphi1, got.varphi2, got.phi1, got.phi2) != expected:
             return False
     return True
+
+
+def _enumerate_counts(p: int, orbits: bool) -> dict:
+    """Counts over GF(p), p prime, of the arrays passing (i), (i) and (ii),
+    and all three conditions; with `orbits`, the admissible ones' orbits.
+
+    Admissible count.  Fix theta, thetastar passing (i) and put
+    den = (t0-t2)(s0-s2), e1 = (t0-t1)(s0-s1), e2 = (t1-t2)(s1-s2) and
+    q(d) = (d-e1)(d-e2).  By `derived_params`, varphi1 = d - e1 and
+    varphi2 = d - e2 with d = (phi - varphi)/den, so a pair (varphi, phi)
+    of nonzero values fails (iii) exactly when varphi = q(d).  The map
+    (varphi, phi) -> d is a bijection from the failing pairs onto
+    {d : q(d) != 0 and q(d) + d*den != 0}: a failing pair is recovered
+    from its d as varphi = q(d), phi = varphi + d*den, and for d in that
+    set this pair is nonzero, has (phi - varphi)/den = d and so fails.
+    Each (theta, thetastar) pair therefore costs one pass over GF(p).
+
+    Orbits.  The admissible arrays form a union of orbits: (i) and (ii)
+    are plainly invariant, `*` fixes varphi, varphi1 and varphi2, and `d`,
+    `D` exchange varphi - varphi1*varphi2 with phi - phi1*phi2, which are
+    equal (expand with phi1 = d + (t1-t2)(s0-s1), phi2 = d + (t0-t1)(s1-s2)
+    and phi - varphi = d*den).  Write the eight group elements as
+    d^a D^b *^c.  Those with c = 0 reverse theta, thetastar or both, and a
+    triple of distinct values is never its own reverse, so none but the
+    identity fixes an array.  Of those with c = 1, `*` fixes exactly the
+    arrays with thetastar = theta, and `dD*` those with thetastar = theta
+    reversed, whatever (varphi, phi); `d*` and `D*` square to dD, so a
+    fixed point of theirs would be one of dD.  A stabilizer holding both
+    `*` and `dD*` would hold their product dD.  So every stabilizer has
+    order 1 or 2, every orbit has 8 or 4 arrays, and the arrays in orbits
+    of size 4 are exactly the N4 admissible arrays with thetastar equal to
+    theta or to theta reversed.  Of the N admissible arrays, N4/4 orbits
+    have size 4 and (N - N4)/8 have size 8.
+    """
+    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)
+               if a != b and a != c and b != c]
+    total = fixed = 0
+    for t in triples:
+        t0, t1, t2 = t
+        for s in triples:
+            s0, s1, s2 = s
+            den = (t0 - t2) * (s0 - s2)
+            e1 = (t0 - t1) * (s0 - s1)
+            e2 = (t1 - t2) * (s1 - s2)
+            count = (p - 1) ** 2
+            for d in range(p):
+                q = (d - e1) * (d - e2)
+                if q % p and (q + d * den) % p:
+                    count -= 1
+            total += count
+            if s == t or s == t[::-1]:
+                fixed += count
+    n = len(triples)
+    result = {"p": p, "pass_i": n * n * p * p, "pass_i_ii": n * n * (p - 1) ** 2,
+              "admissible": total}
+    if orbits:
+        sizes = {4: fixed // 4, 8: (total - fixed) // 8}
+        result["orbits"] = {"count": sum(sizes.values()),
+                            "sizes": {str(k): v for k, v in sizes.items() if v}}
+    return result

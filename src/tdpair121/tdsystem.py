@@ -19,9 +19,11 @@ from .fields import Field
 from .linalg import (
     Matrix,
     Subspace,
+    _box,
     _det_rows,
     _p_gcd,
     _p_trim,
+    _unbox,
     eigen_data,
     poly_roots,
     primitive_idempotents,
@@ -139,12 +141,13 @@ def _check_pair_shape(a: Matrix, astar: Matrix, theta, thetastar) -> None:
 
 
 def _diag_with_spectrum(m: Matrix, evs):
-    """True (with eigenspaces) iff m is diagonalizable with exactly evs."""
+    """Eigenspaces of m in the order of evs, or None unless m is
+    diagonalizable with exactly evs."""
     if len(set(evs)) != len(evs):
-        return False, None
+        return None
     spaces = [Subspace(m.field, 4, m.shift(e).kernel()) for e in evs]
     ok = all(s.dim >= 1 for s in spaces) and sum(s.dim for s in spaces) == 4
-    return ok, spaces if ok else None
+    return spaces if ok else None
 
 
 def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> VerificationReport:
@@ -157,11 +160,16 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     theta = tuple(field(x) for x in theta)
     thetastar = tuple(field(x) for x in thetastar)
     _check_pair_shape(a, astar, theta, thetastar)
+    return _verify_on_spaces(a, astar, theta,
+                             _diag_with_spectrum(a, theta), _diag_with_spectrum(astar, thetastar))
 
+
+def _verify_on_spaces(a, astar, theta, spaces, dual_spaces):
+    """The checks of :func:`verify_td_system` on the eigenspaces of a and
+    astar in the order of theta and thetastar; None for a matrix that is
+    not diagonalizable with exactly those eigenvalues."""
+    diag_a, diag_s = spaces is not None, dual_spaces is not None
     skipped = []
-    diag_a, spaces = _diag_with_spectrum(a, theta)
-    diag_s, dual_spaces = _diag_with_spectrum(astar, thetastar)
-
     tri_astar = tri_a = False
     if diag_a and diag_s:
         far_a = _zero_blocks(astar, spaces)
@@ -174,7 +182,7 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     witness = shape_dims = None
     irreducible = False
     if diag_a and diag_s and tri_astar and tri_a:
-        witness = _invariant_search(field, theta, spaces, astar)
+        witness = _invariant_search(a.field, theta, spaces, astar)
         irreducible = witness is None
         shape_dims = _consistent_shape(_decompositions(spaces, dual_spaces))
     else:
@@ -192,25 +200,38 @@ def find_td_orderings(a: Matrix, astar: Matrix):
     Requires both matrices diagonalizable with exactly 3 eigenvalues;
     returns a lexicographically ordered list of (theta, thetastar) pairs.
     """
-    eda = eigen_data(a)
-    eds = eigen_data(astar)
+    eda, eds = eigen_data(a), eigen_data(astar)
+    return [(tuple(eda.eigenvalues[i] for i in pa), tuple(eds.eigenvalues[i] for i in ps))
+            for pa, ps in _ordering_perms(a, astar, eda, eds)]
+
+
+def _ordering_perms(a, astar, eda, eds):
+    """The orderings of :func:`find_td_orderings`, as index permutations
+    of the eigenvalues in the eigen data eda of a and eds of astar."""
     if not eda.diagonalizable or len(eda.eigenvalues) != 3:
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
     far_a = _zero_blocks(astar, eda.eigenspaces)
     far_s = _zero_blocks(a, eds.eigenspaces)
-    out = []
-    for pa in permutations(range(3)):
-        if not (far_a[pa[0]][pa[2]] and far_a[pa[2]][pa[0]]):
-            continue
-        for ps in permutations(range(3)):
-            if far_s[ps[0]][ps[2]] and far_s[ps[2]][ps[0]]:
-                out.append((
-                    tuple(eda.eigenvalues[i] for i in pa),
-                    tuple(eds.eigenvalues[i] for i in ps),
-                ))
-    return out
+    return [(pa, ps)
+            for pa in permutations(range(3)) if far_a[pa[0]][pa[2]] and far_a[pa[2]][pa[0]]
+            for ps in permutations(range(3)) if far_s[ps[0]][ps[2]] and far_s[ps[2]][ps[0]]]
+
+
+def _verify_unordered(a: Matrix, astar: Matrix):
+    """Verify on the first ordering pair of :func:`find_td_orderings`, or
+    on the eigenvalues in :func:`eigen_data` order when none passes,
+    building each matrix's eigen data once.  Returns (number of orderings,
+    theta, thetastar, report); raises ValueError as find_td_orderings."""
+    eda, eds = eigen_data(a), eigen_data(astar)
+    perms = _ordering_perms(a, astar, eda, eds)
+    pa, ps = perms[0] if perms else ((0, 1, 2), (0, 1, 2))
+    theta = tuple(eda.eigenvalues[i] for i in pa)
+    thetastar = tuple(eds.eigenvalues[i] for i in ps)
+    report = _verify_on_spaces(a, astar, theta, [eda.eigenspaces[i] for i in pa],
+                               [eds.eigenspaces[i] for i in ps])
+    return len(perms), theta, thetastar, report
 
 
 def _zero_blocks(m: Matrix, spaces):
@@ -395,36 +416,31 @@ def _search_profile_211(field, spaces, astar):
     return None
 
 
-def _minor_dets(field, cols, size):
-    """Determinants of all size x size row-selections of the column stack."""
-    out = []
-    for rows in combinations(range(4), size):
-        out.append(_det_rows([[c[r] for c in cols] for r in rows], field))
-    return out
+def _minor_dets(field, cols):
+    """Raw determinants of the square row-selections of raw columns."""
+    return [_det_rows([[c[r] for c in cols] for r in rows], field)
+            for rows in combinations(range(4), len(cols))]
 
 
 def _line_conditions(field, gens, u1, u2, astar):
     """Vanishing conditions, per generator, that span(gens, x*u1 + y*u2)
     be invariant under astar: linear forms (alpha, beta) meaning
     alpha*x + beta*y and quadratics (alpha, beta, gamma) meaning
-    alpha*x^2 + beta*xy + gamma*y^2."""
-    k = len(gens)
-    size = k + 2
+    alpha*x^2 + beta*xy + gamma*y^2.  Minors are taken on raw columns."""
+    vecs = [u1, u2, *gens]
+    au1, au2, *ags = (_unbox(field, astar.apply(v)) for v in vecs)
+    u1, u2, *gens = (_unbox(field, v) for v in vecs)
     lin, quad = [], []
-    au1, au2 = astar.apply(u1), astar.apply(u2)
-    for g in gens:
-        ag = astar.apply(g)
-        c1 = _minor_dets(field, gens + [u1, ag], size)
-        c2 = _minor_dets(field, gens + [u2, ag], size)
-        lin += [(a, b) for a, b in zip(c1, c2) if not (a.is_zero and b.is_zero)]
-    d11 = _minor_dets(field, gens + [u1, au1], size)
-    d12 = _minor_dets(field, gens + [u1, au2], size)
-    d21 = _minor_dets(field, gens + [u2, au1], size)
-    d22 = _minor_dets(field, gens + [u2, au2], size)
+    for ag in ags:
+        c1 = _minor_dets(field, gens + [u1, ag])
+        c2 = _minor_dets(field, gens + [u2, ag])
+        lin += [_box(field, ab) for ab in zip(c1, c2) if any(ab)]
+    d11, d12, d21, d22 = (_minor_dets(field, gens + [u, au])
+                          for u, au in ((u1, au1), (u1, au2), (u2, au1), (u2, au2)))
     for a, b1, b2, c in zip(d11, d12, d21, d22):
-        b = b1 + b2
-        if not (a.is_zero and b.is_zero and c.is_zero):
-            quad.append((a, b, c))
+        abc = _box(field, (a, b1 + b2, c))
+        if not all(x.is_zero for x in abc):
+            quad.append(abc)
     return lin, quad
 
 

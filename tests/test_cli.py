@@ -168,6 +168,50 @@ def test_verify_identity_pair_exit_3(capsys, tmp_path):
     assert doc["verification"]["overall"] is False
 
 
+@pytest.mark.parametrize("p", [0, 7])
+def test_verify_without_orderings_matches_library(capsys, tmp_path, rng, p):
+    # the CLI shares one eigen computation between the ordering search and
+    # the checks; it must answer as find_td_orderings + verify_td_system do,
+    # the fallback to eigen_data order included
+    from conftest import random_admissible_array, random_invertible, random_scalar
+    from tdpair121 import Field, Matrix, eigen_data, find_td_orderings, verify_td_system
+    field = Field(p) if p else QQ
+
+    def conj(q, m):
+        return q * m * q.invert()
+
+    def diagonal_three_eigenvalues():
+        while True:
+            evs = [random_scalar(rng, field) for _ in range(3)]
+            if len(set(evs)) == 3:
+                return Matrix.diagonal(field, evs + [evs[rng.randrange(3)]])
+
+    pairs = []
+    for _ in range(3):
+        q = random_invertible(rng, field, Matrix)
+        a, astar = canonical_matrices(random_admissible_array(rng, field))
+        pairs.append((conj(q, a), conj(q, astar)))
+        pairs.append(tuple(conj(random_invertible(rng, field, Matrix), diagonal_three_eigenvalues())
+                           for _ in range(2)))
+    found = set()
+    for a, astar in pairs:
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps({"field": field.to_json(),
+                                    "A": a.to_json(), "Astar": astar.to_json()}))
+        code, doc = run(capsys, "verify", str(path))
+        orderings = find_td_orderings(a, astar)
+        theta, thetastar = (orderings[0] if orderings
+                            else (eigen_data(a).eigenvalues, eigen_data(astar).eigenvalues))
+        report = verify_td_system(a, astar, theta, thetastar)
+        assert doc == {"orderings_found": len(orderings),
+                       "theta": [str(x) for x in theta],
+                       "thetastar": [str(x) for x in thetastar],
+                       "verification": report.to_json()}
+        assert code == (0 if report.overall and report.shape == (1, 2, 1) else 3)
+        found.add(bool(orderings))
+    assert found == {True, False}
+
+
 EYE = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
        ["0", "0", "1", "0"], ["0", "0", "0", "1"]]
 EYE3 = [row[:3] for row in EYE[:3]]
@@ -241,16 +285,32 @@ def test_enumerate_gf2_empty(capsys):
     assert doc == {"p": 2, "pass_i": 0, "pass_i_ii": 0, "admissible": 0}
 
 
-def test_enumerate_gf3_matches_bruteforce_oracle(capsys):
-    code, doc = run(capsys, "enumerate", "--p", "3", "--orbits")
+@pytest.mark.parametrize("p", [3, 5])
+def test_enumerate_matches_bruteforce_oracle(capsys, p):
+    code, doc = run(capsys, "enumerate", "--p", str(p), "--orbits")
     assert code == 0
-    count_i, count_i_ii, admissible = oracle.enumerate_arrays_mod(3)
-    assert doc["pass_i"] == count_i == oracle.GF3_PASS_I
-    assert doc["pass_i_ii"] == count_i_ii == oracle.GF3_PASS_I_II
-    assert doc["admissible"] == len(admissible) == oracle.GF3_ADMISSIBLE
+    count_i, count_i_ii, admissible = oracle.enumerate_arrays_mod(p)
     n_orbits, sizes = oracle.d4_orbit_stats(admissible)
-    assert doc["orbits"]["count"] == n_orbits == oracle.GF3_ORBIT_COUNT
+    assert doc["pass_i"] == count_i
+    assert doc["pass_i_ii"] == count_i_ii
+    assert doc["admissible"] == len(admissible)
+    assert doc["orbits"]["count"] == n_orbits
     assert doc["orbits"]["sizes"] == {str(k): v for k, v in sizes.items()}
+    if p == 3:
+        assert (count_i, count_i_ii, len(admissible), n_orbits) == (
+            oracle.GF3_PASS_I, oracle.GF3_PASS_I_II, oracle.GF3_ADMISSIBLE,
+            oracle.GF3_ORBIT_COUNT)
+
+
+def test_enumerate_bytes_pinned(capsys):
+    # stdout for p = 2 and p = 7, recorded when the counts still walked
+    # every array and its dihedral orbit
+    from pathlib import Path
+    pins = json.loads((Path(__file__).parent / "data" / "enumerate_pins.json").read_text())
+    assert [pin["argv"][2] for pin in pins] == ["2", "7", "7"]
+    for pin in pins:
+        assert main(pin["argv"]) == 0
+        assert capsys.readouterr().out == pin["stdout"]
 
 
 def test_enumerate_orbit_sizes_sum_to_admissible(capsys):
