@@ -113,9 +113,8 @@ def cmd_report(args) -> int:
 def _elements(field: Field, value, shape: tuple, key: str):
     """Parse a list (shape (n,)) or a matrix (shape (n, m)) of element strings."""
     def fits(v, dims):
-        if not dims:
-            return isinstance(v, str)
-        return isinstance(v, list) and len(v) == dims[0] and all(fits(x, dims[1:]) for x in v)
+        return not dims or (isinstance(v, list) and len(v) == dims[0]
+                            and all(fits(x, dims[1:]) for x in v))
 
     if not fits(value, shape):
         raise ValueError(f"{key} must be a list of {' lists of '.join(map(str, shape))} "

@@ -122,9 +122,12 @@ class Field:
         return FieldElement._raw(self, 1 if self.p else Fraction(1))
 
     def parse(self, text: str) -> FieldElement:
-        """Parse "a" or "a/b"; in GF(p) "a/b" means a * b^-1 mod p."""
+        """Parse "a" or "a/b" in ASCII digits; in GF(p) "a/b" means a * b^-1 mod p."""
+        if not isinstance(text, str):
+            raise ValueError(f"a field element is a string, got {text!r}")
         parts = text.strip().split("/")
-        if len(parts) > 2:
+        # int() would also take digit separators and non-ASCII digits
+        if len(parts) > 2 or not text.isascii() or "_" in text:
             raise ValueError(f"malformed field element {text!r}")
         try:
             num = int(parts[0])

@@ -5,7 +5,9 @@ scalars (varphi, phi).  Admissibility is the exact three-part criterion
 under which a tridiagonal system with these parameters exists; the
 canonical construction realizes it and extraction inverts it.  The three
 involutions swap / flip-dual / flip-primary generate a dihedral group of
-order 8 acting on arrays.
+order 8 acting on arrays.  Over GF(p) the admissible arrays and their
+orbits are counted by polynomials in p, in a fixed number of integer
+operations.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class ParameterArray:
         for key in ("theta", "thetastar"):
             if not isinstance(data[key], list):
                 raise ValueError(f"{key} must be a list of 3 field elements")
-        return cls.make(field, data["theta"], data["thetastar"], data["varphi"], data["phi"])
+        theta, thetastar = (tuple(map(field.parse, data[key])) for key in ("theta", "thetastar"))
+        return cls(field, theta, thetastar, field.parse(data["varphi"]), field.parse(data["phi"]))
 
 
 @dataclass(frozen=True)
@@ -310,16 +313,21 @@ def _enumerate_counts(p: int, orbits: bool) -> dict:
     """Counts over GF(p), p prime, of the arrays passing (i), (i) and (ii),
     and all three conditions; with `orbits`, the admissible ones' orbits.
 
-    Admissible count.  Fix theta, thetastar passing (i) and put
-    den = (t0-t2)(s0-s2), e1 = (t0-t1)(s0-s1), e2 = (t1-t2)(s1-s2) and
-    q(d) = (d-e1)(d-e2).  By `derived_params`, varphi1 = d - e1 and
-    varphi2 = d - e2 with d = (phi - varphi)/den, so a pair (varphi, phi)
-    of nonzero values fails (iii) exactly when varphi = q(d).  The map
-    (varphi, phi) -> d is a bijection from the failing pairs onto
-    {d : q(d) != 0 and q(d) + d*den != 0}: a failing pair is recovered
-    from its d as varphi = q(d), phi = varphi + d*den, and for d in that
-    set this pair is nonzero, has (phi - varphi)/den = d and so fails.
-    Each (theta, thetastar) pair therefore costs one pass over GF(p).
+    Admissible count.  A triple passing (i) is t1 + (a, 0, -b) with
+    a = t0-t1, b = t1-t2 and a, b, a+b nonzero: n = p(p-1)(p-2) triples.
+    For theta, thetastar passing (i), `derived_params` gives varphi1 =
+    d - aa* and varphi2 = d - bb*, with d = (phi - varphi)/den and
+    den = (a+b)(a*+b*).  So a nonzero (varphi, phi) fails (iii) exactly
+    when varphi = (d - aa*)(d - bb*).  Each d gives one such pair, with
+    phi = varphi + d*den = (d + ab*)(d + a*b), and it is nonzero unless d
+    is one of aa*, bb*, -ab*, -a*b.  As a, b, a+b and the starred values
+    are nonzero, these four can coincide only as aa* = bb* or ab* = a*b.
+    Given (a, b), each equation fixes a* for every b* != 0, with a* and
+    a*+b* nonzero: (p-1)^2 (p-2) solutions (a, b, a*, b*), times p^2
+    translations.  Each of the n^2 pairs of triples thus has
+    (p-1)^2 - p + 4 - [aa* = bb*] - [ab* = a*b] admissible (varphi, phi):
+
+        N = p^2 (p-1)^2 (p-2) (p^3 - 5p^2 + 11p - 12).
 
     Orbits.  The admissible arrays form a union of orbits: (i) and (ii)
     are plainly invariant, `*` fixes varphi, varphi1 and varphi2, and `d`,
@@ -336,30 +344,18 @@ def _enumerate_counts(p: int, orbits: bool) -> dict:
     order 1 or 2, every orbit has 8 or 4 arrays, and the arrays in orbits
     of size 4 are exactly the N4 admissible arrays with thetastar equal to
     theta or to theta reversed.  Of the N admissible arrays, N4/4 orbits
-    have size 4 and (N - N4)/8 have size 8.
+    have size 4 and (N - N4)/8 have size 8.  thetastar = theta gives
+    (a*, b*) = (a, b), so ab* = a*b, and aa* = bb* iff a = b; theta
+    reversed gives (a*, b*) = (-b, -a), the same the other way round.  For
+    odd p, a = b on p(p-1) triples, so N4 = 2(n(p^2 - 3p + 4) - p(p-1)) =
+    2p(p-1)((p-2)(p^2 - 3p + 4) - 1); for p = 2 no triple passes (i).
     """
-    triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)
-               if a != b and a != c and b != c]
-    total = fixed = 0
-    for t in triples:
-        t0, t1, t2 = t
-        for s in triples:
-            s0, s1, s2 = s
-            den = (t0 - t2) * (s0 - s2)
-            e1 = (t0 - t1) * (s0 - s1)
-            e2 = (t1 - t2) * (s1 - s2)
-            count = (p - 1) ** 2
-            for d in range(p):
-                q = (d - e1) * (d - e2)
-                if q % p and (q + d * den) % p:
-                    count -= 1
-            total += count
-            if s == t or s == t[::-1]:
-                fixed += count
-    n = len(triples)
+    n = p * (p - 1) * (p - 2)
+    total = p * p * (p - 1) ** 2 * (p - 2) * (p ** 3 - 5 * p * p + 11 * p - 12)
     result = {"p": p, "pass_i": n * n * p * p, "pass_i_ii": n * n * (p - 1) ** 2,
               "admissible": total}
     if orbits:
+        fixed = 2 * p * (p - 1) * ((p - 2) * (p * p - 3 * p + 4) - 1) if p > 2 else 0
         sizes = {4: fixed // 4, 8: (total - fixed) // 8}
         result["orbits"] = {"count": sum(sizes.values()),
                             "sizes": {str(k): v for k, v in sizes.items() if v}}

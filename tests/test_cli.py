@@ -247,6 +247,11 @@ MALFORMED_PARAMETER_FILES = {
     "zero denominator": {**P0_DOC, "varphi": "1/0"},
     "float split scalar": {**P0_DOC, "field": {"kind": "Fp", "p": 7}, "varphi": 2.5},
     "float characteristic": {**P0_DOC, "field": {"kind": "Fp", "p": 7.9}},
+    # field elements are strings, in parameter arrays as in system files
+    "number theta": {**P0_DOC, "theta": [1, 0, -1]},
+    "number thetastar": {**P0_DOC, "thetastar": ["1", 0, "-1"]},
+    "number varphi": {**P0_DOC, "varphi": 2},
+    "number phi": {**P0_DOC, "phi": 1},
 }
 
 
@@ -304,13 +309,29 @@ def test_enumerate_matches_bruteforce_oracle(capsys, p):
 
 def test_enumerate_bytes_pinned(capsys):
     # stdout for p = 2 and p = 7, recorded when the counts still walked
-    # every array and its dihedral orbit
+    # every array and its dihedral orbit, and for p = 11 and p = 13 with
+    # --force, recorded when they still made one pass over GF(p) per pair
+    # of eigenvalue triples
     from pathlib import Path
-    pins = json.loads((Path(__file__).parent / "data" / "enumerate_pins.json").read_text())
-    assert [pin["argv"][2] for pin in pins] == ["2", "7", "7"]
-    for pin in pins:
-        assert main(pin["argv"]) == 0
-        assert capsys.readouterr().out == pin["stdout"]
+    data = Path(__file__).parent / "data"
+    for name, primes in (("enumerate_pins.json", ["2", "7", "7"]),
+                         ("enumerate_pins_large.json", ["11", "13"])):
+        pins = json.loads((data / name).read_text())
+        assert [pin["argv"][2] for pin in pins] == primes
+        for pin in pins:
+            assert main(pin["argv"]) == 0
+            assert capsys.readouterr().out == pin["stdout"]
+
+
+def test_enumerate_61_bit_prime_is_instant(capsys):
+    import time
+    start = time.perf_counter()
+    code, doc = run(capsys, "enumerate", "--p", str(2 ** 61 - 1), "--force", "--orbits")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    total = sum(int(size) * count for size, count in doc["orbits"]["sizes"].items())
+    assert total == doc["admissible"] > 0
+    assert doc["pass_i"] >= doc["pass_i_ii"] >= doc["admissible"]
 
 
 def test_enumerate_orbit_sizes_sum_to_admissible(capsys):

@@ -40,6 +40,21 @@ def test_parse_malformed():
             QQ.parse(text)
 
 
+def test_parse_accepts_only_ascii_digit_strings():
+    # int() alone would read all of these as 10
+    for text in ("1_0", "\u0661\u0660", "\uff11\uff10", "1/1_0", "10/\u0661"):
+        for field in (QQ, Field(13)):
+            with pytest.raises(ValueError):
+                field.parse(text)
+    for value in (2, Fraction(1, 2), 2.0, None, ["1"]):
+        for field in (QQ, Field(13)):
+            with pytest.raises(ValueError):
+                field.parse(value)
+    # the leniencies that stay: a sign, a non-canonical fraction, -1 mod p
+    assert QQ.parse("-3/6") == QQ(Fraction(-1, 2))
+    assert Field(13).parse("-1") == Field(13)(12)
+
+
 def test_format_parse_roundtrip(rng):
     for field in (QQ, Field(13), Field(2)):
         for _ in range(200):
