@@ -8,6 +8,7 @@ canonical form (reduced fraction with positive denominator, or residue in
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 
@@ -53,6 +54,9 @@ def _inv_mod(a: int, p: int) -> int:
         raise ZeroDivisionError(f"division by zero in GF({p})")
     return pow(a, -1, p)
 
+
+# "a" or "a/b": ASCII decimal integers, each with an optional leading "-"
+_ELEMENT = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
 # the one Field per characteristic, so that field checks are identity tests
 _FIELDS: dict = {}
@@ -122,18 +126,18 @@ class Field:
         return FieldElement._raw(self, 1 if self.p else Fraction(1))
 
     def parse(self, text: str) -> FieldElement:
-        """Parse "a" or "a/b" in ASCII digits; in GF(p) "a/b" means a * b^-1 mod p."""
+        """Parse "a" or "a/b", where a and b are ASCII decimal integers with
+        an optional leading "-" and nothing else around or between them; in
+        GF(p) "a/b" means a * b^-1 mod p."""
         if not isinstance(text, str):
             raise ValueError(f"a field element is a string, got {text!r}")
-        parts = text.strip().split("/")
-        # int() would also take digit separators and non-ASCII digits
-        if len(parts) > 2 or not text.isascii() or "_" in text:
+        # int() alone would also take whitespace, "+", digit separators and
+        # non-ASCII digits
+        match = _ELEMENT.fullmatch(text)
+        if match is None:
             raise ValueError(f"malformed field element {text!r}")
-        try:
-            num = int(parts[0])
-            den = int(parts[1]) if len(parts) == 2 else 1
-        except (ValueError, IndexError):
-            raise ValueError(f"malformed field element {text!r}") from None
+        num = int(match[1])
+        den = int(match[2]) if match[2] is not None else 1
         if den == 0:
             raise ZeroDivisionError(f"zero denominator in {text!r}")
         if self.p:

@@ -1,6 +1,9 @@
 """Dense exact linear algebra on the 4-dimensional column space.
 
 Matrices are immutable grids of :class:`~tdpair121.fields.FieldElement`.
+Over the rationals, products, row reduction and determinants run
+fraction-free on integer rows with one denominator (Bareiss elimination
+for determinants), and build a reduced Fraction only per output entry.
 Subspaces are kept in a canonical echelon form so that equality of
 subspaces is equality of representations.  Eigenvalues are the roots of
 the characteristic polynomial in the base field.  Over GF(p) they are
@@ -28,13 +31,18 @@ class SingularMatrixError(ValueError):
 
 Vector = tuple  # tuple of FieldElement
 
-# The kernels below work on raw values: Fractions over QQ, ints over GF(p).
-# Products and entrywise operations may leave ints unreduced: _box reduces
-# once per entry, and _holds before its zero test.  _rref and _det_rows
-# take entries in [0, p) and keep them there.  Matrix.rows and
-# Subspace.basis stay tuples of FieldElements.
+# The kernels below work on raw values: ints over GF(p), Fractions over QQ.
+# Products and entrywise operations may leave GF(p) ints unreduced: _box
+# reduces once per entry, and _holds before its zero test.  Over GF(p),
+# _rref and _det_rows take entries in [0, p) and keep them there.  Over QQ,
+# the products (Matrix.__mul__ and apply), _rref and _det_rows clear
+# denominators once (_int_grid, _int_row), run on integers, and build one
+# reduced Fraction per entry on the way out (_fracs), so no gcd is paid per
+# scalar operation.  Matrix.rows and Subspace.basis stay tuples of
+# FieldElements.
 
 _new = object.__new__
+_ZERO = Fraction(0)
 
 
 def _unbox(field: Field, vec) -> list:
@@ -65,21 +73,39 @@ def _mat_vec(rows, v) -> list:
     return [sum(map(mul, row, v)) for row in rows]
 
 
-def _inverse(x, p: int):
-    return pow(x, -1, p) if p else 1 / x
+def _int_grid(rows):
+    """Integer rows and one common denominator d of Fraction rows: each
+    entry is its integer over d."""
+    den = math.lcm(*[x.denominator for row in rows for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def _int_row(row):
+    """Integer row and denominator of one Fraction row, as _int_grid."""
+    den = math.lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _fracs(nums, den) -> list:
+    """Reduced Fractions nums[i] / den."""
+    return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
 def _row_sub(row, f, top, p: int) -> list:
-    """row - f * top, reduced mod p over GF(p)."""
-    if p:
-        return [(a - f * b) % p for a, b in zip(row, top)]
-    return [a - f * b for a, b in zip(row, top)]
+    """row - f * top, reduced mod p."""
+    return [(a - f * b) % p for a, b in zip(row, top)]
 
 
 def _rref(work, p: int):
     """In-place reduced row echelon form of raw rows over GF(p) (p > 0) or
-    QQ (p == 0); returns the pivot columns.  Rows are replaced, never
-    mutated, so they may be tuples."""
+    QQ (p == 0); returns the pivot columns.  The first len(pivots) rows are
+    then the reduced rows; over QQ the rows past them are left as they
+    were.  Rows are replaced, never mutated, so they may be tuples."""
+    if not p:
+        ints = [_int_row(row)[0] for row in work]
+        pivots = _rref_int(ints)
+        work[:len(pivots)] = [_fracs(row, row[c]) for row, c in zip(ints, pivots)]
+        return pivots
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
@@ -89,8 +115,8 @@ def _rref(work, p: int):
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        inv = _inverse(work[r][c], p)
-        top = work[r] = [x * inv % p if p else x * inv for x in work[r]]
+        inv = pow(work[r][c], -1, p)
+        top = work[r] = [x * inv % p for x in work[r]]
         for i in range(nrows):
             f = work[i][c]
             if f and i != r:
@@ -102,9 +128,48 @@ def _rref(work, p: int):
     return pivots
 
 
+def _rref_int(work):
+    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
+    pivot columns.
+
+    Each elimination cross-multiplies two rows and divides the result by
+    its content, so entries stay as small as the row allows.  Row i (for i
+    below the rank) ends as its reduced row times its pivot entry
+    work[i][pivots[i]], nonzero in no other pivot column.
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        a = top[c]
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                g = math.gcd(a, f)
+                fa, ff = a // g, f // g
+                row = [fa * x - ff * y for x, y in zip(work[i], top)]
+                g = math.gcd(*row)
+                work[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
+
+
 def _det_rows(work, field: Field):
-    """Raw determinant of square raw rows over field, by elimination."""
+    """Raw determinant of square raw rows over field, by elimination;
+    fraction-free (_det_int) over QQ."""
     p = field.p
+    if not p:
+        rows = [_int_row(row) for row in work]
+        return Fraction(_det_int([r for r, _ in rows]), math.prod(d for _, d in rows))
     n = len(work)
     det = field.one.val
     for c in range(n):
@@ -116,11 +181,36 @@ def _det_rows(work, field: Field):
             det = -det
         top = work[c]
         det = det * top[c]
-        inv = _inverse(top[c], p)
+        inv = pow(top[c], -1, p)
         for i in range(c + 1, n):
             if work[i][c]:
                 work[i] = _row_sub(work[i], work[i][c] * inv, top, p)
-    return det % p if p else det
+    return det % p
+
+
+def _det_int(work) -> int:
+    """Determinant of square integer rows by Bareiss elimination, in place.
+
+    After the step on column c every entry right of it in the rows below is
+    a minor of order c + 2 of the input (Sylvester's identity), so the
+    division by the previous pivot is exact (Bareiss 1968).
+    """
+    n = len(work)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        pivot = next((i for i in range(c, n) if work[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            sign = -sign
+        top = work[c]
+        a = top[c]
+        for i in range(c + 1, n):
+            f = work[i][c]
+            work[i] = [(a * x - f * y) // prev for x, y in zip(work[i], top)]
+        prev = a
+    return sign * work[-1][-1] if n else 1
 
 
 def vec_is_zero(v) -> bool:
@@ -206,15 +296,27 @@ class Matrix:
             raise ValueError("field mismatch in matrix product")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = list(zip(*other._vals()))
-        return Matrix._from_vals(self.field, [_mat_vec(cols, row) for row in self._vals()])
+        field = self.field
+        if field.p:
+            cols = list(zip(*other._vals()))
+            return Matrix._from_vals(field, [_mat_vec(cols, row) for row in self._vals()])
+        a, da = _int_grid(self._vals())
+        b, db = _int_grid(other._vals())
+        cols = list(zip(*b))
+        den = da * db
+        return Matrix._from_vals(field, [_fracs(_mat_vec(cols, row), den) for row in a])
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
-        vals = _unbox(self.field, v)
+        field = self.field
+        vals = _unbox(field, v)
         if len(vals) != self.ncols:
             raise ValueError("vector length does not match the matrix")
-        return _box(self.field, _mat_vec(self._vals(), vals))
+        if field.p:
+            return _box(field, _mat_vec(self._vals(), vals))
+        rows, dm = _int_grid(self._vals())
+        ints, dv = _int_row(vals)
+        return _box(field, _fracs(_mat_vec(rows, ints), dm * dv))
 
     def _check_compatible(self, other: Matrix) -> None:
         if self.field is not other.field:

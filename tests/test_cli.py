@@ -252,6 +252,9 @@ MALFORMED_PARAMETER_FILES = {
     "number thetastar": {**P0_DOC, "thetastar": ["1", 0, "-1"]},
     "number varphi": {**P0_DOC, "varphi": 2},
     "number phi": {**P0_DOC, "phi": 1},
+    # the element grammar has no whitespace and no "+"
+    "padded theta": {**P0_DOC, "theta": [" 1", "0", "-1"]},
+    "plus-signed phi": {**P0_DOC, "phi": "+1"},
 }
 
 

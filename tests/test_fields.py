@@ -55,6 +55,18 @@ def test_parse_accepts_only_ascii_digit_strings():
     assert Field(13).parse("-1") == Field(13)(12)
 
 
+def test_parse_refuses_whitespace_and_plus_signs():
+    # int() alone would take all of these; " +1 / -2 " used to parse as -1/2
+    for text in (" +1 / -2 ", " 1", "1 ", "+1", "1/+2", "1 /2", "1/ 2", "\t1", "1\n", "- 1"):
+        for field in (QQ, Field(13)):
+            with pytest.raises(ValueError):
+                field.parse(text)
+    # the grammar is ["-"] digits ["/" ["-"] digits]
+    assert QQ.parse("3/6") == QQ(Fraction(1, 2))
+    assert QQ.parse("007/-014") == QQ(Fraction(-1, 2))
+    assert Field(7).parse("-1") == Field(7)(6)
+
+
 def test_format_parse_roundtrip(rng):
     for field in (QQ, Field(13), Field(2)):
         for _ in range(200):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -472,3 +473,126 @@ def test_kernels_reject_mixed_fields():
     ):
         with pytest.raises(ValueError):
             attempt()
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_subspace_image_is_column_space_of_product(p):
+    rng = random.Random(f"subspace-image:{p}")
+    field = Field(p)
+    for _ in range(40):
+        s = Subspace(field, 4, [[random_scalar(rng, field, 3) for _ in range(4)]
+                                for _ in range(rng.randint(0, 4))])
+        rows = [[random_scalar(rng, field, 3) for _ in range(4)] for _ in range(4)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(4)] = [0] * 4
+        m = Matrix(field, rows)
+        image = s.image(m)
+        if s.is_zero:
+            assert image == Subspace.zero(field, 4)
+        else:
+            assert image == Subspace.column_space(m * s.matrix())
+        assert image.dim <= min(s.dim, m.rank())
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_contains_subspace_matches_dimension_of_sum(p):
+    rng = random.Random(f"contains-subspace:{p}")
+    field = Field(p)
+    inside = 0
+    for _ in range(60):
+        u = Subspace(field, 4, [[random_scalar(rng, field, 3) for _ in range(4)]
+                                for _ in range(rng.randint(0, 3))])
+        ws = [[random_scalar(rng, field, 3) for _ in range(4)]
+              for _ in range(rng.randint(0, 2))]
+        if u.basis and rng.random() < 0.5:
+            # combinations of u's basis only, so w lies inside u
+            ws = [[sum((random_scalar(rng, field, 3) * b[j] for b in u.basis), field.zero)
+                   for j in range(4)] for _ in ws]
+        w = Subspace(field, 4, ws)
+        expected = (u + w).dim == u.dim
+        inside += expected
+        assert u.contains_subspace(w) == expected
+        assert u.contains_subspace(u) and u.contains_subspace(Subspace.zero(field, 4))
+    assert 0 < inside < 60
+
+
+# -- QQ kernels at high bit length against sympy --------------------------------
+
+def _big(rng, bits=100):
+    """A Fraction with 100-bit numerator and denominator."""
+    num = rng.getrandbits(bits) | 1 << (bits - 1)
+    den = rng.getrandbits(bits) | 1 << (bits - 1)
+    return Fraction(rng.choice((1, -1)) * num, den)
+
+
+def _big_matrix(rng, ncols, rank):
+    """A 4 x ncols Fraction matrix of the given rank, a product of random
+    4 x rank and rank x ncols factors (the zero matrix at rank 0)."""
+    if rank == 0:
+        return [[Fraction(0)] * ncols for _ in range(4)]
+    left = [[_big(rng) for _ in range(rank)] for _ in range(4)]
+    right = [[_big(rng) for _ in range(ncols)] for _ in range(rank)]
+    return _raw_mul(left, right, 0)
+
+
+def _reduced_vals(vec):
+    """Raw values of boxed QQ entries, each checked to be a reduced Fraction
+    with a positive denominator."""
+    vals = [x.val for x in vec]
+    for v in vals:
+        assert type(v) is Fraction and v.denominator > 0
+        assert math.gcd(v.numerator, v.denominator) == 1
+    return vals
+
+
+def test_qq_kernels_match_sympy_at_100_bits():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                             for r in rows])
+
+    def from_sympy(m):
+        return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+    rng = random.Random("qq-kernels-sympy")
+    for rep in range(2):
+        for rank in range(5):
+            for ncols in (4, 8):
+                rows = _big_matrix(rng, ncols, rank)
+                if rank == 4 and ncols == 4 and rep == 0:
+                    rows = [[_big(rng) for _ in range(4)] for _ in range(4)]
+                a, sa = Matrix(QQ, rows), to_sympy(rows)
+                left_rows = [[_big(rng) for _ in range(4)] for _ in range(4)]
+                product = Matrix(QQ, left_rows) * a
+                assert [_reduced_vals(r) for r in product.rows] == from_sympy(
+                    to_sympy(left_rows) * sa)
+                assert a.rank() == sa.rank() == rank
+                kernel = a.kernel()
+                assert len(kernel) == ncols - rank
+                for k in kernel:
+                    assert sa * to_sympy([[x] for x in _reduced_vals(k)]) == sympy.zeros(4, 1)
+                if kernel:
+                    assert to_sympy([[x.val for x in k] for k in kernel]).rank() == len(kernel)
+                if ncols == 4:
+                    det = sa.det()
+                    assert _reduced_vals([a.det()]) == [Fraction(int(det.p), int(det.q))]
+                    if rank == 4:
+                        inv = a.invert()
+                        assert [_reduced_vals(r) for r in inv.rows] == from_sympy(sa.inv())
+                    else:
+                        with pytest.raises(SingularMatrixError):
+                            a.invert()
+                # row spaces: the canonical basis is sympy's reduced echelon form
+                others = _big_matrix(rng, ncols, rng.randint(0, 3))
+                if rank and rng.random() < 0.7:
+                    others[0] = _raw_mul([[1, 3]], [rows[0], rows[-1]], 0)[0]
+                u, w = Subspace(QQ, ncols, rows), Subspace(QQ, ncols, others)
+                echelon = sa.rref()[0]
+                assert [_reduced_vals(b) for b in u.basis] == from_sympy(echelon)[:rank]
+                stacked = to_sympy(rows + others)
+                total, meet = u + w, u & w
+                assert total.dim == stacked.rank()
+                assert meet.dim == rank + to_sympy(others).rank() - stacked.rank()
+                for b in total.basis + meet.basis:
+                    _reduced_vals(b)
