@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import oracle
@@ -7,6 +10,7 @@ from conftest import (
     random_invertible,
     random_scalar,
 )
+from make_invariant_witness_pins import dumps
 from tdpair121 import (
     Decomposition,
     Field,
@@ -328,6 +332,23 @@ def test_invariant_search_agrees_with_bruteforce(rng, p):
         if got is not None:
             assert 0 < got.dim < 4
             assert got.is_invariant(a) and got.is_invariant(astar)
+
+
+def test_invariant_witnesses_pinned():
+    # common_invariant_subspace on 232 seeded pairs over QQ (8 of them
+    # conjugated by 100-bit matrices) and GF(2, 3, 5, 7, 101, 10007), with A*
+    # sparse before conjugation; written by make_invariant_witness_pins.py
+    # while the search still tested each candidate by minors and subspaces
+    text = (Path(__file__).parent / "data" / "invariant_witness_pins.json").read_text()
+    pins = json.loads(text)
+    assert len(pins) == 232
+    got = []
+    for pin in pins:
+        field = Field.from_json(pin["field"])
+        w = common_invariant_subspace(Matrix.from_json(field, pin["A"]),
+                                      Matrix.from_json(field, pin["Astar"]))
+        got.append({**pin, "witness": None if w is None else w.to_json()})
+    assert dumps(got) == text
 
 
 def test_invariant_search_requires_diagonalizable():
