@@ -36,10 +36,10 @@ Vector = tuple  # tuple of FieldElement
 # reduces once per entry, and _holds before its zero test.  Over GF(p),
 # _rref and _det_rows take entries in [0, p) and keep them there.  Over QQ,
 # the products (Matrix.__mul__ and apply), _rref and _det_rows clear
-# denominators once (_int_grid, _int_row), run on integers, and build one
-# reduced Fraction per entry on the way out (_fracs), so no gcd is paid per
-# scalar operation.  Matrix.rows and Subspace.basis stay tuples of
-# FieldElements.
+# denominators once (_int_grid, _int_row; a matrix keeps its own integer
+# form, Matrix._int_form), run on integers, and build one reduced Fraction
+# per entry on the way out (_fracs), so no gcd is paid per scalar
+# operation.  Matrix.rows and Subspace.basis stay tuples of FieldElements.
 
 _new = object.__new__
 _ZERO = Fraction(0)
@@ -226,13 +226,18 @@ def vec_scale(c, v):
 
 
 class Matrix:
-    """Immutable matrix over an exact field; rows of FieldElements."""
+    """Immutable matrix over an exact field; rows of FieldElements.
 
-    __slots__ = ("field", "rows")
+    Over QQ the integer rows and common denominator of :func:`_int_grid`
+    are kept in ``_ints`` once a product or ``apply`` has needed them.
+    """
+
+    __slots__ = ("field", "rows", "_ints")
 
     def __init__(self, field: Field, rows):
         self.field = field
         self.rows = tuple(tuple(field(x) for x in row) for row in rows)
+        self._ints = None
         ncols = {len(r) for r in self.rows}
         if len(self.rows) == 0 or len(ncols) != 1 or ncols == {0}:
             raise ValueError("matrix needs a rectangular, nonempty grid")
@@ -242,6 +247,7 @@ class Matrix:
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
+        m._ints = None
         return m
 
     @classmethod
@@ -250,6 +256,12 @@ class Matrix:
 
     def _vals(self) -> list:
         return [[x.val for x in r] for r in self.rows]
+
+    def _int_form(self):
+        """_int_grid of the rows of a matrix over QQ, built on first use."""
+        if self._ints is None:
+            self._ints = _int_grid(self._vals())
+        return self._ints
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
@@ -300,8 +312,8 @@ class Matrix:
         if field.p:
             cols = list(zip(*other._vals()))
             return Matrix._from_vals(field, [_mat_vec(cols, row) for row in self._vals()])
-        a, da = _int_grid(self._vals())
-        b, db = _int_grid(other._vals())
+        a, da = self._int_form()
+        b, db = other._int_form()
         cols = list(zip(*b))
         den = da * db
         return Matrix._from_vals(field, [_fracs(_mat_vec(cols, row), den) for row in a])
@@ -314,7 +326,7 @@ class Matrix:
             raise ValueError("vector length does not match the matrix")
         if field.p:
             return _box(field, _mat_vec(self._vals(), vals))
-        rows, dm = _int_grid(self._vals())
+        rows, dm = self._int_form()
         ints, dv = _int_row(vals)
         return _box(field, _fracs(_mat_vec(rows, ints), dm * dv))
 

@@ -5,7 +5,9 @@ spectra such that each matrix acts block-tridiagonally on the other's
 eigenspace chain and the pair admits no common proper nonzero invariant
 subspace.  This module verifies the axioms one by one, searches for valid
 orderings, builds the six eigenspace-chain decompositions, and computes
-the shape.
+the shape.  Tridiagonality and the invariant-subspace search read one
+matrix: the partner written in a basis of the eigenspaces, whose block
+(i, j) is E_i M E_j.
 """
 
 from __future__ import annotations
@@ -20,10 +22,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _box,
-    _det_rows,
     _p_gcd,
     _p_trim,
-    _unbox,
     eigen_data,
     poly_roots,
     primitive_idempotents,
@@ -131,13 +131,11 @@ class VerificationReport:
         return doc
 
 
-def _check_pair_shape(a: Matrix, astar: Matrix, theta, thetastar) -> None:
+def _check_pair(a: Matrix, astar: Matrix) -> None:
     if a.nrows != 4 or a.ncols != 4 or astar.nrows != 4 or astar.ncols != 4:
         raise ValueError("both matrices must be 4x4")
     if a.field != astar.field:
         raise ValueError("matrices live over different fields")
-    if len(theta) != 3 or len(thetastar) != 3:
-        raise ValueError("eigenvalue lists must have length 3")
 
 
 def _diag_with_spectrum(m: Matrix, evs):
@@ -159,7 +157,9 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     field = a.field
     theta = tuple(field(x) for x in theta)
     thetastar = tuple(field(x) for x in thetastar)
-    _check_pair_shape(a, astar, theta, thetastar)
+    _check_pair(a, astar)
+    if len(theta) != 3 or len(thetastar) != 3:
+        raise ValueError("eigenvalue lists must have length 3")
     return _verify_on_spaces(a, astar, theta,
                              _diag_with_spectrum(a, theta), _diag_with_spectrum(astar, thetastar))
 
@@ -172,8 +172,9 @@ def _verify_on_spaces(a, astar, theta, spaces, dual_spaces):
     skipped = []
     tri_astar = tri_a = False
     if diag_a and diag_s:
-        far_a = _zero_blocks(astar, spaces)
-        far_s = _zero_blocks(a, dual_spaces)
+        coords = _coordinates(astar, spaces)
+        far_a = _zero_blocks(*coords)
+        far_s = _zero_blocks(*_coordinates(a, dual_spaces))
         tri_astar = far_a[0][2] and far_a[2][0]
         tri_a = far_s[0][2] and far_s[2][0]
     else:
@@ -182,7 +183,7 @@ def _verify_on_spaces(a, astar, theta, spaces, dual_spaces):
     witness = shape_dims = None
     irreducible = False
     if diag_a and diag_s and tri_astar and tri_a:
-        witness = _invariant_search(a.field, theta, spaces, astar)
+        witness = _invariant_search(a.field, theta, spaces, astar, coords)
         irreducible = witness is None
         shape_dims = _consistent_shape(_decompositions(spaces, dual_spaces))
     else:
@@ -200,6 +201,7 @@ def find_td_orderings(a: Matrix, astar: Matrix):
     Requires both matrices diagonalizable with exactly 3 eigenvalues;
     returns a lexicographically ordered list of (theta, thetastar) pairs.
     """
+    _check_pair(a, astar)
     eda, eds = eigen_data(a), eigen_data(astar)
     return [(tuple(eda.eigenvalues[i] for i in pa), tuple(eds.eigenvalues[i] for i in ps))
             for pa, ps in _ordering_perms(a, astar, eda, eds)]
@@ -212,8 +214,8 @@ def _ordering_perms(a, astar, eda, eds):
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    far_a = _zero_blocks(astar, eda.eigenspaces)
-    far_s = _zero_blocks(a, eds.eigenspaces)
+    far_a = _zero_blocks(*_coordinates(astar, eda.eigenspaces))
+    far_s = _zero_blocks(*_coordinates(a, eds.eigenspaces))
     return [(pa, ps)
             for pa in permutations(range(3)) if far_a[pa[0]][pa[2]] and far_a[pa[2]][pa[0]]
             for ps in permutations(range(3)) if far_s[ps[0]][ps[2]] and far_s[ps[2]][ps[0]]]
@@ -234,12 +236,24 @@ def _verify_unordered(a: Matrix, astar: Matrix):
     return len(perms), theta, thetastar, report
 
 
-def _zero_blocks(m: Matrix, spaces):
-    """Entry [i][j] tells whether E_i M E_j = 0, for the projectors E_i of
-    the direct sum V = spaces[0] + spaces[1] + spaces[2]: whether M maps
-    spaces[j] into the kernel of E_i, the sum of the other two spaces."""
-    others = [subspace_sum(s for k, s in enumerate(spaces) if k != i) for i in range(3)]
-    return [[_maps_into(m, spaces[j], others[i]) for j in range(3)] for i in range(3)]
+def _coordinates(m: Matrix, spaces):
+    """m in a basis adapted to the direct sum V = spaces[0] + spaces[1] + ...:
+    the raw grid of P^-1 M P, for P the canonical basis vectors of the
+    spaces side by side, and the coordinate indices of each space."""
+    cols = [v for s in spaces for v in s.basis]
+    p = Matrix._raw(m.field, tuple(zip(*cols)))
+    idx, k = [], 0
+    for s in spaces:
+        idx.append(range(k, k + s.dim))
+        k += s.dim
+    return (p.invert() * m * p)._vals(), idx
+
+
+def _zero_blocks(grid, idx):
+    """Entry [i][j] tells whether block (i, j) of the grid of
+    :func:`_coordinates` is zero: whether E_i M E_j = 0, for the projectors
+    E_i of the direct sum of the spaces."""
+    return [[not any(grid[r][c] for r in ri for c in cj) for cj in idx] for ri in idx]
 
 
 def _decompositions(spaces, duals):
@@ -347,25 +361,31 @@ def verify_split_actions(tds: TDSystem) -> bool:
 def common_invariant_subspace(a: Matrix, astar: Matrix) -> Subspace | None:
     """A subspace W with 0 != W != V invariant under both, or None.
 
-    Requires the first matrix diagonalizable over the field; its
-    eigenspaces come from :func:`eigen_data`.  Any invariant W is then the
-    direct sum of its slices W /\\ (eigenspace), so the search runs over
-    eigenspace slices: whole-or-nothing pieces for 1-dimensional
+    Requires two 4x4 matrices over one field, the first diagonalizable
+    over it; its eigenspaces come from :func:`eigen_data`.  Any invariant W
+    is then the direct sum of its slices W /\\ (eigenspace), so the search
+    runs over eigenspace slices: whole-or-nothing pieces for 1-dimensional
     eigenspaces, and a projective line of candidate slices inside a
-    2-dimensional eigenspace.  There, invariance under the second matrix
-    is a system of polynomial conditions of degree at most 2, solved
-    through the roots of their gcd.  Other eigenspace profiles are
-    searched by enumeration, over prime fields only.
+    2-dimensional eigenspace.  Both are read off B, the second matrix in
+    a basis of the first one's eigenspaces: a sum of eigenspaces is
+    invariant when B's columns at its coordinates vanish in every other
+    row, and a line family is invariant exactly at the common roots of
+    linear and quadratic forms in B's entries, found through their gcd.
+    Other eigenspace profiles are searched by enumeration, over prime
+    fields only.
     """
+    _check_pair(a, astar)
     ed = eigen_data(a)
     if not ed.diagonalizable:
         raise ValueError("first matrix is not diagonalizable over its field")
-    return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar)
+    return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar,
+                             _coordinates(astar, ed.eigenspaces))
 
 
-def _invariant_search(field, eigenvalues, eigenspaces, astar):
+def _invariant_search(field, eigenvalues, eigenspaces, astar, coords):
     """The search behind :func:`common_invariant_subspace`, on eigenspaces
-    the caller already has.  Slices are taken by dimension, ties by
+    the caller already has and astar in their coordinates (coords, from
+    :func:`_coordinates`).  Slices are taken by dimension, ties by
     eigenvalue, so the first witness found does not depend on the order
     in which the caller lists the eigenvalues."""
     order = sorted(range(len(eigenspaces)),
@@ -373,88 +393,67 @@ def _invariant_search(field, eigenvalues, eigenspaces, astar):
     spaces = [eigenspaces[i] for i in order]
     dims = [s.dim for s in spaces]
     if dims[-1] == 1 or dims == [1, 1, 2]:
-        return _search_profile_211(field, spaces, astar)
+        grid, idx = coords
+        perm = [k for i in order for k in idx[i]]
+        b = [[grid[r][c] for c in perm] for r in perm]
+        return _search_profile_211(field, spaces, astar, b)
     if field.is_prime_field:
         return _search_enumerate(field, spaces, astar)
     raise ValueError(
         f"eigenspace dimension profile {dims} is only searchable over prime fields")
 
 
-def _search_profile_211(field, spaces, astar):
-    """Search when every eigenspace is a line except at most one plane."""
-    lines = [s for s in spaces if s.dim == 1]
-    plane = next((s for s in spaces if s.dim == 2), None)
-
-    # candidates by dimension: sums of whole eigenspaces, then a family of
-    # r eigenlines plus a variable line of the plane
-    by_dim = {1: [], 2: [], 3: []}
-    for r in range(1, len(spaces) + 1):
-        for chosen in combinations(spaces, r):
-            w = subspace_sum(chosen)
-            if 0 < w.dim < 4:
-                by_dim[w.dim].append(("fixed", w))
-    if plane is not None:
-        u1, u2 = plane.basis
-        for r in range(len(lines) + 1):
-            for chosen in combinations(lines, r):
-                by_dim[r + 1].append(("line", [v for s in chosen for v in s.basis]))
-
+def _search_profile_211(field, spaces, astar, b):
+    """Search when every eigenspace is a line except at most one plane, on
+    b, the raw grid of astar in the coordinates of spaces: line i has
+    coordinate i, and the plane's basis u1, u2 the last two."""
+    n = len(spaces)
+    plane = spaces[-1] if spaces[-1].dim == 2 else None
+    sums = [(chosen, [k for i in chosen for k in range(i, i + spaces[i].dim)])
+            for r in range(1, n + 1) for chosen in combinations(range(n), r)]
+    # candidates by dimension d: sums of whole eigenspaces, then a family of
+    # d - 1 eigenlines plus a variable line of the plane
     for d in (1, 2, 3):
-        for kind, payload in by_dim[d]:
-            if kind == "fixed":
-                if payload.is_invariant(astar):
-                    return payload
-            else:
-                sol = _solve_line_family(field, payload, u1, u2, astar)
-                if sol is not None:
-                    x, y = sol
-                    vec = vec_add(vec_scale(x, u1), vec_scale(y, u2))
-                    w = Subspace(field, 4, list(payload) + [vec])
-                    if not w.is_invariant(astar):
-                        raise RuntimeError("projective-line solver produced a bad witness")
-                    return w
+        for chosen, inside in sums:
+            if len(inside) == d and not any(
+                    b[r][c] for c in inside for r in range(4) if r not in inside):
+                return subspace_sum(spaces[i] for i in chosen)
+        if plane is None:
+            continue
+        for chosen in combinations(range(n - 1), d - 1):
+            sol = _solve_line_family(field, b, chosen)
+            if sol is not None:
+                x, y = sol
+                u1, u2 = plane.basis
+                vec = vec_add(vec_scale(x, u1), vec_scale(y, u2))
+                w = Subspace(field, 4, [spaces[i].basis[0] for i in chosen] + [vec])
+                if not w.is_invariant(astar):
+                    raise RuntimeError("projective-line solver produced a bad witness")
+                return w
     return None
 
 
-def _minor_dets(field, cols):
-    """Raw determinants of the square row-selections of raw columns."""
-    return [_det_rows([[c[r] for c in cols] for r in rows], field)
-            for rows in combinations(range(4), len(cols))]
-
-
-def _line_conditions(field, gens, u1, u2, astar):
-    """Vanishing conditions, per generator, that span(gens, x*u1 + y*u2)
-    be invariant under astar: linear forms (alpha, beta) meaning
-    alpha*x + beta*y and quadratics (alpha, beta, gamma) meaning
-    alpha*x^2 + beta*xy + gamma*y^2.  Minors are taken on raw columns."""
-    vecs = [u1, u2, *gens]
-    au1, au2, *ags = (_unbox(field, astar.apply(v)) for v in vecs)
-    u1, u2, *gens = (_unbox(field, v) for v in vecs)
-    lin, quad = [], []
-    for ag in ags:
-        c1 = _minor_dets(field, gens + [u1, ag])
-        c2 = _minor_dets(field, gens + [u2, ag])
-        lin += [_box(field, ab) for ab in zip(c1, c2) if any(ab)]
-    d11, d12, d21, d22 = (_minor_dets(field, gens + [u, au])
-                          for u, au in ((u1, au1), (u1, au2), (u2, au1), (u2, au2)))
-    for a, b1, b2, c in zip(d11, d12, d21, d22):
-        abc = _box(field, (a, b1 + b2, c))
-        if not all(x.is_zero for x in abc):
-            quad.append(abc)
-    return lin, quad
-
-
-def _solve_line_family(field, gens, u1, u2, astar):
-    """A projective point (x : y) satisfying every condition, or None."""
-    lin, quad = _line_conditions(field, gens, u1, u2, astar)
+def _solve_line_family(field, b, gens):
+    """A projective point (x : y) at which span(gens, x*u1 + y*u2) is
+    invariant, or None; b is as in :func:`_search_profile_211`, gens the
+    chosen eigenline coordinates, and u1, u2 sit at coordinates 2 and 3.
+    The conditions are linear forms (alpha, beta), meaning alpha*x + beta*y,
+    and one quadratic (alpha, beta, gamma), alpha*x^2 + beta*xy + gamma*y^2."""
+    k1, k2 = 2, 3
+    outside = [r for r in (0, 1) if r not in gens]
+    if any(b[r][j] for j in gens for r in outside):
+        return None
+    lin = [(-b[k2][j], b[k1][j]) for j in gens] + [(b[r][k1], b[r][k2]) for r in outside]
+    quad = (b[k2][k1], b[k2][k2] - b[k1][k1], -b[k1][k2])
     one, zero = field.one, field.zero
-    if all(a.is_zero for a, _ in lin) and all(a.is_zero for a, _, _ in quad):
+    if not any(a for a, _ in lin) and not quad[0]:
         return one, zero
 
     # the points (x : 1) are the roots of the gcd of the dehomogenized
     # conditions, which has degree at most 2; the smallest is returned
-    polys = [_p_trim([b, a]) for a, b in lin]
-    polys += [_p_trim([c, b, a]) for a, b, c in quad]
+    polys = [_p_trim(list(_box(field, (c, a)))) for a, c in lin]
+    polys.append(_p_trim(list(_box(field, quad[::-1]))))
+    polys = [q for q in polys if q]
     g = polys[0]
     for q in polys[1:]:
         g = _p_gcd(field, g, q)

@@ -1,14 +1,13 @@
 """Write tests/data/invariant_witness_pins.json and count its witness kinds.
 
-    PYTHONPATH=src python tests/make_invariant_witness_pins.py [--check]
+    PYTHONPATH=src python tests/make_invariant_witness_pins.py
 
 Each pin is a seeded pair (A, A*) with A = S D S^-1 for a diagonal D of
 eigenvalue pattern (a, b, b, c) or (a, b, c, d), and A* = S M S^-1 for a
 sparse M, so that many pairs share an invariant subspace; next to it
-stands common_invariant_subspace(A, A*).to_json(), or null.  GF(2) has
-too few elements for either pattern and uses (a, b, b, b) and (a, a, b, b)
-instead, which the search handles by enumeration.  With --check the file
-is compared with a fresh build instead of written.  The counts printed
+stands common_invariant_subspace(A, A*).to_json(), or null.  GF(3) has
+room for (a, b, b, c) only, and GF(2) for neither: it uses (a, b, b, b)
+and (a, a, b, b) instead, which the search handles by enumeration.  The counts printed
 sort each witness by the candidate that produced it: a sum of whole
 eigenspaces, a line of A's eigenplane at (1:0) or at a finite root of
 its conditions, or such a line plus one or two eigenlines.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -104,15 +102,6 @@ def cases():
     return out
 
 
-def build():
-    pins = []
-    for field, a, astar in cases():
-        w = common_invariant_subspace(a, astar)
-        pins.append({"field": field.to_json(), "A": a.to_json(), "Astar": astar.to_json(),
-                     "witness": None if w is None else w.to_json()})
-    return pins
-
-
 def kind(a, w):
     """The candidate kind that produced witness w of the pair with first matrix a."""
     spaces = list(eigen_data(a).eigenspaces)
@@ -129,24 +118,16 @@ def kind(a, w):
     return "plane line at a finite root"
 
 
-def main(argv) -> int:
-    pins = build()
-    text = dumps(pins)
-    if "--check" in argv:
-        same = PATH.read_text() == text
-        print("pins match" if same else "pins differ")
-        return 0 if same else 1
-    PATH.write_text(text)
-    kinds = Counter()
-    for (field, a, _), pin in zip(cases(), pins):
-        if pin["witness"] is None:
-            kinds["none"] += 1
-        else:
-            kinds[kind(a, Subspace(field, 4, [[field.parse(x) for x in v]
-                                                for v in pin["witness"]]))] += 1
+def main() -> None:
+    pins, kinds = [], Counter()
+    for field, a, astar in cases():
+        w = common_invariant_subspace(a, astar)
+        kinds["none" if w is None else kind(a, w)] += 1
+        pins.append({"field": field.to_json(), "A": a.to_json(), "Astar": astar.to_json(),
+                     "witness": None if w is None else w.to_json()})
+    PATH.write_text(dumps(pins))
     print(len(pins), "pins:", dict(sorted(kinds.items())))
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

@@ -155,6 +155,24 @@ def test_find_orderings_wrong_eigenvalue_count():
         find_td_orderings(eye, eye)
 
 
+def test_pair_checks_require_4x4_matrices_over_one_field():
+    # a 3x3 pair used to get the whole space back as a "proper" witness, and
+    # a 4x4 against a 3x3 failed deep inside with a vector length error
+    a3 = Matrix.diagonal(QQ, [1, 2, 3])
+    cyclic = Matrix(QQ, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    a4 = Matrix.diagonal(QQ, [1, 2, 2, 3])
+    for a, astar in ((a3, cyclic), (a4, cyclic)):
+        with pytest.raises(ValueError, match="4x4"):
+            common_invariant_subspace(a, astar)
+        with pytest.raises(ValueError, match="4x4"):
+            find_td_orderings(a, astar)
+    other = Matrix.diagonal(Field(7), [1, 2, 2, 3])
+    with pytest.raises(ValueError, match="different fields"):
+        common_invariant_subspace(a4, other)
+    with pytest.raises(ValueError, match="different fields"):
+        find_td_orderings(a4, other)
+
+
 def test_find_orderings_symmetric_in_the_pair(tds):
     direct = find_td_orderings(tds.A, tds.Astar)
     swapped = find_td_orderings(tds.Astar, tds.A)
@@ -162,13 +180,15 @@ def test_find_orderings_symmetric_in_the_pair(tds):
 
 
 def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
-    """Ordering pairs passing the tridiagonal axioms, by raw-int products
-    E_i A* E_j and E*_i A E*_j mod p of the primitive idempotents."""
+    """Ordering pairs passing the tridiagonal axioms, by raw products
+    E_i A* E_j and E*_i A E*_j of the primitive idempotents: ints mod p,
+    or Fractions for p = 0."""
+    from fractions import Fraction
     from itertools import permutations
 
     def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(4)) % p for j in range(4)]
-                for i in range(4)]
+        out = [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+        return [[v % p for v in row] for row in out] if p else out
 
     def idempotents(rows, evs):
         out = []
@@ -176,7 +196,7 @@ def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
             acc = [[int(r == c) for c in range(4)] for r in range(4)]
             for ej in evs:
                 if ej != ei:
-                    inv = pow(ei - ej, -1, p)
+                    inv = pow(ei - ej, -1, p) if p else 1 / Fraction(ei - ej)
                     acc = mul(acc, [[(rows[r][c] - ej * (r == c)) * inv for c in range(4)]
                                     for r in range(4)])
             out.append(acc)
@@ -193,12 +213,13 @@ def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
             for ps in permutations(range(3)) if fs[ps[0]][ps[2]] and fs[ps[2]][ps[0]]]
 
 
-@pytest.mark.parametrize("p", [7, 13])
+@pytest.mark.parametrize("p", [7, 13, pytest.param(0, id="QQ")])
 def test_find_orderings_match_idempotent_definition(rng, p):
     # pairs with eigenvalue pattern (a, b, b, c) on both sides: independently
     # conjugated (mostly not tridiagonal), conjugated by one matrix (every
     # ordering passes), and conjugated canonical systems (four orderings)
     field = Field(p)
+    values = range(p) if p else range(-6, 7)
     counts = {0: 0, 4: 0, 36: 0}
     for trial in range(36):
         kind = trial % 3
@@ -210,7 +231,7 @@ def test_find_orderings_match_idempotent_definition(rng, p):
             evs_a = sorted(x.val for x in pa.theta)
             evs_s = sorted(x.val for x in pa.thetastar)
         else:
-            evs_a, evs_s = sorted(rng.sample(range(p), 3)), sorted(rng.sample(range(p), 3))
+            evs_a, evs_s = sorted(rng.sample(values, 3)), sorted(rng.sample(values, 3))
             s = random_invertible(rng, field, Matrix)
             s_star = random_invertible(rng, field, Matrix) if kind == 0 else s
             x, y, z = rng.sample(evs_a, 3)
