@@ -10,6 +10,7 @@ from conftest import (
     random_invertible,
     random_scalar,
 )
+from make_decomposition_pins import dumps as dump_decompositions, pin as decomposition_pin
 from make_invariant_witness_pins import dumps
 from tdpair121 import (
     Decomposition,
@@ -300,6 +301,26 @@ def test_shape_consistent_across_decompositions(rng, gf101, tds):
         assert dims[0] == dims[2] and dims[0] <= dims[1]
         for dec in Decomposition:
             assert tuple(c.dim for c in split_decomposition(sys_, dec)) == dims
+
+
+def test_decompositions_pinned():
+    # verify_td_system reports, and where TDSystem.from_matrices accepts
+    # the pair the six decompositions, shape and split-action check, of 208
+    # seeded pairs over QQ (8 conjugated by 100-bit matrices) and GF(2, 3, 5,
+    # 7, 101, 10007), plus 4 TDSystems built field by field (repeated or
+    # non-eigenvalue orderings); written by make_decomposition_pins.py while
+    # the decompositions were still built from boxed subspace sums and meets
+    text = (Path(__file__).parent / "data" / "decomposition_pins.json").read_text()
+    pins = json.loads(text)
+    assert len(pins) == 212
+    got = []
+    for p in pins:
+        field = Field.from_json(p["field"])
+        got.append(decomposition_pin(
+            field, Matrix.from_json(field, p["A"]), Matrix.from_json(field, p["Astar"]),
+            [field.parse(x) for x in p["theta"]], [field.parse(x) for x in p["thetastar"]],
+            p.get("direct", False)))
+    assert dump_decompositions(got) == text
 
 
 def test_split_actions_worked_instance(tds):
