@@ -163,6 +163,18 @@ def _rref_int(work):
     return pivots
 
 
+def _meet_rows(x, y, n: int, p: int) -> list:
+    """Raw rows of span(x) /\\ span(y) in F^n, in reduced echelon form.
+
+    Zassenhaus elimination: in the reduced echelon form of the rows (u, u)
+    for u in x and (v, 0) for v in y, the rows whose left half vanished
+    carry a basis of the intersection in their right halves.
+    """
+    work = [(*u, *u) for u in x] + [(*v, *(0,) * n) for v in y]
+    pivots = _rref(work, p)
+    return [row[n:] for row in work[:len(pivots)] if not any(row[:n])]
+
+
 def _det_rows(work, field: Field):
     """Raw determinant of square raw rows over field, by elimination;
     fraction-free (_det_int) over QQ."""
@@ -506,15 +518,11 @@ class Subspace:
         return Subspace._from_vals(self.field, self.ambient, list(self._rows + other._rows))
 
     def __and__(self, other: Subspace) -> Subspace:
-        """Intersection via Zassenhaus elimination on stacked blocks."""
+        """Intersection via Zassenhaus elimination (:func:`_meet_rows`)."""
         self._compat(other)
         n = self.ambient
-        zeros = (self.field.zero.val,) * n
-        work = [v + v for v in self._rows] + [v + zeros for v in other._rows]
-        pivots = _rref(work, self.field.p)
-        # rows whose left block vanished carry an intersection vector on the right
-        inter = [row[n:] for row in work[:len(pivots)] if not any(row[:n])]
-        return Subspace._from_vals(self.field, n, inter)
+        return Subspace._from_vals(self.field, n,
+                                   _meet_rows(self._rows, other._rows, n, self.field.p))
 
     def _compat(self, other: Subspace) -> None:
         if self.field is not other.field or self.ambient != other.ambient:

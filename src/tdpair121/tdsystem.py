@@ -7,13 +7,17 @@ subspace.  This module verifies the axioms one by one, searches for valid
 orderings, builds the six eigenspace-chain decompositions, and computes
 the shape.  Tridiagonality and the invariant-subspace search read one
 matrix: the partner written in a basis of the eigenspaces, whose block
-(i, j) is E_i M E_j.
+(i, j) is E_i M E_j.  The decompositions and the shape run on raw rows:
+of the twelve meets of chain members only the four middle components are
+real, and the shape is their dimensions plus one rank per decomposition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 
@@ -24,6 +28,8 @@ from .linalg import (
     _box,
     _p_gcd,
     _p_trim,
+    _meet_rows,
+    _rref,
     eigen_data,
     poly_roots,
     primitive_idempotents,
@@ -61,9 +67,11 @@ class TDSystem:
     @cached_property
     def _decomps(self):
         """The six decompositions of the eigenspaces, built on first use."""
-        spaces = [Subspace(self.field, 4, self.A.shift(t).kernel()) for t in self.theta]
-        duals = [Subspace(self.field, 4, self.Astar.shift(t).kernel()) for t in self.thetastar]
-        return _decompositions(spaces, duals)
+        field = self.field
+        spaces = [Subspace(field, 4, self.A.shift(t).kernel()) for t in self.theta]
+        duals = [Subspace(field, 4, self.Astar.shift(t).kernel()) for t in self.thetastar]
+        return {dec: tuple(Subspace._from_vals(field, 4, list(c)) for c in comps)
+                for dec, comps in _decompositions(spaces, duals).items()}
 
     @cached_property
     def _bases(self):
@@ -106,13 +114,8 @@ class VerificationReport:
 
     @property
     def overall(self) -> bool:
-        return (
-            self.diagonalizable_a
-            and self.diagonalizable_astar
-            and self.tridiagonal_astar_e
-            and self.tridiagonal_a_estar
-            and self.irreducible
-        )
+        return (self.diagonalizable_a and self.diagonalizable_astar and self.tridiagonal_astar_e
+                and self.tridiagonal_a_estar and self.irreducible)
 
     def to_json(self) -> dict:
         doc = {
@@ -185,14 +188,12 @@ def _verify_on_spaces(a, astar, theta, spaces, dual_spaces):
     if diag_a and diag_s and tri_astar and tri_a:
         witness = _invariant_search(a.field, theta, spaces, astar, coords)
         irreducible = witness is None
-        shape_dims = _consistent_shape(_decompositions(spaces, dual_spaces))
+        shape_dims = _consistent_shape(_decompositions(spaces, dual_spaces), a.field.p)
     else:
         skipped.append("irreducible")
 
-    return VerificationReport(
-        diag_a, diag_s, tri_astar, tri_a, irreducible,
-        shape_dims, witness, tuple(skipped),
-    )
+    return VerificationReport(diag_a, diag_s, tri_astar, tri_a, irreducible,
+                              shape_dims, witness, tuple(skipped))
 
 
 def find_td_orderings(a: Matrix, astar: Matrix):
@@ -257,24 +258,35 @@ def _zero_blocks(grid, idx):
 
 
 def _decompositions(spaces, duals):
-    """All six decompositions, from the four eigenspace chains: pa[i] =
-    spaces[0] + ... + spaces[i], sa[i] = spaces[i] + ... + spaces[2], and
-    pd, sd likewise for the duals."""
-    def prefix(seq):
-        out = [seq[0]]
-        for s in seq[1:]:
-            out.append(out[-1] + s)
-        return out
+    """All six decompositions, as raw rows in reduced echelon form, from the
+    eigenspaces ker(A - theta_i) and ker(A* - thetastar_i).
 
-    pa, pd = prefix(spaces), prefix(duals)
-    sa, sd = prefix(spaces[::-1])[::-1], prefix(duals[::-1])[::-1]
+    For the chains pa[i] = spaces[0] + ... + spaces[i], sa[i] = spaces[i] +
+    ... + spaces[2], and pd, sd of the duals, [0*D] is (pd[i] /\\ sa[i]),
+    [0*0] (pd[i] /\\ pa[2-i]), [D*0] (sd[2-i] /\\ pa[2-i]) and [D*D]
+    (sd[2-i] /\\ sa[i]).  Only the middle components are real meets, taken
+    on the spaces' rows side by side, so no chain sum is built.  The other
+    eight meet a space with a side's sum pa[2] = sa[0] (pd[2] = sd[0]): V,
+    a trivial meet, when the side's spaces are pairwise distinct with dims
+    adding up to 4, since distinct eigenspaces of one matrix are
+    independent; else (a TDSystem built with a repeated theta) a full one.
+    """
+    p = spaces[0].field.p
+    a, d = [s._rows for s in spaces], [s._rows for s in duals]
+
+    def cut(side, x):
+        spans = sum(map(len, side)) == 4 and len(set(side)) == 3
+        return x if spans else _meet_rows(x, [r for s in side for r in s], 4, p)
+
+    d0, d2, a0, a2 = cut(a, d[0]), cut(a, d[2]), cut(d, a[0]), cut(d, a[2])
+    pd1, sd1, pa1, sa1 = d[0] + d[1], d[1] + d[2], a[0] + a[1], a[1] + a[2]
     return {
-        Decomposition.ZSTAR_D: tuple(pd[i] & sa[i] for i in range(3)),
-        Decomposition.ZSTAR_Z: tuple(pd[i] & pa[2 - i] for i in range(3)),
-        Decomposition.DSTAR_Z: tuple(sd[2 - i] & pa[2 - i] for i in range(3)),
-        Decomposition.DSTAR_D: tuple(sd[2 - i] & sa[i] for i in range(3)),
-        Decomposition.Z_D: tuple(spaces),
-        Decomposition.ZSTAR_DSTAR: tuple(duals),
+        Decomposition.ZSTAR_D: (d0, _meet_rows(pd1, sa1, 4, p), a2),
+        Decomposition.ZSTAR_Z: (d0, _meet_rows(pd1, pa1, 4, p), a0),
+        Decomposition.DSTAR_Z: (d2, _meet_rows(sd1, pa1, 4, p), a0),
+        Decomposition.DSTAR_D: (d2, _meet_rows(sd1, sa1, 4, p), a2),
+        Decomposition.Z_D: tuple(a),
+        Decomposition.ZSTAR_DSTAR: tuple(d),
     }
 
 
@@ -285,25 +297,22 @@ def split_decomposition(tds: TDSystem, dec: Decomposition):
     return list(tds._decomps[dec])
 
 
-def _consistent_shape(decomps):
-    """Dims of the six decompositions, or None if they disagree or fail
-    to be direct."""
-    dims = None
-    for comps in decomps.values():
-        these = tuple(c.dim for c in comps)
-        total = subspace_sum(comps)
-        if sum(these) != 4 or total.dim != 4:
-            return None
-        if dims is None:
-            dims = these
-        elif dims != these:
-            return None
-    return dims
+def _consistent_shape(decomps, p):
+    """Dims of the six decompositions of :func:`_decompositions`, or None if
+    they disagree or fail to be direct (dims adding up to 4, and rank 4 of
+    the stacked rows over GF(p), or QQ for p = 0)."""
+    dims = {tuple(map(len, comps)) for comps in decomps.values()}
+    if len(dims) != 1 or sum(next(iter(dims))) != 4:
+        return None
+    if any(len(_rref([r for c in comps for r in c], p)) != 4 for comps in decomps.values()):
+        return None
+    return dims.pop()
 
 
 def shape(tds: TDSystem):
     """Component dimensions, cross-checked over all six decompositions."""
-    dims = _consistent_shape(tds._decomps)
+    dims = _consistent_shape({dec: [c._rows for c in comps] for dec, comps in tds._decomps.items()},
+                             tds.field.p)
     if dims is None:
         raise ValueError("decomposition dimensions are inconsistent; "
                          "not a verified tridiagonal system")
@@ -319,14 +328,9 @@ _SPLIT_ACTION = {
 
 
 def _maps_into(m: Matrix, src: Subspace, dst: Subspace | None) -> bool:
-    for v in src.basis:
-        w = m.apply(v)
-        if dst is None:
-            if not vec_is_zero(w):
-                return False
-        elif not dst.contains(w):
-            return False
-    return True
+    """Whether m maps src into dst, or to zero when dst is None."""
+    return all(vec_is_zero(w) if dst is None else dst.contains(w)
+               for w in map(m.apply, src.basis))
 
 
 def verify_split_actions(tds: TDSystem) -> bool:
@@ -470,8 +474,6 @@ def _solve_line_family(field, b, gens):
 
 def _rational_quadratic_roots(field, cs):
     """Roots in Q of c0 + c1 x + c2 x^2, via a discriminant square test."""
-    import math
-
     c0, c1, c2 = cs[0].val, cs[1].val, cs[2].val
     disc = c1 * c1 - 4 * c0 * c2
     if disc < 0:
@@ -480,8 +482,6 @@ def _rational_quadratic_roots(field, cs):
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn != num or rd * rd != den:
         return []
-    from fractions import Fraction
-
     s = Fraction(rn, rd)
     roots = {(-cs[1].val + s) / (2 * cs[2].val), (-cs[1].val - s) / (2 * cs[2].val)}
     return [field(r) for r in sorted(roots)]
