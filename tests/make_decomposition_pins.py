@@ -121,7 +121,7 @@ def _ordered(a, astar, theta, thetastar):
     return found[0] if found else (theta, thetastar)
 
 
-def _pair(rng, field, kind, bits):
+def pair(rng, field, kind, bits):
     """(A, A*, theta, thetastar) of the given kind."""
     s = _invertible(rng, field, bits)
     si = s.invert()
@@ -159,7 +159,7 @@ def cases():
         for i in range(count):
             rng = random.Random(f"decomposition-pin:{field.p}:{i}")
             bits = WIDE_BITS if field is QQ and i < WIDE_QQ else 0
-            out.append((field,) + _pair(rng, field, i % KINDS, bits))
+            out.append((field,) + pair(rng, field, i % KINDS, bits))
     return out
 
 

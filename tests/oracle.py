@@ -257,3 +257,64 @@ def roots_mod(coeffs, p):
         if mult:
             out.append((r, mult))
     return out
+
+
+def eigenspace_basis_mod(rows, t, p):
+    """A basis of ker(M - t) over GF(p), picked greedily from all p^4
+    vectors in lexicographic order."""
+    basis = []
+    for v in product(range(p), repeat=4):
+        if (mat_vec_mod(rows, v, p) == tuple(t * x % p for x in v)
+                and rank_mod(basis + [v], p) > len(basis)):
+            basis.append(v)
+    return basis
+
+
+def decompositions_mod(a_rows, astar_rows, theta, thetastar, p):
+    """The six eigenspace-chain decompositions over GF(p), by name, each
+    as (dims, direct).
+
+    Every component X /\\ Y of chain members is the set of all p^4 vectors
+    lying in both, each membership decided by rank_mod; a decomposition is
+    direct when its dims add up to 4 and its components together have rank
+    4.  The chains are pa[i] = V_0 + ... + V_i, sa[i] = V_i + ... + V_2 for
+    the eigenspaces V_i = ker(A - theta_i), and pd, sd for A*.
+    """
+    spaces = [eigenspace_basis_mod(a_rows, t, p) for t in theta]
+    duals = [eigenspace_basis_mod(astar_rows, t, p) for t in thetastar]
+
+    def chains(side):
+        pre = [[v for s in side[:i + 1] for v in s] for i in range(3)]
+        suf = [[v for s in side[i:] for v in s] for i in range(3)]
+        return pre, suf
+
+    def meet(x, y):
+        rx, ry = rank_mod(x, p), rank_mod(y, p)
+        return [v for v in product(range(p), repeat=4)
+                if rank_mod(x + [v], p) == rx and rank_mod(y + [v], p) == ry]
+
+    pa, sa = chains(spaces)
+    pd, sd = chains(duals)
+    comps = {
+        "[0*D]": [meet(pd[i], sa[i]) for i in range(3)],
+        "[0*0]": [meet(pd[i], pa[2 - i]) for i in range(3)],
+        "[D*0]": [meet(sd[2 - i], pa[2 - i]) for i in range(3)],
+        "[D*D]": [meet(sd[2 - i], sa[i]) for i in range(3)],
+        "[0D]": spaces,
+        "[0*D*]": duals,
+    }
+    out = {}
+    for name, cs in comps.items():
+        dims = tuple(rank_mod(c, p) for c in cs)
+        out[name] = (dims, sum(dims) == 4 and rank_mod([v for c in cs for v in c], p) == 4)
+    return out
+
+
+def shape_mod(a_rows, astar_rows, theta, thetastar, p):
+    """The common dims of the six decompositions of decompositions_mod, or
+    None if they differ or one is not direct."""
+    decomps = decompositions_mod(a_rows, astar_rows, theta, thetastar, p)
+    dims = {d for d, _ in decomps.values()}
+    if len(dims) == 1 and all(direct for _, direct in decomps.values()):
+        return dims.pop()
+    return None

@@ -10,7 +10,8 @@ from conftest import (
     random_invertible,
     random_scalar,
 )
-from make_decomposition_pins import dumps as dump_decompositions, pin as decomposition_pin
+from make_decomposition_pins import KINDS, dumps as dump_decompositions, pair
+from make_decomposition_pins import pin as decomposition_pin
 from make_invariant_witness_pins import dumps
 from tdpair121 import (
     Decomposition,
@@ -321,6 +322,67 @@ def test_decompositions_pinned():
             [field.parse(x) for x in p["theta"]], [field.parse(x) for x in p["thetastar"]],
             p.get("direct", False)))
     assert dump_decompositions(got) == text
+
+
+def _oracle_agrees(tds):
+    """Compare the six decompositions and the shape of tds with the
+    enumeration oracle; returns the oracle's shape."""
+    p = tds.field.p
+    rows = [[[x.val for x in r] for r in m.rows] for m in (tds.A, tds.Astar)]
+    evs = [[x.val for x in t] for t in (tds.theta, tds.thetastar)]
+    decomps = oracle.decompositions_mod(*rows, *evs, p)
+    for dec in Decomposition:
+        comps = split_decomposition(tds, dec)
+        assert tuple(c.dim for c in comps) == decomps[dec.value][0]
+    want = oracle.shape_mod(*rows, *evs, p)
+    try:
+        got = shape(tds)
+    except ValueError:
+        got = None
+    assert got == want
+    return want
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_shape_matches_enumeration_oracle(p):
+    # seeded diagonalizable pairs passing both tridiagonal checks: the
+    # reported shape, None included, and the dims of split_decomposition
+    # against the oracle, which meets chain members by enumerating F^4
+    import random
+
+    field = Field(p)
+    shapes = []
+    for i in range(200):
+        if len(shapes) == (12 if p == 3 else 8):
+            break
+        a, astar, theta, thetastar = pair(random.Random(f"shape-oracle:{p}:{i}"),
+                                          field, i % KINDS, 0)
+        report = verify_td_system(a, astar, theta, thetastar)
+        if not (report.tridiagonal_astar_e and report.tridiagonal_a_estar):
+            continue
+        want = _oracle_agrees(TDSystem.from_matrices(a, astar, theta, thetastar))
+        assert report.shape == want
+        shapes.append(want)
+    assert None in shapes and (1, 2, 1) in shapes
+
+
+def test_shape_matches_enumeration_oracle_gf2():
+    # GF(2) has no three distinct eigenvalues, so no pair passes the
+    # tridiagonal checks; TDSystems built field by field, under every
+    # ordering of 0 and 1 with repeats, are compared instead: two seeded
+    # pairs, and the scalar pair (I, 0), whose orderings with a
+    # non-eigenvalue give shapes such as (0, 4, 0)
+    import random
+    from itertools import product
+
+    field = Field(2)
+    pairs = [pair(random.Random(f"shape-oracle:2:{i}"), field, i, 0)[:2] for i in range(2)]
+    pairs.append((Matrix.identity(field, 4), Matrix.zeros(field, 4, 4)))
+    shapes = set()
+    for a, astar in pairs:
+        for theta, thetastar in product(product(field.elements(), repeat=3), repeat=2):
+            shapes.add(_oracle_agrees(TDSystem(a, astar, theta, thetastar, (), ())))
+    assert None in shapes and len(shapes) > 1
 
 
 def test_split_actions_worked_instance(tds):
