@@ -39,16 +39,25 @@ _PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError)
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON input is nested too deeply") from None
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc: dict, out: str | None, code: int) -> int:
+    """Write doc to the file out, or to stdout; returns code, or the I/O
+    exit code when out cannot be written."""
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail_io(str(exc))
     else:
         sys.stdout.write(text)
+    return code
 
 
 def _fail_io(message: str) -> int:
@@ -73,8 +82,7 @@ def cmd_report(args) -> int:
         doc["derived_params"] = None
 
     if not report.ok:
-        _emit(doc, args.out)
-        return EXIT_INADMISSIBLE
+        return _emit(doc, args.out, EXIT_INADMISSIBLE)
 
     tds = construct(pa)
     verification = verify_td_system(tds.A, tds.Astar, tds.theta, tds.thetastar)
@@ -106,8 +114,7 @@ def cmd_report(args) -> int:
         doc["representations"] = reps_doc
         doc["transitions"] = trans_doc
 
-    _emit(doc, args.out)
-    return EXIT_OK if cross and verification.overall else EXIT_UNVERIFIED
+    return _emit(doc, args.out, EXIT_OK if cross and verification.overall else EXIT_UNVERIFIED)
 
 
 def _elements(field: Field, value, shape: tuple, key: str):
@@ -148,9 +155,8 @@ def cmd_verify(args) -> int:
             doc["theta"] = [str(x) for x in theta]
             doc["thetastar"] = [str(x) for x in thetastar]
     doc["verification"] = report.to_json()
-    _emit(doc, None)
     ok = report.overall and report.shape == (1, 2, 1)
-    return EXIT_OK if ok else EXIT_UNVERIFIED
+    return _emit(doc, None, EXIT_OK if ok else EXIT_UNVERIFIED)
 
 
 # the report when a matrix is not diagonalizable with 3 eigenvalues
@@ -169,9 +175,7 @@ def cmd_construct(args) -> int:
         print(f"inadmissible parameter array, failed {list(report.failed)}",
               file=sys.stderr)
         return EXIT_INADMISSIBLE
-    tds = construct(pa)
-    _emit(tds.to_json(), args.out)
-    return EXIT_OK
+    return _emit(construct(pa).to_json(), args.out, EXIT_OK)
 
 
 def cmd_enumerate(args) -> int:
@@ -193,8 +197,7 @@ def cmd_enumerate(args) -> int:
         return _fail_io(
             f"grid of size {p}^8 exceeds the guard (p <= {max_p}); "
             "pass --force or raise TDP_MAX_GRID")
-    _emit(_enumerate_counts(p, args.orbits), None)
-    return EXIT_OK
+    return _emit(_enumerate_counts(p, args.orbits), None, EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -397,3 +397,23 @@ def test_verify_boundary_witness_bytes_pinned(capsys, tmp_path):
         path.write_text(json.dumps(pin["system"]))
         assert main(["verify", str(path)]) == 3
         assert capsys.readouterr().out == pin["stdout"]
+
+
+@pytest.mark.parametrize("command", ["report", "construct", "verify"])
+def test_deeply_nested_json_exit_1(capsys, tmp_path, command):
+    # json.load recurses once per level and raised RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: JSON input is nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["report", "construct"])
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "directory"])
+def test_unwritable_out_exit_1(capsys, tmp_path, p0_file, command, target):
+    assert main([command, p0_file, "--out", str(tmp_path / target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
