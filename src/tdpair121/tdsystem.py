@@ -268,8 +268,8 @@ def _decompositions(spaces, duals):
     on the spaces' rows side by side, so no chain sum is built.  The other
     eight meet a space with a side's sum pa[2] = sa[0] (pd[2] = sd[0]): V,
     a trivial meet, when the side's spaces are pairwise distinct with dims
-    adding up to 4, since distinct eigenspaces of one matrix are
-    independent; else (a TDSystem built with a repeated theta) a full one.
+    adding up to 4, as distinct eigenspaces of one matrix are independent;
+    else (a TDSystem built with a repeated theta) a meet taken in full.
     """
     p = spaces[0].field.p
     a, d = [s._rows for s in spaces], [s._rows for s in duals]
@@ -302,11 +302,11 @@ def _consistent_shape(decomps, p):
     they disagree or fail to be direct (dims adding up to 4, and rank 4 of
     the stacked rows over GF(p), or QQ for p = 0)."""
     dims = {tuple(map(len, comps)) for comps in decomps.values()}
-    if len(dims) != 1 or sum(next(iter(dims))) != 4:
+    these = dims.pop() if len(dims) == 1 else None
+    if these is None or sum(these) != 4 or any(
+            len(_rref([r for c in comps for r in c], p)) != 4 for comps in decomps.values()):
         return None
-    if any(len(_rref([r for c in comps for r in c], p)) != 4 for comps in decomps.values()):
-        return None
-    return dims.pop()
+    return these
 
 
 def shape(tds: TDSystem):

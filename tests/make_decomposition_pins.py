@@ -18,12 +18,12 @@ verify_split_actions(...).  The pairs come in six kinds, cycled by index:
 Kinds 3 and 4 take the first ordering of find_td_orderings when there is
 one.  GF(2) has no three distinct eigenvalues, so its pins are commuting
 and sparse pairs whose reports fail diagonalizability.  Over QQ the first
-WIDE_QQ pins are conjugated by matrices with 100-bit entries.  Four
+WIDE_QQ pins are conjugated by matrices with 100-bit entries.  Five
 more pins are TDSystems built field by field, whose eigenspace lists need
-not span the space: a repeated theta, a repeated thetastar, a theta
-holding a value that is no eigenvalue, and a pair of matrices with two
-eigenplanes each whose orderings put a non-eigenvalue in the middle (its
-shape is (2, 0, 2)).
+not span the space: two repeated thetas (one with dims adding up to 4),
+a repeated thetastar, a theta holding a value that is no eigenvalue, and
+a pair of matrices with two eigenplanes each whose orderings put a
+non-eigenvalue in the middle (its shape is (2, 0, 2)).
 """
 
 from __future__ import annotations
@@ -172,6 +172,7 @@ def direct_systems():
     a, astar = canonical_matrices(pa)
     t, ts = pa.theta, pa.thetastar
     out.append(TDSystem(a, astar, (t[1], t[1], t[2]), ts, (), ()))
+    out.append(TDSystem(a, astar, (t[0], t[0], t[1]), ts, (), ()))
     out.append(TDSystem(a, astar, t, (ts[0], ts[2], ts[0]), (), ()))
     out.append(TDSystem(a, astar, (t[0], field(0), t[2]), ts, (), ()))
     rng = random.Random("decomposition-pin:direct:1")

@@ -308,12 +308,12 @@ def test_decompositions_pinned():
     # verify_td_system reports, and where TDSystem.from_matrices accepts
     # the pair the six decompositions, shape and split-action check, of 208
     # seeded pairs over QQ (8 conjugated by 100-bit matrices) and GF(2, 3, 5,
-    # 7, 101, 10007), plus 4 TDSystems built field by field (repeated or
+    # 7, 101, 10007), plus 5 TDSystems built field by field (repeated or
     # non-eigenvalue orderings); written by make_decomposition_pins.py while
     # the decompositions were still built from boxed subspace sums and meets
     text = (Path(__file__).parent / "data" / "decomposition_pins.json").read_text()
     pins = json.loads(text)
-    assert len(pins) == 212
+    assert len(pins) == 213
     got = []
     for p in pins:
         field = Field.from_json(p["field"])
@@ -363,6 +363,9 @@ def test_shape_matches_enumeration_oracle(p):
         want = _oracle_agrees(TDSystem.from_matrices(a, astar, theta, thetastar))
         assert report.shape == want
         shapes.append(want)
+        # a repeated eigenvalue: theta[0]'s space twice, which does not
+        # span V even where the dims add up to 4
+        _oracle_agrees(TDSystem(a, astar, (theta[0],) + tuple(theta[:2]), thetastar, (), ()))
     assert None in shapes and (1, 2, 1) in shapes
 
 
