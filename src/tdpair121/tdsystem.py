@@ -26,9 +26,9 @@ from .linalg import (
     Matrix,
     Subspace,
     _box,
+    _meet_rows,
     _p_gcd,
     _p_trim,
-    _meet_rows,
     _rref,
     eigen_data,
     poly_roots,

@@ -22,8 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
 
-SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None,
-                    suppress_health_check=list(hypothesis.HealthCheck))
+SETTINGS = settings(derandomize=True, max_examples=120, deadline=None, database=None)
 
 # JSON values of any shape
 json_values = st.recursive(
