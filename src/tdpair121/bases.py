@@ -14,7 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .linalg import Matrix, SingularMatrixError, vec_is_zero, vec_scale
+from .linalg import (
+    Matrix,
+    SingularMatrixError,
+    _apply_raw,
+    _box,
+    _grid_of,
+    _inv_grid,
+    _mul_grids,
+    _unbox,
+)
 from .params import ParameterArray, extract_parameter_array
 from .tdsystem import TDSystem
 
@@ -39,61 +48,77 @@ class EtaVectors:
 def canonical_seed(tds: TDSystem):
     """First dual eigenspace image of the earliest standard vector,
     rescaled so its first nonzero coordinate is 1."""
-    estar0 = tds.Estar[0]
-    for j in range(4):
-        v = estar0.col(j)
-        if not vec_is_zero(v):
-            lead = next(x for x in v if not x.is_zero)
-            return vec_scale(lead.inverse(), v)
+    return _box(tds.field, _canonical_seed(tds))
+
+
+def _canonical_seed(tds: TDSystem) -> list:
+    """Raw values of :func:`canonical_seed`."""
+    p = tds.field.p
+    for v in zip(*tds.Estar[0]._vals()):
+        lead = next((x for x in v if x), None)
+        if lead is not None:
+            return _scale_raw(pow(lead, -1, p) if p else 1 / lead, v, p)
     raise ValueError("zero projector")
 
 
 def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
-    """The chain vectors grown from a seed of the first dual eigenspace."""
-    field = tds.field
+    """The chain vectors grown from a seed of the first dual eigenspace;
+    without a seed, the system's own, grown once from :func:`canonical_seed`."""
     if seed is None:
-        seed = canonical_seed(tds)
-    else:
-        seed = tuple(field(x) for x in seed)
-    if vec_is_zero(seed):
+        return tds._bases.eta
+    return _boxed_eta(tds.field, _chain(tds, _unbox(tds.field, seed)))
+
+
+def _chain(tds: TDSystem, seed: list) -> tuple:
+    """Raw (eta0*, eta0, eta2, eta2*) grown from the raw seed eta0*."""
+    p = tds.field.p
+    if len(seed) != 4:
+        raise ValueError("seed vector must have 4 coordinates")
+    if not any(seed):
         raise ValueError("seed vector is zero")
-    if tds.Estar[0].apply(seed) != seed:
+    if _apply_raw(tds.Estar[0]._grid(), seed, p) != seed:
         raise ValueError("seed vector is outside the first dual eigenspace")
-    t0, t1, t2 = tds.theta
-    s0, s1, _ = tds.thetastar
-    a, astar = tds.A, tds.Astar
-    eta0 = a.shift(t1).apply(a.shift(t2).apply(seed))
-    eta2 = a.shift(t1).apply(a.shift(t0).apply(seed))
-    eta2star = astar.shift(s1).apply(astar.shift(s0).apply(eta2))
+    t0, t1, t2 = (x.val for x in tds.theta)
+    s0, s1 = tds.thetastar[0].val, tds.thetastar[1].val
+    a, astar = tds.A._grid(), tds.Astar._grid()
+    eta0 = _apply_raw(a, _apply_raw(a, seed, p, t2), p, t1)
+    eta2 = _apply_raw(a, _apply_raw(a, seed, p, t0), p, t1)
+    eta2star = _apply_raw(astar, _apply_raw(astar, eta2, p, s0), p, s1)
     for name, v in (("eta0", eta0), ("eta2", eta2), ("eta2star", eta2star)):
-        if vec_is_zero(v):
+        if not any(v):
             raise ValueError(f"chain vector {name} vanished; "
                              "input is not a shape-(1,2,1) system")
-    return EtaVectors(seed, eta0, eta2, eta2star)
+    return seed, eta0, eta2, eta2star
+
+
+def _boxed_eta(field, chain) -> EtaVectors:
+    return EtaVectors(*(_box(field, v) for v in chain))
 
 
 class _SystemBases:
-    """One system's chain vectors for one seed, its split scalars (varphi,
-    phi), and its six (basis, inverse) pairs, each built on first use."""
+    """One system's chain vectors for one seed, boxed (eta) and raw, and
+    its six bases with their inverses as raw grids, each built on first
+    use."""
 
     def __init__(self, tds: TDSystem, eta: EtaVectors | None = None):
-        self.eta = eta_vectors(tds) if eta is None else eta
-        self._scalars = None
+        field = tds.field
+        if eta is None:
+            self.chain = _chain(tds, _canonical_seed(tds))
+            self.eta = _boxed_eta(field, self.chain)
+        else:
+            self.chain = tuple(_unbox(field, v) for v in
+                               (eta.eta0star, eta.eta0, eta.eta2, eta.eta2star))
+            self.eta = eta
         self._pairs = {}
 
-    def scalars(self, tds: TDSystem):
-        if self._scalars is None:
-            pa = extract_parameter_array(tds)
-            self._scalars = pa.varphi, pa.phi
-        return self._scalars
-
     def pair(self, tds: TDSystem, basis: BasisId):
-        """The basis matrix and its inverse."""
+        """The raw grids of the basis matrix and of its inverse."""
         got = self._pairs.get(basis)
         if got is None:
-            m = _basis_columns(tds, basis, self)
+            p = tds.field.p
+            m = _grid_of([list(r) for r in zip(*_basis_columns(tds, basis, self.chain))], p)
             try:
-                got = self._pairs[basis] = m, m.invert()
+                got = self._pairs[basis] = m, _inv_grid(m, p)
             except SingularMatrixError:
                 raise SingularMatrixError(
                     f"{basis.value} columns are dependent; input is not shape (1,2,1)"
@@ -109,45 +134,46 @@ def _bases_for(tds: TDSystem, eta: EtaVectors | None) -> _SystemBases:
 
 def basis_matrix(tds: TDSystem, basis: BasisId, eta: EtaVectors | None = None) -> Matrix:
     """4x4 matrix whose columns are the requested basis, in order."""
-    return _bases_for(tds, eta).pair(tds, basis)[0]
+    return Matrix._from_grid(tds.field, _bases_for(tds, eta).pair(tds, basis)[0])
 
 
-def _basis_columns(tds: TDSystem, basis: BasisId, rec: _SystemBases) -> Matrix:
-    eta = rec.eta
-    t0, t1, t2 = tds.theta
-    s0, s1, s2 = tds.thetastar
-    a, astar = tds.A, tds.Astar
+def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
+    """Raw columns of the basis, from the raw chain vectors; (M - c I)v is
+    taken as Mv - cv."""
+    p = tds.field.p
+    eta0star, eta0, eta2, eta2star = chain
+    t0, _, t2 = (x.val for x in tds.theta)
+    s0, _, s2 = (x.val for x in tds.thetastar)
+    a, astar = tds.A._grid(), tds.Astar._grid()
     if basis is BasisId.SPLIT_ZD:
-        cols = [eta.eta0star, a.shift(t0).apply(eta.eta0star),
-                astar.shift(s2).apply(eta.eta2), eta.eta2]
-    elif basis is BasisId.SPLIT_ZZ:
-        cols = [eta.eta0star, a.shift(t2).apply(eta.eta0star),
-                astar.shift(s2).apply(eta.eta0), eta.eta0]
-    elif basis is BasisId.SPLIT_DZ:
-        vp, _ = rec.scalars(tds)
-        cols = [eta.eta2star, a.shift(t2).apply(eta.eta2star),
-                vec_scale(vp, astar.shift(s0).apply(eta.eta0)),
-                vec_scale(vp, eta.eta0)]
-    elif basis is BasisId.SPLIT_DD:
-        _, ph = rec.scalars(tds)
-        cols = [eta.eta2star, a.shift(t0).apply(eta.eta2star),
-                vec_scale(ph, astar.shift(s0).apply(eta.eta2)),
-                vec_scale(ph, eta.eta2)]
-    elif basis is BasisId.EIG_A:
-        e1 = tds.E[1]
-        cols = [eta.eta0, e1.apply(eta.eta0star), e1.apply(eta.eta2star), eta.eta2]
-    elif basis is BasisId.EIG_ASTAR:
-        estar1 = tds.Estar[1]
-        cols = [eta.eta0star, estar1.apply(eta.eta0), estar1.apply(eta.eta2),
-                eta.eta2star]
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return Matrix.from_columns(tds.field, cols)
+        return [eta0star, _apply_raw(a, eta0star, p, t0), _apply_raw(astar, eta2, p, s2), eta2]
+    if basis is BasisId.SPLIT_ZZ:
+        return [eta0star, _apply_raw(a, eta0star, p, t2), _apply_raw(astar, eta0, p, s2), eta0]
+    if basis is BasisId.SPLIT_DZ:
+        vp = extract_parameter_array(tds).varphi.val
+        return [eta2star, _apply_raw(a, eta2star, p, t2),
+                _scale_raw(vp, _apply_raw(astar, eta0, p, s0), p), _scale_raw(vp, eta0, p)]
+    if basis is BasisId.SPLIT_DD:
+        ph = extract_parameter_array(tds).phi.val
+        return [eta2star, _apply_raw(a, eta2star, p, t0),
+                _scale_raw(ph, _apply_raw(astar, eta2, p, s0), p), _scale_raw(ph, eta2, p)]
+    if basis is BasisId.EIG_A:
+        e1 = tds.E[1]._grid()
+        return [eta0, _apply_raw(e1, eta0star, p), _apply_raw(e1, eta2star, p), eta2]
+    if basis is BasisId.EIG_ASTAR:
+        estar1 = tds.Estar[1]._grid()
+        return [eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star]
+    raise ValueError(f"unknown basis {basis!r}")
+
+
+def _scale_raw(c, v, p: int) -> list:
+    return [c * x % p for x in v] if p else [c * x for x in v]
 
 
 def represent(tds: TDSystem, which: str, basis: BasisId,
               eta: EtaVectors | None = None) -> Matrix:
-    """Matrix of the chosen transformation with respect to the basis."""
+    """Matrix of the chosen transformation with respect to the basis:
+    B^-1 (M B) on raw grids, boxed once."""
     if which == "A":
         m = tds.A
     elif which == "Astar":
@@ -155,14 +181,17 @@ def represent(tds: TDSystem, which: str, basis: BasisId,
     else:
         raise ValueError("operator must be 'A' or 'Astar'")
     b, b_inv = _bases_for(tds, eta).pair(tds, basis)
-    return b_inv * m * b
+    p = tds.field.p
+    return Matrix._from_grid(tds.field, _mul_grids(b_inv, _mul_grids(m._grid(), b, p), p))
 
 
 def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
                        eta: EtaVectors | None = None) -> Matrix:
-    """Transition matrix computed as (from basis)^-1 (to basis)."""
+    """Transition matrix computed as (from basis)^-1 (to basis), on raw
+    grids, boxed once."""
     rec = _bases_for(tds, eta)
-    return rec.pair(tds, frm)[1] * rec.pair(tds, to)[0]
+    return Matrix._from_grid(tds.field, _mul_grids(rec.pair(tds, frm)[1], rec.pair(tds, to)[0],
+                                                   tds.field.p))
 
 
 # -- closed-form tables -------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line front end: report, verify, construct, enumerate.
 
-Exit codes: 0 success, 1 I/O or parse errors, 2 inadmissible parameter
-array, 3 verification failure.  All JSON output has sorted keys and fixed
-array ordering, so identical inputs give byte-identical output.
+Exit codes: 0 success, 1 usage, I/O or parse errors, 2 inadmissible
+parameter array, 3 verification failure.  All JSON output has sorted keys
+and fixed array ordering, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -200,8 +200,17 @@ def cmd_enumerate(args) -> int:
     return _emit(_enumerate_counts(p, args.orbits), None, EXIT_OK)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one "error:" line and exit 1, like any
+    other unusable input; argparse's own exit code 2 is the CLI's code for
+    an inadmissible parameter array.  Subparsers inherit the class."""
+
+    def error(self, message):
+        sys.exit(_fail_io(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tdpair121",
         description="Exact construction, verification and analysis of "
                     "tridiagonal pairs of shape (1,2,1).")

@@ -32,14 +32,19 @@ class SingularMatrixError(ValueError):
 Vector = tuple  # tuple of FieldElement
 
 # The kernels below work on raw values: ints over GF(p), Fractions over QQ.
-# Products and entrywise operations may leave GF(p) ints unreduced: _box
-# reduces once per entry, and _holds before its zero test.  Over GF(p),
-# _rref and _det_rows take entries in [0, p) and keep them there.  Over QQ,
-# the products (Matrix.__mul__ and apply), _rref and _det_rows clear
-# denominators once (_int_grid, _int_row; a matrix keeps its own integer
-# form, Matrix._int_form), run on integers, and build one reduced Fraction
-# per entry on the way out (_fracs), so no gcd is paid per scalar
-# operation.  Matrix.rows and Subspace.basis stay tuples of FieldElements.
+# Entrywise operations may leave GF(p) ints unreduced: _box reduces once per
+# entry, and _holds before its zero test.  Over GF(p), _rref and _det_rows
+# take entries in [0, p) and keep them there.  Over QQ, _rref and _det_rows
+# clear denominators once (_int_grid, _int_row), run on integers, and build
+# one reduced Fraction per entry on the way out (_fracs), so no gcd is paid
+# per scalar operation.
+#
+# Products, inverses and shifts run on raw grids (rows, den): over GF(p)
+# residues in [0, p) with den 1, over QQ integer rows over one positive
+# denominator (not necessarily the least).  A matrix keeps its own grid
+# (Matrix._grid), and a chain of grid operations boxes once, per entry of
+# the matrix it returns (Matrix._from_grid).  Matrix.rows and
+# Subspace.basis stay tuples of FieldElements.
 
 _new = object.__new__
 _ZERO = Fraction(0)
@@ -91,6 +96,101 @@ def _fracs(nums, den) -> list:
     return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
+def _grid_of(rows, p: int):
+    """Raw grid of canonical raw rows."""
+    return (rows, 1) if p else _int_grid(rows)
+
+
+def _grid_rows(g, p: int) -> list:
+    """Canonical raw rows of a raw grid."""
+    rows, den = g
+    return rows if p else [_fracs(r, den) for r in rows]
+
+
+def _mul_grids(a, b, p: int):
+    """Raw grid of the product of two raw grids of matching shapes."""
+    (ra, da), (rb, db) = a, b
+    cols = list(zip(*rb))
+    if p:
+        return [[sum(map(mul, row, c)) % p for c in cols] for row in ra], 1
+    return [_mat_vec(cols, row) for row in ra], da * db
+
+
+def _shift_grid(g, c, p: int):
+    """Raw grid of M - c*I for the raw grid g of M and a raw scalar c."""
+    rows, den = g
+    if p:
+        return [[(a - c) % p if i == j else a for j, a in enumerate(r)]
+                for i, r in enumerate(rows)], 1
+    cn, cd = c.numerator, c.denominator
+    return [[a * cd - cn * den if i == j else a * cd for j, a in enumerate(r)]
+            for i, r in enumerate(rows)], den * cd
+
+
+def _scale_grid(g, c, p: int):
+    """Raw grid of c*M for the raw grid g of M and a nonzero raw scalar c."""
+    rows, den = g
+    if p:
+        return [[a * c % p for a in r] for r in rows], 1
+    cn = c.numerator
+    return [[a * cn for a in r] for r in rows], den * c.denominator
+
+
+def _inv_grid(g, p: int):
+    """Raw grid of the inverse of the square raw grid g; raises
+    SingularMatrixError when g is singular.
+
+    Over QQ, fraction-free Gauss-Jordan (_rref_int) on the integer rows R
+    leaves row i of [R | I] as a_i times row i of [I | R^-1], so
+    (R/den)^-1 = den * R^-1 is one grid over lcm(a_i), which is cut down to
+    the least common denominator: the inverses of a system's bases are
+    built once and enter many products, which is where their size costs."""
+    rows, den = g
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise SingularMatrixError("cannot invert a non-square matrix")
+    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    if p:
+        if _rref(work, p) != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        return [r[n:] for r in work], 1
+    if _rref_int(work) != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    lcm = math.lcm(*[r[i] for i, r in enumerate(work)])
+    rows = [[x * f for x in r[n:]] for r, f in
+            ((r, den * (lcm // r[i])) for i, r in enumerate(work))]
+    g = math.gcd(lcm, *[x for r in rows for x in r])
+    return [[x // g for x in r] for r in rows], lcm // g
+
+
+def _apply_raw(g, v, p: int, c=0) -> list:
+    """Canonical raw (M - c*I)v for the raw grid g of M, a canonical raw
+    vector v and a raw scalar c; Mv when c is left out."""
+    rows, den = g
+    if p:
+        return [(x - c * y) % p for x, y in zip(_mat_vec(rows, v), v)]
+    ints, dv = _int_row(v)
+    cn, cd = c.numerator, c.denominator
+    return _fracs([cd * x - cn * den * y for x, y in zip(_mat_vec(rows, ints), ints)],
+                  den * dv * cd)
+
+
+def _kernel_rows(work, p: int) -> list:
+    """Raw basis of the null space of the raw rows work (over QQ, ints or
+    Fractions), which _rref reduces in place: one vector per free column."""
+    pivots = _rref(work, p)
+    n = len(work[0])
+    zero, one = (0, 1) if p else (_ZERO, Fraction(1))
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [zero] * n
+        v[f] = one
+        for i, pj in enumerate(pivots):
+            v[pj] = -work[i][f] % p if p else -work[i][f]
+        basis.append(v)
+    return basis
+
+
 def _row_sub(row, f, top, p: int) -> list:
     """row - f * top, reduced mod p."""
     return [(a - f * b) % p for a, b in zip(row, top)]
@@ -98,7 +198,7 @@ def _row_sub(row, f, top, p: int) -> list:
 
 def _rref(work, p: int):
     """In-place reduced row echelon form of raw rows over GF(p) (p > 0) or
-    QQ (p == 0); returns the pivot columns.  The first len(pivots) rows are
+    QQ (p == 0, ints or Fractions); returns the pivot columns.  The first len(pivots) rows are
     then the reduced rows; over QQ the rows past them are left as they
     were.  Rows are replaced, never mutated, so they may be tuples."""
     if not p:
@@ -240,16 +340,16 @@ def vec_scale(c, v):
 class Matrix:
     """Immutable matrix over an exact field; rows of FieldElements.
 
-    Over QQ the integer rows and common denominator of :func:`_int_grid`
-    are kept in ``_ints`` once a product or ``apply`` has needed them.
+    The raw grid of the matrix (:func:`_grid_of`) is kept in ``_raw_grid``
+    once a product, inverse or ``apply`` has needed it.
     """
 
-    __slots__ = ("field", "rows", "_ints")
+    __slots__ = ("field", "rows", "_raw_grid")
 
     def __init__(self, field: Field, rows):
         self.field = field
         self.rows = tuple(tuple(field(x) for x in row) for row in rows)
-        self._ints = None
+        self._raw_grid = None
         ncols = {len(r) for r in self.rows}
         if len(self.rows) == 0 or len(ncols) != 1 or ncols == {0}:
             raise ValueError("matrix needs a rectangular, nonempty grid")
@@ -259,21 +359,26 @@ class Matrix:
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
-        m._ints = None
+        m._raw_grid = None
         return m
 
     @classmethod
     def _from_vals(cls, field, rows) -> Matrix:
         return cls._raw(field, tuple(_box(field, r) for r in rows))
 
+    @classmethod
+    def _from_grid(cls, field, g) -> Matrix:
+        """The matrix of a raw grid, boxed once per entry."""
+        return cls._from_vals(field, _grid_rows(g, field.p))
+
     def _vals(self) -> list:
         return [[x.val for x in r] for r in self.rows]
 
-    def _int_form(self):
-        """_int_grid of the rows of a matrix over QQ, built on first use."""
-        if self._ints is None:
-            self._ints = _int_grid(self._vals())
-        return self._ints
+    def _grid(self):
+        """The raw grid of the matrix, built on first use."""
+        if self._raw_grid is None:
+            self._raw_grid = _grid_of(self._vals(), self.field.p)
+        return self._raw_grid
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
@@ -321,14 +426,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         field = self.field
-        if field.p:
-            cols = list(zip(*other._vals()))
-            return Matrix._from_vals(field, [_mat_vec(cols, row) for row in self._vals()])
-        a, da = self._int_form()
-        b, db = other._int_form()
-        cols = list(zip(*b))
-        den = da * db
-        return Matrix._from_vals(field, [_fracs(_mat_vec(cols, row), den) for row in a])
+        return Matrix._from_grid(field, _mul_grids(self._grid(), other._grid(), field.p))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
@@ -336,11 +434,7 @@ class Matrix:
         vals = _unbox(field, v)
         if len(vals) != self.ncols:
             raise ValueError("vector length does not match the matrix")
-        if field.p:
-            return _box(field, _mat_vec(self._vals(), vals))
-        rows, dm = self._int_form()
-        ints, dv = _int_row(vals)
-        return _box(field, _fracs(_mat_vec(rows, ints), dm * dv))
+        return _box(field, _apply_raw(self._grid(), vals, field.p))
 
     def _check_compatible(self, other: Matrix) -> None:
         if self.field is not other.field:
@@ -400,31 +494,11 @@ class Matrix:
 
     def invert(self) -> Matrix:
         """Exact inverse; raises SingularMatrixError if rank < n."""
-        n = self.nrows
-        if n != self.ncols:
-            raise SingularMatrixError("cannot invert a non-square matrix")
-        one, zero = self.field.one.val, self.field.zero.val
-        work = [r + [one if i == j else zero for j in range(n)]
-                for i, r in enumerate(self._vals())]
-        if _rref(work, self.field.p) != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return Matrix._from_vals(self.field, [r[n:] for r in work])
+        return Matrix._from_grid(self.field, _inv_grid(self._grid(), self.field.p))
 
     def kernel(self):
         """Basis of the null space, as a list of vectors."""
-        work = self._vals()
-        pivots = _rref(work, self.field.p)
-        n = self.ncols
-        one, zero = self.field.one.val, self.field.zero.val
-        free = [j for j in range(n) if j not in pivots]
-        basis = []
-        for f in free:
-            v = [zero] * n
-            v[f] = one
-            for i, pj in enumerate(pivots):
-                v[pj] = -work[i][f]
-            basis.append(_box(self.field, v))
-        return basis
+        return [_box(self.field, v) for v in _kernel_rows(self._vals(), self.field.p)]
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.rows]
@@ -818,9 +892,17 @@ def eigen_data(m: Matrix) -> EigenData:
     for val, mult in roots:
         values.append(val)
         mults.append(mult)
-        spaces.append(Subspace(m.field, m.nrows, m.shift(val).kernel()))
+        spaces.append(_eigenspace(m, val))
     diag = sum(s.dim for s in spaces) == m.nrows
     return EigenData(tuple(values), tuple(mults), tuple(spaces), diag)
+
+
+def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
+    """ker(m - e I) of a square matrix: the kernel of the rows of its raw
+    grid, whose denominator does not change the kernel."""
+    p = m.field.p
+    rows, _ = _shift_grid(m._grid(), e.val, p)
+    return Subspace._from_vals(m.field, m.ncols, _kernel_rows(rows, p))
 
 
 def primitive_idempotents(m: Matrix, eigenvalues):
@@ -836,19 +918,28 @@ def primitive_idempotents(m: Matrix, eigenvalues):
     polynomial divides prod_j (x - e_j), so P = 0.
     """
     field = m.field
+    if m.nrows != m.ncols:
+        raise ValueError("idempotents of a non-square matrix")
     evs = [field(e) for e in eigenvalues]
     if not evs:
         raise ValueError("no eigenvalues supplied")
     if len(set(evs)) != len(evs):
         raise ValueError("repeated eigenvalue supplied")
+    p, g = field.p, m._grid()
     out = []
     for i, ei in enumerate(evs):
-        acc = Matrix.identity(field, m.nrows)
+        acc, scale = None, field.one
         for j, ej in enumerate(evs):
-            if i == j:
-                continue
-            acc = acc * m.shift(ej).scale((ei - ej).inverse())
+            if i != j:
+                factor = _shift_grid(g, ej.val, p)
+                acc = factor if acc is None else _mul_grids(acc, factor, p)
+                scale = scale * (ei - ej)
+        if acc is None:  # a lone eigenvalue: E_0 = I
+            acc = [[int(r == c) for c in range(m.ncols)] for r in range(m.nrows)], 1
+        else:
+            acc = _scale_grid(acc, scale.inverse().val, p)
         out.append(acc)
-    if not (m.shift(evs[0]) * out[0]).is_zero or any(e.is_zero for e in out):
+    check = _mul_grids(_shift_grid(g, evs[0].val, p), out[0], p)
+    if any(map(any, check[0])) or not all(any(map(any, e[0])) for e in out):
         raise ValueError("matrix is not diagonalizable with exactly these eigenvalues")
-    return out
+    return [Matrix._from_grid(field, e) for e in out]

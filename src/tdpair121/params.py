@@ -13,10 +13,11 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .fields import Field, FieldElement
-from .linalg import Matrix
+from .linalg import Matrix, _mul_grids, _shift_grid
 from .tdsystem import TDSystem
 
 
@@ -166,41 +167,54 @@ def construct(pa: ParameterArray) -> TDSystem:
     return TDSystem.from_matrices(a, astar, pa.theta, pa.thetastar)
 
 
-def _scalar_action(product: Matrix, projector: Matrix):
-    """The scalar by which `product` acts on the image of `projector`.
+def _scalar_action(image, projector, field: Field) -> FieldElement:
+    """The scalar by which a product acts on the image of a projector, from
+    the raw grids of product * projector and of projector.
 
     Checked at the level of whole matrices (product * projector must equal
-    scalar * projector), which covers every vector of the image at once.
+    scalar * projector), which covers every vector of the image at once:
+    with (a, b) the two grids' integer entries where the projector's first
+    nonzero one sits, that is x * b == a * y for each pair (x, y).
     """
-    image = product * projector
-    scalar = None
-    for prow, erow in zip(image.rows, projector.rows):
-        for pv, ev in zip(prow, erow):
-            if not ev.is_zero:
-                scalar = pv / ev
-                break
-        if scalar is not None:
-            break
-    if scalar is None:
+    p = field.p
+    (img, di), (proj, dp) = image, projector
+    lead = next(((x, y) for xr, yr in zip(img, proj) for x, y in zip(xr, yr) if y), None)
+    if lead is None:
         raise ValueError("projector is zero")
-    if image != projector.scale(scalar):
+    a, b = lead
+    if any((x * b - a * y) % p if p else x * b - a * y
+           for xr, yr in zip(img, proj) for x, y in zip(xr, yr)):
         raise ValueError("product does not act as a scalar on the eigenspace; "
                          "input is not a shape-(1,2,1) system")
-    return scalar
+    return field(Fraction(a * dp, b * di))
+
+
+def _read_parameter_array(tds: TDSystem) -> ParameterArray:
+    """The body of :func:`extract_parameter_array`, which TDSystem._params
+    runs once per system: raw products, boxing the two split scalars."""
+    field = tds.field
+    p = field.p
+    a, astar, estar0 = tds.A._grid(), tds.Astar._grid(), tds.Estar[0]._grid()
+    t0, t1, t2 = (t.val for t in tds.theta)
+    s1, s2 = tds.thetastar[1].val, tds.thetastar[2].val
+    left = _mul_grids(_mul_grids(_shift_grid(astar, s1, p), _shift_grid(astar, s2, p), p),
+                      _shift_grid(a, t1, p), p)
+
+    def split_scalar(t):
+        """The scalar of (A* - s1)(A* - s2)(A - t1)(A - t) on E*_0."""
+        image = _mul_grids(left, _mul_grids(_shift_grid(a, t, p), estar0, p), p)
+        return _scalar_action(image, estar0, field)
+
+    varphi, phi = split_scalar(t0), split_scalar(t2)
+    if varphi.is_zero or phi.is_zero:
+        raise ValueError("split scalars vanish; input is not a shape-(1,2,1) system")
+    return ParameterArray(field, tds.theta, tds.thetastar, varphi, phi)
 
 
 def extract_parameter_array(tds: TDSystem) -> ParameterArray:
-    """Read the parameter array off a verified shape-(1,2,1) system."""
-    a, astar = tds.A, tds.Astar
-    t0, t1, t2 = tds.theta
-    s0, s1, s2 = tds.thetastar
-    estar0 = tds.Estar[0]
-    left = astar.shift(s1) * astar.shift(s2)
-    varphi = _scalar_action(left * (a.shift(t1) * a.shift(t0)), estar0)
-    phi = _scalar_action(left * (a.shift(t1) * a.shift(t2)), estar0)
-    if varphi.is_zero or phi.is_zero:
-        raise ValueError("split scalars vanish; input is not a shape-(1,2,1) system")
-    return ParameterArray(tds.A.field, tds.theta, tds.thetastar, varphi, phi)
+    """Read the parameter array off a verified shape-(1,2,1) system; read
+    once per system and kept on it."""
+    return tds._params
 
 
 # -- the dihedral action -----------------------------------------------------

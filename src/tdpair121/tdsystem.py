@@ -26,7 +26,12 @@ from .linalg import (
     Matrix,
     Subspace,
     _box,
+    _eigenspace,
+    _grid_of,
+    _grid_rows,
+    _inv_grid,
     _meet_rows,
+    _mul_grids,
     _p_gcd,
     _p_trim,
     _rref,
@@ -68,17 +73,26 @@ class TDSystem:
     def _decomps(self):
         """The six decompositions of the eigenspaces, built on first use."""
         field = self.field
-        spaces = [Subspace(field, 4, self.A.shift(t).kernel()) for t in self.theta]
-        duals = [Subspace(field, 4, self.Astar.shift(t).kernel()) for t in self.thetastar]
+        spaces = [_eigenspace(self.A, t) for t in self.theta]
+        duals = [_eigenspace(self.Astar, t) for t in self.thetastar]
         return {dec: tuple(Subspace._from_vals(field, 4, list(c)) for c in comps)
                 for dec, comps in _decompositions(spaces, duals).items()}
 
     @cached_property
     def _bases(self):
-        """Chain vectors, split scalars and bases of the canonical seed."""
+        """Chain vectors and bases of the canonical seed."""
         from .bases import _SystemBases
 
         return _SystemBases(self)
+
+    @cached_property
+    def _params(self):
+        """The parameter array read off the system, on first use.  A system
+        it cannot be read off raises ValueError on every use, as
+        cached_property stores no exception."""
+        from .params import _read_parameter_array
+
+        return _read_parameter_array(self)
 
     def to_json(self) -> dict:
         return {
@@ -146,7 +160,7 @@ def _diag_with_spectrum(m: Matrix, evs):
     diagonalizable with exactly evs."""
     if len(set(evs)) != len(evs):
         return None
-    spaces = [Subspace(m.field, 4, m.shift(e).kernel()) for e in evs]
+    spaces = [_eigenspace(m, e) for e in evs]
     ok = all(s.dim >= 1 for s in spaces) and sum(s.dim for s in spaces) == 4
     return spaces if ok else None
 
@@ -239,15 +253,16 @@ def _verify_unordered(a: Matrix, astar: Matrix):
 
 def _coordinates(m: Matrix, spaces):
     """m in a basis adapted to the direct sum V = spaces[0] + spaces[1] + ...:
-    the raw grid of P^-1 M P, for P the canonical basis vectors of the
+    canonical raw rows of P^-1 M P, for P the canonical basis vectors of the
     spaces side by side, and the coordinate indices of each space."""
-    cols = [v for s in spaces for v in s.basis]
-    p = Matrix._raw(m.field, tuple(zip(*cols)))
+    p = m.field.p
+    basis = _grid_of([list(r) for r in zip(*(v for s in spaces for v in s._rows))], p)
     idx, k = [], 0
     for s in spaces:
         idx.append(range(k, k + s.dim))
         k += s.dim
-    return (p.invert() * m * p)._vals(), idx
+    return _grid_rows(_mul_grids(_inv_grid(basis, p), _mul_grids(m._grid(), basis, p), p),
+                      p), idx
 
 
 def _zero_blocks(grid, idx):
@@ -409,7 +424,7 @@ def _invariant_search(field, eigenvalues, eigenspaces, astar, coords):
 
 def _search_profile_211(field, spaces, astar, b):
     """Search when every eigenspace is a line except at most one plane, on
-    b, the raw grid of astar in the coordinates of spaces: line i has
+    b, the raw rows of astar in the coordinates of spaces: line i has
     coordinate i, and the plane's basis u1, u2 the last two."""
     n = len(spaces)
     plane = spaces[-1] if spaces[-1].dim == 2 else None

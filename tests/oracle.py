@@ -318,3 +318,32 @@ def shape_mod(a_rows, astar_rows, theta, thetastar, p):
     if len(dims) == 1 and all(direct for _, direct in decomps.values()):
         return dims.pop()
     return None
+
+
+def mat_mul(a, b, p=0):
+    """Product of two square matrices of Fractions (p = 0) or ints, reduced
+    mod p when p is a prime, by the schoolbook triple sum."""
+    n = len(a)
+    out = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[x % p for x in r] for r in out] if p else out
+
+
+def mat_inverse(rows, p=0):
+    """Inverse of a square matrix of Fractions (p = 0) or ints mod a prime
+    p, by Gauss-Jordan on [M | I]; mod p a pivot is inverted as
+    pivot^(p-2) (Fermat)."""
+    n = len(rows)
+    work = [[F(x) for x in r] + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    if p:
+        work = [[int(x) % p for x in r] for r in work]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if work[i][c])
+        work[c], work[pivot] = work[pivot], work[c]
+        inv = pow(work[c][c], p - 2, p) if p else 1 / work[c][c]
+        work[c] = [x * inv % p if p else x * inv for x in work[c]]
+        for i in range(n):
+            f = work[i][c]
+            if i != c and f:
+                work[i] = [(x - f * y) % p if p else x - f * y
+                           for x, y in zip(work[i], work[c])]
+    return [r[n:] for r in work]

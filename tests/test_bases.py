@@ -1,3 +1,7 @@
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 import oracle
@@ -5,10 +9,14 @@ from conftest import random_admissible_array
 from tdpair121 import (
     BasisId,
     Decomposition,
+    Field,
     Matrix,
+    ParameterArray,
     QQ,
     Subspace,
+    admissible,
     basis_matrix,
+    canonical_seed,
     construct,
     derived_params,
     eta_vectors,
@@ -220,3 +228,78 @@ def test_transition_formula_requires_admissible(p0):
     bad = ParameterArray(QQ, p0.theta, p0.thetastar, QQ.zero, p0.phi)
     with pytest.raises(ValueError):
         transition_formula(bad, BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ)
+
+
+# -- numeric matrices against an independent computation -----------------------
+
+def vals(m):
+    return [[x.val for x in r] for r in m.rows]
+
+
+def is_canonical(v, p):
+    """A reduced Fraction with positive denominator, or a residue in [0, p)."""
+    if p:
+        return type(v) is int and 0 <= v < p
+    return (type(v) is Fraction and v.denominator > 0
+            and math.gcd(v.numerator, v.denominator) == 1)
+
+
+def wide_admissible_array(rng, field, bits):
+    """An admissible array with entries of up to `bits` bits over QQ, or
+    uniform residues over GF(p)."""
+    def draw():
+        if field.p:
+            return field(rng.randrange(field.p))
+        return field(Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits)))
+
+    while True:
+        pa = ParameterArray(field, tuple(draw() for _ in range(3)),
+                            tuple(draw() for _ in range(3)), draw(), draw())
+        if admissible(pa).ok:
+            return pa
+
+
+@pytest.mark.parametrize("p, bits", [(0, 3), (0, 100), (3, 0), (101, 0), (10007, 0)])
+def test_numeric_matrices_match_independent_products(p, bits):
+    # represent = B^-1 M B and transition_numeric = B_frm^-1 B_to, with the
+    # inverse and products taken by tests/oracle.py on plain values, for
+    # seeds c * eta0* off the canonical one; B itself scales by c
+    rng = random.Random(f"raw-grids-{p}-{bits}")
+    field = Field(p)
+    for _ in range(2):
+        pa = wide_admissible_array(rng, field, bits)
+        tds = construct(pa)
+        canonical = {b: basis_matrix(tds, b) for b in BasisId}
+        for _ in range(3):
+            c = field.zero
+            while c.is_zero or c == field.one:
+                c = field(rng.randrange(p)) if p else field(
+                    Fraction(rng.randint(-2 ** bits, 2 ** bits), rng.randint(1, 2 ** bits)))
+            eta = eta_vectors(tds, tuple(c * x for x in canonical_seed(tds)))
+            bases, inverses = {}, {}
+            for b in BasisId:
+                m = basis_matrix(tds, b, eta)
+                assert m == canonical[b].scale(c)
+                bases[b] = vals(m)
+                inverses[b] = oracle.mat_inverse(bases[b], p)
+            for which, m in (("A", tds.A), ("Astar", tds.Astar)):
+                for b in BasisId:
+                    got = vals(represent(tds, which, b, eta))
+                    assert all(is_canonical(x, p) for r in got for x in r)
+                    expected = oracle.mat_mul(vals(m), bases[b], p)
+                    assert got == oracle.mat_mul(inverses[b], expected, p)
+            for frm in BasisId:
+                for to in BasisId:
+                    got = vals(transition_numeric(tds, frm, to, eta))
+                    assert all(is_canonical(x, p) for r in got for x in r)
+                    assert got == oracle.mat_mul(inverses[frm], bases[to], p)
+
+
+# -- each derived object once ---------------------------------------------------
+
+def test_eta_vectors_without_seed_is_the_canonical_chain(rng, gf101):
+    for field in (QQ, gf101):
+        tds = construct(random_admissible_array(rng, field))
+        own = eta_vectors(tds)
+        assert own == eta_vectors(tds, canonical_seed(tds))
+        assert eta_vectors(tds) is own

@@ -417,3 +417,26 @@ def test_unwritable_out_exit_1(capsys, tmp_path, p0_file, command, target):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--p", "abc"], ["verify"], [], ["bogus"], ["enumerate", "--p", "5", "--zzz"],
+    ["report"], ["enumerate"],
+], ids=["p-not-int", "verify-no-file", "no-command", "unknown-command", "unknown-option",
+        "report-no-file", "enumerate-no-p"])
+def test_usage_errors_exit_1_with_one_error_line(capsys, argv):
+    # exit 2 is the code of an inadmissible array, not of a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"], ["verify", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out

@@ -161,7 +161,8 @@ def test_verify_fails_closed(text):
 
 @SETTINGS
 @given(p=st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(), st.sampled_from(
-    [0, 1, 2, 3, 4, 7, 8, 11, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 25])),
+    [0, 1, 2, 3, 4, 7, 8, 11, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 25]),
+    st.text(), st.sampled_from(["", "abc", "7.0", "1e3", " 7", "0x7", "--p", "٧", "\n"])),
     orbits=st.booleans(), force=st.booleans())
 def test_enumerate_fails_closed(p, orbits, force):
     argv = ["enumerate", f"--p={p}"] + ["--orbits"] * orbits + ["--force"] * force

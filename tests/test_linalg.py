@@ -238,6 +238,24 @@ def test_primitive_idempotents_rejects_empty_list_and_lone_jordan_block():
     assert primitive_idempotents(scalar, [QQ(2)]) == [Matrix.identity(QQ, 4)]
 
 
+def test_primitive_idempotents_error_cases_gf3_and_non_square():
+    f3 = Field(3)
+    m = Matrix.diagonal(f3, [1, 0, 0, 2])
+    for evs in ([1, 1, 0], [1, 0], []):
+        with pytest.raises(ValueError):
+            primitive_idempotents(m, [f3(e) for e in evs])
+    assert primitive_idempotents(m, [f3(2), f3(0), f3(1)]) == [
+        Matrix.diagonal(f3, d) for d in ([0, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 0])]
+    jordan = Matrix(f3, [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]])
+    with pytest.raises(ValueError):
+        primitive_idempotents(jordan, [f3(2)])
+    scalar = Matrix.diagonal(f3, [2, 2, 2, 2])
+    assert primitive_idempotents(scalar, [f3(2)]) == [Matrix.identity(f3, 4)]
+    # a non-square matrix has no eigenspace decomposition
+    with pytest.raises(ValueError):
+        primitive_idempotents(Matrix(QQ, [[1, 0, 0], [0, 2, 0]]), [QQ(1), QQ(2)])
+
+
 def test_primitive_idempotents_accepts_exactly_diagonalizable_gf3(rng):
     # accepted exactly when the nullities of M - e I over the supplied
     # eigenvalues are all positive and add up to 4 (rank by the oracle)

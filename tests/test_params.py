@@ -148,6 +148,33 @@ def test_extract_invariant_under_conjugation(rng, p0):
         assert extract_parameter_array(conj) == p0
 
 
+def test_extract_read_once_per_system(rng, gf101):
+    for field in (QQ, gf101):
+        tds = construct(random_admissible_array(rng, field))
+        first = extract_parameter_array(tds)
+        again = extract_parameter_array(tds)
+        assert again == first
+        assert again is first
+
+
+def test_failed_extraction_raises_on_every_call():
+    # cached_property stores no exception, so a failure is not remembered
+    # as a result: the second call raises too
+    from tdpair121 import TDSystem
+    a = Matrix.diagonal(QQ, [0, 1, 1, 2])
+    vanishing = TDSystem.from_matrices(a, Matrix.diagonal(QQ, [5, 3, 3, 0]),
+                                       (0, 1, 2), (5, 3, 0))
+    sa = Matrix(QQ, [[0, 0, -1, -1], [-1, -1, -1, -1], [-2, 2, -1, 0], [-2, 1, -1, 2]])
+    ss = Matrix(QQ, [[-2, 0, -1, -2], [0, 1, 1, -1], [0, 0, -1, 1], [2, 2, 1, 0]])
+    shearing = TDSystem.from_matrices(
+        sa * a * sa.invert(), ss * Matrix.diagonal(QQ, [3, 3, 5, 7]) * ss.invert(),
+        (0, 1, 2), (3, 5, 7))
+    for tds, match in ((vanishing, "vanish"), (shearing, "as a scalar")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                extract_parameter_array(tds)
+
+
 def test_extract_split_scalars_nonzero(rng, gf101):
     for field in (QQ, gf101):
         for _ in range(10):
