@@ -6,13 +6,15 @@ two transformations.  Representation and transition matrices come in two
 independent flavors: closed formulas in the parameter array, and numeric
 computation from the basis matrices.  The two must agree exactly; the
 formula tables below are transcriptions, never compositions, so that the
-cross-check is meaningful.
+cross-check is meaningful.  Both flavors run on raw values and return
+matrices that keep their raw grids, so the cross-check compares grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from .linalg import (
     Matrix,
@@ -20,6 +22,7 @@ from .linalg import (
     _apply_raw,
     _box,
     _grid_of,
+    _int_grid,
     _inv_grid,
     _mul_grids,
     _unbox,
@@ -35,6 +38,10 @@ class BasisId(Enum):
     SPLIT_DD = "SplitDD"
     EIG_A = "EigA"
     EIG_ASTAR = "EigAstar"
+
+    # members are singletons that compare by identity, so they hash by it:
+    # Enum.__hash__ is Python code, and every table and basis lookup pays it
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -173,7 +180,7 @@ def _scale_raw(c, v, p: int) -> list:
 def represent(tds: TDSystem, which: str, basis: BasisId,
               eta: EtaVectors | None = None) -> Matrix:
     """Matrix of the chosen transformation with respect to the basis:
-    B^-1 (M B) on raw grids, boxed once."""
+    B^-1 (M B) on raw grids; the matrix keeps the grid."""
     if which == "A":
         m = tds.A
     elif which == "Astar":
@@ -188,7 +195,7 @@ def represent(tds: TDSystem, which: str, basis: BasisId,
 def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
                        eta: EtaVectors | None = None) -> Matrix:
     """Transition matrix computed as (from basis)^-1 (to basis), on raw
-    grids, boxed once."""
+    grids; the matrix keeps the grid."""
     rec = _bases_for(tds, eta)
     return Matrix._from_grid(tds.field, _mul_grids(rec.pair(tds, frm)[1], rec.pair(tds, to)[0],
                                                    tds.field.p))
@@ -196,118 +203,200 @@ def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
 
 # -- closed-form tables -------------------------------------------------------
 
-def _ctx(pa: ParameterArray):
+def _inverses(vals, p: int) -> list:
+    """Inverses of nonzero raw scalars.  Over GF(p) one modular inversion
+    serves them all (Montgomery's trick): going down from k = n, the
+    inverse of v_0 ... v_k times v_0 ... v_(k-1) is 1/v_k, and times v_k
+    it is the inverse of v_0 ... v_(k-1).  Over QQ an inverse swaps
+    numerator and denominator."""
+    if not p:
+        return [Fraction(v.denominator, v.numerator) for v in vals]
+    prefix, acc = [], 1
+    for v in vals:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(vals)
+    for k in range(len(vals) - 1, -1, -1):
+        out[k] = inv * prefix[k] % p
+        inv = inv * vals[k] % p
+    return out
+
+
+def _ctx(pa: ParameterArray) -> tuple:
+    """The raw values the tables read: theta, thetastar, varphi, phi, the
+    four derived scalars, the inverses T[i][j] = 1/(t_i - t_j) and
+    S[i][j] = 1/(s_i - s_j) (i != j), iv = 1/varphi and ip = 1/phi.
+
+    Raises ValueError for an inadmissible array; conditions (i) and (ii)
+    are what make the eight inverted values nonzero.  Kept in the array's
+    __dict__, as ParameterArray._derived is, where _tabulate reads it.
+    """
+    report = pa._admissibility
+    if not report.ok:
+        raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
+    t0, t1, t2 = (x.val for x in pa.theta)
+    s0, s1, s2 = (x.val for x in pa.thetastar)
+    vp, ph = pa.varphi.val, pa.phi.val
     dp = pa._derived
-    f = pa.field
-    return (*pa.theta, *pa.thetastar, pa.varphi, pa.phi,
-            dp.varphi1, dp.varphi2, dp.phi1, dp.phi2, f.one, f.zero)
+    i01, i02, i12, j01, j02, j12, iv, ip = _inverses(
+        (t0 - t1, t0 - t2, t1 - t2, s0 - s1, s0 - s2, s1 - s2, vp, ph), pa.field.p)
+    T = ((0, i01, i02), (-i01, 0, i12), (-i02, -i12, 0))
+    S = ((0, j01, j02), (-j01, 0, j12), (-j02, -j12, 0))
+    ctx = pa.__dict__["_table_ctx"] = (
+        t0, t1, t2, s0, s1, s2, vp, ph,
+        dp.varphi1.val, dp.varphi2.val, dp.phi1.val, dp.phi2.val, T, S, iv, ip)
+    return ctx
+
+
+def _tabulate(pa: ParameterArray, table) -> Matrix:
+    """The matrix of one table at the array's raw values, keeping its grid:
+    residues over GF(p), integer rows over one denominator over QQ."""
+    rows = table(pa.__dict__.get("_table_ctx") or _ctx(pa))
+    p = pa.field.p
+    return Matrix._from_grid(pa.field, (
+        [[a % p, b % p, c % p, d % p] for a, b, c, d in rows], 1) if p else _int_grid(rows))
 
 
 def represent_formula(pa: ParameterArray, which: str, basis: BasisId) -> Matrix:
-    """The tabulated representation matrix with parameters substituted."""
+    """The tabulated representation matrix with parameters substituted;
+    raises ValueError for an inadmissible array."""
     if which not in ("A", "Astar"):
         raise ValueError("operator must be 'A' or 'Astar'")
-    rows = _REPRESENT_TABLE[(which, basis)](_ctx(pa))
-    return Matrix._raw(pa.field, tuple(tuple(r) for r in rows))
+    return _tabulate(pa, _REPRESENT_TABLE[(which, basis)])
 
 
 def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
-    """The tabulated transition matrix with parameters substituted.
+    """The tabulated transition matrix with parameters substituted; raises
+    ValueError for an inadmissible array.
 
     Every ordered pair of distinct bases has its own tabulated matrix;
     nothing here is composed from other pairs, so agreement with
     transition_numeric is an actual check.
     """
-    report = pa._admissibility
-    if not report.ok:
-        raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
     if frm is to:
+        _ctx(pa)  # the same admissibility gate
         return Matrix.identity(pa.field, 4)
-    rows = _TRANSITION_TABLE[(frm, to)](_ctx(pa))
-    return Matrix._raw(pa.field, tuple(tuple(r) for r in rows))
+    return _tabulate(pa, _TRANSITION_TABLE[(frm, to)])
 
+
+# Each table below transcribes one closed form of the paper.  It divides
+# nowhere: a quotient a / ((t_i - t_j) (s_k - s_l) varphi) is written
+# a * T[i][j] * S[k][l] * iv, with the inverses _ctx took once per array.
+# Over GF(p) the entries come out as unreduced ints, over QQ as Fractions;
+# _tabulate turns either into a grid.
 
 def _rep_a_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[t0, z, z, z], [o, t1, z, z], [z, z, t1, z], [z, o, vp2, t2]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[t0, 0, 0, 0],
+            [1, t1, 0, 0],
+            [0, 0, t1, 0],
+            [0, 1, vp2, t2]]
 
 def _rep_astar_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[s0, vp1, vp, z], [z, s1, z, z], [z, z, s1, o], [z, z, z, s2]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[s0, vp1, vp, 0],
+            [0, s1, 0, 0],
+            [0, 0, s1, 1],
+            [0, 0, 0, s2]]
 
 def _rep_a_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[t2, z, z, z], [o, t1, z, z], [z, z, t1, z], [z, o, ph2, t0]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[t2, 0, 0, 0],
+            [1, t1, 0, 0],
+            [0, 0, t1, 0],
+            [0, 1, ph2, t0]]
 
 def _rep_astar_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[s0, ph1, ph, z], [z, s1, z, z], [z, z, s1, o], [z, z, z, s2]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[s0, ph1, ph, 0],
+            [0, s1, 0, 0],
+            [0, 0, s1, 1],
+            [0, 0, 0, s2]]
 
 def _rep_a_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[t2, z, z, z], [o, t1, z, z], [z, z, t1, z], [z, o, vp1, t0]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[t2, 0, 0, 0],
+            [1, t1, 0, 0],
+            [0, 0, t1, 0],
+            [0, 1, vp1, t0]]
 
 def _rep_astar_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[s2, vp2, vp, z], [z, s1, z, z], [z, z, s1, o], [z, z, z, s0]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[s2, vp2, vp, 0],
+            [0, s1, 0, 0],
+            [0, 0, s1, 1],
+            [0, 0, 0, s0]]
 
 def _rep_a_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[t0, z, z, z], [o, t1, z, z], [z, z, t1, z], [z, o, ph1, t2]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[t0, 0, 0, 0],
+            [1, t1, 0, 0],
+            [0, 0, t1, 0],
+            [0, 1, ph1, t2]]
 
 def _rep_astar_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[s2, ph2, ph, z], [z, s1, z, z], [z, z, s1, o], [z, z, z, s0]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[s2, ph2, ph, 0],
+            [0, s1, 0, 0],
+            [0, 0, s1, 1],
+            [0, 0, 0, s0]]
 
 def _rep_a_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[t0, z, z, z], [z, t1, z, z], [z, z, t1, z], [z, z, z, t2]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[t0, 0, 0, 0],
+            [0, t1, 0, 0],
+            [0, 0, t1, 0],
+            [0, 0, 0, t2]]
 
 def _rep_astar_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [
-        [s0 + vp1 / (t0 - t1),
-         vp1 / ((t0 - t1) * (t0 - t1) * (t2 - t0)),
-         vp * ph2 / ((t0 - t1) * (t0 - t1) * (t2 - t0)),
-         z],
-        [ph / (s0 - s2),
-         s1 + (vp + vp1 * (t1 - t2) * (s0 - s2)) / ((t1 - t0) * (t1 - t2) * (s0 - s2)),
-         vp * ph / ((t1 - t0) * (t1 - t2) * (s0 - s2)),
-         vp / (s0 - s2)],
-        [o / (s2 - s0),
-         o / ((t1 - t0) * (t1 - t2) * (s2 - s0)),
-         s1 + (vp + vp2 * (t1 - t0) * (s2 - s0)) / ((t1 - t0) * (t1 - t2) * (s2 - s0)),
-         o / (s2 - s0)],
-        [z,
-         ph1 / ((t1 - t2) * (t1 - t2) * (t0 - t2)),
-         ph * vp2 / ((t1 - t2) * (t1 - t2) * (t0 - t2)),
-         s2 + vp2 / (t2 - t1)],
+        [s0 + vp1 * T[0][1],
+         vp1 * T[0][1] * T[0][1] * T[2][0],
+         vp * ph2 * T[0][1] * T[0][1] * T[2][0],
+         0],
+        [ph * S[0][2],
+         s1 + (vp + vp1 * (t1 - t2) * (s0 - s2)) * T[1][0] * T[1][2] * S[0][2],
+         vp * ph * T[1][0] * T[1][2] * S[0][2],
+         vp * S[0][2]],
+        [S[2][0],
+         T[1][0] * T[1][2] * S[2][0],
+         s1 + (vp + vp2 * (t1 - t0) * (s2 - s0)) * T[1][0] * T[1][2] * S[2][0],
+         S[2][0]],
+        [0,
+         ph1 * T[1][2] * T[1][2] * T[0][2],
+         ph * vp2 * T[1][2] * T[1][2] * T[0][2],
+         s2 + vp2 * T[2][1]],
     ]
 
 def _rep_a_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [
-        [t0 + vp1 / (s0 - s1),
-         ph * vp1 / ((s0 - s1) * (s0 - s1) * (s2 - s0)),
-         vp * ph1 / ((s0 - s1) * (s0 - s1) * (s2 - s0)),
-         z],
-        [o / (t0 - t2),
-         t1 + (vp + vp1 * (t0 - t2) * (s1 - s2)) / ((t0 - t2) * (s1 - s0) * (s1 - s2)),
-         vp / ((t0 - t2) * (s1 - s0) * (s1 - s2)),
-         vp / (t0 - t2)],
-        [o / (t2 - t0),
-         ph / ((t2 - t0) * (s1 - s0) * (s1 - s2)),
-         t1 + (vp + vp2 * (t0 - t2) * (s0 - s1)) / ((t2 - t0) * (s1 - s0) * (s1 - s2)),
-         ph / (t2 - t0)],
-        [z,
-         ph2 / ((s1 - s2) * (s1 - s2) * (s0 - s2)),
-         vp2 / ((s1 - s2) * (s1 - s2) * (s0 - s2)),
-         t2 + vp2 / (s2 - s1)],
+        [t0 + vp1 * S[0][1],
+         ph * vp1 * S[0][1] * S[0][1] * S[2][0],
+         vp * ph1 * S[0][1] * S[0][1] * S[2][0],
+         0],
+        [T[0][2],
+         t1 + (vp + vp1 * (t0 - t2) * (s1 - s2)) * T[0][2] * S[1][0] * S[1][2],
+         vp * T[0][2] * S[1][0] * S[1][2],
+         vp * T[0][2]],
+        [T[2][0],
+         ph * T[2][0] * S[1][0] * S[1][2],
+         t1 + (vp + vp2 * (t0 - t2) * (s0 - s1)) * T[2][0] * S[1][0] * S[1][2],
+         ph * T[2][0]],
+        [0,
+         ph2 * S[1][2] * S[1][2] * S[0][2],
+         vp2 * S[1][2] * S[1][2] * S[0][2],
+         t2 + vp2 * S[2][1]],
     ]
 
 def _rep_astar_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[s0, z, z, z], [z, s1, z, z], [z, z, s1, z], [z, z, z, s2]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[s0, 0, 0, 0],
+            [0, s1, 0, 0],
+            [0, 0, s1, 0],
+            [0, 0, 0, s2]]
 
 
 _REPRESENT_TABLE = {
@@ -329,261 +418,275 @@ _REPRESENT_TABLE = {
 # transitions among the four split bases (ring neighbours)
 
 def _t_zd_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, t0 - t2, (t0 - t2) * ph2, (t0 - t2) * (t0 - t1)],
-            [z, o, (t0 - t2) * (s1 - s2), t0 - t2],
-            [z, z, o, z],
-            [z, z, z, o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[1, t0 - t2, (t0 - t2) * ph2, (t0 - t2) * (t0 - t1)],
+            [0, 1, (t0 - t2) * (s1 - s2), t0 - t2],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1]]
 
 def _t_zz_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, t2 - t0, (t2 - t0) * vp2, (t2 - t0) * (t2 - t1)],
-            [z, o, (t2 - t0) * (s1 - s2), t2 - t0],
-            [z, z, o, z],
-            [z, z, z, o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[1, t2 - t0, (t2 - t0) * vp2, (t2 - t0) * (t2 - t1)],
+            [0, 1, (t2 - t0) * (s1 - s2), t2 - t0],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1]]
 
 def _t_zz_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[ph, z, z, z],
-            [z, ph, z, z],
-            [s2 - s0, (s2 - s0) * (t1 - t2), vp, z],
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[ph, 0, 0, 0],
+            [0, ph, 0, 0],
+            [s2 - s0, (s2 - s0) * (t1 - t2), vp, 0],
             [(s2 - s0) * (s2 - s1), (s2 - s0) * vp2, (s2 - s0) * vp, vp]]
 
 def _t_dz_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
-    return [[ip, z, z, z],
-            [z, ip, z, z],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t2) * iv * ip, iv, z],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * ph1 * iv * ip,
-             (s0 - s2) * iv, iv]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[ip, 0, 0, 0],
+            [0, ip, 0, 0],
+            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t2) * iv * ip, iv, 0],
+            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * ph1 * iv * ip, (s0 - s2) * iv, iv]]
 
 def _t_dz_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, t2 - t0, (t2 - t0) * ph1, (t2 - t0) * (t2 - t1)],
-            [z, o, (t2 - t0) * (s1 - s0), t2 - t0],
-            [z, z, o, z],
-            [z, z, z, o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[1, t2 - t0, (t2 - t0) * ph1, (t2 - t0) * (t2 - t1)],
+            [0, 1, (t2 - t0) * (s1 - s0), t2 - t0],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1]]
 
 def _t_dd_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, t0 - t2, (t0 - t2) * vp1, (t0 - t2) * (t0 - t1)],
-            [z, o, (t0 - t2) * (s1 - s0), t0 - t2],
-            [z, z, o, z],
-            [z, z, z, o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[1, t0 - t2, (t0 - t2) * vp1, (t0 - t2) * (t0 - t1)],
+            [0, 1, (t0 - t2) * (s1 - s0), t0 - t2],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1]]
 
 def _t_dd_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
-    return [[iv, z, z, z],
-            [z, iv, z, z],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t0) * iv * ip, ip, z],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * vp1 * iv * ip,
-             (s0 - s2) * ip, ip]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[iv, 0, 0, 0],
+            [0, iv, 0, 0],
+            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t0) * iv * ip, ip, 0],
+            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * vp1 * iv * ip, (s0 - s2) * ip, ip]]
 
 def _t_zd_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[vp, z, z, z],
-            [z, vp, z, z],
-            [s2 - s0, (s2 - s0) * (t1 - t0), ph, z],
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[vp, 0, 0, 0],
+            [0, vp, 0, 0],
+            [s2 - s0, (s2 - s0) * (t1 - t0), ph, 0],
             [(s2 - s0) * (s2 - s1), (s2 - s0) * ph2, (s2 - s0) * ph, ph]]
 
 
 # transitions among the four split bases (diagonals)
 
 def _t_zd_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [[vp, (t0 - t2) * vp, (t0 - t2) * vp * vp1, (t0 - t2) * (t0 - t1) * vp],
-            [z, vp, (t0 - t2) * (s1 - s0) * vp, (t0 - t2) * vp],
-            [s2 - s0, (s2 - s0) * (t1 - t2), vp, z],
+            [0, vp, (t0 - t2) * (s1 - s0) * vp, (t0 - t2) * vp],
+            [s2 - s0, (s2 - s0) * (t1 - t2), vp, 0],
             [(s2 - s0) * (s2 - s1), (s2 - s0) * vp2, (s2 - s0) * vp, vp]]
 
 def _t_dz_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [[ip, (t2 - t0) * ip, (t2 - t0) * vp2 * ip, (t2 - t0) * (t2 - t1) * ip],
-            [z, ip, (t2 - t0) * (s1 - s2) * ip, (t2 - t0) * ip],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t0) * iv * ip, ip, z],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * vp1 * iv * ip,
-             (s0 - s2) * ip, ip]]
+            [0, ip, (t2 - t0) * (s1 - s2) * ip, (t2 - t0) * ip],
+            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t0) * iv * ip, ip, 0],
+            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * vp1 * iv * ip, (s0 - s2) * ip, ip]]
 
 def _t_zz_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [[ph, (t2 - t0) * ph, (t2 - t0) * ph * ph1, (t2 - t0) * (t2 - t1) * ph],
-            [z, ph, (t2 - t0) * (s1 - s0) * ph, (t2 - t0) * ph],
-            [s2 - s0, (s2 - s0) * (t1 - t0), ph, z],
+            [0, ph, (t2 - t0) * (s1 - s0) * ph, (t2 - t0) * ph],
+            [s2 - s0, (s2 - s0) * (t1 - t0), ph, 0],
             [(s2 - s0) * (s2 - s1), (s2 - s0) * ph2, (s2 - s0) * ph, ph]]
 
 def _t_dd_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [[iv, (t0 - t2) * iv, (t0 - t2) * ph2 * iv, (t0 - t2) * (t0 - t1) * iv],
-            [z, iv, (t0 - t2) * (s1 - s2) * iv, (t0 - t2) * iv],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t2) * iv * ip, iv, z],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * ph1 * iv * ip,
-             (s0 - s2) * iv, iv]]
+            [0, iv, (t0 - t2) * (s1 - s2) * iv, (t0 - t2) * iv],
+            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t2) * iv * ip, iv, 0],
+            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * ph1 * iv * ip, (s0 - s2) * iv, iv]]
 
 
 # transitions between a split basis and the first eigenbasis
 
 def _t_zd_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[(t0 - t1) * (t0 - t2), z, z, z],
-            [t0 - t2, o / (t1 - t0), vp / (t1 - t0), z],
-            [z, z, s2 - s0, z],
-            [o, o / ((t1 - t0) * (t1 - t2)),
-             (vp + vp2 * (t1 - t0) * (s2 - s0)) / ((t1 - t0) * (t1 - t2)), o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [(t0 - t1) * (t0 - t2), 0, 0, 0],
+        [t0 - t2, T[1][0], vp * T[1][0], 0],
+        [0, 0, s2 - s0, 0],
+        [1, T[1][0] * T[1][2], (vp + vp2 * (t1 - t0) * (s2 - s0)) * T[1][0] * T[1][2], 1],
+    ]
 
 def _t_eiga_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o / ((t0 - t1) * (t0 - t2)), z, z, z],
-            [o, t1 - t0, vp / (s0 - s2), z],
-            [z, z, o / (s2 - s0), z],
-            [o / ((t2 - t0) * (t2 - t1)), o / (t2 - t1), vp2 / (t2 - t1), o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[T[0][1] * T[0][2], 0, 0, 0],
+            [1, t1 - t0, vp * S[0][2], 0],
+            [0, 0, S[2][0], 0],
+            [T[2][0] * T[2][1], T[2][1], vp2 * T[2][1], 1]]
 
 def _t_zz_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[z, z, z, (t2 - t0) * (t2 - t1)],
-            [z, o / (t1 - t2), ph / (t1 - t2), t2 - t0],
-            [z, z, s2 - s0, z],
-            [o, o / ((t1 - t0) * (t1 - t2)),
-             (ph + ph2 * (t1 - t2) * (s2 - s0)) / ((t1 - t0) * (t1 - t2)), o]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [0, 0, 0, (t2 - t0) * (t2 - t1)],
+        [0, T[1][2], ph * T[1][2], t2 - t0],
+        [0, 0, s2 - s0, 0],
+        [1, T[1][0] * T[1][2], (ph + ph2 * (t1 - t2) * (s2 - s0)) * T[1][0] * T[1][2], 1],
+    ]
 
 def _t_eiga_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o / ((t0 - t1) * (t0 - t2)), o / (t0 - t1), ph2 / (t0 - t1), o],
-            [o, t1 - t2, ph / (s0 - s2), z],
-            [z, z, o / (s2 - s0), z],
-            [o / ((t2 - t0) * (t2 - t1)), z, z, z]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[T[0][1] * T[0][2], T[0][1], ph2 * T[0][1], 1],
+            [1, t1 - t2, ph * S[0][2], 0],
+            [0, 0, S[2][0], 0],
+            [T[2][0] * T[2][1], 0, 0, 0]]
 
 def _t_dz_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
-    return [[z, z, z, (t2 - t0) * (t2 - t1) * ip],
-            [z, ip / (t1 - t2), o / (t1 - t2), (t2 - t0) * ip],
-            [z, (s0 - s2) * iv * ip, z, z],
-            [iv, (ph + ph1 * (t1 - t0) * (s0 - s2)) / ((t1 - t0) * (t1 - t2) * vp * ph),
-             o / ((t1 - t0) * (t1 - t2)), ip]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [0, 0, 0, (t2 - t0) * (t2 - t1) * ip],
+        [0, ip * T[1][2], T[1][2], (t2 - t0) * ip],
+        [0, (s0 - s2) * iv * ip, 0, 0],
+        [iv,
+         (ph + ph1 * (t1 - t0) * (s0 - s2)) * T[1][0] * T[1][2] * iv * ip,
+         T[1][0] * T[1][2],
+         ip],
+    ]
 
 def _t_eiga_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[vp / ((t0 - t1) * (t0 - t2)), vp / (t0 - t1), vp * vp1 / (t0 - t1), vp],
-            [z, z, vp * ph / (s0 - s2), z],
-            [o, t1 - t2, vp / (s2 - s0), z],
-            [ph / ((t0 - t2) * (t1 - t2)), z, z, z]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[vp * T[0][1] * T[0][2], vp * T[0][1], vp * vp1 * T[0][1], vp],
+            [0, 0, vp * ph * S[0][2], 0],
+            [1, t1 - t2, vp * S[2][0], 0],
+            [ph * T[0][2] * T[1][2], 0, 0, 0]]
 
 def _t_dd_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
-    return [[(t0 - t1) * (t0 - t2) * iv, z, z, z],
-            [(t0 - t2) * iv, iv / (t1 - t0), o / (t1 - t0), z],
-            [z, (s0 - s2) * iv * ip, z, z],
-            [iv, (vp + vp1 * (t1 - t2) * (s0 - s2)) / ((t1 - t0) * (t1 - t2) * vp * ph),
-             o / ((t1 - t0) * (t1 - t2)), ip]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [(t0 - t1) * (t0 - t2) * iv, 0, 0, 0],
+        [(t0 - t2) * iv, iv * T[1][0], T[1][0], 0],
+        [0, (s0 - s2) * iv * ip, 0, 0],
+        [iv,
+         (vp + vp1 * (t1 - t2) * (s0 - s2)) * T[1][0] * T[1][2] * iv * ip,
+         T[1][0] * T[1][2],
+         ip],
+    ]
 
 def _t_eiga_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[vp / ((t0 - t1) * (t0 - t2)), z, z, z],
-            [z, z, vp * ph / (s0 - s2), z],
-            [o, t1 - t0, ph / (s2 - s0), z],
-            [ph / ((t0 - t2) * (t1 - t2)), ph / (t2 - t1), ph * ph1 / (t2 - t1), ph]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[vp * T[0][1] * T[0][2], 0, 0, 0],
+            [0, 0, vp * ph * S[0][2], 0],
+            [1, t1 - t0, ph * S[2][0], 0],
+            [ph * T[0][2] * T[1][2], ph * T[2][1], ph * ph1 * T[2][1], ph]]
 
 
 # transitions between a split basis and the second eigenbasis
 
 def _t_zd_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, (ph + ph2 * (t0 - t2) * (s1 - s0)) / ((s1 - s0) * (s1 - s2)),
-             vp / ((s1 - s0) * (s1 - s2)), vp],
-            [z, t0 - t2, z, z],
-            [z, o / (s1 - s2), o / (s1 - s2), s2 - s0],
-            [z, z, z, (s2 - s0) * (s2 - s1)]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [1,
+         (ph + ph2 * (t0 - t2) * (s1 - s0)) * S[1][0] * S[1][2],
+         vp * S[1][0] * S[1][2],
+         vp],
+        [0, t0 - t2, 0, 0],
+        [0, S[1][2], S[1][2], s2 - s0],
+        [0, 0, 0, (s2 - s0) * (s2 - s1)],
+    ]
 
 def _t_eigastar_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, vp1 / (s0 - s1), vp / (s0 - s1), vp / ((s0 - s1) * (s0 - s2))],
-            [z, o / (t0 - t2), z, z],
-            [z, o / (t2 - t0), s1 - s2, o],
-            [z, z, z, o / ((s0 - s2) * (s1 - s2))]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[1, vp1 * S[0][1], vp * S[0][1], vp * S[0][1] * S[0][2]],
+            [0, T[0][2], 0, 0],
+            [0, T[2][0], s1 - s2, 1],
+            [0, 0, 0, S[0][2] * S[1][2]]]
 
 def _t_zz_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, ph / ((s1 - s0) * (s1 - s2)),
-             (vp + vp2 * (t0 - t2) * (s0 - s1)) / ((s1 - s0) * (s1 - s2)), ph],
-            [z, z, t2 - t0, z],
-            [z, o / (s1 - s2), o / (s1 - s2), s2 - s0],
-            [z, z, z, (s2 - s0) * (s2 - s1)]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [1,
+         ph * S[1][0] * S[1][2],
+         (vp + vp2 * (t0 - t2) * (s0 - s1)) * S[1][0] * S[1][2],
+         ph],
+        [0, 0, t2 - t0, 0],
+        [0, S[1][2], S[1][2], s2 - s0],
+        [0, 0, 0, (s2 - s0) * (s2 - s1)],
+    ]
 
 def _t_eigastar_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[o, ph1 / (s0 - s1), ph / (s0 - s1), ph / ((s0 - s1) * (s0 - s2))],
-            [z, o / (t0 - t2), s1 - s2, o],
-            [z, o / (t2 - t0), z, z],
-            [z, z, z, o / ((s0 - s2) * (s1 - s2))]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[1, ph1 * S[0][1], ph * S[0][1], ph * S[0][1] * S[0][2]],
+            [0, T[0][2], s1 - s2, 1],
+            [0, T[2][0], 0, 0],
+            [0, 0, 0, S[0][2] * S[1][2]]]
 
 def _t_dz_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
-    return [[ip, o / ((s1 - s0) * (s1 - s2)),
-             (vp + vp2 * (t0 - t2) * (s0 - s1)) / ((s1 - s0) * (s1 - s2) * ph), o],
-            [z, z, (t2 - t0) * ip, z],
-            [(s0 - s2) * iv * ip, iv / (s1 - s0), ip / (s1 - s0), z],
-            [(s0 - s2) * (s0 - s1) * iv * ip, z, z, z]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [ip,
+         S[1][0] * S[1][2],
+         (vp + vp2 * (t0 - t2) * (s0 - s1)) * S[1][0] * S[1][2] * ip,
+         1],
+        [0, 0, (t2 - t0) * ip, 0],
+        [(s0 - s2) * iv * ip, iv * S[1][0], ip * S[1][0], 0],
+        [(s0 - s2) * (s0 - s1) * iv * ip, 0, 0, 0],
+    ]
 
 def _t_eigastar_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[z, z, z, vp * ph / ((s0 - s1) * (s0 - s2))],
-            [z, vp / (t0 - t2), (s1 - s0) * vp, vp],
-            [z, ph / (t2 - t0), z, z],
-            [o, vp2 / (s2 - s1), vp / (s2 - s1), vp / ((s2 - s1) * (s2 - s0))]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[0, 0, 0, vp * ph * S[0][1] * S[0][2]],
+            [0, vp * T[0][2], (s1 - s0) * vp, vp],
+            [0, ph * T[2][0], 0, 0],
+            [1, vp2 * S[2][1], vp * S[2][1], vp * S[2][1] * S[2][0]]]
 
 def _t_dd_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    iv, ip = o / vp, o / ph
-    return [[iv, (vp + vp1 * (t0 - t2) * (s1 - s2)) / ((s1 - s0) * (s1 - s2) * vp),
-             o / ((s1 - s0) * (s1 - s2)), o],
-            [z, (t0 - t2) * iv, z, z],
-            [(s0 - s2) * iv * ip, iv / (s1 - s0), ip / (s1 - s0), z],
-            [(s0 - s2) * (s0 - s1) * iv * ip, z, z, z]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [
+        [iv,
+         (vp + vp1 * (t0 - t2) * (s1 - s2)) * S[1][0] * S[1][2] * iv,
+         S[1][0] * S[1][2],
+         1],
+        [0, (t0 - t2) * iv, 0, 0],
+        [(s0 - s2) * iv * ip, iv * S[1][0], ip * S[1][0], 0],
+        [(s0 - s2) * (s0 - s1) * iv * ip, 0, 0, 0],
+    ]
 
 def _t_eigastar_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
-    return [[z, z, z, vp * ph / ((s1 - s0) * (s2 - s0))],
-            [z, vp / (t0 - t2), z, z],
-            [z, ph / (t2 - t0), (s1 - s0) * ph, ph],
-            [o, ph2 / (s2 - s1), ph / (s2 - s1), ph / ((s2 - s1) * (s2 - s0))]]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    return [[0, 0, 0, vp * ph * S[1][0] * S[2][0]],
+            [0, vp * T[0][2], 0, 0],
+            [0, ph * T[2][0], (s1 - s0) * ph, ph],
+            [1, ph2 * S[2][1], ph * S[2][1], ph * S[2][1] * S[2][0]]]
 
 
 # transitions between the two eigenbases
 
 def _t_eiga_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [
-        [o / ((t0 - t1) * (t0 - t2)),
-         (ph + ph2 * (t0 - t2) * (s1 - s0)) / ((t0 - t1) * (t0 - t2) * (s1 - s0) * (s1 - s2)),
-         vp / ((t0 - t1) * (t0 - t2) * (s1 - s0) * (s1 - s2)),
-         vp / ((t0 - t1) * (t0 - t2))],
-        [o, ph / ((s0 - s2) * (s1 - s0)), vp / ((s0 - s2) * (s1 - s0)), z],
-        [z, o / ((s2 - s1) * (s0 - s2)), o / ((s2 - s1) * (s0 - s2)), o],
-        [o / ((t0 - t2) * (t1 - t2)),
-         ph / ((t0 - t2) * (t1 - t2) * (s1 - s0) * (s1 - s2)),
-         (vp + vp2 * (t0 - t2) * (s0 - s1)) / ((t0 - t2) * (t1 - t2) * (s1 - s0) * (s1 - s2)),
-         ph / ((t0 - t2) * (t1 - t2))],
+        [T[0][1] * T[0][2],
+         (ph + ph2 * (t0 - t2) * (s1 - s0)) * T[0][1] * T[0][2] * S[1][0] * S[1][2],
+         vp * T[0][1] * T[0][2] * S[1][0] * S[1][2],
+         vp * T[0][1] * T[0][2]],
+        [1, ph * S[0][2] * S[1][0], vp * S[0][2] * S[1][0], 0],
+        [0, S[2][1] * S[0][2], S[2][1] * S[0][2], 1],
+        [T[0][2] * T[1][2],
+         ph * T[0][2] * T[1][2] * S[1][0] * S[1][2],
+         (vp + vp2 * (t0 - t2) * (s0 - s1)) * T[0][2] * T[1][2] * S[1][0] * S[1][2],
+         ph * T[0][2] * T[1][2]],
     ]
 
 def _t_eigastar_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, o, z = c
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
     return [
-        [ph / ((s0 - s1) * (s0 - s2)),
-         (vp + vp1 * (t1 - t2) * (s0 - s2)) / ((t1 - t0) * (t1 - t2) * (s0 - s1) * (s0 - s2)),
-         vp * ph / ((t1 - t0) * (t1 - t2) * (s0 - s1) * (s0 - s2)),
-         vp / ((s0 - s1) * (s0 - s2))],
-        [o, o / ((t1 - t0) * (t0 - t2)), vp / ((t1 - t0) * (t0 - t2)), z],
-        [z, o / ((t2 - t1) * (t0 - t2)), ph / ((t2 - t1) * (t0 - t2)), o],
-        [o / ((s1 - s2) * (s0 - s2)),
-         o / ((t1 - t0) * (t1 - t2) * (s0 - s2) * (s1 - s2)),
-         (vp + vp2 * (t1 - t0) * (s2 - s0)) / ((t1 - t0) * (t1 - t2) * (s0 - s2) * (s1 - s2)),
-         o / ((s0 - s2) * (s1 - s2))],
+        [ph * S[0][1] * S[0][2],
+         (vp + vp1 * (t1 - t2) * (s0 - s2)) * T[1][0] * T[1][2] * S[0][1] * S[0][2],
+         vp * ph * T[1][0] * T[1][2] * S[0][1] * S[0][2],
+         vp * S[0][1] * S[0][2]],
+        [1, T[1][0] * T[0][2], vp * T[1][0] * T[0][2], 0],
+        [0, T[2][1] * T[0][2], ph * T[2][1] * T[0][2], 1],
+        [S[1][2] * S[0][2],
+         T[1][0] * T[1][2] * S[0][2] * S[1][2],
+         (vp + vp2 * (t1 - t0) * (s2 - s0)) * T[1][0] * T[1][2] * S[0][2] * S[1][2],
+         S[0][2] * S[1][2]],
     ]
 
 
@@ -619,3 +722,4 @@ _TRANSITION_TABLE = {
     (BasisId.EIG_A, BasisId.EIG_ASTAR): _t_eiga_eigastar,
     (BasisId.EIG_ASTAR, BasisId.EIG_A): _t_eigastar_eiga,
 }
+

@@ -88,31 +88,32 @@ def cmd_report(args) -> int:
     verification = verify_td_system(tds.A, tds.Astar, tds.theta, tds.thetastar)
     doc["verification"] = verification.to_json()
 
-    cross = True
-    bases_doc = {}
-    reps_doc: dict = {"A": {}, "Astar": {}}
-    trans_doc = []
+    failures = []
+    reps = {}
     for basis in BasisId:
-        bases_doc[basis.value] = basis_matrix(tds, basis).to_json()
         for which in ("A", "Astar"):
-            numeric = represent(tds, which, basis)
+            numeric = reps[which, basis] = represent(tds, which, basis)
             if numeric != represent_formula(pa, which, basis):
-                cross = False
-            reps_doc[which][basis.value] = numeric.to_json()
+                failures.append(f"represent {which} {basis.value}")
+    trans = []
     for frm in BasisId:
         for to in BasisId:
             if frm is to:
                 continue
             numeric = transition_numeric(tds, frm, to)
             if numeric != transition_formula(pa, frm, to):
-                cross = False
-            trans_doc.append({"from": frm.value, "to": to.value,
-                              "matrix": numeric.to_json()})
+                failures.append(f"transition {frm.value}->{to.value}")
+            trans.append((frm, to, numeric))
+    cross = not failures
     doc["cross_check"] = cross
+    if failures:
+        doc["cross_check_failures"] = sorted(failures)
     if args.full:
-        doc["bases"] = bases_doc
-        doc["representations"] = reps_doc
-        doc["transitions"] = trans_doc
+        doc["bases"] = {b.value: basis_matrix(tds, b).to_json() for b in BasisId}
+        doc["representations"] = {which: {b.value: reps[which, b].to_json() for b in BasisId}
+                                  for which in ("A", "Astar")}
+        doc["transitions"] = [{"from": frm.value, "to": to.value, "matrix": m.to_json()}
+                              for frm, to, m in trans]
 
     return _emit(doc, args.out, EXIT_OK if cross and verification.overall else EXIT_UNVERIFIED)
 

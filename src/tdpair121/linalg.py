@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, permutations
-from operator import mul
+from itertools import chain, count, permutations, repeat
+from operator import eq, mul
 
 from .fields import Field, FieldElement
 
@@ -39,12 +39,14 @@ Vector = tuple  # tuple of FieldElement
 # one reduced Fraction per entry on the way out (_fracs), so no gcd is paid
 # per scalar operation.
 #
-# Products, inverses and shifts run on raw grids (rows, den): over GF(p)
-# residues in [0, p) with den 1, over QQ integer rows over one positive
-# denominator (not necessarily the least).  A matrix keeps its own grid
-# (Matrix._grid), and a chain of grid operations boxes once, per entry of
-# the matrix it returns (Matrix._from_grid).  Matrix.rows and
-# Subspace.basis stay tuples of FieldElements.
+# Products, inverses and shifts run on raw grids (rows, den), rows being a
+# list of row lists: over GF(p) residues in [0, p) with den 1, over QQ
+# integer rows over one positive denominator (not necessarily the least).
+# A matrix keeps its own grid (Matrix._grid), and a chain of grid
+# operations ends in one matrix that keeps the last grid
+# (Matrix._from_grid) and boxes it, once per entry, only when its rows are
+# read.  Two matrices holding grids compare them (Matrix.__eq__).
+# Matrix.rows and Subspace.basis stay tuples of FieldElements.
 
 _new = object.__new__
 _ZERO = Fraction(0)
@@ -341,10 +343,21 @@ class Matrix:
     """Immutable matrix over an exact field; rows of FieldElements.
 
     The raw grid of the matrix (:func:`_grid_of`) is kept in ``_raw_grid``
-    once a product, inverse or ``apply`` has needed it.
+    once a product, inverse or ``apply`` has needed it.  A matrix built from
+    a grid (:meth:`_from_grid`) keeps that grid and boxes its ``rows`` on
+    first read; two matrices that both hold grids compare them.
     """
 
     __slots__ = ("field", "rows", "_raw_grid")
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the rows of a matrix built
+        # from a grid, before their first read
+        if name != "rows":
+            raise AttributeError(f"'Matrix' object has no attribute {name!r}")
+        rows = self.rows = tuple(_box(self.field, r)
+                                 for r in _grid_rows(self._raw_grid, self.field.p))
+        return rows
 
     def __init__(self, field: Field, rows):
         self.field = field
@@ -368,10 +381,18 @@ class Matrix:
 
     @classmethod
     def _from_grid(cls, field, g) -> Matrix:
-        """The matrix of a raw grid, boxed once per entry."""
-        return cls._from_vals(field, _grid_rows(g, field.p))
+        """The matrix of a raw grid, which it keeps; boxed once per entry
+        when its rows are first read."""
+        m = object.__new__(cls)
+        m.field = field
+        m._raw_grid = g
+        return m
 
     def _vals(self) -> list:
+        """Raw rows, as fresh lists."""
+        g = self._raw_grid
+        if g is not None and self.field.p:
+            return [list(r) for r in g[0]]
         return [[x.val for x in r] for r in self.rows]
 
     def _grid(self):
@@ -403,13 +424,18 @@ class Matrix:
         return cls._raw(field, tuple(
             tuple(ds[i] if i == j else z for j in range(len(ds))) for i in range(len(ds))))
 
+    def _shape_rows(self):
+        """The grid's rows when there is a grid, else the boxed rows."""
+        g = self._raw_grid
+        return self.rows if g is None else g[0]
+
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._shape_rows())
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self._shape_rows()[0])
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -471,11 +497,21 @@ class Matrix:
         return not any(x.val for r in self.rows for x in r)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field is other.field
-            and self.rows == other.rows
-        )
+        """Equal fields and shapes, and equal entries: when both matrices
+        hold grids, equal residues over GF(p), or equal integers once each
+        is multiplied by the other grid's denominator over QQ."""
+        if not isinstance(other, Matrix) or self.field is not other.field:
+            return False
+        g, h = self._raw_grid, other._raw_grid
+        if g is None or h is None:
+            return self.rows == other.rows
+        (ra, da), (rb, db) = g, h
+        if da == db:  # always so over GF(p), where it is 1
+            return ra == rb
+        if list(map(len, ra)) != list(map(len, rb)):
+            return False
+        return all(map(eq, map(mul, chain.from_iterable(ra), repeat(db)),
+                       map(mul, chain.from_iterable(rb), repeat(da))))
 
     def __hash__(self):
         return hash((self.field, self.rows))

@@ -1,11 +1,15 @@
+import ast
+import inspect
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracle
-from conftest import random_admissible_array
+import tdpair121.bases as bases_module
+from conftest import random_admissible_array, random_boundary_array
 from tdpair121 import (
     BasisId,
     Decomposition,
@@ -228,6 +232,88 @@ def test_transition_formula_requires_admissible(p0):
     bad = ParameterArray(QQ, p0.theta, p0.thetastar, QQ.zero, p0.phi)
     with pytest.raises(ValueError):
         transition_formula(bad, BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ)
+
+
+def test_formulas_share_one_admissibility_gate(gf101):
+    # a repeated theta once made represent_formula divide by zero, and a
+    # zero phi let it return all 12 matrices; both formula functions now
+    # refuse every inadmissible array with the same ValueError
+    ok = ParameterArray.make(gf101, (1, 2, 3), (4, 5, 7), 9, 11)
+    assert admissible(ok).ok
+    bad = [replace(ok, theta=(gf101(1), gf101(1), gf101(3))),
+           replace(ok, phi=gf101.zero),
+           random_boundary_array(random.Random(5), gf101)]
+    for pa in bad:
+        failed = list(admissible(pa).failed)
+        assert failed
+        message = f"inadmissible parameter array, failed {failed}"
+        for which in ("A", "Astar"):
+            for b in BasisId:
+                with pytest.raises(ValueError) as info:
+                    represent_formula(pa, which, b)
+                assert str(info.value) == message
+        for frm in BasisId:
+            for to in BasisId:
+                with pytest.raises(ValueError) as info:
+                    transition_formula(pa, frm, to)
+                assert str(info.value) == message
+
+
+def _tables():
+    """The closed-form tables of bases.py: the functions whose one return
+    is a 4x4 list literal, read off the module's source."""
+    tree = ast.parse(inspect.getsource(bases_module))
+    out = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            ret = fn.body[-1]
+            if (isinstance(ret, ast.Return) and isinstance(ret.value, ast.List)
+                    and len(ret.value.elts) == 4
+                    and all(isinstance(r, ast.List) and len(r.elts) == 4
+                            for r in ret.value.elts)):
+                out.append(fn)
+    return out
+
+
+def test_tables_divide_nowhere_and_call_nothing():
+    # each of the 12 + 30 tables is a transcription on its own: it divides
+    # nowhere (the inverses are read from its argument), calls no function,
+    # and reads no name but its own locals, so it is never composed from
+    # another table or from the numeric side
+    tables = _tables()
+    assert len(tables) == 42
+    for fn in tables:
+        local = {a.arg for a in fn.args.args}
+        local |= {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+                  for target in node.targets for t in ast.walk(target)
+                  if isinstance(t, ast.Name)}
+        for node in ast.walk(fn):
+            assert not isinstance(node, (ast.Div, ast.FloorDiv, ast.Call, ast.Attribute)), \
+                f"{fn.name}: {ast.dump(node)[:60]}"
+            if isinstance(node, ast.Name):
+                assert node.id in local, f"{fn.name} reads {node.id}"
+
+
+@pytest.mark.parametrize("p, bits", [(5, 0), (7, 0), (2 ** 61 - 1, 0), (0, 100)])
+def test_all_42_formulas_match_numeric_where_slips_show(p, bits):
+    # small primes wrap every entry, a 61-bit prime leaves products of
+    # several residues far from reduced, and 100-bit rationals give the
+    # numeric side grids over non-least denominators; each formula must
+    # equal its numeric twin on the grids and on the boxed rows alike
+    rng = random.Random(f"formula-slips-{p}-{bits}")
+    field = Field(p)
+    for _ in range(3):
+        pa = wide_admissible_array(rng, field, bits)
+        tds = construct(pa)
+        pairs = [(represent(tds, w, b), represent_formula(pa, w, b))
+                 for w in ("A", "Astar") for b in BasisId]
+        pairs += [(transition_numeric(tds, f, t), transition_formula(pa, f, t))
+                  for f in BasisId for t in BasisId if f is not t]
+        assert len(pairs) == 42
+        for numeric, formula in pairs:
+            assert numeric == formula and formula == numeric
+            assert all(is_canonical(x, p) for r in vals(formula) for x in r)
+            assert formula.rows == numeric.rows
 
 
 # -- numeric matrices against an independent computation -----------------------

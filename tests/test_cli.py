@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import oracle
 from conftest import random_boundary_array
+from make_report_pins import pin as report_pin
 from tdpair121 import QQ, canonical_matrices
 from tdpair121.cli import main
 
@@ -105,6 +107,42 @@ def test_report_deterministic_bytes(tmp_path, p0_file):
     assert main(["report", p0_file, "--full", "--out", str(out1)]) == 0
     assert main(["report", p0_file, "--full", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_report_names_the_matrices_that_fail_the_cross_check(capsys, monkeypatch, p0_file):
+    # one perturbed transition table: exit 3, and cross_check_failures names
+    # exactly that matrix; a passing report has no such key
+    import tdpair121.cli as cli
+    from tdpair121 import BasisId, Matrix
+
+    code, doc = run(capsys, "report", p0_file)
+    assert code == 0 and doc["cross_check"] is True
+    assert "cross_check_failures" not in doc
+
+    real = cli.transition_formula
+
+    def perturbed(pa, frm, to):
+        m = real(pa, frm, to)
+        if (frm, to) == (BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ):
+            return m + Matrix.identity(pa.field, 4)
+        return m
+
+    monkeypatch.setattr(cli, "transition_formula", perturbed)
+    code, doc = run(capsys, "report", p0_file)
+    assert code == 3
+    assert doc["cross_check"] is False
+    assert doc["cross_check_failures"] == ["transition SplitZD->SplitZZ"]
+
+
+def test_report_full_bytes_pinned(tmp_path):
+    # exit code and sha256 of the stdout of `report --full` on 60 seeded
+    # arrays, 20 each over QQ (6 with 100-bit entries), GF(101) and
+    # GF(2^61 - 1), 18 of them inadmissible; written by make_report_pins.py
+    # while the closed-form tables still ran on boxed field elements
+    pins = json.loads((Path(__file__).parent / "data" / "report_pins.json").read_text())
+    assert len(pins) == 60
+    for p in pins:
+        assert report_pin(p["array"], str(tmp_path)) == p
 
 
 def test_construct_then_verify_pipeline(capsys, tmp_path, p0_file):

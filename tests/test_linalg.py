@@ -168,6 +168,45 @@ def test_matrix_add_sub_reject_shape_mismatch():
             x - y
 
 
+# Products keep the grid they are built from, so the matrices below that
+# come out of a product compare their grids in Matrix.__eq__.
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_grid_equality_refuses_shape_mismatch(p):
+    # a 4x3 or 3x4 cut of a 4x4 matrix agrees with it wherever zip would
+    # pair entries up; equality must still be False, both ways round
+    field = Field(p)
+    rows = [[1, 2, 3, "1/2"], [0, 5, "2/3", 4], [6, 0, 1, 1], ["3/4", 2, 0, 5]]
+    m = Matrix(field, rows) * Matrix.identity(field, 4)
+    cut_cols = Matrix(field, [r[:3] for r in rows]) * Matrix.identity(field, 3)
+    cut_rows = Matrix.identity(field, 3) * Matrix(field, rows[:3])
+    for a, b in ((m, cut_cols), (m, cut_rows), (cut_cols, cut_rows)):
+        assert a != b and b != a
+
+
+def test_grid_equality_over_a_non_least_denominator():
+    # every entry of J/2 times J/3 is 4/6 = 2/3: the product's grid holds 4
+    # over 6, not 2 over 3; it equals the same matrix read from JSON, both
+    # before and after that one has built a grid of its own
+    half = Matrix(QQ, [["1/2"] * 4] * 4)
+    third = Matrix(QQ, [["1/3"] * 4] * 4)
+    prod = half * third * Matrix.identity(QQ, 4)
+    read = Matrix.from_json(QQ, [["2/3"] * 4] * 4)
+    assert prod == read and read == prod
+    read * Matrix.identity(QQ, 4)
+    assert prod == read and read == prod
+    assert hash(prod) == hash(read)
+    assert prod != read.scale(QQ(2))
+
+
+def test_grid_equality_refuses_other_fields():
+    rows = [[1, 2, 0, 3], [0, 1, 4, 0], [2, 0, 1, 1], [1, 1, 0, 2]]
+    mats = [Matrix(f, rows) * Matrix.identity(f, 4) for f in (QQ, Field(5), Field(7))]
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            assert (a == b) == (i == j)
+
+
 def test_subspace_contains_rejects_length_mismatch():
     line = Subspace(QQ, 4, [(1, 0, 0, 0)])
     with pytest.raises(ValueError):
