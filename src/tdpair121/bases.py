@@ -21,13 +21,14 @@ from .linalg import (
     SingularMatrixError,
     _apply_raw,
     _box,
+    _fracs,
     _grid_of,
     _int_grid,
     _inv_grid,
     _mul_grids,
     _unbox,
 )
-from .params import ParameterArray, extract_parameter_array
+from .params import ParameterArray, _require_admissible, extract_parameter_array
 from .tdsystem import TDSystem
 
 
@@ -59,12 +60,13 @@ def canonical_seed(tds: TDSystem):
 
 
 def _canonical_seed(tds: TDSystem) -> list:
-    """Raw values of :func:`canonical_seed`."""
+    """Raw values of :func:`canonical_seed`, read off a column of the grid
+    of E*_0; over QQ the grid's denominator cancels in the rescaling."""
     p = tds.field.p
-    for v in zip(*tds.Estar[0]._vals()):
+    for v in zip(*tds.Estar[0]._grid[0]):
         lead = next((x for x in v if x), None)
         if lead is not None:
-            return _scale_raw(pow(lead, -1, p) if p else 1 / lead, v, p)
+            return _scale_raw(pow(lead, -1, p), v, p) if p else _fracs(v, lead)
     raise ValueError("zero projector")
 
 
@@ -83,11 +85,11 @@ def _chain(tds: TDSystem, seed: list) -> tuple:
         raise ValueError("seed vector must have 4 coordinates")
     if not any(seed):
         raise ValueError("seed vector is zero")
-    if _apply_raw(tds.Estar[0]._grid(), seed, p) != seed:
+    if _apply_raw(tds.Estar[0]._grid, seed, p) != seed:
         raise ValueError("seed vector is outside the first dual eigenspace")
     t0, t1, t2 = (x.val for x in tds.theta)
     s0, s1 = tds.thetastar[0].val, tds.thetastar[1].val
-    a, astar = tds.A._grid(), tds.Astar._grid()
+    a, astar = tds.A._grid, tds.Astar._grid
     eta0 = _apply_raw(a, _apply_raw(a, seed, p, t2), p, t1)
     eta2 = _apply_raw(a, _apply_raw(a, seed, p, t0), p, t1)
     eta2star = _apply_raw(astar, _apply_raw(astar, eta2, p, s0), p, s1)
@@ -151,7 +153,7 @@ def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
     eta0star, eta0, eta2, eta2star = chain
     t0, _, t2 = (x.val for x in tds.theta)
     s0, _, s2 = (x.val for x in tds.thetastar)
-    a, astar = tds.A._grid(), tds.Astar._grid()
+    a, astar = tds.A._grid, tds.Astar._grid
     if basis is BasisId.SPLIT_ZD:
         return [eta0star, _apply_raw(a, eta0star, p, t0), _apply_raw(astar, eta2, p, s2), eta2]
     if basis is BasisId.SPLIT_ZZ:
@@ -165,10 +167,10 @@ def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
         return [eta2star, _apply_raw(a, eta2star, p, t0),
                 _scale_raw(ph, _apply_raw(astar, eta2, p, s0), p), _scale_raw(ph, eta2, p)]
     if basis is BasisId.EIG_A:
-        e1 = tds.E[1]._grid()
+        e1 = tds.E[1]._grid
         return [eta0, _apply_raw(e1, eta0star, p), _apply_raw(e1, eta2star, p), eta2]
     if basis is BasisId.EIG_ASTAR:
-        estar1 = tds.Estar[1]._grid()
+        estar1 = tds.Estar[1]._grid
         return [eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star]
     raise ValueError(f"unknown basis {basis!r}")
 
@@ -189,7 +191,7 @@ def represent(tds: TDSystem, which: str, basis: BasisId,
         raise ValueError("operator must be 'A' or 'Astar'")
     b, b_inv = _bases_for(tds, eta).pair(tds, basis)
     p = tds.field.p
-    return Matrix._from_grid(tds.field, _mul_grids(b_inv, _mul_grids(m._grid(), b, p), p))
+    return Matrix._from_grid(tds.field, _mul_grids(b_inv, _mul_grids(m._grid, b, p), p))
 
 
 def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
@@ -232,9 +234,7 @@ def _ctx(pa: ParameterArray) -> tuple:
     are what make the eight inverted values nonzero.  Kept in the array's
     __dict__, as ParameterArray._derived is, where _tabulate reads it.
     """
-    report = pa._admissibility
-    if not report.ok:
-        raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
+    _require_admissible(pa)
     t0, t1, t2 = (x.val for x in pa.theta)
     s0, s1, s2 = (x.val for x in pa.thetastar)
     vp, ph = pa.varphi.val, pa.phi.val

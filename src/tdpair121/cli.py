@@ -22,7 +22,7 @@ from .bases import (
 )
 from .fields import Field, _is_prime
 from .linalg import Matrix
-from .params import ParameterArray, _enumerate_counts, admissible, construct, derived_params
+from .params import ParameterArray, _enumerate_counts, _require_admissible, construct
 from .tdsystem import VerificationReport, _verify_unordered, verify_td_system
 
 EXIT_OK = 0
@@ -71,13 +71,13 @@ def cmd_report(args) -> int:
     except _PARSE_ERRORS as exc:
         return _fail_io(str(exc))
 
-    report = admissible(pa)
+    report = pa._admissibility
     doc: dict = {
         "parameter_array": pa.to_json(),
         "admissibility": report.to_json(),
     }
     try:
-        doc["derived_params"] = derived_params(pa).to_json()
+        doc["derived_params"] = pa._derived.to_json()
     except ValueError:
         doc["derived_params"] = None
 
@@ -171,10 +171,10 @@ def cmd_construct(args) -> int:
         pa = ParameterArray.from_json(_load_json(args.parameter_array))
     except _PARSE_ERRORS as exc:
         return _fail_io(str(exc))
-    report = admissible(pa)
-    if not report.ok:
-        print(f"inadmissible parameter array, failed {list(report.failed)}",
-              file=sys.stderr)
+    try:
+        _require_admissible(pa)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INADMISSIBLE
     return _emit(construct(pa).to_json(), args.out, EXIT_OK)
 

@@ -1,14 +1,14 @@
 """Dense exact linear algebra on the 4-dimensional column space.
 
-Matrices are immutable grids of :class:`~tdpair121.fields.FieldElement`.
-Over the rationals, products, row reduction and determinants run
-fraction-free on integer rows with one denominator (Bareiss elimination
-for determinants), and build a reduced Fraction only per output entry.
-Subspaces are kept in a canonical echelon form so that equality of
-subspaces is equality of representations.  Eigenvalues are the roots of
-the characteristic polynomial in the base field.  Over GF(p) they are
-found in time polynomial in log p: the product of the distinct linear
-factors is gcd(f, x^p - x), which equal-degree splitting
+A matrix is its raw grid: over GF(p) rows of residues, over the rationals
+integer rows over one denominator.  Every kernel runs on grids, so over the
+rationals products, row reduction and determinants are fraction-free
+(Bareiss elimination for determinants), and a reduced Fraction is built
+only per entry read.  Subspaces are kept in a canonical echelon form so
+that equality of subspaces is equality of representations.  Eigenvalues
+are the roots of the characteristic polynomial in the base field.  Over
+GF(p) they are found in time polynomial in log p: the product of the
+distinct linear factors is gcd(f, x^p - x), which equal-degree splitting
 (Cantor-Zassenhaus) breaks into single roots.  Over the rationals they
 come from a rational-root search over divisors of the cleared
 coefficients.
@@ -32,21 +32,21 @@ class SingularMatrixError(ValueError):
 Vector = tuple  # tuple of FieldElement
 
 # The kernels below work on raw values: ints over GF(p), Fractions over QQ.
-# Entrywise operations may leave GF(p) ints unreduced: _box reduces once per
-# entry, and _holds before its zero test.  Over GF(p), _rref and _det_rows
-# take entries in [0, p) and keep them there.  Over QQ, _rref and _det_rows
-# clear denominators once (_int_grid, _int_row), run on integers, and build
-# one reduced Fraction per entry on the way out (_fracs), so no gcd is paid
-# per scalar operation.
+# A raw grid is a pair (rows, den), rows being a list of row lists: over
+# GF(p) residues in [0, p) with den 1, over QQ integer rows over one
+# positive denominator, not necessarily the least.  Every Matrix holds its
+# grid (Matrix._grid) from the moment it is built, and products, sums,
+# scalings, shifts, inverses, ranks, kernels and determinants all read it;
+# rank, kernel and invariance ignore den, which scales no row space.
+# Matrix.rows is boxed from the grid, once per entry, on first read, and
+# equality compares grids (Matrix.__eq__).
 #
-# Products, inverses and shifts run on raw grids (rows, den), rows being a
-# list of row lists: over GF(p) residues in [0, p) with den 1, over QQ
-# integer rows over one positive denominator (not necessarily the least).
-# A matrix keeps its own grid (Matrix._grid), and a chain of grid
-# operations ends in one matrix that keeps the last grid
-# (Matrix._from_grid) and boxes it, once per entry, only when its rows are
-# read.  Two matrices holding grids compare them (Matrix.__eq__).
-# Matrix.rows and Subspace.basis stay tuples of FieldElements.
+# Over GF(p), _rref and _det_mod take entries in [0, p) and keep them
+# there; _holds reduces before its zero test, and _box reduces any int.
+# Over QQ, _rref clears the denominators of Fraction rows once (_int_row),
+# runs on integers (_rref_int) and builds one reduced Fraction per entry
+# on the way out (_fracs), so no gcd is paid per scalar operation.
+# Subspace._rows and Subspace.basis hold the same vectors raw and boxed.
 
 _new = object.__new__
 _ZERO = Fraction(0)
@@ -129,8 +129,20 @@ def _shift_grid(g, c, p: int):
             for i, r in enumerate(rows)], den * cd
 
 
+def _add_grids(a, b, p: int):
+    """Raw grid of the sum of two raw grids of one shape; over QQ over the
+    least common multiple of their denominators."""
+    (ra, da), (rb, db) = a, b
+    if p:
+        return [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(ra, rb)], 1
+    g = math.gcd(da, db)
+    fa, fb = db // g, da // g
+    return [[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(ra, rb)], da * fa
+
+
 def _scale_grid(g, c, p: int):
-    """Raw grid of c*M for the raw grid g of M and a nonzero raw scalar c."""
+    """Raw grid of c*M for the raw grid g of M and a raw scalar c (an int
+    or, over QQ, a Fraction)."""
     rows, den = g
     if p:
         return [[a * c % p for a in r] for r in rows], 1
@@ -277,19 +289,15 @@ def _meet_rows(x, y, n: int, p: int) -> list:
     return [row[n:] for row in work[:len(pivots)] if not any(row[:n])]
 
 
-def _det_rows(work, field: Field):
-    """Raw determinant of square raw rows over field, by elimination;
-    fraction-free (_det_int) over QQ."""
-    p = field.p
-    if not p:
-        rows = [_int_row(row) for row in work]
-        return Fraction(_det_int([r for r, _ in rows]), math.prod(d for _, d in rows))
+def _det_mod(work, p: int) -> int:
+    """Determinant of square rows of residues mod p, by elimination, in
+    place."""
     n = len(work)
-    det = field.one.val
+    det = 1
     for c in range(n):
         pivot = next((i for i in range(c, n) if work[i][c]), None)
         if pivot is None:
-            return field.zero.val
+            return 0
         if pivot != c:
             work[c], work[pivot] = work[pivot], work[c]
             det = -det
@@ -327,115 +335,76 @@ def _det_int(work) -> int:
     return sign * work[-1][-1] if n else 1
 
 
-def vec_is_zero(v) -> bool:
-    return all(x.is_zero for x in v)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
+def _shaped(rows) -> list:
+    """rows, checked to be a nonempty rectangular grid: the one shape rule
+    of every public Matrix constructor."""
+    if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("matrix needs a rectangular, nonempty grid")
+    return rows
 
 
 class Matrix:
-    """Immutable matrix over an exact field; rows of FieldElements.
+    """Immutable matrix over an exact field.
 
-    The raw grid of the matrix (:func:`_grid_of`) is kept in ``_raw_grid``
-    once a product, inverse or ``apply`` has needed it.  A matrix built from
-    a grid (:meth:`_from_grid`) keeps that grid and boxes its ``rows`` on
-    first read; two matrices that both hold grids compare them.
+    A matrix is its raw grid ``_grid`` = (rows, den), set when it is built:
+    over GF(p) rows of residues in [0, p) over den 1, over QQ integer rows
+    over one positive denominator.  ``rows``, a tuple of rows of
+    FieldElements, is boxed from the grid on first read.
     """
 
-    __slots__ = ("field", "rows", "_raw_grid")
+    __slots__ = ("field", "rows", "_grid")
 
     def __getattr__(self, name):
-        # reached only when a slot is unset: the rows of a matrix built
-        # from a grid, before their first read
+        # reached only when a slot is unset: the rows, before their first read
         if name != "rows":
             raise AttributeError(f"'Matrix' object has no attribute {name!r}")
         rows = self.rows = tuple(_box(self.field, r)
-                                 for r in _grid_rows(self._raw_grid, self.field.p))
+                                 for r in _grid_rows(self._grid, self.field.p))
         return rows
 
     def __init__(self, field: Field, rows):
         self.field = field
-        self.rows = tuple(tuple(field(x) for x in row) for row in rows)
-        self._raw_grid = None
-        ncols = {len(r) for r in self.rows}
-        if len(self.rows) == 0 or len(ncols) != 1 or ncols == {0}:
-            raise ValueError("matrix needs a rectangular, nonempty grid")
-
-    @classmethod
-    def _raw(cls, field, rows) -> Matrix:
-        m = object.__new__(cls)
-        m.field = field
-        m.rows = rows
-        m._raw_grid = None
-        return m
-
-    @classmethod
-    def _from_vals(cls, field, rows) -> Matrix:
-        return cls._raw(field, tuple(_box(field, r) for r in rows))
+        self._grid = _grid_of(_shaped([_unbox(field, r) for r in rows]), field.p)
 
     @classmethod
     def _from_grid(cls, field, g) -> Matrix:
-        """The matrix of a raw grid, which it keeps; boxed once per entry
-        when its rows are first read."""
-        m = object.__new__(cls)
+        """The matrix of a raw grid."""
+        m = _new(cls)
         m.field = field
-        m._raw_grid = g
+        m._grid = g
         return m
 
-    def _vals(self) -> list:
-        """Raw rows, as fresh lists."""
-        g = self._raw_grid
-        if g is not None and self.field.p:
-            return [list(r) for r in g[0]]
-        return [[x.val for x in r] for r in self.rows]
-
-    def _grid(self):
-        """The raw grid of the matrix, built on first use."""
-        if self._raw_grid is None:
-            self._raw_grid = _grid_of(self._vals(), self.field.p)
-        return self._raw_grid
+    @classmethod
+    def _from_rows(cls, field, rows) -> Matrix:
+        """The matrix of canonical raw rows."""
+        return cls._from_grid(field, _grid_of(_shaped(rows), field.p))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
-        o, z = field.one, field.zero
-        return cls._raw(field, tuple(
-            tuple(o if i == j else z for j in range(n)) for i in range(n)))
+        return cls._from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> Matrix:
-        z = field.zero
-        return cls._raw(field, tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
+        return cls._from_rows(field, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def from_columns(cls, field: Field, columns) -> Matrix:
-        cols = [tuple(field(x) for x in c) for c in columns]
-        return cls._raw(field, tuple(zip(*cols)))
+        cols = _shaped([_unbox(field, c) for c in columns])
+        return cls._from_rows(field, [list(r) for r in zip(*cols)])
 
     @classmethod
     def diagonal(cls, field: Field, entries) -> Matrix:
-        ds = [field(x) for x in entries]
-        z = field.zero
-        return cls._raw(field, tuple(
-            tuple(ds[i] if i == j else z for j in range(len(ds))) for i in range(len(ds))))
-
-    def _shape_rows(self):
-        """The grid's rows when there is a grid, else the boxed rows."""
-        g = self._raw_grid
-        return self.rows if g is None else g[0]
+        ds = _unbox(field, entries)
+        return cls._from_rows(field, [[d if i == j else 0 for j in range(len(ds))]
+                                      for i, d in enumerate(ds)])
 
     @property
     def nrows(self) -> int:
-        return len(self._shape_rows())
+        return len(self._grid[0])
 
     @property
     def ncols(self) -> int:
-        return len(self._shape_rows()[0])
+        return len(self._grid[0][0])
 
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
@@ -444,7 +413,8 @@ class Matrix:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> Matrix:
-        return Matrix._raw(self.field, tuple(zip(*self.rows)))
+        rows, den = self._grid
+        return Matrix._from_grid(self.field, ([list(c) for c in zip(*rows)], den))
 
     def __mul__(self, other: Matrix) -> Matrix:
         if self.field is not other.field:
@@ -452,7 +422,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
         field = self.field
-        return Matrix._from_grid(field, _mul_grids(self._grid(), other._grid(), field.p))
+        return Matrix._from_grid(field, _mul_grids(self._grid, other._grid, field.p))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
@@ -460,7 +430,7 @@ class Matrix:
         vals = _unbox(field, v)
         if len(vals) != self.ncols:
             raise ValueError("vector length does not match the matrix")
-        return _box(field, _apply_raw(self._grid(), vals, field.p))
+        return _box(field, _apply_raw(self._grid, vals, field.p))
 
     def _check_compatible(self, other: Matrix) -> None:
         if self.field is not other.field:
@@ -471,41 +441,36 @@ class Matrix:
 
     def __add__(self, other: Matrix) -> Matrix:
         self._check_compatible(other)
-        return Matrix._from_vals(self.field, [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._vals(), other._vals())])
+        return Matrix._from_grid(self.field, _add_grids(self._grid, other._grid, self.field.p))
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._check_compatible(other)
-        return Matrix._from_vals(self.field, [
-            [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._vals(), other._vals())])
+        return self + -other
 
     def __neg__(self) -> Matrix:
-        return Matrix._from_vals(self.field, [[-a for a in r] for r in self._vals()])
+        return Matrix._from_grid(self.field, _scale_grid(self._grid, -1, self.field.p))
 
     def scale(self, c: FieldElement) -> Matrix:
-        c = self.field(c).val
-        return Matrix._from_vals(self.field, [[c * a for a in r] for r in self._vals()])
+        field = self.field
+        return Matrix._from_grid(field, _scale_grid(self._grid, field(c).val, field.p))
 
     def shift(self, c: FieldElement) -> Matrix:
         """self - c*I."""
-        c = self.field(c).val
-        return Matrix._from_vals(self.field, [
-            [a - c if i == j else a for j, a in enumerate(r)] for i, r in enumerate(self._vals())])
+        if self.nrows != self.ncols:
+            raise ValueError("shift of a non-square matrix")
+        field = self.field
+        return Matrix._from_grid(field, _shift_grid(self._grid, field(c).val, field.p))
 
     @property
     def is_zero(self) -> bool:
-        return not any(x.val for r in self.rows for x in r)
+        return not any(map(any, self._grid[0]))
 
     def __eq__(self, other):
-        """Equal fields and shapes, and equal entries: when both matrices
-        hold grids, equal residues over GF(p), or equal integers once each
-        is multiplied by the other grid's denominator over QQ."""
+        """Equal fields and equal grids: equal residues over GF(p), or equal
+        shapes and equal integers once each is multiplied by the other
+        grid's denominator over QQ."""
         if not isinstance(other, Matrix) or self.field is not other.field:
             return False
-        g, h = self._raw_grid, other._raw_grid
-        if g is None or h is None:
-            return self.rows == other.rows
-        (ra, da), (rb, db) = g, h
+        (ra, da), (rb, db) = self._grid, other._grid
         if da == db:  # always so over GF(p), where it is 1
             return ra == rb
         if list(map(len, ra)) != list(map(len, rb)):
@@ -521,20 +486,23 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def rank(self) -> int:
-        return len(_rref(self._vals(), self.field.p))
+        return len(_rref(list(self._grid[0]), self.field.p))
 
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _box(self.field, (_det_rows(self._vals(), self.field),))[0]
+        (rows, den), p = self._grid, self.field.p
+        det = _det_mod(list(rows), p) if p else Fraction(_det_int(list(rows)), den ** len(rows))
+        return _box(self.field, (det,))[0]
 
     def invert(self) -> Matrix:
         """Exact inverse; raises SingularMatrixError if rank < n."""
-        return Matrix._from_grid(self.field, _inv_grid(self._grid(), self.field.p))
+        return Matrix._from_grid(self.field, _inv_grid(self._grid, self.field.p))
 
     def kernel(self):
         """Basis of the null space, as a list of vectors."""
-        return [_box(self.field, v) for v in _kernel_rows(self._vals(), self.field.p)]
+        p = self.field.p
+        return [_box(self.field, v) for v in _kernel_rows(list(self._grid[0]), p)]
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.rows]
@@ -581,7 +549,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> Subspace:
-        return cls(field, ambient, Matrix.identity(field, ambient).rows)
+        return cls(field, ambient, [[int(i == j) for j in range(ambient)]
+                                    for i in range(ambient)])
 
     @classmethod
     def column_space(cls, m: Matrix) -> Subspace:
@@ -645,7 +614,7 @@ class Subspace:
     def is_invariant(self, m: Matrix) -> bool:
         if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
             raise ValueError("matrix does not act on the ambient space")
-        rows = m._vals()
+        rows = m._grid[0]
         return all(self._holds(_mat_vec(rows, v)) for v in self._rows)
 
     def __eq__(self, other):
@@ -937,7 +906,7 @@ def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
     """ker(m - e I) of a square matrix: the kernel of the rows of its raw
     grid, whose denominator does not change the kernel."""
     p = m.field.p
-    rows, _ = _shift_grid(m._grid(), e.val, p)
+    rows, _ = _shift_grid(m._grid, e.val, p)
     return Subspace._from_vals(m.field, m.ncols, _kernel_rows(rows, p))
 
 
@@ -961,7 +930,7 @@ def primitive_idempotents(m: Matrix, eigenvalues):
         raise ValueError("no eigenvalues supplied")
     if len(set(evs)) != len(evs):
         raise ValueError("repeated eigenvalue supplied")
-    p, g = field.p, m._grid()
+    p, g = field.p, m._grid
     out = []
     for i, ei in enumerate(evs):
         acc, scale = None, field.one

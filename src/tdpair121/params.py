@@ -132,6 +132,14 @@ def admissible(pa: ParameterArray) -> AdmissibilityReport:
     return AdmissibilityReport(not failed, tuple(failed))
 
 
+def _require_admissible(pa: ParameterArray) -> None:
+    """Raise ValueError naming the failed conditions unless pa is
+    admissible; decided once per array."""
+    report = pa._admissibility
+    if not report.ok:
+        raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
+
+
 def canonical_matrices(pa: ParameterArray):
     """The lower/upper-triangular matrix pair of the canonical construction.
 
@@ -140,29 +148,26 @@ def canonical_matrices(pa: ParameterArray):
     """
     dp = pa._derived
     f = pa.field
-    z, o = f.zero, f.one
-    t0, t1, t2 = pa.theta
-    s0, s1, s2 = pa.thetastar
-    a = Matrix._raw(f, (
-        (t0, z, z, z),
-        (o, t1, z, z),
-        (z, z, t1, z),
-        (z, o, dp.varphi2, t2),
-    ))
-    astar = Matrix._raw(f, (
-        (s0, dp.varphi1, pa.varphi, z),
-        (z, s1, z, z),
-        (z, z, s1, o),
-        (z, z, z, s2),
-    ))
+    t0, t1, t2 = (x.val for x in pa.theta)
+    s0, s1, s2 = (x.val for x in pa.thetastar)
+    a = Matrix._from_rows(f, [
+        [t0, 0, 0, 0],
+        [1, t1, 0, 0],
+        [0, 0, t1, 0],
+        [0, 1, dp.varphi2.val, t2],
+    ])
+    astar = Matrix._from_rows(f, [
+        [s0, dp.varphi1.val, pa.varphi.val, 0],
+        [0, s1, 0, 0],
+        [0, 0, s1, 1],
+        [0, 0, 0, s2],
+    ])
     return a, astar
 
 
 def construct(pa: ParameterArray) -> TDSystem:
     """Build the tridiagonal system with this parameter array."""
-    report = pa._admissibility
-    if not report.ok:
-        raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
+    _require_admissible(pa)
     a, astar = canonical_matrices(pa)
     return TDSystem.from_matrices(a, astar, pa.theta, pa.thetastar)
 
@@ -194,7 +199,7 @@ def _read_parameter_array(tds: TDSystem) -> ParameterArray:
     runs once per system: raw products, boxing the two split scalars."""
     field = tds.field
     p = field.p
-    a, astar, estar0 = tds.A._grid(), tds.Astar._grid(), tds.Estar[0]._grid()
+    a, astar, estar0 = tds.A._grid, tds.Astar._grid, tds.Estar[0]._grid
     t0, t1, t2 = (t.val for t in tds.theta)
     s1, s2 = tds.thetastar[1].val, tds.thetastar[2].val
     left = _mul_grids(_mul_grids(_shift_grid(astar, s1, p), _shift_grid(astar, s2, p), p),

@@ -20,11 +20,13 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
+from operator import mul
 
 from .fields import Field
 from .linalg import (
     Matrix,
     Subspace,
+    _apply_raw,
     _box,
     _eigenspace,
     _grid_of,
@@ -39,9 +41,6 @@ from .linalg import (
     poly_roots,
     primitive_idempotents,
     subspace_sum,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
 )
 
 
@@ -58,9 +57,9 @@ class TDSystem:
 
     @classmethod
     def from_matrices(cls, a: Matrix, astar: Matrix, theta, thetastar) -> TDSystem:
-        field = a.field
-        theta = tuple(field(x) for x in theta)
-        thetastar = tuple(field(x) for x in thetastar)
+        """Raises ValueError on malformed input, as verify_td_system does,
+        or when a matrix is not diagonalizable with exactly its eigenvalues."""
+        theta, thetastar = _check_system(a, astar, theta, thetastar)
         e = tuple(primitive_idempotents(a, theta))
         estar = tuple(primitive_idempotents(astar, thetastar))
         return cls(a, astar, theta, thetastar, e, estar)
@@ -155,6 +154,19 @@ def _check_pair(a: Matrix, astar: Matrix) -> None:
         raise ValueError("matrices live over different fields")
 
 
+def _check_system(a: Matrix, astar: Matrix, theta, thetastar) -> tuple:
+    """theta and thetastar as tuples of elements of a's field; raises
+    ValueError unless a and astar are 4x4 over one field and both lists
+    have length 3."""
+    field = a.field
+    theta = tuple(field(x) for x in theta)
+    thetastar = tuple(field(x) for x in thetastar)
+    _check_pair(a, astar)
+    if len(theta) != 3 or len(thetastar) != 3:
+        raise ValueError("eigenvalue lists must have length 3")
+    return theta, thetastar
+
+
 def _diag_with_spectrum(m: Matrix, evs):
     """Eigenspaces of m in the order of evs, or None unless m is
     diagonalizable with exactly evs."""
@@ -171,12 +183,7 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     Axiom failures are reported, never raised; only malformed input
     (wrong sizes, mixed fields, wrong list lengths) raises.
     """
-    field = a.field
-    theta = tuple(field(x) for x in theta)
-    thetastar = tuple(field(x) for x in thetastar)
-    _check_pair(a, astar)
-    if len(theta) != 3 or len(thetastar) != 3:
-        raise ValueError("eigenvalue lists must have length 3")
+    theta, thetastar = _check_system(a, astar, theta, thetastar)
     return _verify_on_spaces(a, astar, theta,
                              _diag_with_spectrum(a, theta), _diag_with_spectrum(astar, thetastar))
 
@@ -261,7 +268,7 @@ def _coordinates(m: Matrix, spaces):
     for s in spaces:
         idx.append(range(k, k + s.dim))
         k += s.dim
-    return _grid_rows(_mul_grids(_inv_grid(basis, p), _mul_grids(m._grid(), basis, p), p),
+    return _grid_rows(_mul_grids(_inv_grid(basis, p), _mul_grids(m._grid, basis, p), p),
                       p), idx
 
 
@@ -342,35 +349,38 @@ _SPLIT_ACTION = {
 }
 
 
-def _maps_into(m: Matrix, src: Subspace, dst: Subspace | None) -> bool:
-    """Whether m maps src into dst, or to zero when dst is None."""
-    return all(vec_is_zero(w) if dst is None else dst.contains(w)
-               for w in map(m.apply, src.basis))
+def _maps_into(g, c, src: Subspace, dst: Subspace | None, p: int) -> bool:
+    """Whether M - c*I, for the raw grid g of M and a raw scalar c, maps
+    src into dst, or to zero when dst is None."""
+    images = (_apply_raw(g, v, p, c) for v in src._rows)
+    return all(not any(w) if dst is None else dst._holds(w) for w in images)
 
 
 def verify_split_actions(tds: TDSystem) -> bool:
     """Check the raising/lowering action table on all six decompositions."""
-    a, astar = tds.A, tds.Astar
-    theta, thetastar = tds.theta, tds.thetastar
+    p = tds.field.p
+    a, astar = tds.A._grid, tds.Astar._grid
+    theta = [x.val for x in tds.theta]
+    thetastar = [x.val for x in tds.thetastar]
     for dec, (a_idx, s_idx) in _SPLIT_ACTION.items():
         comps = tds._decomps[dec]
         for i in range(3):
             up = comps[i + 1] if i + 1 < 3 else None
             down = comps[i - 1] if i - 1 >= 0 else None
-            if not _maps_into(a.shift(theta[a_idx(i)]), comps[i], up):
+            if not _maps_into(a, theta[a_idx(i)], comps[i], up, p):
                 return False
-            if not _maps_into(astar.shift(thetastar[s_idx(i)]), comps[i], down):
+            if not _maps_into(astar, thetastar[s_idx(i)], comps[i], down, p):
                 return False
     for dec, m, shifts, other in (
-        (Decomposition.Z_D, tds.A, theta, tds.Astar),
-        (Decomposition.ZSTAR_DSTAR, tds.Astar, thetastar, tds.A),
+        (Decomposition.Z_D, a, theta, astar),
+        (Decomposition.ZSTAR_DSTAR, astar, thetastar, a),
     ):
         comps = tds._decomps[dec]
         for i in range(3):
-            if not _maps_into(m.shift(shifts[i]), comps[i], None):
+            if not _maps_into(m, shifts[i], comps[i], None, p):
                 return False
             window = subspace_sum(comps[max(i - 1, 0):i + 2])
-            if not _maps_into(other, comps[i], window):
+            if not _maps_into(other, 0, comps[i], window, p):
                 return False
     return True
 
@@ -442,10 +452,10 @@ def _search_profile_211(field, spaces, astar, b):
         for chosen in combinations(range(n - 1), d - 1):
             sol = _solve_line_family(field, b, chosen)
             if sol is not None:
-                x, y = sol
-                u1, u2 = plane.basis
-                vec = vec_add(vec_scale(x, u1), vec_scale(y, u2))
-                w = Subspace(field, 4, [spaces[i].basis[0] for i in chosen] + [vec])
+                x, y, p = sol[0].val, sol[1].val, field.p
+                vec = [(x * u + y * v) % p if p else x * u + y * v
+                       for u, v in zip(*plane._rows)]
+                w = Subspace._from_vals(field, 4, [spaces[i]._rows[0] for i in chosen] + [vec])
                 if not w.is_invariant(astar):
                     raise RuntimeError("projective-line solver produced a bad witness")
                 return w
@@ -506,17 +516,14 @@ def _search_enumerate(field, spaces, astar):
     """Finite-field fallback for eigenspace profiles with a slice of
     dimension 3 or more, or several planes: enumerate every subspace of
     each eigenspace directly."""
+    p = field.p
     per_space = []
     for s in spaces:
         subs = [Subspace.zero(field, 4)]
-        for coords in _coordinate_subspaces(field, s.dim):
-            vecs = []
-            for coeffs in coords:
-                v = (field.zero,) * 4
-                for c, bvec in zip(coeffs, s.basis):
-                    v = vec_add(v, vec_scale(c, bvec))
-                vecs.append(v)
-            subs.append(Subspace(field, 4, vecs))
+        for coords in _coordinate_subspaces(p, s.dim):
+            vecs = [[sum(map(mul, coeffs, col)) % p for col in zip(*s._rows)]
+                    for coeffs in coords]
+            subs.append(Subspace._from_vals(field, 4, vecs))
         per_space.append(subs)
     found = []
     for combo in product(*per_space):
@@ -528,8 +535,8 @@ def _search_enumerate(field, spaces, astar):
     return min(found, key=lambda s: (s.dim, s.to_json()))
 
 
-def _coordinate_subspaces(field, m):
-    """Echelon bases of all nonzero subspaces of F^m over a prime field."""
+def _coordinate_subspaces(p, m):
+    """Raw echelon bases of all nonzero subspaces of GF(p)^m."""
     for k in range(1, m + 1):
         for pivots in combinations(range(m), k):
             free_pos = [
@@ -538,10 +545,10 @@ def _coordinate_subspaces(field, m):
                 for j in range(pivots[i] + 1, m)
                 if j not in pivots
             ]
-            for values in product(field.elements(), repeat=len(free_pos)):
-                rows = [[field.zero] * m for _ in range(k)]
+            for values in product(range(p), repeat=len(free_pos)):
+                rows = [[0] * m for _ in range(k)]
                 for i in range(k):
-                    rows[i][pivots[i]] = field.one
+                    rows[i][pivots[i]] = 1
                 for (i, j), v in zip(free_pos, values):
                     rows[i][j] = v
-                yield [tuple(r) for r in rows]
+                yield rows

@@ -157,6 +157,33 @@ def test_poly_roots_large_prime():
     assert [(r.val, m) for r, m in roots] == [(5, 2), (p - 1, 1)]
 
 
+def test_every_constructor_refuses_an_empty_or_ragged_grid():
+    for field in (QQ, Field(7)):
+        for build in (
+            lambda: Matrix(field, []),
+            lambda: Matrix(field, [[]]),
+            lambda: Matrix(field, [[1, 2], [3]]),
+            lambda: Matrix.identity(field, 0),
+            lambda: Matrix.zeros(field, 0, 0),
+            lambda: Matrix.zeros(field, 2, 0),
+            lambda: Matrix.zeros(field, 0, 2),
+            lambda: Matrix.diagonal(field, []),
+            lambda: Matrix.from_columns(field, []),
+            lambda: Matrix.from_columns(field, [[]]),
+            lambda: Matrix.from_columns(field, [[1, 2], [3]]),
+        ):
+            with pytest.raises(ValueError, match="rectangular, nonempty"):
+                build()
+
+
+def test_shift_refuses_a_non_square_matrix():
+    # shift used to subtract c on the diagonal of any rectangle
+    for field in (QQ, Field(7)):
+        for rows in ([[1, 2, 3]], [[1], [2]], [[1, 2, 3], [4, 5, 6]]):
+            with pytest.raises(ValueError, match="non-square"):
+                Matrix(field, rows).shift(field(1))
+
+
 def test_matrix_add_sub_reject_shape_mismatch():
     big = Matrix.identity(QQ, 3)
     small = Matrix.identity(QQ, 2)
@@ -454,6 +481,11 @@ def _mat_vals(m):
     return [_canonical((x.val for x in r), m.field.p) for r in m.rows]
 
 
+def _entrywise(f, p, *mats):
+    """Raw rows of f applied entry by entry to raw matrices of one shape."""
+    return [[f(*xs) % p if p else f(*xs) for xs in zip(*rs)] for rs in zip(*mats)]
+
+
 @pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
 def test_matrix_kernels_match_raw_oracles(p):
     rng = random.Random(f"matrix-kernels:{p}")
@@ -482,6 +514,33 @@ def test_matrix_kernels_match_raw_oracles(p):
         for k in kernel:
             col = [[x] for x in _canonical((x.val for x in k), p)]
             assert all(r[0] == 0 for r in _raw_mul(a_rows, col, p))
+        # entrywise operations, each against raw values and, through
+        # Matrix.__eq__, against the matrix read from those values
+        c = _raw_entry(rng, p) if p else Fraction(rng.randint(1, 6), rng.choice((5, 7)))
+        for got, want in (
+            (a + b, _entrywise(lambda x, y: x + y, p, a_rows, b_rows)),
+            (a - b, _entrywise(lambda x, y: x - y, p, a_rows, b_rows)),
+            # over QQ scaling multiplies a grid's denominator by c's, so
+            # these add grids whose denominators divide neither way
+            (a.scale(field(c)) + b, _entrywise(lambda x, y: c * x + y, p, a_rows, b_rows)),
+            (a + b.scale(field(c)), _entrywise(lambda x, y: x + c * y, p, a_rows, b_rows)),
+            (-a, _entrywise(lambda x: -x, p, a_rows)),
+            (a.scale(field(c)), _entrywise(lambda x: c * x, p, a_rows)),
+            (a.scale(field.zero), _entrywise(lambda x: 0 * x, p, a_rows)),
+            (a.shift(field(c)), _entrywise(lambda x, e: x - c * e, p, a_rows, eye)),
+            (a.transpose(), [list(col) for col in zip(*a_rows)]),
+            (Matrix.from_columns(field, a_rows), [list(col) for col in zip(*a_rows)]),
+        ):
+            assert _mat_vals(got) == want
+            assert got == Matrix(field, want) and hash(got) == hash(Matrix(field, want))
+            assert got.is_zero == (not any(map(any, want)))
+        assert a.is_zero == (rank == 0) and (a - a).is_zero
+    d = [_raw_entry(rng, p) for _ in range(4)]
+    diag = Matrix.diagonal(field, [field(x) for x in d])
+    assert _mat_vals(diag) == [[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
+    assert _mat_vals(Matrix.identity(field, 4)) == eye
+    assert _mat_vals(Matrix.zeros(field, 2, 3)) == [[0] * 3] * 2
+    assert Matrix.zeros(field, 4, 4).is_zero and not Matrix.identity(field, 4).is_zero
 
 
 @pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
@@ -624,6 +683,16 @@ def test_qq_kernels_match_sympy_at_100_bits():
                 product = Matrix(QQ, left_rows) * a
                 assert [_reduced_vals(r) for r in product.rows] == from_sympy(
                     to_sympy(left_rows) * sa)
+                # entrywise operations on grids over unrelated 100-bit
+                # denominators
+                c = _big(rng)
+                sc = sympy.Rational(c.numerator, c.denominator)
+                sp = to_sympy(left_rows) * sa
+                got = [(a + product, sa + sp), (product - a, sp - sa), (a.scale(QQ(c)), sc * sa)]
+                if ncols == 4:
+                    got.append((a.shift(QQ(c)), sa - sc * sympy.eye(4)))
+                for m, want in got:
+                    assert [_reduced_vals(r) for r in m.rows] == from_sympy(want)
                 assert a.rank() == sa.rank() == rank
                 kernel = a.kernel()
                 assert len(kernel) == ncols - rank
@@ -653,3 +722,16 @@ def test_qq_kernels_match_sympy_at_100_bits():
                 assert meet.dim == rank + to_sympy(others).rank() - stacked.rank()
                 for b in total.basis + meet.basis:
                     _reduced_vals(b)
+
+    # one matrix by five routes: the first two hold its grid over the least
+    # denominator, the last three over 6 times it (scaling by 1/6 and then
+    # by 6 multiplies the denominator by 6 and the integers by 6)
+    rows = [[_big(rng) for _ in range(4)] for _ in range(4)]
+    m = Matrix(QQ, rows).scale(QQ(Fraction(1, 6))).scale(QQ(6))
+    routes = [Matrix(QQ, rows), Matrix.from_json(QQ, m.to_json()),
+              Matrix.identity(QQ, 4) * m, m + Matrix.zeros(QQ, 4, 4),
+              m.transpose().transpose()]
+    for x in routes:
+        for y in routes:
+            assert x == y and hash(x) == hash(y)
+        assert x != m.shift(QQ(1)) and x != m.transpose()

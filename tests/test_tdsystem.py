@@ -175,6 +175,25 @@ def test_pair_checks_require_4x4_matrices_over_one_field():
         find_td_orderings(a4, other)
 
 
+def test_from_matrices_validates_as_verify_does():
+    # a 3x3 pair used to build a system whose ambient-4 subspaces held
+    # length-3 vectors, and a 4x4 pair with two eigenvalues each one whose
+    # shape raised IndexError
+    a3 = Matrix.diagonal(QQ, [1, 2, 3])
+    a4 = Matrix.diagonal(QQ, [1, 2, 2, 1])
+    b4 = Matrix.diagonal(QQ, [1, 2, 2, 3])
+    for args, match in (
+        ((a3, a3, (1, 2, 3), (1, 2, 3)), "4x4"),
+        ((a4, a4, (1, 2), (1, 2)), "length 3"),
+        ((b4, b4, (1, 2, 3), (1, 2)), "length 3"),
+        ((b4, Matrix.diagonal(Field(7), [1, 2, 2, 3]), (1, 2, 3), (1, 2, 3)), "different fields"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            TDSystem.from_matrices(*args)
+        with pytest.raises(ValueError, match=match):
+            verify_td_system(*args)
+
+
 def test_find_orderings_symmetric_in_the_pair(tds):
     direct = find_td_orderings(tds.A, tds.Astar)
     swapped = find_td_orderings(tds.Astar, tds.A)
