@@ -12,9 +12,9 @@ matrices that keep their raw grids, so the cross-check compares grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from .linalg import (
     Matrix,
@@ -23,7 +23,6 @@ from .linalg import (
     _box,
     _fracs,
     _grid_of,
-    _int_grid,
     _inv_grid,
     _mul_grids,
     _unbox,
@@ -205,14 +204,52 @@ def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
 
 # -- closed-form tables -------------------------------------------------------
 
+class _Q:
+    """The rational n/d, d > 0, as the QQ tables compute with it: +, - and
+    * cross-multiply, with each other and with ints, and never reduce, so
+    no gcd is paid per scalar operation; _tabulate puts the entries over
+    one denominator."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Q(self.n + other * self.d, self.d)
+        return _Q(self.n * other.d + other.n * self.d, self.d * other.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return _Q(self.n - other * self.d, self.d)
+        return _Q(self.n * other.d - other.n * self.d, self.d * other.d)
+
+    def __rsub__(self, other):
+        return _Q(other * self.d - self.n, self.d)
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Q(self.n * other, self.d)
+        return _Q(self.n * other.n, self.d * other.d)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _Q(-self.n, self.d)
+
+
 def _inverses(vals, p: int) -> list:
     """Inverses of nonzero raw scalars.  Over GF(p) one modular inversion
     serves them all (Montgomery's trick): going down from k = n, the
     inverse of v_0 ... v_k times v_0 ... v_(k-1) is 1/v_k, and times v_k
-    it is the inverse of v_0 ... v_(k-1).  Over QQ an inverse swaps
-    numerator and denominator."""
+    it is the inverse of v_0 ... v_(k-1).  Over QQ (_Q values) an inverse
+    swaps numerator and denominator, keeping the denominator positive."""
     if not p:
-        return [Fraction(v.denominator, v.numerator) for v in vals]
+        return [_Q(v.d, v.n) if v.n > 0 else _Q(-v.d, -v.n) for v in vals]
     prefix, acc = [], 1
     for v in vals:
         prefix.append(acc)
@@ -235,27 +272,33 @@ def _ctx(pa: ParameterArray) -> tuple:
     __dict__, as ParameterArray._derived is, where _tabulate reads it.
     """
     _require_admissible(pa)
-    t0, t1, t2 = (x.val for x in pa.theta)
-    s0, s1, s2 = (x.val for x in pa.thetastar)
-    vp, ph = pa.varphi.val, pa.phi.val
-    dp = pa._derived
+    p, dp = pa.field.p, pa._derived
+    vals = [x.val for x in (*pa.theta, *pa.thetastar, pa.varphi, pa.phi,
+                            dp.varphi1, dp.varphi2, dp.phi1, dp.phi2)]
+    if not p:
+        vals = [_Q(v.numerator, v.denominator) for v in vals]
+    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2 = vals
     i01, i02, i12, j01, j02, j12, iv, ip = _inverses(
-        (t0 - t1, t0 - t2, t1 - t2, s0 - s1, s0 - s2, s1 - s2, vp, ph), pa.field.p)
+        (t0 - t1, t0 - t2, t1 - t2, s0 - s1, s0 - s2, s1 - s2, vp, ph), p)
     T = ((0, i01, i02), (-i01, 0, i12), (-i02, -i12, 0))
     S = ((0, j01, j02), (-j01, 0, j12), (-j02, -j12, 0))
     ctx = pa.__dict__["_table_ctx"] = (
-        t0, t1, t2, s0, s1, s2, vp, ph,
-        dp.varphi1.val, dp.varphi2.val, dp.phi1.val, dp.phi2.val, T, S, iv, ip)
+        t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip)
     return ctx
 
 
 def _tabulate(pa: ParameterArray, table) -> Matrix:
     """The matrix of one table at the array's raw values, keeping its grid:
-    residues over GF(p), integer rows over one denominator over QQ."""
+    residues over GF(p); over QQ, where the entries are ints and _Qs, rows
+    n * (den // d) over den, the lcm of the entries' denominators."""
     rows = table(pa.__dict__.get("_table_ctx") or _ctx(pa))
     p = pa.field.p
-    return Matrix._from_grid(pa.field, (
-        [[a % p, b % p, c % p, d % p] for a, b, c, d in rows], 1) if p else _int_grid(rows))
+    if p:
+        return Matrix._from_grid(pa.field, ([[a % p, b % p, c % p, d % p]
+                                             for a, b, c, d in rows], 1))
+    den = math.lcm(*[x.d for r in rows for x in r if type(x) is _Q])
+    return Matrix._from_grid(pa.field, ([[x.n * (den // x.d) if type(x) is _Q else x * den
+                                          for x in r] for r in rows], den))
 
 
 def represent_formula(pa: ParameterArray, which: str, basis: BasisId) -> Matrix:
@@ -283,8 +326,8 @@ def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
 # Each table below transcribes one closed form of the paper.  It divides
 # nowhere: a quotient a / ((t_i - t_j) (s_k - s_l) varphi) is written
 # a * T[i][j] * S[k][l] * iv, with the inverses _ctx took once per array.
-# Over GF(p) the entries come out as unreduced ints, over QQ as Fractions;
-# _tabulate turns either into a grid.
+# Over GF(p) the entries come out as unreduced ints, over QQ as ints and
+# _Qs; _tabulate turns either into a grid.
 
 def _rep_a_zd(c):
     t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c

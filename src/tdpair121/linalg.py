@@ -6,12 +6,9 @@ rationals products, row reduction and determinants are fraction-free
 (Bareiss elimination for determinants), and a reduced Fraction is built
 only per entry read.  Subspaces are kept in a canonical echelon form so
 that equality of subspaces is equality of representations.  Eigenvalues
-are the roots of the characteristic polynomial in the base field.  Over
-GF(p) they are found in time polynomial in log p: the product of the
-distinct linear factors is gcd(f, x^p - x), which equal-degree splitting
-(Cantor-Zassenhaus) breaks into single roots.  Over the rationals they
-come from a rational-root search over divisors of the cleared
-coefficients.
+are the roots of the characteristic polynomial in the base field; both
+are computed on raw coefficients in :mod:`tdpair121._poly`, and
+:func:`charpoly` and :func:`poly_roots` only unbox and box at its edge.
 """
 
 from __future__ import annotations
@@ -19,9 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, permutations, repeat
+from itertools import chain, repeat
 from operator import eq, mul
 
+from . import _poly
 from .fields import Field, FieldElement
 
 
@@ -659,222 +657,26 @@ def subspace_combine(parts, op: str) -> Subspace:
     raise ValueError(f"unknown subspace operation {op!r}")
 
 
-# -- polynomials (dense coefficient lists, low degree first) ----------------
-
-def _p_trim(cs):
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
-
-def _p_add(a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        if i < len(a) and i < len(b):
-            out.append(a[i] + b[i])
-        elif i < len(a):
-            out.append(a[i])
-        else:
-            out.append(b[i])
-    return _p_trim(out)
-
-
-def _p_mul(field, a, b):
-    if not a or not b:
-        return []
-    z = field.zero
-    out = [z] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _p_trim(out)
-
-
-def _p_eval(cs, x):
-    acc = x.field.zero
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-def _p_div_linear(cs, r):
-    """Divide by (x - r); returns (quotient, remainder)."""
-    out = []
-    acc = r.field.zero
-    for c in reversed(cs):
-        acc = acc * r + c
-        out.append(acc)
-    rem = out.pop()
-    out.reverse()
-    return _p_trim(out), rem
-
-
-def _p_divmod(field, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    while len(r) >= len(b):
-        c = r[-1] * inv
-        d = len(r) - len(b)
-        q[d] = c
-        for i, x in enumerate(b):
-            r[d + i] = r[d + i] - c * x
-        _p_trim(r)
-        if not r:
-            break
-    return _p_trim(q), r
-
-
-def _p_gcd(field, a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, rem = _p_divmod(field, a, b)
-        a, b = b, rem
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-_PARITY4 = {p: (1 if sum(1 for i in range(4) for j in range(i + 1, 4) if p[i] > p[j]) % 2 == 0 else -1)
-            for p in permutations(range(4))}
-
+# -- polynomial edges: the work is done on raw coefficients in _poly -----------
 
 def charpoly(m: Matrix):
-    """Coefficients of det(xI - M), low degree first, monic."""
-    n = m.nrows
+    """Coefficients of det(xI - M), low degree first, monic; over QQ those of
+    the grid's integer rows, coefficient k divided by den^(n-k)."""
+    (rows, den), p, n = m._grid, m.field.p, m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    field = m.field
-    one, z = field.one, field.zero
-    entries = [[[-m.rows[i][j], one] if i == j else ([] if m.rows[i][j].is_zero else [-m.rows[i][j]])
-                for j in range(n)] for i in range(n)]
-    acc = []
-    for perm in permutations(range(n)):
-        term = [one]
-        for i in range(n):
-            term = _p_mul(field, term, entries[i][perm[i]])
-            if not term:
-                break
-        if not term:
-            continue
-        if n == 4:
-            sign = _PARITY4[perm]
-        else:
-            inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-            sign = 1 if inv % 2 == 0 else -1
-        if sign < 0:
-            term = [-c for c in term]
-        acc = _p_add(acc, term)
-    out = [z] * (n + 1)
-    for i, c in enumerate(acc):
-        out[i] = c
-    return out
-
-
-def _int_divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _p_mulmod(field, a, b, mod):
-    return _p_divmod(field, _p_mul(field, a, b), mod)[1]
-
-
-def _p_powmod(field, base, e: int, mod):
-    """base**e reduced mod a polynomial of degree >= 1, by repeated squaring."""
-    acc = [field.one]
-    base = _p_divmod(field, base, mod)[1]
-    while e:
-        if e & 1:
-            acc = _p_mulmod(field, acc, base, mod)
-        e >>= 1
-        if e:
-            base = _p_mulmod(field, base, base, mod)
-    return acc
-
-
-def _gf_distinct_roots(field: Field, cs):
-    """Distinct roots in GF(p) of the nonzero polynomial cs."""
-    if field.p == 2:
-        return [x for x in field.elements() if _p_eval(cs, x).is_zero]
-    if len(cs) < 2:
-        return []
-    z, one = field.zero, field.one
-    xp = _p_powmod(field, [z, one], field.p, cs)
-    return _gf_split(field, _p_gcd(field, cs, _p_add(xp, [z, -one])))
-
-
-def _gf_split(field: Field, h):
-    """Roots of a monic h over GF(p), p odd, that is a product of distinct
-    linear factors.
-
-    A root r divides off into gcd(h, (x + a)^((p-1)/2) - 1) exactly when
-    r + a is a nonzero square.  The shifts a = 0, 1, 2, ... are tried in
-    turn; for roots r != s the ratio (r + a)/(s + a) takes every value but
-    1 as a varies, a non-square among them, so some shift splits h.
-    """
-    if len(h) <= 2:
-        return [-h[0]] if len(h) == 2 else []
-    one = field.one
-    for a in count():
-        t = _p_powmod(field, [field(a), one], (field.p - 1) // 2, h)
-        d = _p_gcd(field, h, _p_add(t, [-one]))
-        if 1 < len(d) < len(h):
-            return _gf_split(field, d) + _gf_split(field, _p_divmod(field, h, d)[0])
+    cs = _poly.charpoly(rows, p)
+    return list(_box(m.field, cs if p else [Fraction(c, den ** (n - k)) for k, c in enumerate(cs)]))
 
 
 def poly_roots(field: Field, coeffs):
-    """Roots in the field with multiplicities, as a list of (root, mult)."""
-    cs = _p_trim([field(c) for c in coeffs])
+    """Roots in the field with multiplicities, as a list of (root, mult)
+    ascending by value; over QQ found on the integer-cleared polynomial."""
+    cs = _unbox(field, coeffs)
+    cs = _poly.trim(cs if field.p else _int_row(cs)[0])
     if not cs:
         raise ValueError("the zero polynomial has every element as a root")
-    found = []
-    if field.p:
-        candidates = _gf_distinct_roots(field, cs)
-    else:
-        # rational root theorem on the integer-cleared polynomial
-        lcm = 1
-        for c in cs:
-            lcm = lcm * c.val.denominator // math.gcd(lcm, c.val.denominator)
-        ints = [int(c.val * lcm) for c in cs]
-        k = 0
-        while ints[k] == 0:
-            k += 1
-        candidates = [field.zero] if k else []
-        a0, an = ints[k], ints[-1]
-        seen = set()
-        for pnum in _int_divisors(a0):
-            for qden in _int_divisors(an):
-                for s in (1, -1):
-                    fr = Fraction(s * pnum, qden)
-                    if fr not in seen:
-                        seen.add(fr)
-                        candidates.append(field(fr))
-    for cand in candidates:
-        if _p_eval(cs, cand).is_zero:
-            mult = 0
-            while True:
-                q, rem = _p_div_linear(cs, cand)
-                if not rem.is_zero:
-                    break
-                cs = q
-                mult += 1
-            found.append((cand, mult))
-    found.sort(key=lambda t: t[0].val)
-    return found
+    return [(_box(field, (r,))[0], m) for r, m in _poly.roots(cs, field.p)]
 
 
 @dataclass(frozen=True)

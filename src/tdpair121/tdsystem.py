@@ -22,23 +22,21 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import mul
 
+from . import _poly
 from .fields import Field
 from .linalg import (
     Matrix,
     Subspace,
     _apply_raw,
-    _box,
     _eigenspace,
     _grid_of,
     _grid_rows,
+    _int_row,
     _inv_grid,
     _meet_rows,
     _mul_grids,
-    _p_gcd,
-    _p_trim,
     _rref,
     eigen_data,
-    poly_roots,
     primitive_idempotents,
     subspace_sum,
 )
@@ -450,9 +448,9 @@ def _search_profile_211(field, spaces, astar, b):
         if plane is None:
             continue
         for chosen in combinations(range(n - 1), d - 1):
-            sol = _solve_line_family(field, b, chosen)
+            sol = _solve_line_family(field.p, b, chosen)
             if sol is not None:
-                x, y, p = sol[0].val, sol[1].val, field.p
+                (x, y), p = sol, field.p
                 vec = [(x * u + y * v) % p if p else x * u + y * v
                        for u, v in zip(*plane._rows)]
                 w = Subspace._from_vals(field, 4, [spaces[i]._rows[0] for i in chosen] + [vec])
@@ -462,8 +460,8 @@ def _search_profile_211(field, spaces, astar, b):
     return None
 
 
-def _solve_line_family(field, b, gens):
-    """A projective point (x : y) at which span(gens, x*u1 + y*u2) is
+def _solve_line_family(p, b, gens):
+    """A raw projective point (x : y) at which span(gens, x*u1 + y*u2) is
     invariant, or None; b is as in :func:`_search_profile_211`, gens the
     chosen eigenline coordinates, and u1, u2 sit at coordinates 2 and 3.
     The conditions are linear forms (alpha, beta), meaning alpha*x + beta*y,
@@ -474,42 +472,37 @@ def _solve_line_family(field, b, gens):
         return None
     lin = [(-b[k2][j], b[k1][j]) for j in gens] + [(b[r][k1], b[r][k2]) for r in outside]
     quad = (b[k2][k1], b[k2][k2] - b[k1][k1], -b[k1][k2])
-    one, zero = field.one, field.zero
     if not any(a for a, _ in lin) and not quad[0]:
-        return one, zero
+        return 1, 0
 
     # the points (x : 1) are the roots of the gcd of the dehomogenized
-    # conditions, which has degree at most 2; the smallest is returned
-    polys = [_p_trim(list(_box(field, (c, a)))) for a, c in lin]
-    polys.append(_p_trim(list(_box(field, quad[::-1]))))
-    polys = [q for q in polys if q]
+    # conditions, residues over GF(p) and integer-cleared over QQ; the gcd
+    # has degree at most 2, and the smallest root is returned
+    polys = [[c, a] for a, c in lin] + [list(quad[::-1])]
+    polys = [[x % p for x in q] if p else _int_row(q)[0] for q in polys]
+    polys = [q for q in map(_poly.trim, polys) if q]
     g = polys[0]
     for q in polys[1:]:
-        g = _p_gcd(field, g, q)
+        if len(g) <= 1:
+            break
+        g = _poly.gcd(g, q, p)
     if len(g) <= 1:
         return None
-    if len(g) == 2:
-        return -g[0] / g[1], one
-    if field.is_prime_field:
-        roots = [r for r, _ in poly_roots(field, g)]
-    else:
-        roots = _rational_quadratic_roots(field, g)
-    return (roots[0], one) if roots else None
+    if len(g) == 2:  # not monic when a lone condition skipped the gcd
+        return (-g[0] * pow(g[1], -1, p) % p if p else Fraction(-g[0], g[1])), 1
+    roots = _poly.gf_roots(g, p) if p else _rational_quadratic_roots(g)
+    return (min(roots), 1) if roots else None
 
 
-def _rational_quadratic_roots(field, cs):
-    """Roots in Q of c0 + c1 x + c2 x^2, via a discriminant square test."""
-    c0, c1, c2 = cs[0].val, cs[1].val, cs[2].val
+def _rational_quadratic_roots(cs):
+    """The set of roots in Q of c0 + c1 x + c2 x^2, for integers c0, c1 and
+    c2 != 0, via a discriminant square test."""
+    c0, c1, c2 = cs
     disc = c1 * c1 - 4 * c0 * c2
-    if disc < 0:
-        return []
-    num, den = disc.numerator, disc.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return []
-    s = Fraction(rn, rd)
-    roots = {(-cs[1].val + s) / (2 * cs[2].val), (-cs[1].val - s) / (2 * cs[2].val)}
-    return [field(r) for r in sorted(roots)]
+    s = math.isqrt(disc) if disc >= 0 else -1
+    if s * s != disc:
+        return set()
+    return {Fraction(-c1 + s, 2 * c2), Fraction(-c1 - s, 2 * c2)}
 
 
 def _search_enumerate(field, spaces, astar):

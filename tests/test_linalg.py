@@ -109,11 +109,12 @@ def test_poly_roots_prime_field():
 
 
 def _int_poly_mul(a, b, p):
+    """Product of coefficient lists, reduced mod p (p > 0) or exact (p == 0)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
+            out[i + j] += x * y
+    return [c % p for c in out] if p else out
 
 
 def _random_split_poly(rng, p):
@@ -735,3 +736,97 @@ def test_qq_kernels_match_sympy_at_100_bits():
         for y in routes:
             assert x == y and hash(x) == hash(y)
         assert x != m.shift(QQ(1)) and x != m.transpose()
+
+
+# -- charpoly and poly_roots against sympy ----------------------------------------
+
+# 65537 - 1 = 2^16, the longest 2-power chain of a modular square root here
+ORACLE_PRIMES = [2, 3, 5, 101, 10007, 65537, 2**61 - 1]
+
+
+def _sympy_roots(sympy, cs, p):
+    """[(root, mult)] ascending of the polynomial cs (low degree first) over
+    QQ (p == 0) or GF(p), read off sympy's linear factors."""
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, cs)]
+    poly = sympy.Poly(coeffs[::-1], x, modulus=p) if p else sympy.Poly(coeffs[::-1], x)
+    out = []
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = (Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+                      for c in factor.all_coeffs())
+            out.append((-c0 * pow(int(c1), -1, p) % p if p else -c0 / c1, mult))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [0] + ORACLE_PRIMES)
+def test_charpoly_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"charpoly-sympy:{p}")
+    field = Field(p)
+    for n in range(1, 7):
+        for _ in range(2):
+            rows = [[_big(rng) if p == 0 else rng.randrange(p) for _ in range(n)]
+                    for _ in range(n)]
+            if rng.random() < 0.3:  # a zero entry on the diagonal and below it
+                rows[-1][0] = rows[0][0] = 0
+            got = [c.val for c in charpoly(Matrix(field, rows))]
+            sm = sympy.Matrix([[sympy.Rational(Fraction(v).numerator, Fraction(v).denominator)
+                                for v in r] for r in rows])
+            want = [Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+                    for c in sm.charpoly().all_coeffs()[::-1]]
+            if p:
+                want = [int(c) % p for c in want]
+            assert got == want, (p, rows)
+
+
+@pytest.mark.parametrize("p", [0] + ORACLE_PRIMES)
+def test_poly_roots_match_sympy(p):
+    # a nonzero scalar times (x - r)^m over a few known roots, times a
+    # factor with no root in the field
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"poly-roots-sympy:{p}")
+    field = Field(p)
+    x = sympy.Symbol("x")
+    for _ in range(12):
+        if p:
+            roots = {rng.randrange(p) for _ in range(rng.randint(1, min(3, p)))}
+            while True:
+                rootless = [rng.randrange(p), rng.randrange(p), 1]
+                if sympy.Poly(rootless[::-1], x, modulus=p).is_irreducible:
+                    break
+            cs = [rng.randrange(1, p)]
+        else:
+            roots = {Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                     for _ in range(rng.randint(1, 3))}
+            rootless = [rng.randint(1, 9), rng.randint(-2, 2), rng.randint(1, 3)]
+            cs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))]
+        mults = {r: rng.randint(1, 3) for r in roots}
+        for r, m in mults.items():
+            for _ in range(m):
+                cs = _int_poly_mul(cs, [-r, 1], p)
+        if rng.random() < 0.7:
+            cs = _int_poly_mul(cs, rootless, p)
+        got = poly_roots(field, cs)
+        assert [(r.val, m) for r, m in got] == sorted(mults.items()) == _sympy_roots(sympy, cs, p)
+        assert [r.val for r, _ in got] == sorted(r.val for r, _ in got)
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+def test_charpoly_of_a_12x12_matrix_is_fast(p):
+    # 12! = 479001600 permutation terms cannot meet the bound; the values
+    # at a few points are checked against det(xI - M), by elimination
+    import time
+    rng = random.Random(f"charpoly-12:{p}")
+    field = Field(p)
+    m = Matrix(field, [[random_scalar(rng, field) for _ in range(12)] for _ in range(12)])
+    start = time.perf_counter()
+    cs = charpoly(m)
+    assert time.perf_counter() - start < 1.0
+    assert len(cs) == 13 and cs[-1] == field.one
+    for t in (field(0), field(1), field(-2), random_scalar(rng, field)):
+        value = field.zero
+        for c in reversed(cs):
+            value = value * t + c
+        # det(tI - M) = (-1)^12 det(M - tI)
+        assert value == m.shift(t).det()

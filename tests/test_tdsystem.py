@@ -540,6 +540,47 @@ def test_invariant_search_quadratic_line_condition(p):
     assert w == Subspace(field, 4, [(0, 0, 3, 1)])
 
 
+def _is_eigenvector(m, v, p):
+    """Whether M v is a multiple of v: every 2x2 minor of [v, Mv] vanishes,
+    computed on plain Fractions (p == 0) or ints mod p."""
+    vals = [x.val for x in v]
+    mv = [sum(x.val * y for x, y in zip(row, vals)) for row in m.rows]
+    minors = [vals[i] * mv[j] - vals[j] * mv[i] for i in range(4) for j in range(i)]
+    return not any(x % p if p else x for x in minors)
+
+
+@pytest.mark.parametrize("p", [0, 10007])
+def test_invariant_search_one_linear_condition(p):
+    # A* acts on the plane of A's double eigenvalue as 7 times the identity,
+    # so the only condition on a line x*u1 + y*u2 there is row 0's
+    # 3x + 5y = 0: a lone condition skips the gcd and is not made monic,
+    # and the witness is the line (-5/3 : 1), not (-5 : 1).  Neither
+    # eigenline is invariant.  Conjugating by S moves the witness by S.
+    import random
+    field = Field(p)
+    a = Matrix.diagonal(field, [1, 2, 5, 5])
+    astar = Matrix(field, [[0, 1, 3, 5], [1, 0, 0, 0], [0, 0, 7, 0], [0, 0, 0, 7]])
+    line = (0, 0, field(-5) * field(3).inverse(), 1)
+    lines = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, -5, 1), line]
+    s = random_invertible(random.Random(f"one-condition:{p}"), field, Matrix)
+    si = s.invert()
+    for pair_, move in (((a, astar), lambda v: v), ((s * a * si, s * astar * si), s.apply)):
+        w = common_invariant_subspace(*pair_)
+        assert w == Subspace(field, 4, [move(line)])
+        assert all(_is_eigenvector(m, w.basis[0], p) for m in pair_)
+        if p:
+            # the oracle's own invariance test picks the witness out of the
+            # coordinate lines, the slip's line and the witness
+            rows = [[[x.val for x in r] for r in m.rows] for m in pair_]
+            candidates = []
+            for v in lines:
+                vec = tuple(field(c).val for c in move(v))
+                candidates.append((1, {tuple(k * x % p for x in vec) for k in range(p)},
+                                   [vec]))
+            found = oracle.brute_force_common_invariant(*rows, p, candidates)
+            assert Subspace(field, 4, found) == w
+
+
 def test_verify_conjugated_systems(rng, gf101):
     # non-canonical presentations: conjugate by random invertible maps
     from tdpair121 import extract_parameter_array
