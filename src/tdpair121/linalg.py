@@ -40,10 +40,15 @@ Vector = tuple  # tuple of FieldElement
 # equality compares grids (Matrix.__eq__).
 #
 # Over GF(p), _rref and _det_mod take entries in [0, p) and keep them
-# there; _holds reduces before its zero test, and _box reduces any int.
-# Over QQ, _rref clears the denominators of Fraction rows once (_int_row),
-# runs on integers (_rref_int) and builds one reduced Fraction per entry
-# on the way out (_fracs), so no gcd is paid per scalar operation.
+# there, and rewrite each row from the pivot column on; _holds reduces
+# before its zero test, and _box reduces any int.  Over QQ, _rref clears
+# the denominators of Fraction rows once (_int_row), runs on integers
+# (_rref_int) and builds one reduced Fraction per entry on the way out
+# (_fracs), so no gcd is paid per scalar operation; _rank counts the
+# pivots of _rref_int and builds no Fraction.
+# Null spaces, eigenspaces and meets are annihilators (_ann): canonical
+# rows read off one elimination on as many columns as the space has, so
+# only _inv_grid eliminates on 2n columns.
 # Subspace._rows and Subspace.basis hold the same vectors raw and boxed.
 
 _new = object.__new__
@@ -187,32 +192,19 @@ def _apply_raw(g, v, p: int, c=0) -> list:
                   den * dv * cd)
 
 
-def _kernel_rows(work, p: int) -> list:
-    """Raw basis of the null space of the raw rows work (over QQ, ints or
-    Fractions), which _rref reduces in place: one vector per free column."""
-    pivots = _rref(work, p)
-    n = len(work[0])
-    zero, one = (0, 1) if p else (_ZERO, Fraction(1))
-    basis = []
-    for f in (j for j in range(n) if j not in pivots):
-        v = [zero] * n
-        v[f] = one
-        for i, pj in enumerate(pivots):
-            v[pj] = -work[i][f] % p if p else -work[i][f]
-        basis.append(v)
-    return basis
-
-
-def _row_sub(row, f, top, p: int) -> list:
-    """row - f * top, reduced mod p."""
-    return [(a - f * b) % p for a, b in zip(row, top)]
-
-
 def _rref(work, p: int):
     """In-place reduced row echelon form of raw rows over GF(p) (p > 0) or
-    QQ (p == 0, ints or Fractions); returns the pivot columns.  The first len(pivots) rows are
-    then the reduced rows; over QQ the rows past them are left as they
-    were.  Rows are replaced, never mutated, so they may be tuples."""
+    QQ (p == 0, ints or Fractions); returns the pivot columns.  The first
+    len(pivots) rows are then the reduced rows; over QQ the rows past them
+    are left as they were.  Rows are replaced, never mutated, so they may
+    be tuples.
+
+    Over GF(p), when column c takes its pivot, every row from the pivot
+    row down is zero left of c: a column without a pivot is zero from the
+    pivot row down, and each earlier pivot column was cleared.  So the
+    pivot row is zero left of c, and each update keeps row[:c] and
+    rewrites the row from column c on only.
+    """
     if not p:
         ints = [_int_row(row)[0] for row in work]
         pivots = _rref_int(ints)
@@ -223,16 +215,24 @@ def _rref(work, p: int):
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot is None:
+        for i in range(r, nrows):
+            if work[i][c]:
+                break
+        else:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][c], -1, p)
-        top = work[r] = [x * inv % p for x in work[r]]
+        top = work[i]
+        work[i] = work[r]
+        a = top[c]
+        if a != 1:
+            inv = pow(a, -1, p)
+            top = [x * inv % p for x in top]
+        work[r] = top
+        tail = top[c:]
         for i in range(nrows):
-            f = work[i][c]
+            row = work[i]
+            f = row[c]
             if f and i != r:
-                work[i] = _row_sub(work[i], f, top, p)
+                work[i] = [*row[:c], *[(x - f * y) % p for x, y in zip(row[c:], tail)]]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -275,36 +275,78 @@ def _rref_int(work):
     return pivots
 
 
-def _meet_rows(x, y, n: int, p: int) -> list:
-    """Raw rows of span(x) /\\ span(y) in F^n, in reduced echelon form.
+def _rank(rows, p: int) -> int:
+    """Rank of raw rows; over QQ the pivot count of _rref_int on their
+    integer rows, so no Fraction is built."""
+    if p:
+        return len(_rref(list(rows), p))
+    return len(_rref_int([_int_row(r)[0] for r in rows]))
 
-    Zassenhaus elimination: in the reduced echelon form of the rows (u, u)
-    for u in x and (v, 0) for v in y, the rows whose left half vanished
-    carry a basis of the intersection in their right halves.
+
+def _ann(rows, n: int, p: int) -> list:
+    """Canonical raw rows (reduced echelon form) of the annihilator of the
+    raw rows in F^n, the null space {v : r . v = 0 for r in rows}; all of
+    F^n when there are no rows.
+
+    The rows are reduced with their columns reversed.  The null-space
+    vector of a free column f of that form is 1 at f, 0 at the other free
+    columns and nonzero only left of f; read back in the original order,
+    these vectors lead with 1 at their own columns and are 0 at each
+    other's, which is the reduced echelon form.
     """
-    work = [(*u, *u) for u in x] + [(*v, *(0,) * n) for v in y]
-    pivots = _rref(work, p)
-    return [row[n:] for row in work[:len(pivots)] if not any(row[:n])]
+    if p:
+        work = [r[::-1] for r in rows]
+        pivots = _rref(work, p)
+    else:
+        work = [_int_row(r[::-1])[0] for r in rows]
+        pivots = _rref_int(work)
+    zero, one = (0, 1) if p else (_ZERO, Fraction(1))
+    out = []
+    for f in range(n - 1, -1, -1):
+        if f in pivots:
+            continue
+        v = [zero] * n
+        v[n - 1 - f] = one
+        for row, c in zip(work, pivots):
+            x = row[f]
+            if x:
+                v[n - 1 - c] = -x % p if p else Fraction(-x, row[c])
+        out.append(v)
+    return out
+
+
+def _meet_rows(x, y, n: int, p: int) -> list:
+    """Raw rows of span(x) /\\ span(y) in F^n, in reduced echelon form: the
+    annihilator of the sum of their annihilators."""
+    return _ann(_ann(x, n, p) + _ann(y, n, p), n, p)
 
 
 def _det_mod(work, p: int) -> int:
     """Determinant of square rows of residues mod p, by elimination, in
-    place."""
+    place; row updates keep row[:c], as in _rref."""
     n = len(work)
     det = 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        top = work[c]
-        det = det * top[c]
-        inv = pow(top[c], -1, p)
-        for i in range(c + 1, n):
+        for i in range(c, n):
             if work[i][c]:
-                work[i] = _row_sub(work[i], work[i][c] * inv, top, p)
+                break
+        else:
+            return 0
+        top = work[i]
+        if i != c:
+            work[i] = work[c]
+            work[c] = top
+            det = -det
+        a = top[c]
+        det = det * a % p
+        inv = pow(a, -1, p)
+        tail = top[c:]
+        for i in range(c + 1, n):
+            row = work[i]
+            f = row[c]
+            if f:
+                f = f * inv % p
+                work[i] = [*row[:c], *[(x - f * y) % p for x, y in zip(row[c:], tail)]]
     return det % p
 
 
@@ -484,7 +526,7 @@ class Matrix:
         return f"Matrix[{body}]"
 
     def rank(self) -> int:
-        return len(_rref(list(self._grid[0]), self.field.p))
+        return _rank(self._grid[0], self.field.p)
 
     def det(self) -> FieldElement:
         if self.nrows != self.ncols:
@@ -498,9 +540,10 @@ class Matrix:
         return Matrix._from_grid(self.field, _inv_grid(self._grid, self.field.p))
 
     def kernel(self):
-        """Basis of the null space, as a list of vectors."""
+        """Basis of the null space, as a list of vectors in reduced echelon
+        form."""
         p = self.field.p
-        return [_box(self.field, v) for v in _kernel_rows(list(self._grid[0]), p)]
+        return [_box(self.field, v) for v in _ann(self._grid[0], self.ncols, p)]
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.rows]
@@ -533,11 +576,22 @@ class Subspace:
         s._span(field, ambient, work)
         return s
 
+    @classmethod
+    def _from_echelon(cls, field: Field, ambient: int, rows) -> Subspace:
+        """Span of canonical raw rows already in reduced echelon form, such
+        as those of :func:`_ann`, taken as they are."""
+        s = object.__new__(cls)
+        s._set(field, ambient, rows, [next(j for j, x in enumerate(r) if x) for r in rows])
+        return s
+
     def _span(self, field, ambient, work) -> None:
         pivots = _rref(work, field.p)
+        self._set(field, ambient, work[:len(pivots)], pivots)
+
+    def _set(self, field, ambient, rows, pivots) -> None:
         self.field = field
         self.ambient = ambient
-        self._rows = tuple(tuple(r) for r in work[:len(pivots)])
+        self._rows = tuple(tuple(r) for r in rows)
         self._pivots = tuple(pivots)
         self.basis = tuple(_box(field, r) for r in self._rows)
 
@@ -595,11 +649,12 @@ class Subspace:
         return Subspace._from_vals(self.field, self.ambient, list(self._rows + other._rows))
 
     def __and__(self, other: Subspace) -> Subspace:
-        """Intersection via Zassenhaus elimination (:func:`_meet_rows`)."""
+        """Intersection, the annihilator of the sum of the two annihilators
+        (:func:`_meet_rows`)."""
         self._compat(other)
         n = self.ambient
-        return Subspace._from_vals(self.field, n,
-                                   _meet_rows(self._rows, other._rows, n, self.field.p))
+        return Subspace._from_echelon(self.field, n,
+                                      _meet_rows(self._rows, other._rows, n, self.field.p))
 
     def _compat(self, other: Subspace) -> None:
         if self.field is not other.field or self.ambient != other.ambient:
@@ -705,11 +760,11 @@ def eigen_data(m: Matrix) -> EigenData:
 
 
 def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
-    """ker(m - e I) of a square matrix: the kernel of the rows of its raw
-    grid, whose denominator does not change the kernel."""
-    p = m.field.p
+    """ker(m - e I) of a square matrix: the annihilator of the rows of its
+    raw grid, whose denominator does not change it."""
+    p, n = m.field.p, m.ncols
     rows, _ = _shift_grid(m._grid, e.val, p)
-    return Subspace._from_vals(m.field, m.ncols, _kernel_rows(rows, p))
+    return Subspace._from_echelon(m.field, n, _ann(rows, n, p))
 
 
 def primitive_idempotents(m: Matrix, eigenvalues):

@@ -9,7 +9,8 @@ the shape.  Tridiagonality and the invariant-subspace search read one
 matrix: the partner written in a basis of the eigenspaces, whose block
 (i, j) is E_i M E_j.  The decompositions and the shape run on raw rows:
 of the twelve meets of chain members only the four middle components are
-real, and the shape is their dimensions plus one rank per decomposition.
+real, each the annihilator of two side-sum annihilators, and the shape is
+their dimensions plus one rank per decomposition.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .fields import Field
 from .linalg import (
     Matrix,
     Subspace,
+    _ann,
     _apply_raw,
     _eigenspace,
     _grid_of,
@@ -35,7 +37,7 @@ from .linalg import (
     _inv_grid,
     _meet_rows,
     _mul_grids,
-    _rref,
+    _rank,
     eigen_data,
     primitive_idempotents,
     subspace_sum,
@@ -72,7 +74,7 @@ class TDSystem:
         field = self.field
         spaces = [_eigenspace(self.A, t) for t in self.theta]
         duals = [_eigenspace(self.Astar, t) for t in self.thetastar]
-        return {dec: tuple(Subspace._from_vals(field, 4, list(c)) for c in comps)
+        return {dec: tuple(Subspace._from_echelon(field, 4, c) for c in comps)
                 for dec, comps in _decompositions(spaces, duals).items()}
 
     @cached_property
@@ -284,12 +286,15 @@ def _decompositions(spaces, duals):
     For the chains pa[i] = spaces[0] + ... + spaces[i], sa[i] = spaces[i] +
     ... + spaces[2], and pd, sd of the duals, [0*D] is (pd[i] /\\ sa[i]),
     [0*0] (pd[i] /\\ pa[2-i]), [D*0] (sd[2-i] /\\ pa[2-i]) and [D*D]
-    (sd[2-i] /\\ sa[i]).  Only the middle components are real meets, taken
-    on the spaces' rows side by side, so no chain sum is built.  The other
-    eight meet a space with a side's sum pa[2] = sa[0] (pd[2] = sd[0]): V,
-    a trivial meet, when the side's spaces are pairwise distinct with dims
-    adding up to 4, as distinct eigenspaces of one matrix are independent;
-    else (a TDSystem built with a repeated theta) a meet taken in full.
+    (sd[2-i] /\\ sa[i]).  Only the middle components are real meets.  X /\\ Y
+    is the annihilator of ann(X) + ann(Y), so the annihilators of the four
+    side sums pd[1], sd[1], pa[1] and sa[1] (each from the spaces' rows side
+    by side, no chain sum built) are taken once, and each middle is the
+    annihilator of two of them.  The other eight meet a space with a side's
+    sum pa[2] = sa[0] (pd[2] = sd[0]): V, a trivial meet, when the side's
+    spaces are pairwise distinct with dims adding up to 4, as distinct
+    eigenspaces of one matrix are independent; else (a TDSystem built with
+    a repeated theta) a meet taken in full.
     """
     p = spaces[0].field.p
     a, d = [s._rows for s in spaces], [s._rows for s in duals]
@@ -299,12 +304,14 @@ def _decompositions(spaces, duals):
         return x if spans else _meet_rows(x, [r for s in side for r in s], 4, p)
 
     d0, d2, a0, a2 = cut(a, d[0]), cut(a, d[2]), cut(d, a[0]), cut(d, a[2])
-    pd1, sd1, pa1, sa1 = d[0] + d[1], d[1] + d[2], a[0] + a[1], a[1] + a[2]
+    # the annihilators of pd[1], sd[1], pa[1] and sa[1]
+    npd, nsd, npa, nsa = (_ann(x + y, 4, p) for x, y in
+                          ((d[0], d[1]), (d[1], d[2]), (a[0], a[1]), (a[1], a[2])))
     return {
-        Decomposition.ZSTAR_D: (d0, _meet_rows(pd1, sa1, 4, p), a2),
-        Decomposition.ZSTAR_Z: (d0, _meet_rows(pd1, pa1, 4, p), a0),
-        Decomposition.DSTAR_Z: (d2, _meet_rows(sd1, pa1, 4, p), a0),
-        Decomposition.DSTAR_D: (d2, _meet_rows(sd1, sa1, 4, p), a2),
+        Decomposition.ZSTAR_D: (d0, _ann(npd + nsa, 4, p), a2),
+        Decomposition.ZSTAR_Z: (d0, _ann(npd + npa, 4, p), a0),
+        Decomposition.DSTAR_Z: (d2, _ann(nsd + npa, 4, p), a0),
+        Decomposition.DSTAR_D: (d2, _ann(nsd + nsa, 4, p), a2),
         Decomposition.Z_D: tuple(a),
         Decomposition.ZSTAR_DSTAR: tuple(d),
     }
@@ -324,7 +331,7 @@ def _consistent_shape(decomps, p):
     dims = {tuple(map(len, comps)) for comps in decomps.values()}
     these = dims.pop() if len(dims) == 1 else None
     if these is None or sum(these) != 4 or any(
-            len(_rref([r for c in comps for r in c], p)) != 4 for comps in decomps.values()):
+            _rank([r for c in comps for r in c], p) != 4 for comps in decomps.values()):
         return None
     return these
 

@@ -240,6 +240,34 @@ def rank_mod(rows, p):
     return rank
 
 
+def rref_mod(rows, p):
+    """Nonzero rows of the reduced row echelon form of int vectors over a
+    prime p: each leads with 1, which is 0 in every other row.  Rows not
+    yet used as a pivot wait in a pool; each pivot (inverted as
+    pivot^(p-2), Fermat) clears its column in the pool and in the rows
+    already taken."""
+    pool = [[x % p for x in r] for r in rows]
+    out = []
+    for c in range(len(pool[0]) if pool else 0):
+        pick = next((r for r in pool if r[c]), None)
+        if pick is None:
+            continue
+        pool.remove(pick)
+        top = [x * pow(pick[c], p - 2, p) % p for x in pick]
+        out = [[(x - r[c] * y) % p for x, y in zip(r, top)] for r in out] + [top]
+        pool = [[(x - r[c] * y) % p for x, y in zip(r, top)] for r in pool]
+    return out
+
+
+def meet_mod(x, y, n, p):
+    """Reduced echelon rows of span(x) /\\ span(y) in GF(p)^n, by Zassenhaus
+    elimination: in rref_mod of the rows (u, u) for u in x and (v, 0) for v
+    in y, the rows whose left half vanished carry the meet in their right
+    halves."""
+    work = [list(u) + list(u) for u in x] + [list(v) + [0] * n for v in y]
+    return rref_mod([r[n:] for r in rref_mod(work, p) if not any(r[:n])], p)
+
+
 def roots_mod(coeffs, p):
     """[(root, multiplicity)] of an int polynomial (low degree first) over
     GF(p), by evaluation at every residue and repeated synthetic division."""

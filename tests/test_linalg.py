@@ -570,6 +570,79 @@ def test_subspace_kernels_match_raw_ranks(p):
             assert _oracle_rank(us + ws + [[x.val for x in vec]], p) == total.dim
 
 
+def _span_cases(rng, p, n):
+    """Pairs of raw generator lists in F^n: the zero subspace (no rows, or
+    zero rows) and the full space on either side, one side inside the
+    other, and spans of random ranks sharing a generator; every third
+    case as tuple rows."""
+    zero = 0 if p else Fraction(0)
+    full = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def spanning(rank, count):
+        if rank == 0:
+            return [[zero] * n for _ in range(count)]
+        basis = [[_raw_entry(rng, p) for _ in range(n)] for _ in range(rank)]
+        return _raw_mul([[_raw_entry(rng, p) for _ in range(rank)] for _ in range(count)],
+                        basis, p)
+
+    some = spanning(n // 2, n // 2 + 1)
+    cases = [([], []), ([], some), (some, []), (full, some), (some, full), (full, []),
+             ([], full), (full, full), (spanning(0, 2), some), (some, spanning(1, 3)[:1] + some)]
+    for _ in range(24):
+        us = spanning(rng.randint(0, n), rng.randint(1, n + 1))
+        ws = spanning(rng.randint(0, n), rng.randint(1, n))
+        if us and rng.random() < 0.5:
+            ws.append(_raw_mul([[_raw_entry(rng, p) for _ in us]], us, p)[0])
+        cases.append((us, ws))
+    return [(tuple(map(tuple, us)), tuple(map(tuple, ws))) if i % 3 == 2 else (us, ws)
+            for i, (us, ws) in enumerate(cases)]
+
+
+@pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
+def test_spans_and_meets_are_the_oracles_echelon_rows(p):
+    # the canonical rows themselves, not only the dimensions: over GF(p)
+    # oracle.rref_mod of the generators, and for the meet oracle.meet_mod
+    # (Zassenhaus elimination, another method than the package's); over QQ
+    # sympy's rref and the same Zassenhaus construction on it
+    field = Field(p)
+    if p:
+        def rref(rows):
+            return oracle.rref_mod(rows, p)
+
+        def meet(us, ws, n):
+            return oracle.meet_mod(us, ws, n, p)
+    else:
+        sympy = pytest.importorskip("sympy")
+
+        def rref(rows):
+            if not rows:
+                return []
+            m = sympy.Matrix([[sympy.Rational(Fraction(x).numerator, Fraction(x).denominator)
+                               for x in r] for r in rows]).rref()[0]
+            out = [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+            return [r for r in out if any(r)]
+
+        def meet(us, ws, n):
+            work = [list(u) + list(u) for u in us] + [list(w) + [0] * n for w in ws]
+            return rref([r[n:] for r in rref(work) if not any(r[:n])])
+
+    for n in (4, 8):
+        rng = random.Random(f"echelon-rows:{p}:{n}")
+        for us, ws in _span_cases(rng, p, n):
+            u, w = Subspace(field, n, us), Subspace(field, n, ws)
+            for got, want in ((u, rref(us)), (w, rref(ws)), (u + w, rref(list(us) + list(ws))),
+                              (u & w, meet(us, ws, n)), (w & u, meet(us, ws, n))):
+                assert [_canonical(r, p) for r in got._rows] == want
+                assert [[x.val for x in v] for v in got.basis] == want
+            assert (u & w).dim == u.dim + w.dim - (u + w).dim
+            if us:
+                # the null space comes in reduced echelon form as well
+                kernel = [_canonical((x.val for x in k), p) for k in Matrix(field, us).kernel()]
+                assert kernel == rref(kernel) and len(kernel) == n - u.dim
+                for k in kernel:
+                    assert all(r == [0] for r in _raw_mul(us, [[x] for x in k], p))
+
+
 def test_kernels_reject_mixed_fields():
     f7, f11 = Field(7), Field(11)
     rows = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]]

@@ -1,9 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracle
+import tdpair121
 from conftest import (
     random_admissible_array,
     random_boundary_array,
@@ -341,6 +343,33 @@ def test_decompositions_pinned():
             [field.parse(x) for x in p["theta"]], [field.parse(x) for x in p["thetastar"]],
             p.get("direct", False)))
     assert dump_decompositions(got) == text
+
+
+def test_verify_eliminates_on_four_columns_only(monkeypatch, rng):
+    # the meets are kernels of annihilators, so no elimination in verify
+    # is wider than the space; the one exception is the [M | I] of
+    # _inv_grid, which writes a matrix in the eigenspace coordinates
+    calls = []
+    for name in ("_rref", "_rref_int"):
+        real = getattr(tdpair121.linalg, name)
+
+        def spy(work, *args, _real=real):
+            calls.append((len(work[0]) if work else 0, sys._getframe(1).f_code.co_name))
+            return _real(work, *args)
+
+        for module in vars(tdpair121).values():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    for field in (Field(101), QQ):
+        pa = random_admissible_array(rng, field)
+        a, astar = canonical_matrices(pa)
+        q = random_invertible(rng, field, Matrix)
+        qi = q.invert()
+        calls.clear()
+        report = verify_td_system(qi * a * q, qi * astar * q, pa.theta, pa.thetastar)
+        assert report.overall and report.shape == (1, 2, 1)
+        wide = [(w, caller) for w, caller in calls if w > 4]
+        assert calls and wide and all(c == (8, "_inv_grid") for c in wide), wide
 
 
 def _oracle_agrees(tds):
