@@ -3,13 +3,17 @@ over GF(p) (p > 0), and integers over the rationals (p == 0) once the
 caller has cleared denominators; linalg unboxes at the edge.
 
 charpoly is Berkowitz's division-free method (Inf. Process. Lett. 18,
-1984), O(n^4) ring operations against the n! terms of Leibniz.  Roots
-over GF(p) take time polynomial in log p: gcd(f, x^p - x) is the product
-of the distinct linear factors, which equal-degree splitting
-(Cantor-Zassenhaus) breaks up, down to quadratics solved by a modular
-square root.  Over the rationals each candidate r/q, from the divisors of
-the lowest nonzero and the leading coefficient, is tested on integers as
-q^n f(r/q), and its multiplicity found by exact division by qx - r.
+1984), O(n^4) ring operations against the n! terms of Leibniz; its
+constant term gives Matrix.det.  Roots over GF(p) take time polynomial
+in log p: gcd(f, x^p - x) is the product of the distinct linear factors,
+which equal-degree splitting (Cantor-Zassenhaus) breaks up, down to
+quadratics solved by a modular square root.  Roots over the rationals
+come from the same code (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 15): the roots of the squarefree part mod a small prime,
+lifted by Newton's iteration and read back as fractions by extended
+Euclid.  Either way each candidate r/q is tested exactly as q^n f(r/q),
+and its multiplicity found by exact division by qx - r.  A linear
+polynomial has its root in closed form.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import math
 from fractions import Fraction
 from itertools import count
 from operator import mul as _mul
+
+from .fields import _is_prime
 
 
 def trim(cs: list) -> list:
@@ -120,9 +126,11 @@ def charpoly(rows, p: int) -> list:
 
 
 def gf_roots(cs, p: int) -> list:
-    """Distinct roots in GF(p) of the trimmed nonzero raw polynomial cs."""
-    if p == 2:
-        return [x for x in (0, 1) if not value(cs, x, 1, 2)]
+    """Distinct roots in GF(p) of the trimmed nonzero raw polynomial cs.
+    Below p = 64 every residue is tried, which is faster there (about 2x at
+    p = 31 on quadratics and quartics), and which p = 2 needs."""
+    if p < 64:
+        return [x for x in range(p) if not value(cs, x, 1, p)]
     if len(cs) < 2:
         return []
     xp = powmod([0, 1], p, cs, p) + [0, 0]
@@ -167,24 +175,54 @@ def _sqrt(a: int, p: int) -> int:
     return r
 
 
-def _int_divisors(n: int) -> list:
-    """Positive divisors of n != 0, ascending, by trial division."""
-    n = abs(n)
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _rational_candidates(cs) -> list:
+    """Pairs (r, q), q > 0, among which are all the roots r/q in lowest
+    terms of the integer polynomial cs of degree >= 2.
+
+    0 is a candidate when cs[0] is 0.  The rest are the roots of s, the
+    squarefree part of cs without its factors x, integral by Gauss's
+    lemma.  Take the least odd prime p that does not divide s's leading
+    coefficient and at which every root of s mod p is simple; every p that
+    divides neither that coefficient nor the discriminant qualifies.  A
+    root r/q of s is then the simple root r q^-1 mod p, which Newton's
+    iteration lifts to the root mod some m > 2 |s_0| |s_n|.  As |r| <= |s_0|
+    and q <= |s_n|, extended Euclid on (m, root) reads r/q back at its first
+    remainder of at most |s_0| (MCA Theorem 5.26).
+    """
+    k = next(i for i, c in enumerate(cs) if c)
+    cands = [(0, 1)] if k else []
+    f = cs[k:]
+    if len(f) < 2:
+        return cands
+    s = divmod_(f, gcd(f, [i * c for i, c in enumerate(f)][1:], 0), 0)[0]
+    ds = [i * c for i, c in enumerate(s)][1:]
+    for p in count(3, 2):
+        if s[-1] % p and _is_prime(p):
+            lifted = gf_roots([c % p for c in s], p)
+            if all(value(ds, a, 1, p) for a in lifted):
+                break
+    top = abs(s[0])
+    m, bound = p, 2 * top * abs(s[-1])
+    while m <= bound:
+        m *= m
+        lifted = [(a - value(s, a, 1, m) * pow(value(ds, a, 1, m), -1, m)) % m for a in lifted]
+    for a in lifted:
+        r0, r1, t0, t1 = m, a, 0, 1
+        while r1 > top:
+            quo = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
+        x = Fraction(r1, t1)
+        cands.append((x.numerator, x.denominator))
+    return cands
 
 
 def roots(cs, p: int) -> list:
     """Roots with multiplicities of the trimmed nonzero raw polynomial cs,
     as (root, mult) pairs ascending by root: residues over GF(p), and over
     the rationals Fractions, from integer coefficients."""
-    if p:
-        cands = [(r, 1) for r in gf_roots(cs, p)]
-    else:
-        k = next(i for i, c in enumerate(cs) if c)
-        cands = [(0, 1)] if k else []
-        cands += [(s * r, q) for r in _int_divisors(cs[k]) for q in _int_divisors(cs[-1])
-                  if math.gcd(r, q) == 1 for s in (1, -1)]
+    if len(cs) == 2:
+        return [(-cs[0] * pow(cs[1], -1, p) % p if p else Fraction(-cs[0], cs[1]), 1)]
+    cands = [(r, 1) for r in gf_roots(cs, p)] if p else _rational_candidates(cs)
     found = []
     for r, q in cands:
         mult = 0

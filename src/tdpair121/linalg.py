@@ -2,13 +2,13 @@
 
 A matrix is its raw grid: over GF(p) rows of residues, over the rationals
 integer rows over one denominator.  Every kernel runs on grids, so over the
-rationals products, row reduction and determinants are fraction-free
-(Bareiss elimination for determinants), and a reduced Fraction is built
-only per entry read.  Subspaces are kept in a canonical echelon form so
-that equality of subspaces is equality of representations.  Eigenvalues
+rationals products and row reduction are fraction-free, and a reduced
+Fraction is built only per entry read.  Subspaces are kept in a canonical
+echelon form so that equality of subspaces is equality of representations.  Eigenvalues
 are the roots of the characteristic polynomial in the base field; both
 are computed on raw coefficients in :mod:`tdpair121._poly`, and
 :func:`charpoly` and :func:`poly_roots` only unbox and box at its edge.
+A determinant is the constant term of the characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -34,18 +34,18 @@ Vector = tuple  # tuple of FieldElement
 # GF(p) residues in [0, p) with den 1, over QQ integer rows over one
 # positive denominator, not necessarily the least.  Every Matrix holds its
 # grid (Matrix._grid) from the moment it is built, and products, sums,
-# scalings, shifts, inverses, ranks, kernels and determinants all read it;
+# scalings, shifts, inverses, ranks, kernels and charpoly (so det) read it;
 # rank, kernel and invariance ignore den, which scales no row space.
 # Matrix.rows is boxed from the grid, once per entry, on first read, and
 # equality compares grids (Matrix.__eq__).
 #
-# Over GF(p), _rref and _det_mod take entries in [0, p) and keep them
-# there, and rewrite each row from the pivot column on; _holds reduces
-# before its zero test, and _box reduces any int.  Over QQ, _rref clears
-# the denominators of Fraction rows once (_int_row), runs on integers
-# (_rref_int) and builds one reduced Fraction per entry on the way out
-# (_fracs), so no gcd is paid per scalar operation; _rank counts the
-# pivots of _rref_int and builds no Fraction.
+# _rref and _rref_int are the only eliminations.  Over GF(p), _rref takes
+# entries in [0, p) and keeps them there, and rewrites each row from the
+# pivot column on; _holds reduces before its zero test, and _box reduces
+# any int.  Over QQ, _rref clears the denominators of Fraction rows once
+# (_int_row), runs on integers (_rref_int) and builds one reduced Fraction
+# per entry on the way out (_fracs), so no gcd is paid per scalar
+# operation; _rank counts the pivots of _rref_int and builds no Fraction.
 # Null spaces, eigenspaces and meets are annihilators (_ann): canonical
 # rows read off one elimination on as many columns as the space has, so
 # only _inv_grid eliminates on 2n columns.
@@ -321,60 +321,6 @@ def _meet_rows(x, y, n: int, p: int) -> list:
     return _ann(_ann(x, n, p) + _ann(y, n, p), n, p)
 
 
-def _det_mod(work, p: int) -> int:
-    """Determinant of square rows of residues mod p, by elimination, in
-    place; row updates keep row[:c], as in _rref."""
-    n = len(work)
-    det = 1
-    for c in range(n):
-        for i in range(c, n):
-            if work[i][c]:
-                break
-        else:
-            return 0
-        top = work[i]
-        if i != c:
-            work[i] = work[c]
-            work[c] = top
-            det = -det
-        a = top[c]
-        det = det * a % p
-        inv = pow(a, -1, p)
-        tail = top[c:]
-        for i in range(c + 1, n):
-            row = work[i]
-            f = row[c]
-            if f:
-                f = f * inv % p
-                work[i] = [*row[:c], *[(x - f * y) % p for x, y in zip(row[c:], tail)]]
-    return det % p
-
-
-def _det_int(work) -> int:
-    """Determinant of square integer rows by Bareiss elimination, in place.
-
-    After the step on column c every entry right of it in the rows below is
-    a minor of order c + 2 of the input (Sylvester's identity), so the
-    division by the previous pivot is exact (Bareiss 1968).
-    """
-    n = len(work)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        pivot = next((i for i in range(c, n) if work[i][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            sign = -sign
-        top = work[c]
-        a = top[c]
-        for i in range(c + 1, n):
-            f = work[i][c]
-            work[i] = [(a * x - f * y) // prev for x, y in zip(work[i], top)]
-        prev = a
-    return sign * work[-1][-1] if n else 1
-
-
 def _shaped(rows) -> list:
     """rows, checked to be a nonempty rectangular grid: the one shape rule
     of every public Matrix constructor."""
@@ -529,11 +475,12 @@ class Matrix:
         return _rank(self._grid[0], self.field.p)
 
     def det(self) -> FieldElement:
+        """(-1)^n times the constant term of the characteristic polynomial,
+        which Berkowitz's method computes without division."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        (rows, den), p = self._grid, self.field.p
-        det = _det_mod(list(rows), p) if p else Fraction(_det_int(list(rows)), den ** len(rows))
-        return _box(self.field, (det,))[0]
+        c = charpoly(self)[0]
+        return -c if self.nrows % 2 else c
 
     def invert(self) -> Matrix:
         """Exact inverse; raises SingularMatrixError if rank < n."""

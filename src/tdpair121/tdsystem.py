@@ -15,10 +15,8 @@ their dimensions plus one rank per decomposition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import mul
@@ -472,7 +470,10 @@ def _solve_line_family(p, b, gens):
     invariant, or None; b is as in :func:`_search_profile_211`, gens the
     chosen eigenline coordinates, and u1, u2 sit at coordinates 2 and 3.
     The conditions are linear forms (alpha, beta), meaning alpha*x + beta*y,
-    and one quadratic (alpha, beta, gamma), alpha*x^2 + beta*xy + gamma*y^2."""
+    and one quadratic (alpha, beta, gamma), alpha*x^2 + beta*xy + gamma*y^2.
+    (1 : 0) is returned when every condition vanishes there; else the points
+    (x : 1) are the roots of the gcd of the dehomogenized conditions, found
+    by :func:`_poly.roots` on both fields, and the smallest is returned."""
     k1, k2 = 2, 3
     outside = [r for r in (0, 1) if r not in gens]
     if any(b[r][j] for j in gens for r in outside):
@@ -481,10 +482,7 @@ def _solve_line_family(p, b, gens):
     quad = (b[k2][k1], b[k2][k2] - b[k1][k1], -b[k1][k2])
     if not any(a for a, _ in lin) and not quad[0]:
         return 1, 0
-
-    # the points (x : 1) are the roots of the gcd of the dehomogenized
-    # conditions, residues over GF(p) and integer-cleared over QQ; the gcd
-    # has degree at most 2, and the smallest root is returned
+    # residues over GF(p) and integer-cleared over QQ; the gcd has degree <= 2
     polys = [[c, a] for a, c in lin] + [list(quad[::-1])]
     polys = [[x % p for x in q] if p else _int_row(q)[0] for q in polys]
     polys = [q for q in map(_poly.trim, polys) if q]
@@ -495,21 +493,8 @@ def _solve_line_family(p, b, gens):
         g = _poly.gcd(g, q, p)
     if len(g) <= 1:
         return None
-    if len(g) == 2:  # not monic when a lone condition skipped the gcd
-        return (-g[0] * pow(g[1], -1, p) % p if p else Fraction(-g[0], g[1])), 1
-    roots = _poly.gf_roots(g, p) if p else _rational_quadratic_roots(g)
-    return (min(roots), 1) if roots else None
-
-
-def _rational_quadratic_roots(cs):
-    """The set of roots in Q of c0 + c1 x + c2 x^2, for integers c0, c1 and
-    c2 != 0, via a discriminant square test."""
-    c0, c1, c2 = cs
-    disc = c1 * c1 - 4 * c0 * c2
-    s = math.isqrt(disc) if disc >= 0 else -1
-    if s * s != disc:
-        return set()
-    return {Fraction(-c1 + s, 2 * c2), Fraction(-c1 - s, 2 * c2)}
+    roots = _poly.roots(g, p)
+    return (roots[0][0], 1) if roots else None
 
 
 def _search_enumerate(field, spaces, astar):

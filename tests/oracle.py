@@ -375,3 +375,27 @@ def mat_inverse(rows, p=0):
                 work[i] = [(x - f * y) % p if p else x - f * y
                            for x, y in zip(work[i], work[c])]
     return [r[n:] for r in work]
+
+
+def det(rows, p=0):
+    """Determinant of a square matrix of Fractions (p = 0) or ints mod a
+    prime p, by Gaussian elimination with row swaps; mod p a pivot is
+    inverted as pivot^(p-2) (Fermat)."""
+    n = len(rows)
+    work = [[F(x) for x in r] for r in rows]
+    if p:
+        work = [[int(x) % p for x in r] for r in work]
+    total = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            total = -total
+        total *= work[c][c]
+        inv = pow(work[c][c], p - 2, p) if p else 1 / work[c][c]
+        for i in range(c + 1, n):
+            f = work[i][c] * inv
+            work[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(work[i], work[c])]
+    return total % p if p else total

@@ -195,6 +195,39 @@ def test_verify_conjugated_system_without_orderings(capsys, tmp_path, rng):
     assert doc["verification"]["shape"] == [1, 2, 1]
 
 
+def test_verify_without_orderings_on_seven_digit_eigenvalues_is_fast(tmp_path):
+    # a bare QQ pair whose eigenvalues have seven digits; finding them by
+    # trying every divisor of the characteristic polynomial's coefficients
+    # ran past 20 s
+    import os
+    import subprocess
+    import sys
+    import time
+
+    import tdpair121
+    doc = dict(P0_DOC, theta=["1000003", "1000033", "1000037"],
+               thetastar=["1000039", "1000081", "1000099"], varphi="1000117", phi="1000121")
+    pa, system, bare = (tmp_path / name for name in ("pa.json", "sys.json", "bare.json"))
+    pa.write_text(json.dumps(doc))
+    assert main(["construct", str(pa), "--out", str(system)]) == 0
+    data = json.loads(system.read_text())
+    del data["theta"], data["thetastar"]
+    bare.write_text(json.dumps(data))
+    src = str(Path(tdpair121.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tdpair121", "verify", str(bare)],
+                          capture_output=True, text=True, timeout=10, env=env)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["orderings_found"] == 4
+    assert out["verification"]["overall"] is True
+    assert out["verification"]["shape"] == [1, 2, 1]
+    assert elapsed < 1.0
+
+
 def test_verify_identity_pair_exit_3(capsys, tmp_path):
     eye = [["1", "0", "0", "0"], ["0", "1", "0", "0"],
            ["0", "0", "1", "0"], ["0", "0", "0", "1"]]

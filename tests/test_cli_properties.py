@@ -2,10 +2,10 @@
 command exits 0-3 with no traceback, and exit 1 comes with exactly one
 "error:" line on stderr and nothing on stdout.
 
-Matrix entries stay small: over QQ, `verify` without orderings still finds
-eigenvalues by trial division of the characteristic polynomial's cleared
-coefficients, which takes time exponential in their bit length (ROADMAP
-item 3); that is a running-time defect, not an exit-code one.
+System files over QQ also come with 128-bit numerators and denominators,
+in full and in upper-triangular matrices whose eigenvalues are their
+128-bit diagonal entries, some repeated: `verify` without orderings finds
+rational eigenvalues in time polynomial in their bit length.
 """
 
 import io
@@ -40,6 +40,11 @@ elements = st.one_of(
     st.lists(st.integers(-9, 9).map(str), max_size=2),
 )
 small_elements = st.integers(-9, 9).map(str)
+big_ints = st.integers(-2 ** 128, 2 ** 128)
+big_elements = st.one_of(
+    big_ints.map(str),
+    st.builds(lambda a, b: f"{a}/{b}", big_ints, st.integers(1, 2 ** 128)),
+)
 
 characteristics = st.one_of(
     st.sampled_from([2, 3, 5, 7, 11, 101, 10007]),
@@ -61,6 +66,15 @@ def matrices(elem):
     square = vectors(vectors(elem, 4), 4)
     ragged = st.lists(st.lists(elem, max_size=5), max_size=5)
     return st.one_of(square, square, ragged, json_values)
+
+
+@st.composite
+def triangular_matrices(draw, elem):
+    """Upper-triangular 4x4 matrices whose diagonal takes at most four
+    values, so that eigenvalues repeat."""
+    diagonal = draw(st.lists(elem, min_size=1, max_size=4))
+    return [[draw(st.sampled_from(diagonal)) if i == j else draw(elem) if j > i else "0"
+             for j in range(4)] for i in range(4)]
 
 
 def documents(required, optional):
@@ -104,6 +118,12 @@ system_files = st.one_of(
               {"theta": vectors(small_elements, 3), "thetastar": vectors(small_elements, 3)}),
     json_values,
 ).map(json.dumps)
+
+big_matrices = st.one_of(vectors(vectors(big_elements, 4), 4), triangular_matrices(big_elements))
+# well-formed and without orderings, so that every one reaches the search
+# for eigenvalues
+big_qq_system_files = st.fixed_dictionaries(
+    {"field": st.just({"kind": "Q"}), "A": big_matrices, "Astar": big_matrices}).map(json.dumps)
 
 raw_files = st.one_of(
     st.text(max_size=40), st.sampled_from(["", "{", "[1,", "NaN", "\"x\""]),
@@ -156,6 +176,12 @@ def test_parameter_commands_fail_closed(command, text, out):
 @SETTINGS
 @given(text=st.one_of(system_files, raw_files))
 def test_verify_fails_closed(text):
+    check_fails_closed(*run_on_file("verify", text))
+
+
+@SETTINGS
+@given(text=big_qq_system_files)
+def test_verify_fails_closed_on_128_bit_qq_systems(text):
     check_fails_closed(*run_on_file("verify", text))
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
@@ -885,10 +887,73 @@ def test_poly_roots_match_sympy(p):
         assert [r.val for r, _ in got] == sorted(r.val for r, _ in got)
 
 
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once seconds have passed, so that
+    a hang fails the test instead of stalling the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_rational_roots_of_huge_coefficients_are_fast():
+    # trying every divisor of 10^40 + 7 would take about 10^20 steps
+    c = 10**40 + 7
+    with _deadline(1.0):
+        assert poly_roots(QQ, [QQ(-c), 0, 0, 0, QQ(1)]) == []
+        assert poly_roots(QQ, [QQ(c), QQ(1)]) == [(QQ(-c), 1)]
+        assert poly_roots(QQ, [QQ(-c), QQ(0), QQ(1)]) == []
+        assert poly_roots(QQ, [QQ(-c * c), QQ(0), QQ(1)]) == [(QQ(-c), 1), (QQ(c), 1)]
+
+
+def test_rational_roots_at_100_bits_match_sympy():
+    # products of seeded linear factors q x - r with 100-bit r and q, some
+    # repeated and some r = 0, times a 100-bit scalar and at times a
+    # quadratic without rational roots
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("rational-roots-100-bits")
+    with _deadline(10.0):
+        for _ in range(40):
+            cs = [rng.choice((1, -1)) * (rng.getrandbits(100) | 1)]
+            for _ in range(rng.randint(1, 3)):
+                r = 0 if rng.random() < 0.15 else rng.choice((1, -1)) * rng.getrandbits(100)
+                factor = [-r, rng.getrandbits(100) | 1 if r else 1]
+                for _ in range(rng.randint(1, 2)):
+                    cs = _int_poly_mul(cs, factor, 0)
+            if rng.random() < 0.5:
+                cs = _int_poly_mul(cs, [rng.getrandbits(100) | 1, 0, rng.getrandbits(100) | 1], 0)
+            got = [(r.val, m) for r, m in poly_roots(QQ, cs)]
+            assert got == _sympy_roots(sympy, cs, 0), cs
+
+
+def test_rational_roots_come_from_the_prime_field_root_finder(monkeypatch):
+    from tdpair121 import _poly
+    primes = []
+    gf_roots = _poly.gf_roots
+
+    def spy(cs, p):
+        primes.append(p)
+        return gf_roots(cs, p)
+
+    monkeypatch.setattr(_poly, "gf_roots", spy)
+    # (2x - 3)(5x + 7)(x^2 + 1)
+    cs = _int_poly_mul(_int_poly_mul([-3, 2], [7, 5], 0), [1, 0, 1], 0)
+    assert poly_roots(QQ, cs) == [(QQ(Fraction(-7, 5)), 1), (QQ(Fraction(3, 2)), 1)]
+    # odd primes that do not divide the leading coefficient 10
+    assert primes and all(p % 2 and 10 % p for p in primes)
+
+
 @pytest.mark.parametrize("p", [0, 10007])
 def test_charpoly_of_a_12x12_matrix_is_fast(p):
     # 12! = 479001600 permutation terms cannot meet the bound; the values
-    # at a few points are checked against det(xI - M), by elimination
+    # at a few points are checked against det(xI - M), by the oracle's
+    # elimination, since Matrix.det itself reads charpoly
     import time
     rng = random.Random(f"charpoly-12:{p}")
     field = Field(p)
@@ -901,5 +966,21 @@ def test_charpoly_of_a_12x12_matrix_is_fast(p):
         value = field.zero
         for c in reversed(cs):
             value = value * t + c
-        # det(tI - M) = (-1)^12 det(M - tI)
-        assert value == m.shift(t).det()
+        rows = [[t.val * (i == j) - x.val for j, x in enumerate(r)] for i, r in enumerate(m.rows)]
+        assert value.val == oracle.det(rows, p)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 101])
+def test_det_matches_elimination_at_odd_and_even_sizes(p):
+    # the sign (-1)^n of det = (-1)^n charpoly(0) shows only at odd n
+    rng = random.Random(f"det:{p}")
+    field = Field(p)
+    for n in (1, 2, 3, 4, 5):
+        wants = []
+        for k in range(16):
+            rows = [[random_scalar(rng, field).val for _ in range(n)] for _ in range(n)]
+            if k == 0 and n > 1:  # singular: a repeated row
+                rows[-1] = list(rows[0])
+            wants.append(oracle.det(rows, p))
+            assert Matrix(field, rows).det().val == wants[-1], (p, rows)
+        assert any(wants)
