@@ -21,11 +21,10 @@ from .linalg import (
     SingularMatrixError,
     _apply_raw,
     _box,
-    _fracs,
-    _grid_of,
     _inv_grid,
     _mul_grids,
-    _unbox,
+    _vector,
+    _vector_of,
 )
 from .params import ParameterArray, _require_admissible, extract_parameter_array
 from .tdsystem import TDSystem
@@ -55,17 +54,17 @@ class EtaVectors:
 def canonical_seed(tds: TDSystem):
     """First dual eigenspace image of the earliest standard vector,
     rescaled so its first nonzero coordinate is 1."""
-    return _box(tds.field, _canonical_seed(tds))
+    return _box(tds.field, *_canonical_seed(tds))
 
 
-def _canonical_seed(tds: TDSystem) -> list:
-    """Raw values of :func:`canonical_seed`, read off a column of the grid
-    of E*_0; over QQ the grid's denominator cancels in the rescaling."""
+def _canonical_seed(tds: TDSystem) -> tuple:
+    """The raw vector of :func:`canonical_seed`, read off a column of the
+    grid of E*_0; over QQ the grid's denominator cancels in the rescaling."""
     p = tds.field.p
     for v in zip(*tds.Estar[0]._grid[0]):
         lead = next((x for x in v if x), None)
         if lead is not None:
-            return _scale_raw(pow(lead, -1, p), v, p) if p else _fracs(v, lead)
+            return _scale_raw(pow(lead, -1, p), (v, 1), p) if p else _vector(v, lead)
     raise ValueError("zero projector")
 
 
@@ -74,15 +73,15 @@ def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
     without a seed, the system's own, grown once from :func:`canonical_seed`."""
     if seed is None:
         return tds._bases.eta
-    return _boxed_eta(tds.field, _chain(tds, _unbox(tds.field, seed)))
+    return _boxed_eta(tds.field, _chain(tds, _vector_of(tds.field, seed)))
 
 
-def _chain(tds: TDSystem, seed: list) -> tuple:
-    """Raw (eta0*, eta0, eta2, eta2*) grown from the raw seed eta0*."""
+def _chain(tds: TDSystem, seed: tuple) -> tuple:
+    """Raw vectors (eta0*, eta0, eta2, eta2*) grown from the raw seed eta0*."""
     p = tds.field.p
-    if len(seed) != 4:
+    if len(seed[0]) != 4:
         raise ValueError("seed vector must have 4 coordinates")
-    if not any(seed):
+    if not any(seed[0]):
         raise ValueError("seed vector is zero")
     if _apply_raw(tds.Estar[0]._grid, seed, p) != seed:
         raise ValueError("seed vector is outside the first dual eigenspace")
@@ -93,14 +92,14 @@ def _chain(tds: TDSystem, seed: list) -> tuple:
     eta2 = _apply_raw(a, _apply_raw(a, seed, p, t0), p, t1)
     eta2star = _apply_raw(astar, _apply_raw(astar, eta2, p, s0), p, s1)
     for name, v in (("eta0", eta0), ("eta2", eta2), ("eta2star", eta2star)):
-        if not any(v):
+        if not any(v[0]):
             raise ValueError(f"chain vector {name} vanished; "
                              "input is not a shape-(1,2,1) system")
     return seed, eta0, eta2, eta2star
 
 
 def _boxed_eta(field, chain) -> EtaVectors:
-    return EtaVectors(*(_box(field, v) for v in chain))
+    return EtaVectors(*(_box(field, *v) for v in chain))
 
 
 class _SystemBases:
@@ -114,7 +113,7 @@ class _SystemBases:
             self.chain = _chain(tds, _canonical_seed(tds))
             self.eta = _boxed_eta(field, self.chain)
         else:
-            self.chain = tuple(_unbox(field, v) for v in
+            self.chain = tuple(_vector_of(field, v) for v in
                                (eta.eta0star, eta.eta0, eta.eta2, eta.eta2star))
             self.eta = eta
         self._pairs = {}
@@ -124,7 +123,9 @@ class _SystemBases:
         got = self._pairs.get(basis)
         if got is None:
             p = tds.field.p
-            m = _grid_of([list(r) for r in zip(*_basis_columns(tds, basis, self.chain))], p)
+            cols = _basis_columns(tds, basis, self.chain)
+            den = math.lcm(*[d for _, d in cols])
+            m = [list(r) for r in zip(*[[x * (den // d) for x in v] for v, d in cols])], den
             try:
                 got = self._pairs[basis] = m, _inv_grid(m, p)
             except SingularMatrixError:
@@ -146,7 +147,7 @@ def basis_matrix(tds: TDSystem, basis: BasisId, eta: EtaVectors | None = None) -
 
 
 def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
-    """Raw columns of the basis, from the raw chain vectors; (M - c I)v is
+    """The basis as raw vectors, from the raw chain vectors; (M - c I)v is
     taken as Mv - cv."""
     p = tds.field.p
     eta0star, eta0, eta2, eta2star = chain
@@ -174,8 +175,11 @@ def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def _scale_raw(c, v, p: int) -> list:
-    return [c * x % p for x in v] if p else [c * x for x in v]
+def _scale_raw(c, v, p: int) -> tuple:
+    vals, den = v
+    if p:
+        return [c * x % p for x in vals], 1
+    return _vector([c.numerator * x for x in vals], c.denominator * den)
 
 
 def represent(tds: TDSystem, which: str, basis: BasisId,

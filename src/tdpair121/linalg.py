@@ -1,14 +1,15 @@
 """Dense exact linear algebra on the 4-dimensional column space.
 
 A matrix is its raw grid: over GF(p) rows of residues, over the rationals
-integer rows over one denominator.  Every kernel runs on grids, so over the
-rationals products and row reduction are fraction-free, and a reduced
-Fraction is built only per entry read.  Subspaces are kept in a canonical
-echelon form so that equality of subspaces is equality of representations.  Eigenvalues
-are the roots of the characteristic polynomial in the base field; both
-are computed on raw coefficients in :mod:`tdpair121._poly`, and
-:func:`charpoly` and :func:`poly_roots` only unbox and box at its edge.
-A determinant is the constant term of the characteristic polynomial.
+integer rows over one denominator, and so are vectors and subspace rows.
+Every kernel runs on them, so over the rationals it is fraction-free, and
+a reduced Fraction is built only per entry read.  Subspaces are kept in a
+canonical echelon form so that equality of subspaces is equality of
+representations.  Eigenvalues are the roots of the characteristic
+polynomial in the base field; both are computed on raw coefficients in
+:mod:`tdpair121._poly`, and :func:`charpoly` and :func:`poly_roots` only
+unbox and box at its edge.  A determinant is the constant term of the
+characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, repeat
-from operator import eq, mul
+from operator import add, and_, eq, mul
 
 from . import _poly
 from .fields import Field, FieldElement
@@ -29,30 +31,25 @@ class SingularMatrixError(ValueError):
 
 Vector = tuple  # tuple of FieldElement
 
-# The kernels below work on raw values: ints over GF(p), Fractions over QQ.
-# A raw grid is a pair (rows, den), rows being a list of row lists: over
-# GF(p) residues in [0, p) with den 1, over QQ integer rows over one
-# positive denominator, not necessarily the least.  Every Matrix holds its
-# grid (Matrix._grid) from the moment it is built, and products, sums,
-# scalings, shifts, inverses, ranks, kernels and charpoly (so det) read it;
-# rank, kernel and invariance ignore den, which scales no row space.
-# Matrix.rows is boxed from the grid, once per entry, on first read, and
-# equality compares grids (Matrix.__eq__).
-#
-# _rref and _rref_int are the only eliminations.  Over GF(p), _rref takes
-# entries in [0, p) and keeps them there, and rewrites each row from the
-# pivot column on; _holds reduces before its zero test, and _box reduces
-# any int.  Over QQ, _rref clears the denominators of Fraction rows once
-# (_int_row), runs on integers (_rref_int) and builds one reduced Fraction
-# per entry on the way out (_fracs), so no gcd is paid per scalar
-# operation; _rank counts the pivots of _rref_int and builds no Fraction.
-# Null spaces, eigenspaces and meets are annihilators (_ann): canonical
-# rows read off one elimination on as many columns as the space has, so
+# One raw form per object; Fractions are built only where a public value
+# leaves, by _box: Matrix.rows and Subspace.basis on first read, returned
+# vectors, charpoly's coefficients and poly_roots' roots.  Public input is
+# unboxed (_unbox) and cleared of denominators (_grid_of) on the way in.
+# - A raw grid is a pair (rows, den): over GF(p) residues in [0, p) over
+#   den 1, over QQ integer rows over one positive denominator, not
+#   necessarily the least.  Every Matrix holds one (Matrix._grid), and
+#   every kernel and Matrix.__eq__ read it.
+# - A raw vector is a pair (vals, den) of the same form, canonical so that
+#   equal vectors are equal pairs: over QQ gcd(den, *vals) == 1.
+# - Subspace._rows are the reduced echelon rows, over QQ each scaled to a
+#   primitive integer row with a positive pivot: no rank, annihilator or
+#   membership test sees the scale, and a row enters _apply_raw as (row, 1).
+# _rref (GF(p)) and _rref_int (QQ, fraction-free) are the only
+# eliminations.  Null spaces, eigenspaces and meets are annihilators
+# (_ann), read off one elimination on as many columns as the space has, so
 # only _inv_grid eliminates on 2n columns.
-# Subspace._rows and Subspace.basis hold the same vectors raw and boxed.
 
 _new = object.__new__
-_ZERO = Fraction(0)
 
 
 def _unbox(field: Field, vec) -> list:
@@ -65,15 +62,15 @@ def _unbox(field: Field, vec) -> list:
     return [field(x).val for x in vec]
 
 
-def _box(field: Field, vals) -> Vector:
-    """Elements of field from raw values (any ints over GF(p), which are
-    reduced here; Fractions over QQ)."""
+def _box(field: Field, vals, den=1) -> Vector:
+    """Elements of field from raw values: any ints over GF(p), which are
+    reduced here; over QQ rationals over den, each one reduced Fraction."""
     p = field.p
     out = []
     for v in vals:
         e = _new(FieldElement)
         e.field = field
-        e.val = v % p if p else v
+        e.val = v % p if p else Fraction(v, den)
         out.append(e)
     return tuple(out)
 
@@ -83,33 +80,33 @@ def _mat_vec(rows, v) -> list:
     return [sum(map(mul, row, v)) for row in rows]
 
 
-def _int_grid(rows):
-    """Integer rows and one common denominator d of Fraction rows: each
-    entry is its integer over d."""
+def _grid_of(rows, p: int):
+    """Raw grid of rows of element values: residues over GF(p); over QQ
+    the integer rows over the lcm of the Fractions' denominators."""
+    if p:
+        return rows, 1
     den = math.lcm(*[x.denominator for row in rows for x in row])
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _int_row(row):
-    """Integer row and denominator of one Fraction row, as _int_grid."""
-    den = math.lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row], den
+def _vector_of(field: Field, vec) -> tuple:
+    """The raw vector of a public vector over field (coerced as _unbox)."""
+    rows, den = _grid_of([_unbox(field, vec)], field.p)
+    return rows[0], den
 
 
-def _fracs(nums, den) -> list:
-    """Reduced Fractions nums[i] / den."""
-    return [Fraction(v, den) if v else _ZERO for v in nums]
+def _primitive(row, lead) -> list:
+    """An integer row over its content, negated if its entry lead is < 0."""
+    g = math.gcd(*row)
+    if lead < 0:
+        g = -g
+    return [x // g for x in row] if g != 1 else row
 
 
-def _grid_of(rows, p: int):
-    """Raw grid of canonical raw rows."""
-    return (rows, 1) if p else _int_grid(rows)
-
-
-def _grid_rows(g, p: int) -> list:
-    """Canonical raw rows of a raw grid."""
-    rows, den = g
-    return rows if p else [_fracs(r, den) for r in rows]
+def _vector(vals, den) -> tuple:
+    """The canonical raw vector vals/den over QQ, for a nonzero den."""
+    *vals, den = _primitive([*vals, den], den)
+    return vals, den
 
 
 def _mul_grids(a, b, p: int):
@@ -180,23 +177,21 @@ def _inv_grid(g, p: int):
     return [[x // g for x in r] for r in rows], lcm // g
 
 
-def _apply_raw(g, v, p: int, c=0) -> list:
-    """Canonical raw (M - c*I)v for the raw grid g of M, a canonical raw
-    vector v and a raw scalar c; Mv when c is left out."""
-    rows, den = g
+def _apply_raw(g, v, p: int, c=0) -> tuple:
+    """The raw vector (M - c*I)v for the raw grid g of M, a raw vector v
+    and a raw scalar c; Mv when c is left out."""
+    (rows, den), (vals, dv) = g, v
     if p:
-        return [(x - c * y) % p for x, y in zip(_mat_vec(rows, v), v)]
-    ints, dv = _int_row(v)
+        return [(x - c * y) % p for x, y in zip(_mat_vec(rows, vals), vals)], 1
     cn, cd = c.numerator, c.denominator
-    return _fracs([cd * x - cn * den * y for x, y in zip(_mat_vec(rows, ints), ints)],
-                  den * dv * cd)
+    return _vector([cd * x - cn * den * y for x, y in zip(_mat_vec(rows, vals), vals)],
+                   den * dv * cd)
 
 
 def _rref(work, p: int):
-    """In-place reduced row echelon form of raw rows over GF(p) (p > 0) or
-    QQ (p == 0, ints or Fractions); returns the pivot columns.  The first
-    len(pivots) rows are then the reduced rows; over QQ the rows past them
-    are left as they were.  Rows are replaced, never mutated, so they may
+    """In-place reduced row echelon form of rows of residues in [0, p) over
+    GF(p), p > 0; returns the pivot columns.  The first len(pivots) rows are
+    then the reduced rows.  Rows are replaced, never mutated, so they may
     be tuples.
 
     Over GF(p), when column c takes its pivot, every row from the pivot
@@ -205,11 +200,6 @@ def _rref(work, p: int):
     pivot row is zero left of c, and each update keeps row[:c] and
     rewrites the row from column c on only.
     """
-    if not p:
-        ints = [_int_row(row)[0] for row in work]
-        pivots = _rref_int(ints)
-        work[:len(pivots)] = [_fracs(row, row[c]) for row, c in zip(ints, pivots)]
-        return pivots
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
@@ -247,7 +237,8 @@ def _rref_int(work):
     Each elimination cross-multiplies two rows and divides the result by
     its content, so entries stay as small as the row allows.  Row i (for i
     below the rank) ends as its reduced row times its pivot entry
-    work[i][pivots[i]], nonzero in no other pivot column.
+    work[i][pivots[i]], nonzero in no other pivot column.  Rows are
+    replaced, never mutated, so they may be tuples.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -276,42 +267,35 @@ def _rref_int(work):
 
 
 def _rank(rows, p: int) -> int:
-    """Rank of raw rows; over QQ the pivot count of _rref_int on their
-    integer rows, so no Fraction is built."""
-    if p:
-        return len(_rref(list(rows), p))
-    return len(_rref_int([_int_row(r)[0] for r in rows]))
+    """Rank of raw rows: residues over GF(p), integers over QQ."""
+    work = list(rows)
+    return len(_rref(work, p) if p else _rref_int(work))
 
 
 def _ann(rows, n: int, p: int) -> list:
-    """Canonical raw rows (reduced echelon form) of the annihilator of the
-    raw rows in F^n, the null space {v : r . v = 0 for r in rows}; all of
-    F^n when there are no rows.
+    """Canonical raw rows (as Subspace._rows) of the annihilator of the raw
+    rows in F^n, the null space {v : r . v = 0 for r in rows}; all of F^n
+    when there are no rows.
 
     The rows are reduced with their columns reversed.  The null-space
     vector of a free column f of that form is 1 at f, 0 at the other free
     columns and nonzero only left of f; read back in the original order,
     these vectors lead with 1 at their own columns and are 0 at each
-    other's, which is the reduced echelon form.
+    other's: the reduced echelon form, over QQ cleared and made primitive.
     """
-    if p:
-        work = [r[::-1] for r in rows]
-        pivots = _rref(work, p)
-    else:
-        work = [_int_row(r[::-1])[0] for r in rows]
-        pivots = _rref_int(work)
-    zero, one = (0, 1) if p else (_ZERO, Fraction(1))
+    work = [r[::-1] for r in rows]
+    pivots = _rref(work, p) if p else _rref_int(work)
     out = []
     for f in range(n - 1, -1, -1):
         if f in pivots:
             continue
-        v = [zero] * n
-        v[n - 1 - f] = one
+        lead = 1 if p else math.lcm(*[row[c] for row, c in zip(work, pivots) if row[f]])
+        v = [0] * n
+        v[n - 1 - f] = lead
         for row, c in zip(work, pivots):
-            x = row[f]
-            if x:
-                v[n - 1 - c] = -x % p if p else Fraction(-x, row[c])
-        out.append(v)
+            if row[f]:
+                v[n - 1 - c] = -row[f] % p if p else -row[f] * lead // row[c]
+        out.append(v if p else _primitive(v, lead))
     return out
 
 
@@ -344,8 +328,8 @@ class Matrix:
         # reached only when a slot is unset: the rows, before their first read
         if name != "rows":
             raise AttributeError(f"'Matrix' object has no attribute {name!r}")
-        rows = self.rows = tuple(_box(self.field, r)
-                                 for r in _grid_rows(self._grid, self.field.p))
+        rows, den = self._grid
+        rows = self.rows = tuple(_box(self.field, r, den) for r in rows)
         return rows
 
     def __init__(self, field: Field, rows):
@@ -362,7 +346,7 @@ class Matrix:
 
     @classmethod
     def _from_rows(cls, field, rows) -> Matrix:
-        """The matrix of canonical raw rows."""
+        """The matrix of rows of element values (FieldElement.val)."""
         return cls._from_grid(field, _grid_of(_shaped(rows), field.p))
 
     @classmethod
@@ -413,10 +397,10 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
         field = self.field
-        vals = _unbox(field, v)
-        if len(vals) != self.ncols:
+        vec = _vector_of(field, v)
+        if len(vec[0]) != self.ncols:
             raise ValueError("vector length does not match the matrix")
-        return _box(field, _apply_raw(self._grid, vals, field.p))
+        return _box(field, *_apply_raw(self._grid, vec, field.p))
 
     def _check_compatible(self, other: Matrix) -> None:
         if self.field is not other.field:
@@ -489,8 +473,9 @@ class Matrix:
     def kernel(self):
         """Basis of the null space, as a list of vectors in reduced echelon
         form."""
-        p = self.field.p
-        return [_box(self.field, v) for v in _ann(self._grid[0], self.ncols, p)]
+        n = self.ncols
+        return list(Subspace._from_echelon(self.field, n,
+                                          _ann(self._grid[0], n, self.field.p)).basis)
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.rows]
@@ -503,22 +488,32 @@ class Matrix:
 class Subspace:
     """Subspace of F^n with a canonical echelon basis.
 
-    The basis vectors are the rows of the reduced row echelon form of any
-    generating set, so two equal subspaces have identical representations.
+    ``_rows`` are the reduced row echelon rows of any generating set, over
+    QQ each made primitive with a positive pivot, so two equal subspaces
+    have identical representations.  ``basis``, the reduced echelon rows
+    as tuples of FieldElements, is boxed from them on first read.
     """
 
     __slots__ = ("field", "ambient", "basis", "_rows", "_pivots")
+
+    def __getattr__(self, name):
+        # reached only when a slot is unset: the basis, before its first read
+        if name != "basis":
+            raise AttributeError(f"'Subspace' object has no attribute {name!r}")
+        basis = self.basis = tuple(_box(self.field, r, r[j])
+                                   for r, j in zip(self._rows, self._pivots))
+        return basis
 
     def __init__(self, field: Field, ambient: int, vectors=()):
         work = [_unbox(field, v) for v in vectors]
         for v in work:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        self._span(field, ambient, work)
+        self._span(field, ambient, _grid_of(work, field.p)[0])
 
     @classmethod
     def _from_vals(cls, field: Field, ambient: int, work) -> Subspace:
-        """Span of raw vectors of length ambient, entries in canonical form."""
+        """Span of raw rows (residues over GF(p), integers over QQ)."""
         s = object.__new__(cls)
         s._span(field, ambient, work)
         return s
@@ -532,15 +527,16 @@ class Subspace:
         return s
 
     def _span(self, field, ambient, work) -> None:
-        pivots = _rref(work, field.p)
-        self._set(field, ambient, work[:len(pivots)], pivots)
+        p = field.p
+        pivots = _rref(work, p) if p else _rref_int(work)
+        self._set(field, ambient, [r if p else _primitive(r, r[c])
+                                   for r, c in zip(work, pivots)], pivots)
 
     def _set(self, field, ambient, rows, pivots) -> None:
         self.field = field
         self.ambient = ambient
         self._rows = tuple(tuple(r) for r in rows)
         self._pivots = tuple(pivots)
-        self.basis = tuple(_box(field, r) for r in self._rows)
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> Subspace:
@@ -557,27 +553,28 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._rows
 
     def matrix(self) -> Matrix:
         """Basis vectors as the columns of a matrix."""
-        if not self.basis:
+        if not self._rows:
             raise ValueError("the zero subspace has no basis matrix")
         return Matrix.from_columns(self.field, self.basis)
 
     def _holds(self, v) -> bool:
-        """Whether the raw vector v (over GF(p), any ints) lies in self.
+        """Whether the raw values v (any ints over GF(p)) lie in self.
 
-        In reduced echelon form the coefficient of each basis row is the
-        entry of v at that row's pivot."""
+        In reduced echelon form the coefficient of each row is the entry c
+        of v at the row's pivot d, over d; v becomes d*v - c*row."""
         for j, row in zip(self._pivots, self._rows):
             c = v[j]
             if c:
-                v = [a - c * b for a, b in zip(v, row)]
+                d = row[j]
+                v = [a * d - c * b for a, b in zip(v, row)]
         p = self.field.p
         return not any(x % p for x in v) if p else not any(v)
 
@@ -585,7 +582,7 @@ class Subspace:
         vals = _unbox(self.field, v)
         if len(vals) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        return self._holds(vals)
+        return self._holds(_grid_of([vals], self.field.p)[0][0])
 
     def contains_subspace(self, other: Subspace) -> bool:
         self._compat(other)
@@ -608,8 +605,12 @@ class Subspace:
             raise ValueError("subspaces live in different ambient spaces")
 
     def image(self, m: Matrix) -> Subspace:
-        """The subspace m(self)."""
-        return Subspace(self.field, m.nrows, [m.apply(v) for v in self.basis])
+        """The subspace m(self), spanned by the images of the raw rows."""
+        p = self.field.p
+        if m.field is not self.field or m.ncols != self.ambient:
+            raise ValueError("matrix does not act on the ambient space")
+        return Subspace._from_vals(self.field, m.nrows,
+                                   [_apply_raw(m._grid, (r, 1), p)[0] for r in self._rows])
 
     def is_invariant(self, m: Matrix) -> bool:
         if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
@@ -636,46 +637,44 @@ class Subspace:
 
 
 def subspace_sum(parts) -> Subspace:
-    parts = list(parts)
-    acc = parts[0]
-    for s in parts[1:]:
-        acc = acc + s
-    return acc
+    """Sum of one or more subspaces of one space; raises ValueError when
+    there are none, as no ambient space is known then."""
+    return subspace_combine(parts, "sum")
 
 
 def subspace_intersection(parts) -> Subspace:
-    parts = list(parts)
-    acc = parts[0]
-    for s in parts[1:]:
-        acc = acc & s
-    return acc
+    """Intersection of one or more subspaces of one space; raises
+    ValueError when there are none, as subspace_sum does."""
+    return subspace_combine(parts, "intersect")
 
 
 def subspace_combine(parts, op: str) -> Subspace:
-    if op == "sum":
-        return subspace_sum(parts)
-    if op == "intersect":
-        return subspace_intersection(parts)
-    raise ValueError(f"unknown subspace operation {op!r}")
+    """The sum (op "sum") or intersection (op "intersect") of one or more
+    subspaces; raises ValueError for another op or no subspaces."""
+    if op not in ("sum", "intersect"):
+        raise ValueError(f"unknown subspace operation {op!r}")
+    parts = list(parts)
+    if not parts:
+        raise ValueError(f"no subspaces to {op}: the ambient space is unknown")
+    return reduce(add if op == "sum" else and_, parts)
 
 
 # -- polynomial edges: the work is done on raw coefficients in _poly -----------
 
 def charpoly(m: Matrix):
     """Coefficients of det(xI - M), low degree first, monic; over QQ those of
-    the grid's integer rows, coefficient k divided by den^(n-k)."""
+    the grid's integer rows, coefficient k over den^(n-k), boxed over den^n."""
     (rows, den), p, n = m._grid, m.field.p, m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     cs = _poly.charpoly(rows, p)
-    return list(_box(m.field, cs if p else [Fraction(c, den ** (n - k)) for k, c in enumerate(cs)]))
+    return list(_box(m.field, [c * den ** k for k, c in enumerate(cs)], den ** n))
 
 
 def poly_roots(field: Field, coeffs):
     """Roots in the field with multiplicities, as a list of (root, mult)
     ascending by value; over QQ found on the integer-cleared polynomial."""
-    cs = _unbox(field, coeffs)
-    cs = _poly.trim(cs if field.p else _int_row(cs)[0])
+    cs = _poly.trim(_grid_of([_unbox(field, coeffs)], field.p)[0][0])
     if not cs:
         raise ValueError("the zero polynomial has every element as a root")
     return [(_box(field, (r,))[0], m) for r, m in _poly.roots(cs, field.p)]

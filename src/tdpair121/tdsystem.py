@@ -29,9 +29,6 @@ from .linalg import (
     _ann,
     _apply_raw,
     _eigenspace,
-    _grid_of,
-    _grid_rows,
-    _int_row,
     _inv_grid,
     _meet_rows,
     _mul_grids,
@@ -258,16 +255,16 @@ def _verify_unordered(a: Matrix, astar: Matrix):
 
 def _coordinates(m: Matrix, spaces):
     """m in a basis adapted to the direct sum V = spaces[0] + spaces[1] + ...:
-    canonical raw rows of P^-1 M P, for P the canonical basis vectors of the
-    spaces side by side, and the coordinate indices of each space."""
+    the rows of the grid of P^-1 M P, den dropped, for P the spaces' raw
+    rows side by side, and the coordinate indices of each space.  Every use
+    is homogeneous in the rows and in each coordinate's positive scale."""
     p = m.field.p
-    basis = _grid_of([list(r) for r in zip(*(v for s in spaces for v in s._rows))], p)
+    basis = [list(r) for r in zip(*(v for s in spaces for v in s._rows))], 1
     idx, k = [], 0
     for s in spaces:
         idx.append(range(k, k + s.dim))
         k += s.dim
-    return _grid_rows(_mul_grids(_inv_grid(basis, p), _mul_grids(m._grid, basis, p), p),
-                      p), idx
+    return _mul_grids(_inv_grid(basis, p), _mul_grids(m._grid, basis, p), p)[0], idx
 
 
 def _zero_blocks(grid, idx):
@@ -355,7 +352,7 @@ _SPLIT_ACTION = {
 def _maps_into(g, c, src: Subspace, dst: Subspace | None, p: int) -> bool:
     """Whether M - c*I, for the raw grid g of M and a raw scalar c, maps
     src into dst, or to zero when dst is None."""
-    images = (_apply_raw(g, v, p, c) for v in src._rows)
+    images = (_apply_raw(g, (v, 1), p, c)[0] for v in src._rows)
     return all(not any(w) if dst is None else dst._holds(w) for w in images)
 
 
@@ -466,14 +463,14 @@ def _search_profile_211(field, spaces, astar, b):
 
 
 def _solve_line_family(p, b, gens):
-    """A raw projective point (x : y) at which span(gens, x*u1 + y*u2) is
-    invariant, or None; b is as in :func:`_search_profile_211`, gens the
+    """A projective point (x : y) of ints at which span(gens, x*u1 + y*u2)
+    is invariant, or None; b is as in :func:`_search_profile_211`, gens the
     chosen eigenline coordinates, and u1, u2 sit at coordinates 2 and 3.
     The conditions are linear forms (alpha, beta), meaning alpha*x + beta*y,
     and one quadratic (alpha, beta, gamma), alpha*x^2 + beta*xy + gamma*y^2.
-    (1 : 0) is returned when every condition vanishes there; else the points
-    (x : 1) are the roots of the gcd of the dehomogenized conditions, found
-    by :func:`_poly.roots` on both fields, and the smallest is returned."""
+    (1 : 0) is returned when every condition vanishes there; else the
+    smallest root x = r/q of the gcd of the dehomogenized conditions, found
+    by :func:`_poly.roots` on both fields, as (r : q)."""
     k1, k2 = 2, 3
     outside = [r for r in (0, 1) if r not in gens]
     if any(b[r][j] for j in gens for r in outside):
@@ -482,9 +479,9 @@ def _solve_line_family(p, b, gens):
     quad = (b[k2][k1], b[k2][k2] - b[k1][k1], -b[k1][k2])
     if not any(a for a, _ in lin) and not quad[0]:
         return 1, 0
-    # residues over GF(p) and integer-cleared over QQ; the gcd has degree <= 2
+    # residues over GF(p) and integers over QQ; the gcd has degree <= 2
     polys = [[c, a] for a, c in lin] + [list(quad[::-1])]
-    polys = [[x % p for x in q] if p else _int_row(q)[0] for q in polys]
+    polys = [[x % p for x in q] for q in polys] if p else polys
     polys = [q for q in map(_poly.trim, polys) if q]
     g = polys[0]
     for q in polys[1:]:
@@ -494,7 +491,7 @@ def _solve_line_family(p, b, gens):
     if len(g) <= 1:
         return None
     roots = _poly.roots(g, p)
-    return (roots[0][0], 1) if roots else None
+    return (roots[0][0].numerator, roots[0][0].denominator) if roots else None
 
 
 def _search_enumerate(field, spaces, astar):

@@ -21,6 +21,8 @@ from tdpair121 import (
     poly_roots,
     primitive_idempotents,
     subspace_combine,
+    subspace_intersection,
+    subspace_sum,
 )
 
 
@@ -363,6 +365,21 @@ def test_subspace_sum_and_intersection_basics():
     assert subspace_combine([both, both], "intersect") == both
 
 
+def test_subspace_folds_refuse_an_empty_list():
+    # with no subspace there is no ambient space to return a subspace of;
+    # a generator that yields nothing is refused the same way
+    for fold in (subspace_sum, subspace_intersection,
+                 lambda parts: subspace_combine(parts, "sum"),
+                 lambda parts: subspace_combine(parts, "intersect")):
+        for parts in ([], (), iter([])):
+            with pytest.raises(ValueError):
+                fold(parts)
+    with pytest.raises(ValueError):
+        subspace_combine([], "union")
+    u = Subspace(QQ, 4, [(1, 2, 0, 0)])
+    assert subspace_sum([u]) is u and subspace_intersection(iter([u])) is u
+
+
 def test_subspace_intersection_with_full_space():
     tds = p0_system()
     estar0 = Subspace.column_space(tds.Estar[0])
@@ -600,12 +617,39 @@ def _span_cases(rng, p, n):
             for i, (us, ws) in enumerate(cases)]
 
 
+def _assert_echelon_rows(rows, want, p):
+    """Subspace._rows against the oracle's reduced echelon rows: over GF(p)
+    those rows themselves; over QQ each row primitive, with a positive
+    pivot, and equal to the oracle's row times that pivot."""
+    if p:
+        assert [_canonical(r, p) for r in rows] == want
+        return
+    assert len(rows) == len(want)
+    for r, w in zip(rows, want):
+        assert all(type(x) is int for x in r) and math.gcd(*r) == 1
+        pivot = next(x for x in r if x)
+        assert pivot > 0 and list(r) == [x * pivot for x in w]
+
+
+def _scaled(rng, rows, p):
+    """Each generator times a nonzero scalar: a residue over GF(p), over QQ
+    a rational of either sign."""
+    out = []
+    for r in rows:
+        c = rng.randrange(1, p) if p else Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                                   rng.randint(1, 9))
+        out.append([c * x % p if p else c * x for x in r])
+    return out
+
+
 @pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
 def test_spans_and_meets_are_the_oracles_echelon_rows(p):
     # the canonical rows themselves, not only the dimensions: over GF(p)
     # oracle.rref_mod of the generators, and for the meet oracle.meet_mod
     # (Zassenhaus elimination, another method than the package's); over QQ
-    # sympy's rref and the same Zassenhaus construction on it
+    # sympy's rref and the same Zassenhaus construction on it.  Generators
+    # each scaled by a nonzero scalar span equal subspaces with equal
+    # hashes, through the constructor, sums, meets and kernels.
     field = Field(p)
     if p:
         def rref(rows):
@@ -634,9 +678,17 @@ def test_spans_and_meets_are_the_oracles_echelon_rows(p):
             u, w = Subspace(field, n, us), Subspace(field, n, ws)
             for got, want in ((u, rref(us)), (w, rref(ws)), (u + w, rref(list(us) + list(ws))),
                               (u & w, meet(us, ws, n)), (w & u, meet(us, ws, n))):
-                assert [_canonical(r, p) for r in got._rows] == want
+                _assert_echelon_rows(got._rows, want, p)
                 assert [[x.val for x in v] for v in got.basis] == want
             assert (u & w).dim == u.dim + w.dim - (u + w).dim
+            su = Subspace(field, n, _scaled(rng, us, p))
+            sw = Subspace(field, n, _scaled(rng, ws, p))
+            for scaled, plain in ((su, u), (sw, w), (su + sw, u + w), (su & sw, u & w),
+                                  (sw & su, w & u)):
+                assert scaled == plain and hash(scaled) == hash(plain)
+            if us:
+                assert (Matrix(field, _scaled(rng, us, p)).kernel()
+                        == Matrix(field, us).kernel())
             if us:
                 # the null space comes in reduced echelon form as well
                 kernel = [_canonical((x.val for x in k), p) for k in Matrix(field, us).kernel()]

@@ -372,6 +372,61 @@ def test_verify_eliminates_on_four_columns_only(monkeypatch, rng):
         assert calls and wide and all(c == (8, "_inv_grid") for c in wide), wide
 
 
+def test_qq_fractions_are_built_only_at_the_boxing_edge(monkeypatch, rng):
+    # over QQ subspace rows, chain vectors and bases are held as integers;
+    # linalg, tdsystem and bases build a Fraction only in _box, where a
+    # value leaves (Matrix.rows, Subspace.basis, returned vectors, charpoly).
+    # Fraction arithmetic is charged to the frame that asked for it.
+    from fractions import Fraction
+
+    from tdpair121 import BasisId, eta_vectors, represent, represent_formula
+
+    watched = {"tdpair121.linalg", "tdpair121.tdsystem", "tdpair121.bases"}
+    cases = []
+    for make in [random_admissible_array] * 4 + [random_boundary_array] * 2:
+        pa = make(rng, QQ)
+        a, astar = canonical_matrices(pa)
+        q = random_invertible(rng, QQ, Matrix)
+        qi = q.invert()
+        a, astar = qi * a * q, qi * astar * q
+        admissible = make is random_admissible_array
+        tds = TDSystem.from_matrices(a, astar, pa.theta, pa.thetastar) if admissible else None
+        cases.append((pa, a, astar, tds))
+    built, boxed = [], []
+    real = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_globals.get("__name__") == "fractions":
+            frame = frame.f_back
+        module, name = frame.f_globals.get("__name__"), frame.f_code.co_name
+        if module in watched:
+            (boxed if name == "_box" else built).append((module, name))
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    results = []
+    for pa, a, astar, tds in cases:
+        report = verify_td_system(a, astar, pa.theta, pa.thetastar)
+        if tds is None:
+            results.append((pa, report, None, None))
+            continue
+        eta = eta_vectors(tds)
+        reps = {(w, b): represent(tds, w, b) for w in ("A", "Astar") for b in BasisId}
+        results.append((pa, report, eta, reps))
+    monkeypatch.undo()
+    assert not built, sorted(set(built))
+    assert boxed  # the spy saw the boxing of the chain vectors
+    for pa, report, eta, reps in results:
+        assert report.shape == (1, 2, 1)
+        if reps is None:
+            assert not report.irreducible and report.witness is not None
+            continue
+        assert report.overall and any(x.val.denominator > 1 for x in eta.eta0 + eta.eta2)
+        assert len(reps) == 12 and all(
+            m == represent_formula(pa, w, b) for (w, b), m in reps.items())
+
+
 def _oracle_agrees(tds):
     """Compare the six decompositions and the shape of tds with the
     enumeration oracle; returns the oracle's shape."""
