@@ -211,8 +211,8 @@ def _rational_candidates(cs) -> list:
         while r1 > top:
             quo = r0 // r1
             r0, r1, t0, t1 = r1, r0 - quo * r1, t1, t0 - quo * t1
-        x = Fraction(r1, t1)
-        cands.append((x.numerator, x.denominator))
+        g = math.gcd(r1, t1) if t1 > 0 else -math.gcd(r1, t1)
+        cands.append((r1 // g, t1 // g))
     return cands
 
 

@@ -210,9 +210,8 @@ def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
 
 class _Q:
     """The rational n/d, d > 0, as the QQ tables compute with it: +, - and
-    * cross-multiply, with each other and with ints, and never reduce, so
-    no gcd is paid per scalar operation; _tabulate puts the entries over
-    one denominator."""
+    * cross-multiply and never reduce, so no gcd is paid per scalar
+    operation; _tabulate puts the entries over one denominator."""
 
     __slots__ = ("n", "d")
 
@@ -221,49 +220,25 @@ class _Q:
         self.d = d
 
     def __add__(self, other):
-        if type(other) is int:
-            return _Q(self.n + other * self.d, self.d)
         return _Q(self.n * other.d + other.n * self.d, self.d * other.d)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if type(other) is int:
-            return _Q(self.n - other * self.d, self.d)
         return _Q(self.n * other.d - other.n * self.d, self.d * other.d)
 
-    def __rsub__(self, other):
-        return _Q(other * self.d - self.n, self.d)
-
     def __mul__(self, other):
-        if type(other) is int:
-            return _Q(self.n * other, self.d)
         return _Q(self.n * other.n, self.d * other.d)
-
-    __rmul__ = __mul__
 
     def __neg__(self):
         return _Q(-self.n, self.d)
 
 
 def _inverses(vals, p: int) -> list:
-    """Inverses of nonzero raw scalars.  Over GF(p) one modular inversion
-    serves them all (Montgomery's trick): going down from k = n, the
-    inverse of v_0 ... v_k times v_0 ... v_(k-1) is 1/v_k, and times v_k
-    it is the inverse of v_0 ... v_(k-1).  Over QQ (_Q values) an inverse
-    swaps numerator and denominator, keeping the denominator positive."""
-    if not p:
-        return [_Q(v.d, v.n) if v.n > 0 else _Q(-v.d, -v.n) for v in vals]
-    prefix, acc = [], 1
-    for v in vals:
-        prefix.append(acc)
-        acc = acc * v % p
-    inv = pow(acc, -1, p)
-    out = [0] * len(vals)
-    for k in range(len(vals) - 1, -1, -1):
-        out[k] = inv * prefix[k] % p
-        inv = inv * vals[k] % p
-    return out
+    """Inverses of nonzero raw scalars: over GF(p) residues, over QQ (_Q
+    values) numerator and denominator swapped, the denominator kept
+    positive."""
+    if p:
+        return [pow(v, -1, p) for v in vals]
+    return [_Q(v.d, v.n) if v.n > 0 else _Q(-v.d, -v.n) for v in vals]
 
 
 def _ctx(pa: ParameterArray) -> tuple:

@@ -33,8 +33,9 @@ Vector = tuple  # tuple of FieldElement
 
 # One raw form per object; Fractions are built only where a public value
 # leaves, by _box: Matrix.rows and Subspace.basis on first read, returned
-# vectors, charpoly's coefficients and poly_roots' roots.  Public input is
-# unboxed (_unbox) and cleared of denominators (_grid_of) on the way in.
+# vectors and charpoly's coefficients.  poly_roots' roots are the raw
+# scalars of _poly.roots, wrapped as they are.  Public input is unboxed
+# (_unbox) and cleared of denominators (_grid_of) on the way in.
 # - A raw grid is a pair (rows, den): over GF(p) residues in [0, p) over
 #   den 1, over QQ integer rows over one positive denominator, not
 #   necessarily the least.  Every Matrix holds one (Matrix._grid), and
@@ -44,10 +45,10 @@ Vector = tuple  # tuple of FieldElement
 # - Subspace._rows are the reduced echelon rows, over QQ each scaled to a
 #   primitive integer row with a positive pivot: no rank, annihilator or
 #   membership test sees the scale, and a row enters _apply_raw as (row, 1).
-# _rref (GF(p)) and _rref_int (QQ, fraction-free) are the only
-# eliminations.  Null spaces, eigenspaces and meets are annihilators
-# (_ann), read off one elimination on as many columns as the space has, so
-# only _inv_grid eliminates on 2n columns.
+# _rref is the only elimination, for both fields: over GF(p) it scales
+# pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
+# meets are annihilators (_ann), read off one elimination on as many
+# columns as the space has, so only _inv_grid eliminates on 2n columns.
 
 _new = object.__new__
 
@@ -154,8 +155,8 @@ def _inv_grid(g, p: int):
     """Raw grid of the inverse of the square raw grid g; raises
     SingularMatrixError when g is singular.
 
-    Over QQ, fraction-free Gauss-Jordan (_rref_int) on the integer rows R
-    leaves row i of [R | I] as a_i times row i of [I | R^-1], so
+    _rref reduces [R | I] for the raw rows R.  Over QQ its fraction-free
+    elimination leaves row i as a_i times row i of [I | R^-1], so
     (R/den)^-1 = den * R^-1 is one grid over lcm(a_i), which is cut down to
     the least common denominator: the inverses of a system's bases are
     built once and enter many products, which is where their size costs."""
@@ -164,12 +165,10 @@ def _inv_grid(g, p: int):
     if any(len(r) != n for r in rows):
         raise SingularMatrixError("cannot invert a non-square matrix")
     work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    if p:
-        if _rref(work, p) != list(range(n)):
-            raise SingularMatrixError("matrix is singular")
-        return [r[n:] for r in work], 1
-    if _rref_int(work) != list(range(n)):
+    if _rref(work, p) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
+    if p:
+        return [r[n:] for r in work], 1
     lcm = math.lcm(*[r[i] for i, r in enumerate(work)])
     rows = [[x * f for x in r[n:]] for r, f in
             ((r, den * (lcm // r[i])) for i, r in enumerate(work))]
@@ -189,16 +188,22 @@ def _apply_raw(g, v, p: int, c=0) -> tuple:
 
 
 def _rref(work, p: int):
-    """In-place reduced row echelon form of rows of residues in [0, p) over
-    GF(p), p > 0; returns the pivot columns.  The first len(pivots) rows are
-    then the reduced rows.  Rows are replaced, never mutated, so they may
-    be tuples.
+    """In-place reduced row echelon form of raw rows, residues in [0, p)
+    over GF(p) or integers over QQ (p = 0); returns the pivot columns.  The
+    first len(pivots) rows are then the reduced rows.  Rows are replaced,
+    never mutated, so they may be tuples.
 
-    Over GF(p), when column c takes its pivot, every row from the pivot
-    row down is zero left of c: a column without a pivot is zero from the
-    pivot row down, and each earlier pivot column was cleared.  So the
-    pivot row is zero left of c, and each update keeps row[:c] and
-    rewrites the row from column c on only.
+    Over GF(p) the pivot row is scaled to 1.  When column c takes its
+    pivot, every row from the pivot row down is zero left of c: a column
+    without a pivot is zero from the pivot row down, and each earlier pivot
+    column was cleared.  So the pivot row is zero left of c, and each
+    update keeps row[:c] and rewrites the row from column c on only.
+
+    Over QQ elimination is fraction-free: each update cross-multiplies two
+    rows and divides the result by its content, so entries stay as small
+    as the row allows.  Row i (for i below the rank) ends as its reduced
+    row times its pivot entry work[i][pivots[i]], nonzero in no other
+    pivot column.
     """
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
@@ -213,7 +218,7 @@ def _rref(work, p: int):
         top = work[i]
         work[i] = work[r]
         a = top[c]
-        if a != 1:
+        if p and a != 1:
             inv = pow(a, -1, p)
             top = [x * inv % p for x in top]
         work[r] = top
@@ -221,42 +226,14 @@ def _rref(work, p: int):
         for i in range(nrows):
             row = work[i]
             f = row[c]
-            if f and i != r:
+            if not f or i == r:
+                continue
+            if p:
                 work[i] = [*row[:c], *[(x - f * y) % p for x, y in zip(row[c:], tail)]]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _rref_int(work):
-    """Fraction-free Gauss-Jordan on integer rows, in place; returns the
-    pivot columns.
-
-    Each elimination cross-multiplies two rows and divides the result by
-    its content, so entries stay as small as the row allows.  Row i (for i
-    below the rank) ends as its reduced row times its pivot entry
-    work[i][pivots[i]], nonzero in no other pivot column.  Rows are
-    replaced, never mutated, so they may be tuples.
-    """
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        top = work[r]
-        a = top[c]
-        for i in range(nrows):
-            f = work[i][c]
-            if f and i != r:
+            else:
                 g = math.gcd(a, f)
                 fa, ff = a // g, f // g
-                row = [fa * x - ff * y for x, y in zip(work[i], top)]
+                row = [fa * x - ff * y for x, y in zip(row, top)]
                 g = math.gcd(*row)
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
@@ -268,8 +245,7 @@ def _rref_int(work):
 
 def _rank(rows, p: int) -> int:
     """Rank of raw rows: residues over GF(p), integers over QQ."""
-    work = list(rows)
-    return len(_rref(work, p) if p else _rref_int(work))
+    return len(_rref(list(rows), p))
 
 
 def _ann(rows, n: int, p: int) -> list:
@@ -284,7 +260,7 @@ def _ann(rows, n: int, p: int) -> list:
     other's: the reduced echelon form, over QQ cleared and made primitive.
     """
     work = [r[::-1] for r in rows]
-    pivots = _rref(work, p) if p else _rref_int(work)
+    pivots = _rref(work, p)
     out = []
     for f in range(n - 1, -1, -1):
         if f in pivots:
@@ -528,7 +504,7 @@ class Subspace:
 
     def _span(self, field, ambient, work) -> None:
         p = field.p
-        pivots = _rref(work, p) if p else _rref_int(work)
+        pivots = _rref(work, p)
         self._set(field, ambient, [r if p else _primitive(r, r[c])
                                    for r, c in zip(work, pivots)], pivots)
 
@@ -601,18 +577,24 @@ class Subspace:
                                       _meet_rows(self._rows, other._rows, n, self.field.p))
 
     def _compat(self, other: Subspace) -> None:
+        if not isinstance(other, Subspace):
+            raise TypeError(f"expected a Subspace, got {type(other).__name__}")
         if self.field is not other.field or self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
 
     def image(self, m: Matrix) -> Subspace:
         """The subspace m(self), spanned by the images of the raw rows."""
         p = self.field.p
+        if not isinstance(m, Matrix):
+            raise TypeError(f"expected a Matrix, got {type(m).__name__}")
         if m.field is not self.field or m.ncols != self.ambient:
             raise ValueError("matrix does not act on the ambient space")
         return Subspace._from_vals(self.field, m.nrows,
                                    [_apply_raw(m._grid, (r, 1), p)[0] for r in self._rows])
 
     def is_invariant(self, m: Matrix) -> bool:
+        if not isinstance(m, Matrix):
+            raise TypeError(f"expected a Matrix, got {type(m).__name__}")
         if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
             raise ValueError("matrix does not act on the ambient space")
         rows = m._grid[0]
@@ -677,7 +659,7 @@ def poly_roots(field: Field, coeffs):
     cs = _poly.trim(_grid_of([_unbox(field, coeffs)], field.p)[0][0])
     if not cs:
         raise ValueError("the zero polynomial has every element as a root")
-    return [(_box(field, (r,))[0], m) for r, m in _poly.roots(cs, field.p)]
+    return [(FieldElement._raw(field, r), m) for r, m in _poly.roots(cs, field.p)]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,26 @@
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from tdpair121 import Field, ParameterArray, QQ, admissible, derived_params
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block once seconds have passed, so that
+    a hang fails the test instead of stalling the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_scalar(rng, field, span=6):

@@ -1,14 +1,12 @@
 import math
 import random
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import oracle
-from conftest import random_invertible, random_scalar
+from conftest import deadline, random_invertible, random_scalar
 from tdpair121 import (
     Field,
     Matrix,
@@ -697,6 +695,20 @@ def test_spans_and_meets_are_the_oracles_echelon_rows(p):
                     assert all(r == [0] for r in _raw_mul(us, [[x] for x in k], p))
 
 
+def test_subspace_operands_of_the_wrong_type_raise_type_error():
+    # a subspace operand that is not a Subspace, or a matrix that is not a
+    # Matrix, is refused with TypeError rather than an AttributeError
+    s = Subspace.full(QQ, 2)
+    for other in (None, 1, 1.5, True, [[1, 0]], Matrix.identity(QQ, 2)):
+        for call in (s.__add__, s.__and__, s.contains_subspace):
+            with pytest.raises(TypeError):
+                call(other)
+    for m in (None, 2, [[1, 0], [0, 1]], s):
+        for call in (s.image, s.is_invariant):
+            with pytest.raises(TypeError):
+                call(m)
+
+
 def test_kernels_reject_mixed_fields():
     f7, f11 = Field(7), Field(11)
     rows = [[1, 2, 0, 0], [0, 1, 0, 0], [0, 0, 1, 3], [0, 0, 0, 1]]
@@ -939,25 +951,10 @@ def test_poly_roots_match_sympy(p):
         assert [r.val for r, _ in got] == sorted(r.val for r, _ in got)
 
 
-@contextmanager
-def _deadline(seconds):
-    """Raise TimeoutError inside the block once seconds have passed, so that
-    a hang fails the test instead of stalling the run."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_rational_roots_of_huge_coefficients_are_fast():
     # trying every divisor of 10^40 + 7 would take about 10^20 steps
     c = 10**40 + 7
-    with _deadline(1.0):
+    with deadline(1.0):
         assert poly_roots(QQ, [QQ(-c), 0, 0, 0, QQ(1)]) == []
         assert poly_roots(QQ, [QQ(c), QQ(1)]) == [(QQ(-c), 1)]
         assert poly_roots(QQ, [QQ(-c), QQ(0), QQ(1)]) == []
@@ -970,7 +967,7 @@ def test_rational_roots_at_100_bits_match_sympy():
     # quadratic without rational roots
     sympy = pytest.importorskip("sympy")
     rng = random.Random("rational-roots-100-bits")
-    with _deadline(10.0):
+    with deadline(10.0):
         for _ in range(40):
             cs = [rng.choice((1, -1)) * (rng.getrandbits(100) | 1)]
             for _ in range(rng.randint(1, 3)):
@@ -999,6 +996,29 @@ def test_rational_roots_come_from_the_prime_field_root_finder(monkeypatch):
     assert poly_roots(QQ, cs) == [(QQ(Fraction(-7, 5)), 1), (QQ(Fraction(3, 2)), 1)]
     # odd primes that do not divide the leading coefficient 10
     assert primes and all(p % 2 and 10 % p for p in primes)
+
+
+@pytest.mark.parametrize("cs, roots", [
+    ([-6, 11, -6, 1], [1, 2, 3]),
+    ([-21, -1, 10], [Fraction(-7, 5), Fraction(3, 2)]),  # (5x + 7)(2x - 3)
+    ([3, 2], [Fraction(-3, 2)]),
+])
+def test_poly_roots_builds_one_fraction_per_rational_root(monkeypatch, cs, roots):
+    # past coercing the coefficients, each root is built once, as the raw
+    # scalar of _poly.roots: candidates are reduced as integer pairs, and
+    # the root is wrapped as it is, not boxed again
+    built = []
+    real = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    got = poly_roots(QQ, cs)
+    monkeypatch.undo()
+    assert got == [(QQ(r), 1) for r in roots]
+    assert len(built) == len(cs) + len(roots), built
 
 
 @pytest.mark.parametrize("p", [0, 10007])
