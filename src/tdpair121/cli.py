@@ -23,7 +23,7 @@ from .bases import (
 from .fields import Field, _is_prime
 from .linalg import Matrix
 from .params import ParameterArray, _enumerate_counts, _require_admissible, construct
-from .tdsystem import VerificationReport, _verify_unordered, verify_td_system
+from .tdsystem import _undiagonalizable, _verify_unordered, verify_td_system
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -151,19 +151,13 @@ def cmd_verify(args) -> int:
             doc["orderings_found"], theta, thetastar, report = _verify_unordered(a, astar)
         except ValueError as exc:
             doc.update(orderings_found=0, reason=str(exc))
-            report = _UNVERIFIABLE
+            report = _undiagonalizable(False, False)
         else:
             doc["theta"] = [str(x) for x in theta]
             doc["thetastar"] = [str(x) for x in thetastar]
     doc["verification"] = report.to_json()
     ok = report.overall and report.shape == (1, 2, 1)
     return _emit(doc, None, EXIT_OK if ok else EXIT_UNVERIFIED)
-
-
-# the report when a matrix is not diagonalizable with 3 eigenvalues
-_UNVERIFIABLE = VerificationReport(
-    False, False, False, False, False, None, None,
-    ("tridiagonal_AstarE", "tridiagonal_AEstar", "irreducible"))
 
 
 def cmd_construct(args) -> int:

@@ -289,6 +289,11 @@ def _shaped(rows) -> list:
     return rows
 
 
+def _require_matrix(m) -> None:
+    if not isinstance(m, Matrix):
+        raise TypeError(f"expected a Matrix, got {type(m).__name__}")
+
+
 class Matrix:
     """Immutable matrix over an exact field.
 
@@ -363,6 +368,7 @@ class Matrix:
         return Matrix._from_grid(self.field, ([list(c) for c in zip(*rows)], den))
 
     def __mul__(self, other: Matrix) -> Matrix:
+        _require_matrix(other)
         if self.field is not other.field:
             raise ValueError("field mismatch in matrix product")
         if self.ncols != other.nrows:
@@ -379,6 +385,7 @@ class Matrix:
         return _box(field, *_apply_raw(self._grid, vec, field.p))
 
     def _check_compatible(self, other: Matrix) -> None:
+        _require_matrix(other)
         if self.field is not other.field:
             raise ValueError("field mismatch in entrywise operation")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -585,16 +592,14 @@ class Subspace:
     def image(self, m: Matrix) -> Subspace:
         """The subspace m(self), spanned by the images of the raw rows."""
         p = self.field.p
-        if not isinstance(m, Matrix):
-            raise TypeError(f"expected a Matrix, got {type(m).__name__}")
+        _require_matrix(m)
         if m.field is not self.field or m.ncols != self.ambient:
             raise ValueError("matrix does not act on the ambient space")
         return Subspace._from_vals(self.field, m.nrows,
                                    [_apply_raw(m._grid, (r, 1), p)[0] for r in self._rows])
 
     def is_invariant(self, m: Matrix) -> bool:
-        if not isinstance(m, Matrix):
-            raise TypeError(f"expected a Matrix, got {type(m).__name__}")
+        _require_matrix(m)
         if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
             raise ValueError("matrix does not act on the ambient space")
         rows = m._grid[0]

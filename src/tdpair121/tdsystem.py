@@ -5,12 +5,14 @@ spectra such that each matrix acts block-tridiagonally on the other's
 eigenspace chain and the pair admits no common proper nonzero invariant
 subspace.  This module verifies the axioms one by one, searches for valid
 orderings, builds the six eigenspace-chain decompositions, and computes
-the shape.  Tridiagonality and the invariant-subspace search read one
-matrix: the partner written in a basis of the eigenspaces, whose block
-(i, j) is E_i M E_j.  The decompositions and the shape run on raw rows:
-of the twelve meets of chain members only the four middle components are
-real, each the annihilator of two side-sum annihilators, and the shape is
-their dimensions plus one rank per decomposition.
+the shape.  Tridiagonality, the ordering search and the invariant-subspace
+search read one view of the pair, built once per verification: A* in a
+basis of A's eigenspaces, whose block (i, j) is E_i A* E_j, and which
+blocks of it, and of A in A*'s eigenspaces, are zero; an ordering is an
+index permutation of the view.  The decompositions and the shape run on
+raw rows: of the twelve meets of chain members only the four middle
+components are real, each the annihilator of two side-sum annihilators,
+and the shape is their dimensions plus one rank per decomposition.
 """
 
 from __future__ import annotations
@@ -179,37 +181,40 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     (wrong sizes, mixed fields, wrong list lengths) raises.
     """
     theta, thetastar = _check_system(a, astar, theta, thetastar)
-    return _verify_on_spaces(a, astar, theta,
-                             _diag_with_spectrum(a, theta), _diag_with_spectrum(astar, thetastar))
+    spaces, duals = _diag_with_spectrum(a, theta), _diag_with_spectrum(astar, thetastar)
+    if spaces is None or duals is None:
+        return _undiagonalizable(spaces is not None, duals is not None)
+    same = (0, 1, 2)
+    return _verify_on_spaces(a, astar, _view(a, astar, theta, spaces, duals), same, same)
 
 
-def _verify_on_spaces(a, astar, theta, spaces, dual_spaces):
-    """The checks of :func:`verify_td_system` on the eigenspaces of a and
-    astar in the order of theta and thetastar; None for a matrix that is
-    not diagonalizable with exactly those eigenvalues."""
-    diag_a, diag_s = spaces is not None, dual_spaces is not None
-    skipped = []
-    tri_astar = tri_a = False
-    if diag_a and diag_s:
-        coords = _coordinates(astar, spaces)
-        far_a = _zero_blocks(*coords)
-        far_s = _zero_blocks(*_coordinates(a, dual_spaces))
-        tri_astar = far_a[0][2] and far_a[2][0]
-        tri_a = far_s[0][2] and far_s[2][0]
-    else:
-        skipped += ["tridiagonal_AstarE", "tridiagonal_AEstar"]
+def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
+    """The report when a matrix is not diagonalizable with its eigenvalues."""
+    return VerificationReport(diag_a, diag_s, False, False, False, None, None,
+                              ("tridiagonal_AstarE", "tridiagonal_AEstar", "irreducible"))
 
-    witness = shape_dims = None
-    irreducible = False
-    if diag_a and diag_s and tri_astar and tri_a:
-        witness = _invariant_search(a.field, theta, spaces, astar, coords)
-        irreducible = witness is None
-        shape_dims = _consistent_shape(_decompositions(spaces, dual_spaces), a.field.p)
-    else:
-        skipped.append("irreducible")
 
-    return VerificationReport(diag_a, diag_s, tri_astar, tri_a, irreducible,
-                              shape_dims, witness, tuple(skipped))
+def _view(a, astar, theta, spaces, duals):
+    """What the checks and the ordering search read: a's eigenvalues theta
+    and eigenspaces, astar's eigenspaces duals, astar in the coordinates of
+    spaces, and the zero-block tables of astar on spaces and a on duals."""
+    coords = _coordinates(astar, spaces)
+    far_s = _zero_blocks(*_coordinates(a, duals))
+    return theta, spaces, duals, coords, _zero_blocks(*coords), far_s
+
+
+def _verify_on_spaces(a, astar, view, pa, ps):
+    """The checks of :func:`verify_td_system` on the view of :func:`_view`,
+    with the eigenvalues of a and astar ordered by the index permutations
+    pa and ps of the view's order."""
+    theta, spaces, duals, coords, far_a, far_s = view
+    tri_astar, tri_a = far_a[pa[0]][pa[2]], far_s[ps[0]][ps[2]]
+    if not (tri_astar and tri_a):
+        return VerificationReport(True, True, tri_astar, tri_a, False, None, None, ("irreducible",))
+    witness = _invariant_search(a.field, theta, spaces, astar, coords)
+    decomps = _decompositions([spaces[i] for i in pa], [duals[i] for i in ps])
+    return VerificationReport(True, True, True, True, witness is None,
+                              _consistent_shape(decomps, a.field.p), witness, ())
 
 
 def find_td_orderings(a: Matrix, astar: Matrix):
@@ -221,36 +226,34 @@ def find_td_orderings(a: Matrix, astar: Matrix):
     _check_pair(a, astar)
     eda, eds = eigen_data(a), eigen_data(astar)
     return [(tuple(eda.eigenvalues[i] for i in pa), tuple(eds.eigenvalues[i] for i in ps))
-            for pa, ps in _ordering_perms(a, astar, eda, eds)]
+            for pa, ps in _ordering_perms(a, astar, eda, eds)[1]]
 
 
 def _ordering_perms(a, astar, eda, eds):
-    """The orderings of :func:`find_td_orderings`, as index permutations
-    of the eigenvalues in the eigen data eda of a and eds of astar."""
+    """The view of a and astar on the eigen data eda of a and eds of
+    astar, and the orderings of :func:`find_td_orderings` as index
+    permutations of those eigenvalues."""
     if not eda.diagonalizable or len(eda.eigenvalues) != 3:
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    far_a = _zero_blocks(*_coordinates(astar, eda.eigenspaces))
-    far_s = _zero_blocks(*_coordinates(a, eds.eigenspaces))
-    return [(pa, ps)
-            for pa in permutations(range(3)) if far_a[pa[0]][pa[2]] and far_a[pa[2]][pa[0]]
-            for ps in permutations(range(3)) if far_s[ps[0]][ps[2]] and far_s[ps[2]][ps[0]]]
+    view = _view(a, astar, eda.eigenvalues, eda.eigenspaces, eds.eigenspaces)
+    *_, far_a, far_s = view
+    return view, [(pa, ps) for pa in permutations(range(3)) if far_a[pa[0]][pa[2]]
+                  for ps in permutations(range(3)) if far_s[ps[0]][ps[2]]]
 
 
 def _verify_unordered(a: Matrix, astar: Matrix):
     """Verify on the first ordering pair of :func:`find_td_orderings`, or
-    on the eigenvalues in :func:`eigen_data` order when none passes,
-    building each matrix's eigen data once.  Returns (number of orderings,
-    theta, thetastar, report); raises ValueError as find_td_orderings."""
+    on the eigenvalues in :func:`eigen_data` order when none passes, on
+    one view of the pair.  Returns (number of orderings, theta, thetastar,
+    report); raises ValueError as find_td_orderings."""
     eda, eds = eigen_data(a), eigen_data(astar)
-    perms = _ordering_perms(a, astar, eda, eds)
+    view, perms = _ordering_perms(a, astar, eda, eds)
     pa, ps = perms[0] if perms else ((0, 1, 2), (0, 1, 2))
     theta = tuple(eda.eigenvalues[i] for i in pa)
     thetastar = tuple(eds.eigenvalues[i] for i in ps)
-    report = _verify_on_spaces(a, astar, theta, [eda.eigenspaces[i] for i in pa],
-                               [eds.eigenspaces[i] for i in ps])
-    return len(perms), theta, thetastar, report
+    return len(perms), theta, thetastar, _verify_on_spaces(a, astar, view, pa, ps)
 
 
 def _coordinates(m: Matrix, spaces):
@@ -268,10 +271,11 @@ def _coordinates(m: Matrix, spaces):
 
 
 def _zero_blocks(grid, idx):
-    """Entry [i][j] tells whether block (i, j) of the grid of
-    :func:`_coordinates` is zero: whether E_i M E_j = 0, for the projectors
-    E_i of the direct sum of the spaces."""
-    return [[not any(grid[r][c] for r in ri for c in cj) for cj in idx] for ri in idx]
+    """Entry [i][j] tells whether E_i M E_j = 0 = E_j M E_i, blocks (i, j)
+    and (j, i) of the grid of :func:`_coordinates`, for the projectors E_i
+    of the spaces; M is tridiagonal on them in an order iff [first][last]."""
+    return [[not any(grid[r][c] or grid[c][r] for r in ri for c in cj) for cj in idx]
+            for ri in idx]
 
 
 def _decompositions(spaces, duals):
@@ -371,14 +375,10 @@ def verify_split_actions(tds: TDSystem) -> bool:
                 return False
             if not _maps_into(astar, thetastar[s_idx(i)], comps[i], down, p):
                 return False
-    for dec, m, shifts, other in (
-        (Decomposition.Z_D, a, theta, astar),
-        (Decomposition.ZSTAR_DSTAR, astar, thetastar, a),
-    ):
+    # [0D] and [0*D*] are the eigenspaces themselves: only the window is checked
+    for dec, other in ((Decomposition.Z_D, astar), (Decomposition.ZSTAR_DSTAR, a)):
         comps = tds._decomps[dec]
         for i in range(3):
-            if not _maps_into(m, shifts[i], comps[i], None, p):
-                return False
             window = subspace_sum(comps[max(i - 1, 0):i + 2])
             if not _maps_into(other, 0, comps[i], window, p):
                 return False

@@ -1,7 +1,7 @@
 """The linear algebra fails closed: on malformed arguments each public call
-that reaches the row reduction returns, or raises ValueError, TypeError
-or ZeroDivisionError (SingularMatrixError is a ValueError), within a time
-bound.
+that reaches the row reduction, and matrix arithmetic, returns, or raises
+ValueError, TypeError or ZeroDivisionError (SingularMatrixError is a
+ValueError), within a time bound.
 
 The draws are ragged and empty grids, entries and operands from mixed
 fields, floats, bools and None, and vectors of the wrong length, beside
@@ -9,6 +9,7 @@ well-formed small grids so that the kernels run too.
 """
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 
@@ -86,6 +87,10 @@ def test_matrix_calls_fail_closed(data):
         return
     for call in (Matrix.rank, Matrix.kernel, Matrix.invert, Matrix.det):
         closed(call, m)
+    other = closed(Matrix, data.draw(fields_like(m.field)), data.draw(grids))
+    for operand in (other, data.draw(operands)):
+        for op in (mul, add, sub):
+            closed(op, m, operand)
     field = data.draw(fields_like(m.field))
     s = closed(Subspace, field, m.ncols, data.draw(spans(field, m.ncols)))
     if s is not None:

@@ -371,6 +371,35 @@ def test_verify_eliminates_on_four_columns_only(monkeypatch, rng):
         assert calls and wide and all(c == (8, "_inv_grid") for c in wide), wide
 
 
+def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
+    # the ordering search and the checks read one view of the pair, so
+    # each matrix is written in the other's eigenspace basis once: one
+    # inversion of that basis per matrix, with orderings given or not
+    from tdpair121 import tdsystem
+
+    calls = []
+    real = tdsystem._inv_grid
+
+    def spy(g, p):
+        calls.append(p)
+        return real(g, p)
+
+    monkeypatch.setattr(tdsystem, "_inv_grid", spy)
+    for field in (QQ, Field(101)):
+        pa = random_admissible_array(rng, field)
+        a, astar = canonical_matrices(pa)
+        q = random_invertible(rng, field, Matrix)
+        qi = q.invert()
+        a, astar = qi * a * q, qi * astar * q
+        calls.clear()
+        found, _, _, report = tdsystem._verify_unordered(a, astar)
+        assert found == 4 and report.overall and report.shape == (1, 2, 1)
+        assert len(calls) == 2, calls
+        calls.clear()
+        assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
+        assert len(calls) == 2, calls
+
+
 def test_qq_fractions_are_built_only_at_the_boxing_edge(monkeypatch, rng):
     # over QQ subspace rows, chain vectors and bases are held as integers;
     # linalg, tdsystem and bases build a Fraction only in _box, where a
