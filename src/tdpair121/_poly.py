@@ -61,25 +61,26 @@ def divmod_(a, b, p: int):
     return q, trim([x % p for x in r[:n]] if p else r[:n])
 
 
-def _primitive(cs: list) -> list:
-    """cs over its content, with a positive leading coefficient."""
-    g = math.gcd(*cs)
-    return [x // g for x in cs] if not cs or cs[-1] > 0 else [-x // g for x in cs]
+def _primitive(row, lead) -> list:
+    """An integer row over its content, negated if its entry lead is < 0;
+    also linalg's normalisation of integer rows and vectors over QQ."""
+    g = -math.gcd(*row) if lead < 0 else math.gcd(*row)
+    return [x // g for x in row] if g != 1 else row
 
 
 def gcd(a, b, p: int) -> list:
     """Greatest common divisor of two raw polynomials: monic over GF(p),
     and over the integers primitive with a positive leading coefficient,
-    through pseudo-remainders that are each made primitive."""
+    through pseudo-remainders each made primitive, in either sign."""
     a, b = trim(list(a)), trim(list(b))
     while b:
         if p:
             r = divmod_(a, b, p)[1]
         else:
             scale = b[-1] ** max(len(a) - len(b) + 1, 0)
-            r = _primitive(divmod_([x * scale for x in a], b, 0)[1])
+            r = _primitive(divmod_([x * scale for x in a], b, 0)[1], 1)
         a, b = b, r
-    return [x * pow(a[-1], -1, p) % p for x in a] if p else _primitive(a)
+    return [x * pow(a[-1], -1, p) % p for x in a] if p else _primitive(a, a[-1])
 
 
 def powmod(base, e: int, mod, p: int) -> list:

@@ -12,7 +12,6 @@ matrices that keep their raw grids, so the cross-check compares grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -21,8 +20,11 @@ from .linalg import (
     SingularMatrixError,
     _apply_raw,
     _box,
+    _columns,
+    _grid_of,
     _inv_grid,
     _mul_grids,
+    _scale_raw,
     _vector,
     _vector_of,
 )
@@ -41,6 +43,13 @@ class BasisId(Enum):
     # members are singletons that compare by identity, so they hash by it:
     # Enum.__hash__ is Python code, and every table and basis lookup pays it
     __hash__ = object.__hash__
+
+
+def _known(basis) -> BasisId:
+    """basis, checked to be a BasisId, for the numeric and the formula side."""
+    if not isinstance(basis, BasisId):
+        raise ValueError(f"unknown basis {basis!r}")
+    return basis
 
 
 @dataclass(frozen=True)
@@ -122,12 +131,9 @@ class _SystemBases:
         """The raw grids of the basis matrix and of its inverse."""
         got = self._pairs.get(basis)
         if got is None:
-            p = tds.field.p
-            cols = _basis_columns(tds, basis, self.chain)
-            den = math.lcm(*[d for _, d in cols])
-            m = [list(r) for r in zip(*[[x * (den // d) for x in v] for v, d in cols])], den
+            m = _columns(_basis_columns(tds, _known(basis), self.chain))
             try:
-                got = self._pairs[basis] = m, _inv_grid(m, p)
+                got = self._pairs[basis] = m, _inv_grid(m, tds.field.p)
             except SingularMatrixError:
                 raise SingularMatrixError(
                     f"{basis.value} columns are dependent; input is not shape (1,2,1)"
@@ -169,17 +175,8 @@ def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
     if basis is BasisId.EIG_A:
         e1 = tds.E[1]._grid
         return [eta0, _apply_raw(e1, eta0star, p), _apply_raw(e1, eta2star, p), eta2]
-    if basis is BasisId.EIG_ASTAR:
-        estar1 = tds.Estar[1]._grid
-        return [eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star]
-    raise ValueError(f"unknown basis {basis!r}")
-
-
-def _scale_raw(c, v, p: int) -> tuple:
-    vals, den = v
-    if p:
-        return [c * x % p for x in vals], 1
-    return _vector([c.numerator * x for x in vals], c.denominator * den)
+    estar1 = tds.Estar[1]._grid  # BasisId.EIG_ASTAR
+    return [eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star]
 
 
 def represent(tds: TDSystem, which: str, basis: BasisId,
@@ -209,27 +206,30 @@ def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
 # -- closed-form tables -------------------------------------------------------
 
 class _Q:
-    """The rational n/d, d > 0, as the QQ tables compute with it: +, - and
-    * cross-multiply and never reduce, so no gcd is paid per scalar
-    operation; _tabulate puts the entries over one denominator."""
+    """A rational with a positive denominator, as the QQ tables compute with
+    it: +, - and * cross-multiply and never reduce, so no gcd is paid per
+    scalar operation.  Its fields have a Fraction's names, as an int's do,
+    so linalg._grid_of puts a table of ints and _Qs over one denominator."""
 
-    __slots__ = ("n", "d")
+    __slots__ = ("numerator", "denominator")
 
-    def __init__(self, n: int, d: int):
-        self.n = n
-        self.d = d
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator = numerator
+        self.denominator = denominator
 
     def __add__(self, other):
-        return _Q(self.n * other.d + other.n * self.d, self.d * other.d)
+        return _Q(self.numerator * other.denominator + other.numerator * self.denominator,
+                  self.denominator * other.denominator)
 
     def __sub__(self, other):
-        return _Q(self.n * other.d - other.n * self.d, self.d * other.d)
+        return _Q(self.numerator * other.denominator - other.numerator * self.denominator,
+                  self.denominator * other.denominator)
 
     def __mul__(self, other):
-        return _Q(self.n * other.n, self.d * other.d)
+        return _Q(self.numerator * other.numerator, self.denominator * other.denominator)
 
     def __neg__(self):
-        return _Q(-self.n, self.d)
+        return _Q(-self.numerator, self.denominator)
 
 
 def _inverses(vals, p: int) -> list:
@@ -238,7 +238,8 @@ def _inverses(vals, p: int) -> list:
     positive."""
     if p:
         return [pow(v, -1, p) for v in vals]
-    return [_Q(v.d, v.n) if v.n > 0 else _Q(-v.d, -v.n) for v in vals]
+    return [_Q(v.denominator, v.numerator) if v.numerator > 0
+            else _Q(-v.denominator, -v.numerator) for v in vals]
 
 
 def _ctx(pa: ParameterArray) -> tuple:
@@ -268,35 +269,33 @@ def _ctx(pa: ParameterArray) -> tuple:
 
 def _tabulate(pa: ParameterArray, table) -> Matrix:
     """The matrix of one table at the array's raw values, keeping its grid:
-    residues over GF(p); over QQ, where the entries are ints and _Qs, rows
-    n * (den // d) over den, the lcm of the entries' denominators."""
+    residues over GF(p); over QQ, where the entries are ints and _Qs, the
+    grid of :func:`linalg._grid_of`."""
     rows = table(pa.__dict__.get("_table_ctx") or _ctx(pa))
     p = pa.field.p
     if p:
         return Matrix._from_grid(pa.field, ([[a % p, b % p, c % p, d % p]
                                              for a, b, c, d in rows], 1))
-    den = math.lcm(*[x.d for r in rows for x in r if type(x) is _Q])
-    return Matrix._from_grid(pa.field, ([[x.n * (den // x.d) if type(x) is _Q else x * den
-                                          for x in r] for r in rows], den))
+    return Matrix._from_grid(pa.field, _grid_of(rows, 0))
 
 
 def represent_formula(pa: ParameterArray, which: str, basis: BasisId) -> Matrix:
     """The tabulated representation matrix with parameters substituted;
-    raises ValueError for an inadmissible array."""
+    raises ValueError for an unknown operator or basis, or an inadmissible array."""
     if which not in ("A", "Astar"):
         raise ValueError("operator must be 'A' or 'Astar'")
-    return _tabulate(pa, _REPRESENT_TABLE[(which, basis)])
+    return _tabulate(pa, _REPRESENT_TABLE[(which, _known(basis))])
 
 
 def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
     """The tabulated transition matrix with parameters substituted; raises
-    ValueError for an inadmissible array.
+    ValueError for an unknown basis or an inadmissible array.
 
     Every ordered pair of distinct bases has its own tabulated matrix;
     nothing here is composed from other pairs, so agreement with
     transition_numeric is an actual check.
     """
-    if frm is to:
+    if _known(frm) is _known(to):
         _ctx(pa)  # the same admissibility gate
         return Matrix.identity(pa.field, 4)
     return _tabulate(pa, _TRANSITION_TABLE[(frm, to)])

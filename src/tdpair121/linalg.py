@@ -3,13 +3,13 @@
 A matrix is its raw grid: over GF(p) rows of residues, over the rationals
 integer rows over one denominator, and so are vectors and subspace rows.
 Every kernel runs on them, so over the rationals it is fraction-free, and
-a reduced Fraction is built only per entry read.  Subspaces are kept in a
-canonical echelon form so that equality of subspaces is equality of
-representations.  Eigenvalues are the roots of the characteristic
-polynomial in the base field; both are computed on raw coefficients in
-:mod:`tdpair121._poly`, and :func:`charpoly` and :func:`poly_roots` only
-unbox and box at its edge.  A determinant is the constant term of the
-characteristic polynomial.
+a reduced Fraction is built only per entry read.  The raw forms are
+private to this module: each rule on raw values is implemented once, here
+(such as :func:`_columns`, :func:`_scale_raw` and :meth:`Subspace._maps`)
+or in :mod:`tdpair121._poly`, and other modules only hand raw values to
+it.  Subspaces are kept in a canonical echelon form, so that equal
+subspaces have equal representations.  Characteristic polynomials, their
+roots and determinants are computed on raw coefficients in ``_poly``.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from itertools import chain, repeat
 from operator import add, and_, eq, mul
 
 from . import _poly
+from ._poly import _primitive
 from .fields import Field, FieldElement
 
 
@@ -31,11 +32,13 @@ class SingularMatrixError(ValueError):
 
 Vector = tuple  # tuple of FieldElement
 
-# One raw form per object; Fractions are built only where a public value
-# leaves, by _box: Matrix.rows and Subspace.basis on first read, returned
-# vectors and charpoly's coefficients.  poly_roots' roots are the raw
-# scalars of _poly.roots, wrapped as they are.  Public input is unboxed
-# (_unbox) and cleared of denominators (_grid_of) on the way in.
+# One raw form per object, private to this module: bases, params and
+# tdsystem only hand raw values to its rules, each implemented once, such
+# as _columns, _scale_raw and Subspace._maps (and _poly._primitive).
+# Fractions are built only where a public value leaves, by _box: Matrix.rows
+# and Subspace.basis on first read, returned vectors and charpoly's
+# coefficients; poly_roots wraps _poly.roots' raw scalars.  Public input is
+# unboxed (_unbox) and cleared of denominators (_grid_of) on the way in.
 # - A raw grid is a pair (rows, den): over GF(p) residues in [0, p) over
 #   den 1, over QQ integer rows over one positive denominator, not
 #   necessarily the least.  Every Matrix holds one (Matrix._grid), and
@@ -96,18 +99,17 @@ def _vector_of(field: Field, vec) -> tuple:
     return rows[0], den
 
 
-def _primitive(row, lead) -> list:
-    """An integer row over its content, negated if its entry lead is < 0."""
-    g = math.gcd(*row)
-    if lead < 0:
-        g = -g
-    return [x // g for x in row] if g != 1 else row
-
-
 def _vector(vals, den) -> tuple:
     """The canonical raw vector vals/den over QQ, for a nonzero den."""
     *vals, den = _primitive([*vals, den], den)
     return vals, den
+
+
+def _columns(vectors):
+    """Raw grid with the raw vectors as columns, over their denominators' lcm."""
+    den = math.lcm(*[d for _, d in vectors])
+    return [list(r) for r in zip(*[v if d == den else [x * (den // d) for x in v]
+                                   for v, d in vectors])], den
 
 
 def _mul_grids(a, b, p: int):
@@ -151,6 +153,14 @@ def _scale_grid(g, c, p: int):
     return [[a * cn for a in r] for r in rows], den * c.denominator
 
 
+def _scale_raw(c, v, p: int) -> tuple:
+    """The raw vector c*v for a raw scalar c and a raw vector v."""
+    vals, den = v
+    if p:
+        return [c * x % p for x in vals], 1
+    return _vector([c.numerator * x for x in vals], c.denominator * den)
+
+
 def _inv_grid(g, p: int):
     """Raw grid of the inverse of the square raw grid g; raises
     SingularMatrixError when g is singular.
@@ -176,15 +186,18 @@ def _inv_grid(g, p: int):
     return [[x // g for x in r] for r in rows], lcm // g
 
 
+def _image(g, vals, c) -> list:
+    """(M - c*I)vals for the raw grid g of M and a raw scalar c, unreduced;
+    over QQ times the denominators of g and c."""
+    (rows, den), cn, cd = g, c.numerator, c.denominator
+    return [cd * x - cn * den * y for x, y in zip(_mat_vec(rows, vals), vals)]
+
+
 def _apply_raw(g, v, p: int, c=0) -> tuple:
     """The raw vector (M - c*I)v for the raw grid g of M, a raw vector v
     and a raw scalar c; Mv when c is left out."""
-    (rows, den), (vals, dv) = g, v
-    if p:
-        return [(x - c * y) % p for x, y in zip(_mat_vec(rows, vals), vals)], 1
-    cn, cd = c.numerator, c.denominator
-    return _vector([cd * x - cn * den * y for x, y in zip(_mat_vec(rows, vals), vals)],
-                   den * dv * cd)
+    w = _image(g, v[0], c)
+    return ([x % p for x in w], 1) if p else _vector(w, g[1] * v[1] * c.denominator)
 
 
 def _rref(work, p: int):
@@ -489,9 +502,8 @@ class Subspace:
 
     def __init__(self, field: Field, ambient: int, vectors=()):
         work = [_unbox(field, v) for v in vectors]
-        for v in work:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
+        if any(len(v) != ambient for v in work):
+            raise ValueError("vector length does not match ambient dimension")
         self._span(field, ambient, _grid_of(work, field.p)[0])
 
     @classmethod
@@ -602,8 +614,12 @@ class Subspace:
         _require_matrix(m)
         if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
             raise ValueError("matrix does not act on the ambient space")
-        rows = m._grid[0]
-        return all(self._holds(_mat_vec(rows, v)) for v in self._rows)
+        return self._maps(m._grid, 0, self)
+
+    def _maps(self, g, c, dst: Subspace) -> bool:
+        """Whether M - c*I maps self into dst, for the raw grid g of M and a raw
+        scalar c; the images are left as _image gives them, as _holds ignores scale."""
+        return all(dst._holds(_image(g, v, c)) for v in self._rows)
 
     def __eq__(self, other):
         return (
@@ -637,12 +653,16 @@ def subspace_intersection(parts) -> Subspace:
 
 def subspace_combine(parts, op: str) -> Subspace:
     """The sum (op "sum") or intersection (op "intersect") of one or more
-    subspaces; raises ValueError for another op or no subspaces."""
+    subspaces; raises ValueError for another op or no subspaces, and
+    TypeError for a part that is not a Subspace, a lone part included."""
     if op not in ("sum", "intersect"):
         raise ValueError(f"unknown subspace operation {op!r}")
     parts = list(parts)
     if not parts:
         raise ValueError(f"no subspaces to {op}: the ambient space is unknown")
+    for s in parts:
+        if not isinstance(s, Subspace):
+            raise TypeError(f"expected a Subspace, got {type(s).__name__}")
     return reduce(add if op == "sum" else and_, parts)
 
 
@@ -651,6 +671,7 @@ def subspace_combine(parts, op: str) -> Subspace:
 def charpoly(m: Matrix):
     """Coefficients of det(xI - M), low degree first, monic; over QQ those of
     the grid's integer rows, coefficient k over den^(n-k), boxed over den^n."""
+    _require_matrix(m)
     (rows, den), p, n = m._grid, m.field.p, m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -682,14 +703,11 @@ def eigen_data(m: Matrix) -> EigenData:
     dimensions add up to the size, which is also when the minimal
     polynomial splits into distinct linear factors.
     """
+    _require_matrix(m)
     roots = poly_roots(m.field, charpoly(m))
-    values, mults, spaces = [], [], []
-    for val, mult in roots:
-        values.append(val)
-        mults.append(mult)
-        spaces.append(_eigenspace(m, val))
-    diag = sum(s.dim for s in spaces) == m.nrows
-    return EigenData(tuple(values), tuple(mults), tuple(spaces), diag)
+    values, mults = tuple(zip(*roots)) or ((), ())
+    spaces = tuple(_eigenspace(m, e) for e in values)
+    return EigenData(values, mults, spaces, sum(s.dim for s in spaces) == m.nrows)
 
 
 def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
@@ -712,6 +730,7 @@ def primitive_idempotents(m: Matrix, eigenvalues):
     when e_i is an eigenvalue.  Conversely, for such an M the minimal
     polynomial divides prod_j (x - e_j), so P = 0.
     """
+    _require_matrix(m)
     field = m.field
     if m.nrows != m.ncols:
         raise ValueError("idempotents of a non-square matrix")

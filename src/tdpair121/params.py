@@ -13,11 +13,10 @@ operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .fields import Field, FieldElement
-from .linalg import Matrix, _mul_grids, _shift_grid
+from .linalg import Matrix, _mul_grids, _rank, _shift_grid
 from .tdsystem import TDSystem
 
 
@@ -174,24 +173,19 @@ def construct(pa: ParameterArray) -> TDSystem:
 
 def _scalar_action(image, projector, field: Field) -> FieldElement:
     """The scalar by which a product acts on the image of a projector, from
-    the raw grids of product * projector and of projector.
-
-    Checked at the level of whole matrices (product * projector must equal
-    scalar * projector), which covers every vector of the image at once:
-    with (a, b) the two grids' integer entries where the projector's first
-    nonzero one sits, that is x * b == a * y for each pair (x, y).
-    """
-    p = field.p
+    the raw grids of product * projector and of projector: checked on whole
+    matrices, so on every vector of the image at once, as rank at most 1
+    of the two flattened grids, and read off at the projector's first
+    nonzero entry."""
     (img, di), (proj, dp) = image, projector
-    lead = next(((x, y) for xr, yr in zip(img, proj) for x, y in zip(xr, yr) if y), None)
-    if lead is None:
+    img, proj = [x for r in img for x in r], [y for r in proj for y in r]
+    j = next((j for j, y in enumerate(proj) if y), None)
+    if j is None:
         raise ValueError("projector is zero")
-    a, b = lead
-    if any((x * b - a * y) % p if p else x * b - a * y
-           for xr, yr in zip(img, proj) for x, y in zip(xr, yr)):
+    if _rank([img, proj], field.p) > 1:
         raise ValueError("product does not act as a scalar on the eigenspace; "
                          "input is not a shape-(1,2,1) system")
-    return field(Fraction(a * dp, b * di))
+    return field(img[j] * dp) / field(proj[j] * di)
 
 
 def _read_parameter_array(tds: TDSystem) -> ParameterArray:
@@ -289,15 +283,17 @@ def _apply_generator(pa: ParameterArray, letter: str) -> ParameterArray:
         return ParameterArray(pa.field, pa.thetastar, pa.theta, pa.varphi, pa.phi)
     if letter == FLIP_DUAL:
         return ParameterArray(pa.field, pa.theta, pa.thetastar[::-1], pa.phi, pa.varphi)
-    if letter == FLIP_PRIMARY:
-        return ParameterArray(pa.field, pa.theta[::-1], pa.thetastar, pa.phi, pa.varphi)
-    raise ValueError(f"unknown generator {letter!r}")
+    # FLIP_PRIMARY, the one other letter of a D4Word
+    return ParameterArray(pa.field, pa.theta[::-1], pa.thetastar, pa.phi, pa.varphi)
 
 
 def relative(pa: ParameterArray, word) -> ParameterArray:
-    """Parameter array of the relative system; letters apply left to right."""
+    """Parameter array of the relative system for a str or D4Word word (else
+    TypeError); letters apply left to right."""
     if isinstance(word, str):
         word = D4Word(word)
+    elif not isinstance(word, D4Word):
+        raise TypeError(f"expected a str or a D4Word, got {type(word).__name__}")
     out = pa
     for letter in word.letters:
         out = _apply_generator(out, letter)

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, permutations, product
-from operator import mul
+from itertools import accumulate, combinations, permutations, product
 
 from . import _poly
 from .fields import Field
@@ -29,12 +28,13 @@ from .linalg import (
     Matrix,
     Subspace,
     _ann,
-    _apply_raw,
+    _columns,
     _eigenspace,
     _inv_grid,
     _meet_rows,
     _mul_grids,
     _rank,
+    _require_matrix,
     eigen_data,
     primitive_idempotents,
     subspace_sum,
@@ -145,6 +145,8 @@ class VerificationReport:
 
 
 def _check_pair(a: Matrix, astar: Matrix) -> None:
+    _require_matrix(a)
+    _require_matrix(astar)
     if a.nrows != 4 or a.ncols != 4 or astar.nrows != 4 or astar.ncols != 4:
         raise ValueError("both matrices must be 4x4")
     if a.field != astar.field:
@@ -153,12 +155,10 @@ def _check_pair(a: Matrix, astar: Matrix) -> None:
 
 def _check_system(a: Matrix, astar: Matrix, theta, thetastar) -> tuple:
     """theta and thetastar as tuples of elements of a's field; raises
-    ValueError unless a and astar are 4x4 over one field and both lists
-    have length 3."""
-    field = a.field
-    theta = tuple(field(x) for x in theta)
-    thetastar = tuple(field(x) for x in thetastar)
+    TypeError unless a and astar are matrices, and ValueError unless they
+    are 4x4 over one field and both lists have length 3."""
     _check_pair(a, astar)
+    theta, thetastar = (tuple(map(a.field, t)) for t in (theta, thetastar))
     if len(theta) != 3 or len(thetastar) != 3:
         raise ValueError("eigenvalue lists must have length 3")
     return theta, thetastar
@@ -262,11 +262,8 @@ def _coordinates(m: Matrix, spaces):
     rows side by side, and the coordinate indices of each space.  Every use
     is homogeneous in the rows and in each coordinate's positive scale."""
     p = m.field.p
-    basis = [list(r) for r in zip(*(v for s in spaces for v in s._rows))], 1
-    idx, k = [], 0
-    for s in spaces:
-        idx.append(range(k, k + s.dim))
-        k += s.dim
+    basis = _columns([(v, 1) for s in spaces for v in s._rows])
+    idx = [range(end - s.dim, end) for s, end in zip(spaces, accumulate(s.dim for s in spaces))]
     return _mul_grids(_inv_grid(basis, p), _mul_grids(m._grid, basis, p), p)[0], idx
 
 
@@ -353,34 +350,23 @@ _SPLIT_ACTION = {
 }
 
 
-def _maps_into(g, c, src: Subspace, dst: Subspace | None, p: int) -> bool:
-    """Whether M - c*I, for the raw grid g of M and a raw scalar c, maps
-    src into dst, or to zero when dst is None."""
-    images = (_apply_raw(g, (v, 1), p, c)[0] for v in src._rows)
-    return all(not any(w) if dst is None else dst._holds(w) for w in images)
-
-
 def verify_split_actions(tds: TDSystem) -> bool:
     """Check the raising/lowering action table on all six decompositions."""
-    p = tds.field.p
+    zero = Subspace.zero(tds.field, 4)
     a, astar = tds.A._grid, tds.Astar._grid
-    theta = [x.val for x in tds.theta]
-    thetastar = [x.val for x in tds.thetastar]
+    theta, thetastar = ([x.val for x in t] for t in (tds.theta, tds.thetastar))
     for dec, (a_idx, s_idx) in _SPLIT_ACTION.items():
-        comps = tds._decomps[dec]
+        # a zero fourth component, comps[3] = comps[-1]: the ends map to zero
+        comps = (*tds._decomps[dec], zero)
         for i in range(3):
-            up = comps[i + 1] if i + 1 < 3 else None
-            down = comps[i - 1] if i - 1 >= 0 else None
-            if not _maps_into(a, theta[a_idx(i)], comps[i], up, p):
-                return False
-            if not _maps_into(astar, thetastar[s_idx(i)], comps[i], down, p):
+            if not (comps[i]._maps(a, theta[a_idx(i)], comps[i + 1])
+                    and comps[i]._maps(astar, thetastar[s_idx(i)], comps[i - 1])):
                 return False
     # [0D] and [0*D*] are the eigenspaces themselves: only the window is checked
     for dec, other in ((Decomposition.Z_D, astar), (Decomposition.ZSTAR_DSTAR, a)):
         comps = tds._decomps[dec]
         for i in range(3):
-            window = subspace_sum(comps[max(i - 1, 0):i + 2])
-            if not _maps_into(other, 0, comps[i], window, p):
+            if not comps[i]._maps(other, 0, subspace_sum(comps[max(i - 1, 0):i + 2])):
                 return False
     return True
 
@@ -452,9 +438,7 @@ def _search_profile_211(field, spaces, astar, b):
         for chosen in combinations(range(n - 1), d - 1):
             sol = _solve_line_family(field.p, b, chosen)
             if sol is not None:
-                (x, y), p = sol, field.p
-                vec = [(x * u + y * v) % p if p else x * u + y * v
-                       for u, v in zip(*plane._rows)]
+                vec = _mul_grids(([list(sol)], 1), (plane._rows, 1), field.p)[0][0]
                 w = Subspace._from_vals(field, 4, [spaces[i]._rows[0] for i in chosen] + [vec])
                 if not w.is_invariant(astar):
                     raise RuntimeError("projective-line solver produced a bad witness")
@@ -503,8 +487,7 @@ def _search_enumerate(field, spaces, astar):
     for s in spaces:
         subs = [Subspace.zero(field, 4)]
         for coords in _coordinate_subspaces(p, s.dim):
-            vecs = [[sum(map(mul, coeffs, col)) % p for col in zip(*s._rows)]
-                    for coeffs in coords]
+            vecs = _mul_grids((coords, 1), (s._rows, 1), p)[0]
             subs.append(Subspace._from_vals(field, 4, vecs))
         per_space.append(subs)
     found = []

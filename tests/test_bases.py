@@ -234,6 +234,23 @@ def test_transition_formula_requires_admissible(p0):
         transition_formula(bad, BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ)
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda pa, tds: represent_formula(pa, "A", "x"), "'x'"),
+    (lambda pa, tds: transition_formula(pa, "x", "x"), "'x'"),
+    (lambda pa, tds: transition_formula(pa, None, None), "None"),
+    (lambda pa, tds: transition_formula(pa, "a", "b"), "'a'"),
+    (lambda pa, tds: transition_formula(pa, BasisId.SPLIT_ZD, "x"), "'x'"),
+    (lambda pa, tds: transition_numeric(tds, "x", "x"), "'x'"),
+    (lambda pa, tds: transition_numeric(tds, "a", "b"), "'a'"),
+    (lambda pa, tds: basis_matrix(tds, "x"), "'x'"),
+])
+def test_formula_and_numeric_sides_refuse_an_unknown_basis_alike(p0, call, shown):
+    # the formula side raised KeyError, or returned the identity for
+    # transition_formula(pa, "x", "x"), where the numeric side raised this
+    with pytest.raises(ValueError, match=f"^unknown basis {shown}$"):
+        call(p0, construct(p0))
+
+
 def test_formulas_share_one_admissibility_gate(gf101):
     # a repeated theta once made represent_formula divide by zero, and a
     # zero phi let it return all 12 matrices; both formula functions now

@@ -1,0 +1,82 @@
+"""The documented errors of the public API, each checked for its type and
+its exact message."""
+
+import pytest
+
+from tdpair121 import (
+    BasisId,
+    D4Word,
+    Matrix,
+    ParameterArray,
+    QQ,
+    Subspace,
+    TDSystem,
+    basis_matrix,
+    charpoly,
+    common_invariant_subspace,
+    construct,
+    eigen_data,
+    eta_vectors,
+    find_td_orderings,
+    poly_roots,
+    primitive_idempotents,
+    relative,
+    represent,
+    represent_formula,
+    split_decomposition,
+    verify_td_system,
+)
+
+P0 = ParameterArray.make(QQ, (1, 0, -1), (1, 0, -1), 2, 1)
+TDS = construct(P0)
+A, ASTAR, THETA = TDS.A, TDS.Astar, TDS.theta
+GRID = [[1, 0, 0, 0]] * 4  # a grid of a Matrix's shape that is no Matrix
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: represent(TDS, "B", BasisId.SPLIT_ZD), "operator must be 'A' or 'Astar'"),
+    (lambda: represent_formula(P0, "B", BasisId.SPLIT_ZD), "operator must be 'A' or 'Astar'"),
+    (lambda: basis_matrix(TDS, "x"), "unknown basis 'x'"),
+    (lambda: Matrix.identity(QQ, 4).apply((1, 2, 3)), "vector length does not match the matrix"),
+    (lambda: charpoly(Matrix(QQ, [[1, 2, 3], [4, 5, 6]])),
+     "characteristic polynomial of a non-square matrix"),
+    (lambda: poly_roots(QQ, [0, 0]), "the zero polynomial has every element as a root"),
+    (lambda: split_decomposition(TDS, "[0D]"), "unknown decomposition '[0D]'"),
+    (lambda: ParameterArray.make(QQ, (1, 2), (1, 2, 3), 1, 1),
+     "eigenvalue sequences must have length 3"),
+    (lambda: D4Word("x"), "unknown generator 'x'"),
+    (lambda: eta_vectors(TDS, (1, 2)), "seed vector must have 4 coordinates"),
+    (lambda: Subspace.zero(QQ, 4).matrix(), "the zero subspace has no basis matrix"),
+    (lambda: QQ.elements(), "cannot enumerate the rationals"),
+])
+def test_documented_value_errors(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("junk", [None, GRID])
+@pytest.mark.parametrize("call", [
+    lambda x: verify_td_system(x, ASTAR, THETA, THETA),
+    lambda x: verify_td_system(A, x, THETA, THETA),
+    lambda x: find_td_orderings(x, ASTAR),
+    lambda x: find_td_orderings(A, x),
+    lambda x: common_invariant_subspace(x, ASTAR),
+    lambda x: common_invariant_subspace(A, x),
+    lambda x: TDSystem.from_matrices(x, ASTAR, THETA, THETA),
+    lambda x: TDSystem.from_matrices(A, x, THETA, THETA),
+    lambda x: eigen_data(x),
+    lambda x: charpoly(x),
+    lambda x: primitive_idempotents(x, [1]),
+])
+def test_calls_on_a_non_matrix_fail_closed(call, junk):
+    # each raised AttributeError, which no documented error covers
+    with pytest.raises(TypeError, match=f"^expected a Matrix, got {type(junk).__name__}$"):
+        call(junk)
+
+
+@pytest.mark.parametrize("word", [None, ["d"], ("d",), 1])
+def test_relative_takes_only_a_str_or_a_d4word(word):
+    with pytest.raises(TypeError, match=f"^expected a str or a D4Word, got {type(word).__name__}$"):
+        relative(P0, word)
+    assert relative(P0, "d") == relative(P0, D4Word("d"))

@@ -378,6 +378,22 @@ def test_subspace_folds_refuse_an_empty_list():
     assert subspace_sum([u]) is u and subspace_intersection(iter([u])) is u
 
 
+@pytest.mark.parametrize("parts", [
+    [5], [1, 2], ["a"], [None],
+    [Subspace.full(QQ, 2), 1],
+    [1, Subspace.full(QQ, 2)],
+    [Matrix.identity(QQ, 2)],
+])
+def test_subspace_folds_refuse_parts_that_are_not_subspaces(parts):
+    # reduce returned a lone part as it was and added two ints; every part,
+    # a lone one included, is now checked as Subspace._compat checks one
+    for fold in (subspace_sum, subspace_intersection,
+                 lambda ps: subspace_combine(ps, "sum"),
+                 lambda ps: subspace_combine(ps, "intersect")):
+        with pytest.raises(TypeError, match="expected a Subspace"):
+            fold(parts)
+
+
 def test_subspace_intersection_with_full_space():
     tds = p0_system()
     estar0 = Subspace.column_space(tds.Estar[0])
