@@ -218,9 +218,10 @@ def _rational_candidates(cs) -> list:
 
 
 def roots(cs, p: int) -> list:
-    """Roots with multiplicities of the trimmed nonzero raw polynomial cs,
-    as (root, mult) pairs ascending by root: residues over GF(p), and over
-    the rationals Fractions, from integer coefficients."""
+    """Roots with multiplicities of the raw polynomial cs, trimmed and nonzero
+    once reduced mod p, which is done here over GF(p) (as value does): (root,
+    mult) pairs ascending by root, residues over GF(p), Fractions over QQ."""
+    cs = [c % p for c in cs] if p else cs
     if len(cs) == 2:
         return [(-cs[0] * pow(cs[1], -1, p) % p if p else Fraction(-cs[0], cs[1]), 1)]
     cands = [(r, 1) for r in gf_roots(cs, p)] if p else _rational_candidates(cs)

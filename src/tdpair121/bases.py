@@ -24,6 +24,7 @@ from .linalg import (
     _grid_of,
     _inv_grid,
     _mul_grids,
+    _require,
     _scale_raw,
     _vector,
     _vector_of,
@@ -63,6 +64,7 @@ class EtaVectors:
 def canonical_seed(tds: TDSystem):
     """First dual eigenspace image of the earliest standard vector,
     rescaled so its first nonzero coordinate is 1."""
+    _require(tds, TDSystem)
     return _box(tds.field, *_canonical_seed(tds))
 
 
@@ -80,6 +82,7 @@ def _canonical_seed(tds: TDSystem) -> tuple:
 def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
     """The chain vectors grown from a seed of the first dual eigenspace;
     without a seed, the system's own, grown once from :func:`canonical_seed`."""
+    _require(tds, TDSystem)
     if seed is None:
         return tds._bases.eta
     return _boxed_eta(tds.field, _chain(tds, _vector_of(tds.field, seed)))
@@ -143,13 +146,15 @@ class _SystemBases:
 
 def _bases_for(tds: TDSystem, eta: EtaVectors | None) -> _SystemBases:
     """The system's own record for the canonical seed, else a fresh one."""
+    _require(tds, TDSystem)
     own = tds._bases
     return own if eta is None or eta == own.eta else _SystemBases(tds, eta)
 
 
 def basis_matrix(tds: TDSystem, basis: BasisId, eta: EtaVectors | None = None) -> Matrix:
     """4x4 matrix whose columns are the requested basis, in order."""
-    return Matrix._from_grid(tds.field, _bases_for(tds, eta).pair(tds, basis)[0])
+    rec = _bases_for(tds, eta)
+    return Matrix._from_grid(tds.field, rec.pair(tds, basis)[0])
 
 
 def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
@@ -183,13 +188,10 @@ def represent(tds: TDSystem, which: str, basis: BasisId,
               eta: EtaVectors | None = None) -> Matrix:
     """Matrix of the chosen transformation with respect to the basis:
     B^-1 (M B) on raw grids; the matrix keeps the grid."""
-    if which == "A":
-        m = tds.A
-    elif which == "Astar":
-        m = tds.Astar
-    else:
+    if which not in ("A", "Astar"):
         raise ValueError("operator must be 'A' or 'Astar'")
     b, b_inv = _bases_for(tds, eta).pair(tds, basis)
+    m = tds.A if which == "A" else tds.Astar
     p = tds.field.p
     return Matrix._from_grid(tds.field, _mul_grids(b_inv, _mul_grids(m._grid, b, p), p))
 
@@ -271,6 +273,7 @@ def _tabulate(pa: ParameterArray, table) -> Matrix:
     """The matrix of one table at the array's raw values, keeping its grid:
     residues over GF(p); over QQ, where the entries are ints and _Qs, the
     grid of :func:`linalg._grid_of`."""
+    _require(pa, ParameterArray)
     rows = table(pa.__dict__.get("_table_ctx") or _ctx(pa))
     p = pa.field.p
     if p:

@@ -302,9 +302,10 @@ def _shaped(rows) -> list:
     return rows
 
 
-def _require_matrix(m) -> None:
-    if not isinstance(m, Matrix):
-        raise TypeError(f"expected a Matrix, got {type(m).__name__}")
+def _require(x, cls) -> None:
+    """The one type check of public arguments: TypeError unless x is a cls."""
+    if not isinstance(x, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
 
 
 class Matrix:
@@ -341,6 +342,7 @@ class Matrix:
     @classmethod
     def _from_rows(cls, field, rows) -> Matrix:
         """The matrix of rows of element values (FieldElement.val)."""
+        _require(field, Field)
         return cls._from_grid(field, _grid_of(_shaped(rows), field.p))
 
     @classmethod
@@ -381,7 +383,7 @@ class Matrix:
         return Matrix._from_grid(self.field, ([list(c) for c in zip(*rows)], den))
 
     def __mul__(self, other: Matrix) -> Matrix:
-        _require_matrix(other)
+        _require(other, Matrix)
         if self.field is not other.field:
             raise ValueError("field mismatch in matrix product")
         if self.ncols != other.nrows:
@@ -398,7 +400,7 @@ class Matrix:
         return _box(field, *_apply_raw(self._grid, vec, field.p))
 
     def _check_compatible(self, other: Matrix) -> None:
-        _require_matrix(other)
+        _require(other, Matrix)
         if self.field is not other.field:
             raise ValueError("field mismatch in entrywise operation")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -478,6 +480,7 @@ class Matrix:
 
     @classmethod
     def from_json(cls, field: Field, data) -> Matrix:
+        _require(field, Field)
         return cls(field, [[field.parse(s) for s in row] for row in data])
 
 
@@ -501,6 +504,7 @@ class Subspace:
         return basis
 
     def __init__(self, field: Field, ambient: int, vectors=()):
+        _require(field, Field)
         work = [_unbox(field, v) for v in vectors]
         if any(len(v) != ambient for v in work):
             raise ValueError("vector length does not match ambient dimension")
@@ -544,6 +548,7 @@ class Subspace:
 
     @classmethod
     def column_space(cls, m: Matrix) -> Subspace:
+        _require(m, Matrix)
         return cls(m.field, m.nrows, m.columns())
 
     @property
@@ -604,14 +609,14 @@ class Subspace:
     def image(self, m: Matrix) -> Subspace:
         """The subspace m(self), spanned by the images of the raw rows."""
         p = self.field.p
-        _require_matrix(m)
+        _require(m, Matrix)
         if m.field is not self.field or m.ncols != self.ambient:
             raise ValueError("matrix does not act on the ambient space")
         return Subspace._from_vals(self.field, m.nrows,
                                    [_apply_raw(m._grid, (r, 1), p)[0] for r in self._rows])
 
     def is_invariant(self, m: Matrix) -> bool:
-        _require_matrix(m)
+        _require(m, Matrix)
         if m.field is not self.field or (m.nrows, m.ncols) != (self.ambient, self.ambient):
             raise ValueError("matrix does not act on the ambient space")
         return self._maps(m._grid, 0, self)
@@ -671,7 +676,7 @@ def subspace_combine(parts, op: str) -> Subspace:
 def charpoly(m: Matrix):
     """Coefficients of det(xI - M), low degree first, monic; over QQ those of
     the grid's integer rows, coefficient k over den^(n-k), boxed over den^n."""
-    _require_matrix(m)
+    _require(m, Matrix)
     (rows, den), p, n = m._grid, m.field.p, m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -703,7 +708,7 @@ def eigen_data(m: Matrix) -> EigenData:
     dimensions add up to the size, which is also when the minimal
     polynomial splits into distinct linear factors.
     """
-    _require_matrix(m)
+    _require(m, Matrix)
     roots = poly_roots(m.field, charpoly(m))
     values, mults = tuple(zip(*roots)) or ((), ())
     spaces = tuple(_eigenspace(m, e) for e in values)
@@ -730,7 +735,7 @@ def primitive_idempotents(m: Matrix, eigenvalues):
     when e_i is an eigenvalue.  Conversely, for such an M the minimal
     polynomial divides prod_j (x - e_j), so P = 0.
     """
-    _require_matrix(m)
+    _require(m, Matrix)
     field = m.field
     if m.nrows != m.ncols:
         raise ValueError("idempotents of a non-square matrix")

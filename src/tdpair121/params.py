@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field, FieldElement
-from .linalg import Matrix, _mul_grids, _rank, _shift_grid
+from .linalg import Matrix, _mul_grids, _rank, _require, _shift_grid
 from .tdsystem import TDSystem
 
 
@@ -92,6 +92,7 @@ class DerivedParams:
 def derived_params(pa: ParameterArray) -> DerivedParams:
     """The four scalars by which the quadratic products act on the end
     eigenspaces, as closed formulas in the array."""
+    _require(pa, ParameterArray)
     t0, t1, t2 = pa.theta
     s0, s1, s2 = pa.thetastar
     if t0 == t2:
@@ -118,6 +119,7 @@ class AdmissibilityReport:
 def admissible(pa: ParameterArray) -> AdmissibilityReport:
     """Check the classification criterion: (i) distinct eigenvalue
     sequences, (ii) nonzero split scalars, (iii) varphi != varphi1*varphi2."""
+    _require(pa, ParameterArray)
     failed = []
     t, s = pa.theta, pa.thetastar
     if t[0] == t[1] or t[0] == t[2] or t[1] == t[2] or s[0] == s[1] or s[0] == s[2] or s[1] == s[2]:
@@ -134,6 +136,7 @@ def admissible(pa: ParameterArray) -> AdmissibilityReport:
 def _require_admissible(pa: ParameterArray) -> None:
     """Raise ValueError naming the failed conditions unless pa is
     admissible; decided once per array."""
+    _require(pa, ParameterArray)
     report = pa._admissibility
     if not report.ok:
         raise ValueError(f"inadmissible parameter array, failed {list(report.failed)}")
@@ -145,6 +148,7 @@ def canonical_matrices(pa: ParameterArray):
     Available for any array with defined derived parameters, admissible or
     not, so that boundary arrays can be probed.
     """
+    _require(pa, ParameterArray)
     dp = pa._derived
     f = pa.field
     t0, t1, t2 = (x.val for x in pa.theta)
@@ -213,6 +217,7 @@ def _read_parameter_array(tds: TDSystem) -> ParameterArray:
 def extract_parameter_array(tds: TDSystem) -> ParameterArray:
     """Read the parameter array off a verified shape-(1,2,1) system; read
     once per system and kept on it."""
+    _require(tds, TDSystem)
     return tds._params
 
 
@@ -258,6 +263,7 @@ class D4Word:
         return FLIP_DUAL * self.a + FLIP_PRIMARY * self.b + SWAP * self.c
 
     def __mul__(self, other: D4Word) -> D4Word:
+        _require(other, D4Word)
         return D4Word(self.letters + other.letters)
 
     def __eq__(self, other):
@@ -290,6 +296,7 @@ def _apply_generator(pa: ParameterArray, letter: str) -> ParameterArray:
 def relative(pa: ParameterArray, word) -> ParameterArray:
     """Parameter array of the relative system for a str or D4Word word (else
     TypeError); letters apply left to right."""
+    _require(pa, ParameterArray)
     if isinstance(word, str):
         word = D4Word(word)
     elif not isinstance(word, D4Word):

@@ -34,7 +34,7 @@ from .linalg import (
     _meet_rows,
     _mul_grids,
     _rank,
-    _require_matrix,
+    _require,
     eigen_data,
     primitive_idempotents,
     subspace_sum,
@@ -145,8 +145,8 @@ class VerificationReport:
 
 
 def _check_pair(a: Matrix, astar: Matrix) -> None:
-    _require_matrix(a)
-    _require_matrix(astar)
+    _require(a, Matrix)
+    _require(astar, Matrix)
     if a.nrows != 4 or a.ncols != 4 or astar.nrows != 4 or astar.ncols != 4:
         raise ValueError("both matrices must be 4x4")
     if a.field != astar.field:
@@ -315,6 +315,7 @@ def _decompositions(spaces, duals):
 
 def split_decomposition(tds: TDSystem, dec: Decomposition):
     """The three components of the named decomposition."""
+    _require(tds, TDSystem)
     if not isinstance(dec, Decomposition):
         raise ValueError(f"unknown decomposition {dec!r}")
     return list(tds._decomps[dec])
@@ -334,6 +335,7 @@ def _consistent_shape(decomps, p):
 
 def shape(tds: TDSystem):
     """Component dimensions, cross-checked over all six decompositions."""
+    _require(tds, TDSystem)
     dims = _consistent_shape({dec: [c._rows for c in comps] for dec, comps in tds._decomps.items()},
                              tds.field.p)
     if dims is None:
@@ -352,6 +354,7 @@ _SPLIT_ACTION = {
 
 def verify_split_actions(tds: TDSystem) -> bool:
     """Check the raising/lowering action table on all six decompositions."""
+    _require(tds, TDSystem)
     zero = Subspace.zero(tds.field, 4)
     a, astar = tds.A._grid, tds.Astar._grid
     theta, thetastar = ([x.val for x in t] for t in (tds.theta, tds.thetastar))
@@ -384,8 +387,9 @@ def common_invariant_subspace(a: Matrix, astar: Matrix) -> Subspace | None:
     2-dimensional eigenspace.  Both are read off B, the second matrix in
     a basis of the first one's eigenspaces: a sum of eigenspaces is
     invariant when B's columns at its coordinates vanish in every other
-    row, and a line family is invariant exactly at the common roots of
-    linear and quadratic forms in B's entries, found through their gcd.
+    row, and a line family is invariant exactly at the common zeros of
+    linear and quadratic forms in B's entries: the one point of a nonzero
+    linear form, checked exactly, or else the quadratic's roots.
     Other eigenspace profiles are searched by enumeration, over prime
     fields only.
     """
@@ -450,31 +454,25 @@ def _solve_line_family(p, b, gens):
     """A projective point (x : y) of ints at which span(gens, x*u1 + y*u2)
     is invariant, or None; b is as in :func:`_search_profile_211`, gens the
     chosen eigenline coordinates, and u1, u2 sit at coordinates 2 and 3.
-    The conditions are linear forms (alpha, beta), meaning alpha*x + beta*y,
-    and one quadratic (alpha, beta, gamma), alpha*x^2 + beta*xy + gamma*y^2.
-    (1 : 0) is returned when every condition vanishes there; else the
-    smallest root x = r/q of the gcd of the dehomogenized conditions, found
-    by :func:`_poly.roots` on both fields, as (r : q)."""
+    The conditions are linear forms alpha*x + beta*y and one quadratic
+    alpha*x^2 + beta*xy + gamma*y^2, coefficients low degree first.  A
+    nonzero linear form vanishes only at (-beta : alpha), returned if
+    :func:`_poly.value` finds every condition zero there.  With no such
+    form the quadratic decides: (1 : 0) if its x^2 term vanishes, else
+    its smallest root x = r/q by :func:`_poly.roots`, as (r : q)."""
     k1, k2 = 2, 3
     outside = [r for r in (0, 1) if r not in gens]
     if any(b[r][j] for j in gens for r in outside):
         return None
-    lin = [(-b[k2][j], b[k1][j]) for j in gens] + [(b[r][k1], b[r][k2]) for r in outside]
-    quad = (b[k2][k1], b[k2][k2] - b[k1][k1], -b[k1][k2])
-    if not any(a for a, _ in lin) and not quad[0]:
+    conds = [[b[k1][j], -b[k2][j]] for j in gens] + [[b[r][k2], b[r][k1]] for r in outside]
+    quad = [-b[k1][k2], b[k2][k2] - b[k1][k1], b[k2][k1]]
+    form = next((c for c in conds if any(c)), None)
+    if form is not None:
+        x, y = -form[0], form[1]
+        return None if any(_poly.value(c, x, y, p) for c in conds + [quad]) else (x, y)
+    if not quad[2]:
         return 1, 0
-    # residues over GF(p) and integers over QQ; the gcd has degree <= 2
-    polys = [[c, a] for a, c in lin] + [list(quad[::-1])]
-    polys = [[x % p for x in q] for q in polys] if p else polys
-    polys = [q for q in map(_poly.trim, polys) if q]
-    g = polys[0]
-    for q in polys[1:]:
-        if len(g) <= 1:
-            break
-        g = _poly.gcd(g, q, p)
-    if len(g) <= 1:
-        return None
-    roots = _poly.roots(g, p)
+    roots = _poly.roots(quad, p)
     return (roots[0][0].numerator, roots[0][0].denominator) if roots else None
 
 

@@ -110,8 +110,9 @@ def test_report_deterministic_bytes(tmp_path, p0_file):
 
 
 def test_report_names_the_matrices_that_fail_the_cross_check(capsys, monkeypatch, p0_file):
-    # one perturbed transition table: exit 3, and cross_check_failures names
-    # exactly that matrix; a passing report has no such key
+    # one perturbed transition table, then also one perturbed representation
+    # table: exit 3, and cross_check_failures names exactly those matrices;
+    # a passing report has no such key
     import tdpair121.cli as cli
     from tdpair121 import BasisId, Matrix
 
@@ -132,6 +133,17 @@ def test_report_names_the_matrices_that_fail_the_cross_check(capsys, monkeypatch
     assert code == 3
     assert doc["cross_check"] is False
     assert doc["cross_check_failures"] == ["transition SplitZD->SplitZZ"]
+
+    real_rep = cli.represent_formula
+
+    def perturbed_rep(pa, which, basis):
+        m = real_rep(pa, which, basis)
+        return m + Matrix.identity(pa.field, 4) if (which, basis) == ("Astar", BasisId.EIG_A) else m
+
+    monkeypatch.setattr(cli, "represent_formula", perturbed_rep)
+    code, doc = run(capsys, "report", p0_file)
+    assert code == 3 and doc["cross_check"] is False
+    assert doc["cross_check_failures"] == ["represent Astar EigA", "transition SplitZD->SplitZZ"]
 
 
 def test_report_full_bytes_pinned(tmp_path):
@@ -428,6 +440,10 @@ def test_enumerate_guard_and_env_override(capsys, monkeypatch):
     monkeypatch.setenv("TDP_MAX_GRID", "5")
     code, doc = run(capsys, "enumerate", "--p", "5")
     assert code == 0 and doc["p"] == 5
+    monkeypatch.setenv("TDP_MAX_GRID", "abc")
+    assert main(["enumerate", "--p", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: TDP_MAX_GRID must be an integer, got 'abc'\n"
 
 
 def test_report_idempotent_on_extracted_array(capsys, tmp_path, p0_file):

@@ -6,24 +6,35 @@ import pytest
 from tdpair121 import (
     BasisId,
     D4Word,
+    Decomposition,
     Matrix,
     ParameterArray,
     QQ,
     Subspace,
     TDSystem,
+    admissible,
     basis_matrix,
+    canonical_matrices,
+    canonical_seed,
     charpoly,
     common_invariant_subspace,
     construct,
+    derived_of_relative_consistency,
+    derived_params,
     eigen_data,
     eta_vectors,
+    extract_parameter_array,
     find_td_orderings,
     poly_roots,
     primitive_idempotents,
     relative,
     represent,
     represent_formula,
+    shape,
     split_decomposition,
+    transition_formula,
+    transition_numeric,
+    verify_split_actions,
     verify_td_system,
 )
 
@@ -31,6 +42,8 @@ P0 = ParameterArray.make(QQ, (1, 0, -1), (1, 0, -1), 2, 1)
 TDS = construct(P0)
 A, ASTAR, THETA = TDS.A, TDS.Astar, TDS.theta
 GRID = [[1, 0, 0, 0]] * 4  # a grid of a Matrix's shape that is no Matrix
+D = Matrix.diagonal(QQ, [1, 2, 2, 3])
+SZD, SZZ = BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ
 
 
 @pytest.mark.parametrize("call, message", [
@@ -48,6 +61,8 @@ GRID = [[1, 0, 0, 0]] * 4  # a grid of a Matrix's shape that is no Matrix
     (lambda: eta_vectors(TDS, (1, 2)), "seed vector must have 4 coordinates"),
     (lambda: Subspace.zero(QQ, 4).matrix(), "the zero subspace has no basis matrix"),
     (lambda: QQ.elements(), "cannot enumerate the rationals"),
+    (lambda: eta_vectors(TDSystem.from_matrices(D, D, (1, 2, 3), (1, 2, 3))),
+     "chain vector eta2 vanished; input is not a shape-(1,2,1) system"),
 ])
 def test_documented_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -72,6 +87,38 @@ def test_documented_value_errors(call, message):
 def test_calls_on_a_non_matrix_fail_closed(call, junk):
     # each raised AttributeError, which no documented error covers
     with pytest.raises(TypeError, match=f"^expected a Matrix, got {type(junk).__name__}$"):
+        call(junk)
+
+
+@pytest.mark.parametrize("call, expected, junk", [
+    (lambda x: shape(x), "TDSystem", None),
+    (lambda x: split_decomposition(x, Decomposition.Z_D), "TDSystem", None),
+    (lambda x: verify_split_actions(x), "TDSystem", None),
+    (lambda x: extract_parameter_array(x), "TDSystem", None),
+    (lambda x: eta_vectors(x), "TDSystem", None),
+    (lambda x: canonical_seed(x), "TDSystem", None),
+    (lambda x: basis_matrix(x, SZD), "TDSystem", None),
+    (lambda x: represent(x, "A", SZD), "TDSystem", None),
+    (lambda x: transition_numeric(x, SZD, SZZ), "TDSystem", None),
+    (lambda x: construct(x), "ParameterArray", None),
+    (lambda x: admissible(x), "ParameterArray", None),
+    (lambda x: derived_params(x), "ParameterArray", None),
+    (lambda x: canonical_matrices(x), "ParameterArray", None),
+    (lambda x: derived_of_relative_consistency(x), "ParameterArray", None),
+    (lambda x: represent_formula(x, "A", SZD), "ParameterArray", None),
+    (lambda x: transition_formula(x, SZD, SZZ), "ParameterArray", None),
+    (lambda x: relative(x, "d"), "ParameterArray", None),
+    (lambda x: D4Word("d") * x, "D4Word", "d"),
+    (lambda x: Matrix.identity(x, 2), "Field", None),
+    (lambda x: Matrix.zeros(x, 2, 2), "Field", None),
+    (lambda x: Matrix.from_json(x, [["1"]]), "Field", None),
+    (lambda x: Subspace(x, 4, []), "Field", None),
+    (lambda x: Subspace.zero(x, 4), "Field", None),
+    (lambda x: Subspace.column_space(x), "Matrix", None),
+])
+def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
+    # each raised AttributeError, which no documented error covers
+    with pytest.raises(TypeError, match=f"^expected a {expected}, got {type(junk).__name__}$"):
         call(junk)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracle
-from tdpair121 import Field, Matrix, QQ, field_arith, parse_element
+from tdpair121 import Field, FieldElement, Matrix, QQ, field_arith, parse_element
 
 
 def test_parse_reduces_fractions():
@@ -231,3 +231,23 @@ def test_characteristic_must_be_an_int(p):
         Field.from_json({"kind": "Fp", "p": p})
     # a rejected float never takes the place of the int characteristic
     assert type(Field(7).p) is int
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)])
+@pytest.mark.parametrize("value", [
+    3, -10, Fraction(5, 3), Fraction(1, 7), "4/6", "-2", QQ(2), Field(7)(3), Field(5)(1),
+    "1/0", "1.5", " 3", True, 1.5, None, [1],
+])
+def test_field_element_constructor_coerces_and_raises_as_the_field(field, value):
+    # FieldElement(field, value) is field(value) in another spelling: the
+    # same element, or the same exception type and message
+    try:
+        want = field(value)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            FieldElement(field, value)
+        assert type(info.value) is type(exc) and str(info.value) == str(exc)
+    else:
+        got = FieldElement(field, value)
+        assert type(got) is FieldElement and got == want and got.field is field
+        assert type(got.val) is type(want.val) and got.val == want.val

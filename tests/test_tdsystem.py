@@ -664,10 +664,10 @@ def _is_eigenvector(m, v, p):
 @pytest.mark.parametrize("p", [0, 10007])
 def test_invariant_search_one_linear_condition(p):
     # A* acts on the plane of A's double eigenvalue as 7 times the identity,
-    # so the only condition on a line x*u1 + y*u2 there is row 0's
-    # 3x + 5y = 0: a lone condition skips the gcd and is not made monic,
-    # and the witness is the line (-5/3 : 1), not (-5 : 1).  Neither
-    # eigenline is invariant.  Conjugating by S moves the witness by S.
+    # so the only nonzero condition on a line x*u1 + y*u2 there is row 0's
+    # 3x + 5y = 0: its one point (-5 : 3) is the witness, the line
+    # (-5/3 : 1), not (-5 : 1).  Neither eigenline is invariant.
+    # Conjugating by S moves the witness by S.
     import random
     field = Field(p)
     a = Matrix.diagonal(field, [1, 2, 5, 5])
@@ -691,6 +691,41 @@ def test_invariant_search_one_linear_condition(p):
                                    [vec]))
             found = oracle.brute_force_common_invariant(*rows, p, candidates)
             assert Subspace(field, 4, found) == w
+
+
+def test_invariant_search_checks_one_point_and_folds_no_gcd(monkeypatch, rng):
+    # a nonzero linear condition on the plane's line family leaves one
+    # candidate point, which the solver checks exactly; every family of
+    # conjugated admissible and boundary pairs has such a condition, so
+    # verify with orderings computes no polynomial gcd
+    from tdpair121 import _poly, tdsystem
+
+    cases = []
+    for field in (QQ, Field(10007)):
+        for make in [random_admissible_array] * 3 + [random_boundary_array] * 3:
+            pa = make(rng, field)
+            a, astar = canonical_matrices(pa)
+            q = random_invertible(rng, field, Matrix)
+            qi = q.invert()
+            cases.append((qi * a * q, qi * astar * q, pa, make is random_admissible_array))
+    gcds, families = [], []
+    real_gcd, real_solve = _poly.gcd, tdsystem._solve_line_family
+
+    def spy_gcd(a, b, p):
+        gcds.append(p)
+        return real_gcd(a, b, p)
+
+    def spy_solve(p, b, gens):
+        families.append(p)
+        return real_solve(p, b, gens)
+
+    monkeypatch.setattr(_poly, "gcd", spy_gcd)
+    monkeypatch.setattr(tdsystem, "_solve_line_family", spy_solve)
+    for a, astar, pa, irreducible in cases:
+        report = verify_td_system(a, astar, pa.theta, pa.thetastar)
+        assert report.shape == (1, 2, 1) and report.irreducible is irreducible
+        assert (report.witness is None) is irreducible
+    assert families and not gcds, (len(families), len(gcds))
 
 
 def test_verify_conjugated_systems(rng, gf101):
