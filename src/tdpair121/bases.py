@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .fields import _require
 from .linalg import (
     Matrix,
     SingularMatrixError,
@@ -24,7 +25,6 @@ from .linalg import (
     _grid_of,
     _inv_grid,
     _mul_grids,
-    _require,
     _scale_raw,
     _vector,
     _vector_of,
@@ -125,6 +125,7 @@ class _SystemBases:
             self.chain = _chain(tds, _canonical_seed(tds))
             self.eta = _boxed_eta(field, self.chain)
         else:
+            _require(eta, EtaVectors)
             self.chain = tuple(_vector_of(field, v) for v in
                                (eta.eta0star, eta.eta0, eta.eta2, eta.eta2star))
             self.eta = eta

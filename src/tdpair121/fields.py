@@ -55,6 +55,14 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(a, -1, p)
 
 
+def _require(x, cls) -> None:
+    """The one type check of public arguments: TypeError unless x is a cls (a bool is no int)."""
+    if not isinstance(x, cls) or cls is int and isinstance(x, bool):
+        name = cls.__name__
+        raise TypeError(f"expected {'an' if name[0] in 'AEIOUaeiou' else 'a'} {name}, "
+                        f"got {type(x).__name__}")
+
+
 # "a" or "a/b": ASCII decimal integers, each with an optional leading "-"
 _ELEMENT = re.compile(r"(-?[0-9]+)(?:/(-?[0-9]+))?")
 
@@ -285,6 +293,7 @@ def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
 
 
 def parse_element(text: str, field: Field) -> FieldElement:
+    _require(field, Field)
     return field.parse(text)
 
 

@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import add, and_, eq, mul
 
 from . import _poly
 from ._poly import _primitive
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, _require
 
 
 class SingularMatrixError(ValueError):
@@ -302,12 +302,6 @@ def _shaped(rows) -> list:
     return rows
 
 
-def _require(x, cls) -> None:
-    """The one type check of public arguments: TypeError unless x is a cls."""
-    if not isinstance(x, cls):
-        raise TypeError(f"expected a {cls.__name__}, got {type(x).__name__}")
-
-
 class Matrix:
     """Immutable matrix over an exact field.
 
@@ -505,6 +499,9 @@ class Subspace:
 
     def __init__(self, field: Field, ambient: int, vectors=()):
         _require(field, Field)
+        _require(ambient, int)
+        if ambient < 0:
+            raise ValueError("ambient dimension must not be negative")
         work = [_unbox(field, v) for v in vectors]
         if any(len(v) != ambient for v in work):
             raise ValueError("vector length does not match ambient dimension")
@@ -702,17 +699,12 @@ class EigenData:
 
 
 def eigen_data(m: Matrix) -> EigenData:
-    """Eigenvalues in the base field, their eigenspaces, diagonalizability.
-
-    The matrix is diagonalizable over its field exactly when the geometric
-    dimensions add up to the size, which is also when the minimal
-    polynomial splits into distinct linear factors.
-    """
+    """Eigenvalues in the base field, their eigenspaces, and whether the matrix
+    is diagonalizable over its field, as :func:`_eigenspaces` decides."""
     _require(m, Matrix)
     roots = poly_roots(m.field, charpoly(m))
     values, mults = tuple(zip(*roots)) or ((), ())
-    spaces = tuple(_eigenspace(m, e) for e in values)
-    return EigenData(values, mults, spaces, sum(s.dim for s in spaces) == m.nrows)
+    return EigenData(values, mults, *_eigenspaces(m, values))
 
 
 def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
@@ -723,42 +715,42 @@ def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
     return Subspace._from_echelon(m.field, n, _ann(rows, n, p))
 
 
-def primitive_idempotents(m: Matrix, eigenvalues):
-    """Projections onto the eigenspaces along each other.
+def _eigenspaces(m: Matrix, evs) -> tuple:
+    """The eigenspaces ker(m - e I) of a square m for the values evs, and the
+    one rule of whether m is diagonalizable with exactly these values: they
+    are distinct, and the spaces nonzero with dimensions adding up to n."""
+    spaces = tuple(_eigenspace(m, e) for e in evs)
+    return spaces, (all(s._rows for s in spaces) and sum(s.dim for s in spaces) == m.nrows
+                    and len(set(evs)) == len(evs))
 
-    E_i is the product of (M - e_j I)/(e_i - e_j) over j != i.  Requires m
-    diagonalizable with exactly the given distinct eigenvalues, which holds
-    exactly when (M - e_0 I) E_0 = 0 and every E_i is nonzero.  Proof:
-    (M - e_0 I) E_0 is a unit multiple of P = prod_j (M - e_j I).  If P = 0,
-    the e_j being distinct, M is diagonalizable with its spectrum inside
-    {e_j}; the E_i are then its spectral projectors, and E_i != 0 exactly
-    when e_i is an eigenvalue.  Conversely, for such an M the minimal
-    polynomial divides prod_j (x - e_j), so P = 0.
-    """
-    _require(m, Matrix)
-    field = m.field
-    if m.nrows != m.ncols:
-        raise ValueError("idempotents of a non-square matrix")
-    evs = [field(e) for e in eigenvalues]
+
+def _eigenbasis(spaces, p: int) -> tuple:
+    """P, the raw grid with the raw rows of independent spaces that span
+    F^n side by side as columns, P^-1, and the column indices of each space."""
+    basis = _columns([(v, 1) for s in spaces for v in s._rows])
+    idx = [range(end - s.dim, end) for s, end in zip(spaces, accumulate(s.dim for s in spaces))]
+    return basis, _inv_grid(basis, p), idx
+
+
+def _spectral(m: Matrix, evs) -> tuple:
+    """The eigenspaces and primitive idempotents of the square m for the
+    values evs, raising ValueError as :func:`primitive_idempotents`: E_i is
+    the thin product P[:, I_i] P^-1[I_i, :] of :func:`_eigenbasis`."""
     if not evs:
         raise ValueError("no eigenvalues supplied")
-    if len(set(evs)) != len(evs):
-        raise ValueError("repeated eigenvalue supplied")
-    p, g = field.p, m._grid
-    out = []
-    for i, ei in enumerate(evs):
-        acc, scale = None, field.one
-        for j, ej in enumerate(evs):
-            if i != j:
-                factor = _shift_grid(g, ej.val, p)
-                acc = factor if acc is None else _mul_grids(acc, factor, p)
-                scale = scale * (ei - ej)
-        if acc is None:  # a lone eigenvalue: E_0 = I
-            acc = [[int(r == c) for c in range(m.ncols)] for r in range(m.nrows)], 1
-        else:
-            acc = _scale_grid(acc, scale.inverse().val, p)
-        out.append(acc)
-    check = _mul_grids(_shift_grid(g, evs[0].val, p), out[0], p)
-    if any(map(any, check[0])) or not all(any(map(any, e[0])) for e in out):
-        raise ValueError("matrix is not diagonalizable with exactly these eigenvalues")
-    return [Matrix._from_grid(field, e) for e in out]
+    spaces, ok = _eigenspaces(m, evs)
+    if not ok:
+        raise ValueError("repeated eigenvalue supplied" if len(set(evs)) != len(evs)
+                         else "matrix is not diagonalizable with exactly these eigenvalues")
+    (b, _), (q, den), idx = _eigenbasis(spaces, m.field.p)
+    return spaces, tuple(Matrix._from_grid(m.field, _mul_grids(
+        ([[r[k] for k in ks] for r in b], 1), ([q[k] for k in ks], den), m.field.p)) for ks in idx)
+
+
+def primitive_idempotents(m: Matrix, eigenvalues):
+    """Projections onto the eigenspaces along each other, read off them; [I] for a lone
+    eigenvalue.  ValueError unless m is square and diagonalizable with exactly these values."""
+    _require(m, Matrix)
+    if m.nrows != m.ncols:
+        raise ValueError("idempotents of a non-square matrix")
+    return list(_spectral(m, [m.field(e) for e in eigenvalues])[1])

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import Field, FieldElement
-from .linalg import Matrix, _mul_grids, _rank, _require, _shift_grid
+from .fields import Field, FieldElement, _require
+from .linalg import Matrix, _apply_raw, _columns, _rank
 from .tdsystem import TDSystem
 
 
@@ -39,8 +39,13 @@ class ParameterArray:
         )
 
     def __post_init__(self):
+        _require(self.field, Field)
         if len(self.theta) != 3 or len(self.thetastar) != 3:
             raise ValueError("eigenvalue sequences must have length 3")
+        for x in (*self.theta, *self.thetastar, self.varphi, self.phi):
+            _require(x, FieldElement)
+            if x.field is not self.field:
+                raise TypeError(f"expected an element of {self.field}, got one of {x.field}")
 
     # computed once per array; cached_property stores into the instance
     # __dict__, which the dataclass's eq, hash and repr never read
@@ -194,19 +199,19 @@ def _scalar_action(image, projector, field: Field) -> FieldElement:
 
 def _read_parameter_array(tds: TDSystem) -> ParameterArray:
     """The body of :func:`extract_parameter_array`, which TDSystem._params
-    runs once per system: raw products, boxing the two split scalars."""
+    runs once per system: raw products on V*_0's rows, boxing the two scalars."""
     field = tds.field
     p = field.p
-    a, astar, estar0 = tds.A._grid, tds.Astar._grid, tds.Estar[0]._grid
+    a, astar = tds.A._grid, tds.Astar._grid
     t0, t1, t2 = (t.val for t in tds.theta)
     s1, s2 = tds.thetastar[1].val, tds.thetastar[2].val
-    left = _mul_grids(_mul_grids(_shift_grid(astar, s1, p), _shift_grid(astar, s2, p), p),
-                      _shift_grid(a, t1, p), p)
+    basis = [(r, 1) for r in tds._spaces[1][0]._rows]
 
     def split_scalar(t):
-        """The scalar of (A* - s1)(A* - s2)(A - t1)(A - t) on E*_0."""
-        image = _mul_grids(left, _mul_grids(_shift_grid(a, t, p), estar0, p), p)
-        return _scalar_action(image, estar0, field)
+        """The scalar of (A* - s1)(A* - s2)(A - t1)(A - t) on V*_0."""
+        images = [_apply_raw(astar, _apply_raw(astar, _apply_raw(a, _apply_raw(a, v, p, t), p, t1),
+                                               p, s2), p, s1) for v in basis]
+        return _scalar_action(_columns(images), _columns(basis), field)
 
     varphi, phi = split_scalar(t0), split_scalar(t2)
     if varphi.is_zero or phi.is_zero:

@@ -20,30 +20,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 from . import _poly
-from .fields import Field
+from .fields import Field, _require
 from .linalg import (
     Matrix,
     Subspace,
     _ann,
-    _columns,
-    _eigenspace,
-    _inv_grid,
+    _eigenbasis,
+    _eigenspaces,
     _meet_rows,
     _mul_grids,
     _rank,
-    _require,
+    _spectral,
     eigen_data,
-    primitive_idempotents,
     subspace_sum,
 )
 
 
 @dataclass(frozen=True)
 class TDSystem:
-    """Matrix pair with ordered eigenvalues and ordered idempotents."""
+    """Matrix pair with ordered eigenvalues and ordered idempotents.  Its
+    eigenspaces are kept: from_matrices stores those it read the idempotents
+    off, and a system built field by field builds them on first use."""
 
     A: Matrix
     Astar: Matrix
@@ -57,22 +57,26 @@ class TDSystem:
         """Raises ValueError on malformed input, as verify_td_system does,
         or when a matrix is not diagonalizable with exactly its eigenvalues."""
         theta, thetastar = _check_system(a, astar, theta, thetastar)
-        e = tuple(primitive_idempotents(a, theta))
-        estar = tuple(primitive_idempotents(astar, thetastar))
-        return cls(a, astar, theta, thetastar, e, estar)
+        (spaces, e), (duals, estar) = _spectral(a, theta), _spectral(astar, thetastar)
+        tds = cls(a, astar, theta, thetastar, e, estar)
+        tds.__dict__["_spaces"] = spaces, duals
+        return tds
 
     @property
     def field(self) -> Field:
         return self.A.field
 
     @cached_property
+    def _spaces(self):
+        """The eigenspaces of A for theta and of A* for thetastar."""
+        return _eigenspaces(self.A, self.theta)[0], _eigenspaces(self.Astar, self.thetastar)[0]
+
+    @cached_property
     def _decomps(self):
         """The six decompositions of the eigenspaces, built on first use."""
         field = self.field
-        spaces = [_eigenspace(self.A, t) for t in self.theta]
-        duals = [_eigenspace(self.Astar, t) for t in self.thetastar]
         return {dec: tuple(Subspace._from_echelon(field, 4, c) for c in comps)
-                for dec, comps in _decompositions(spaces, duals).items()}
+                for dec, comps in _decompositions(*self._spaces).items()}
 
     @cached_property
     def _bases(self):
@@ -164,16 +168,6 @@ def _check_system(a: Matrix, astar: Matrix, theta, thetastar) -> tuple:
     return theta, thetastar
 
 
-def _diag_with_spectrum(m: Matrix, evs):
-    """Eigenspaces of m in the order of evs, or None unless m is
-    diagonalizable with exactly evs."""
-    if len(set(evs)) != len(evs):
-        return None
-    spaces = [_eigenspace(m, e) for e in evs]
-    ok = all(s.dim >= 1 for s in spaces) and sum(s.dim for s in spaces) == 4
-    return spaces if ok else None
-
-
 def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> VerificationReport:
     """Check all six axioms for the given matrices and orderings.
 
@@ -181,9 +175,9 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     (wrong sizes, mixed fields, wrong list lengths) raises.
     """
     theta, thetastar = _check_system(a, astar, theta, thetastar)
-    spaces, duals = _diag_with_spectrum(a, theta), _diag_with_spectrum(astar, thetastar)
-    if spaces is None or duals is None:
-        return _undiagonalizable(spaces is not None, duals is not None)
+    (spaces, diag_a), (duals, diag_s) = _eigenspaces(a, theta), _eigenspaces(astar, thetastar)
+    if not (diag_a and diag_s):
+        return _undiagonalizable(diag_a, diag_s)
     same = (0, 1, 2)
     return _verify_on_spaces(a, astar, _view(a, astar, theta, spaces, duals), same, same)
 
@@ -258,13 +252,12 @@ def _verify_unordered(a: Matrix, astar: Matrix):
 
 def _coordinates(m: Matrix, spaces):
     """m in a basis adapted to the direct sum V = spaces[0] + spaces[1] + ...:
-    the rows of the grid of P^-1 M P, den dropped, for P the spaces' raw
-    rows side by side, and the coordinate indices of each space.  Every use
-    is homogeneous in the rows and in each coordinate's positive scale."""
+    the rows of the grid of P^-1 M P, den dropped, and the coordinate
+    indices of each space, for P of :func:`_eigenbasis`.  Every use is
+    homogeneous in the rows and in each coordinate's positive scale."""
     p = m.field.p
-    basis = _columns([(v, 1) for s in spaces for v in s._rows])
-    idx = [range(end - s.dim, end) for s, end in zip(spaces, accumulate(s.dim for s in spaces))]
-    return _mul_grids(_inv_grid(basis, p), _mul_grids(m._grid, basis, p), p)[0], idx
+    basis, inverse, idx = _eigenbasis(spaces, p)
+    return _mul_grids(inverse, _mul_grids(m._grid, basis, p), p)[0], idx
 
 
 def _zero_blocks(grid, idx):

@@ -7,6 +7,7 @@ from tdpair121 import (
     BasisId,
     D4Word,
     Decomposition,
+    Field,
     Matrix,
     ParameterArray,
     QQ,
@@ -25,6 +26,7 @@ from tdpair121 import (
     eta_vectors,
     extract_parameter_array,
     find_td_orderings,
+    parse_element,
     poly_roots,
     primitive_idempotents,
     relative,
@@ -63,6 +65,7 @@ SZD, SZZ = BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ
     (lambda: QQ.elements(), "cannot enumerate the rationals"),
     (lambda: eta_vectors(TDSystem.from_matrices(D, D, (1, 2, 3), (1, 2, 3))),
      "chain vector eta2 vanished; input is not a shape-(1,2,1) system"),
+    (lambda: Subspace(QQ, -1, []), "ambient dimension must not be negative"),
 ])
 def test_documented_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -91,34 +94,41 @@ def test_calls_on_a_non_matrix_fail_closed(call, junk):
 
 
 @pytest.mark.parametrize("call, expected, junk", [
-    (lambda x: shape(x), "TDSystem", None),
-    (lambda x: split_decomposition(x, Decomposition.Z_D), "TDSystem", None),
-    (lambda x: verify_split_actions(x), "TDSystem", None),
-    (lambda x: extract_parameter_array(x), "TDSystem", None),
-    (lambda x: eta_vectors(x), "TDSystem", None),
-    (lambda x: canonical_seed(x), "TDSystem", None),
-    (lambda x: basis_matrix(x, SZD), "TDSystem", None),
-    (lambda x: represent(x, "A", SZD), "TDSystem", None),
-    (lambda x: transition_numeric(x, SZD, SZZ), "TDSystem", None),
-    (lambda x: construct(x), "ParameterArray", None),
-    (lambda x: admissible(x), "ParameterArray", None),
-    (lambda x: derived_params(x), "ParameterArray", None),
-    (lambda x: canonical_matrices(x), "ParameterArray", None),
-    (lambda x: derived_of_relative_consistency(x), "ParameterArray", None),
-    (lambda x: represent_formula(x, "A", SZD), "ParameterArray", None),
-    (lambda x: transition_formula(x, SZD, SZZ), "ParameterArray", None),
-    (lambda x: relative(x, "d"), "ParameterArray", None),
-    (lambda x: D4Word("d") * x, "D4Word", "d"),
-    (lambda x: Matrix.identity(x, 2), "Field", None),
-    (lambda x: Matrix.zeros(x, 2, 2), "Field", None),
-    (lambda x: Matrix.from_json(x, [["1"]]), "Field", None),
-    (lambda x: Subspace(x, 4, []), "Field", None),
-    (lambda x: Subspace.zero(x, 4), "Field", None),
-    (lambda x: Subspace.column_space(x), "Matrix", None),
+    (lambda x: shape(x), "a TDSystem", None),
+    (lambda x: split_decomposition(x, Decomposition.Z_D), "a TDSystem", None),
+    (lambda x: verify_split_actions(x), "a TDSystem", None),
+    (lambda x: extract_parameter_array(x), "a TDSystem", None),
+    (lambda x: eta_vectors(x), "a TDSystem", None),
+    (lambda x: canonical_seed(x), "a TDSystem", None),
+    (lambda x: basis_matrix(x, SZD), "a TDSystem", None),
+    (lambda x: represent(x, "A", SZD), "a TDSystem", None),
+    (lambda x: transition_numeric(x, SZD, SZZ), "a TDSystem", None),
+    (lambda x: construct(x), "a ParameterArray", None),
+    (lambda x: admissible(x), "a ParameterArray", None),
+    (lambda x: derived_params(x), "a ParameterArray", None),
+    (lambda x: canonical_matrices(x), "a ParameterArray", None),
+    (lambda x: derived_of_relative_consistency(x), "a ParameterArray", None),
+    (lambda x: represent_formula(x, "A", SZD), "a ParameterArray", None),
+    (lambda x: transition_formula(x, SZD, SZZ), "a ParameterArray", None),
+    (lambda x: relative(x, "d"), "a ParameterArray", None),
+    (lambda x: D4Word("d") * x, "a D4Word", "d"),
+    (lambda x: Matrix.identity(x, 2), "a Field", None),
+    (lambda x: Matrix.zeros(x, 2, 2), "a Field", None),
+    (lambda x: Matrix.from_json(x, [["1"]]), "a Field", None),
+    (lambda x: Subspace(x, 4, []), "a Field", None),
+    (lambda x: Subspace.zero(x, 4), "a Field", None),
+    (lambda x: Subspace.column_space(x), "a Matrix", None),
+    (lambda x: Subspace(QQ, x, []), "an int", None),
+    (lambda x: Subspace(QQ, x, []), "an int", True),
+    (lambda x: parse_element("1", x), "a Field", None),
+    (lambda x: basis_matrix(TDS, SZD, x), "an EtaVectors", (1, 2)),
+    (lambda x: represent(TDS, "A", SZD, x), "an EtaVectors", (1, 2)),
+    (lambda x: ParameterArray(x, (1, 0, -1), (1, 0, -1), 2, 1), "a Field", None),
+    (lambda x: admissible(ParameterArray(QQ, (x, 0, -1), (1, 0, -1), 2, 1)), "a FieldElement", 1),
 ])
 def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
-    # each raised AttributeError, which no documented error covers
-    with pytest.raises(TypeError, match=f"^expected a {expected}, got {type(junk).__name__}$"):
+    # each raised AttributeError or nothing, which no documented error covers
+    with pytest.raises(TypeError, match=f"^expected {expected}, got {type(junk).__name__}$"):
         call(junk)
 
 
@@ -127,3 +137,9 @@ def test_relative_takes_only_a_str_or_a_d4word(word):
     with pytest.raises(TypeError, match=f"^expected a str or a D4Word, got {type(word).__name__}$"):
         relative(P0, word)
     assert relative(P0, "d") == relative(P0, D4Word("d"))
+
+
+def test_parameter_array_holds_elements_of_its_field():
+    # an element of another field raised nothing until a formula mixed them
+    with pytest.raises(TypeError, match=r"^expected an element of QQ, got one of GF\(5\)$"):
+        ParameterArray(QQ, P0.theta, P0.thetastar, Field(5)(2), P0.phi)

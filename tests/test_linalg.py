@@ -21,6 +21,7 @@ from tdpair121 import (
     subspace_combine,
     subspace_intersection,
     subspace_sum,
+    verify_td_system,
 )
 
 
@@ -329,6 +330,7 @@ def test_primitive_idempotents_accepts_exactly_diagonalizable_gf3(rng):
     # accepted exactly when the nullities of M - e I over the supplied
     # eigenvalues are all positive and add up to 4 (rank by the oracle)
     p, field = 3, Field(3)
+    dual = Matrix.diagonal(field, [0, 1, 1, 2])
     accepted = rejected = 0
     for trial in range(300):
         evs = rng.sample(range(p), rng.choice((2, 3)))
@@ -349,7 +351,55 @@ def test_primitive_idempotents_accepts_exactly_diagonalizable_gf3(rng):
             rejected += 1
             with pytest.raises(ValueError):
                 primitive_idempotents(m, evs)
+        # the same rule decides eigen_data's and verify's diagonalizability
+        every = [4 - oracle.rank_mod([[r[c] - e * (i == c) for c in range(4)]
+                                      for i, r in enumerate(rows)], p) for e in range(p)]
+        assert eigen_data(m).diagonalizable == (sum(every) == 4)
+        if len(evs) == 3:
+            report = verify_td_system(m, dual, evs, (0, 1, 2))
+            assert report.diagonalizable_a == (all(nullities) and sum(nullities) == 4)
+            assert report.diagonalizable_astar
     assert accepted and rejected
+
+
+def _unitriangular_product(rng, field, n):
+    """A random invertible n x n matrix: unit lower times unit upper triangular."""
+    low = Matrix(field, [[random_scalar(rng, field) if c < r else int(c == r) for c in range(n)]
+                         for r in range(n)])
+    up = Matrix(field, [[random_scalar(rng, field) if c > r else int(c == r) for c in range(n)]
+                        for r in range(n)])
+    return low * up
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize("field", [QQ, Field(13)], ids=["QQ", "GF13"])
+def test_primitive_idempotents_any_square_size(rng, field, n):
+    for _ in range(6):
+        k = rng.randint(1, n)
+        evs = []
+        while len(evs) < k:
+            x = random_scalar(rng, field)
+            if x not in evs:
+                evs.append(x)
+        diag = evs + [rng.choice(evs) for _ in range(n - k)]
+        rng.shuffle(diag)
+        s = _unitriangular_product(rng, field, n)
+        m = s * Matrix.diagonal(field, diag) * s.invert()
+        e = primitive_idempotents(m, evs)
+        zero = Matrix.zeros(field, n, n)
+        total, recon = zero, zero
+        for ei, x in zip(e, evs):
+            total, recon = total + ei, recon + ei.scale(x)
+        assert total == Matrix.identity(field, n)
+        assert recon == m
+        for i in range(k):
+            for j in range(k):
+                assert e[i] * e[j] == (e[i] if i == j else zero)
+    if n == 3:
+        s = _unitriangular_product(rng, field, 3)
+        jordan = s * Matrix(field, [[2, 1, 0], [0, 2, 1], [0, 0, 2]]) * s.invert()
+        with pytest.raises(ValueError, match="^matrix is not diagonalizable"):
+            primitive_idempotents(jordan, [field(2)])
 
 
 def test_subspace_sum_and_intersection_basics():

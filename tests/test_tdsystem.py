@@ -25,6 +25,7 @@ from tdpair121 import (
     canonical_matrices,
     common_invariant_subspace,
     construct,
+    extract_parameter_array,
     find_td_orderings,
     shape,
     split_decomposition,
@@ -345,6 +346,29 @@ def test_decompositions_pinned():
     assert dump_decompositions(got) == text
 
 
+def test_constructed_system_builds_its_eigenspaces_once(monkeypatch, rng):
+    # construct reads the idempotents off the six eigenspaces and keeps
+    # them: the decompositions and the extraction build none of their own
+    calls = []
+    real = tdpair121.linalg._eigenspace
+
+    def spy(m, e):
+        calls.append(e)
+        return real(m, e)
+
+    for module in vars(tdpair121).values():
+        if getattr(module, "_eigenspace", None) is real:
+            monkeypatch.setattr(module, "_eigenspace", spy)
+    for field in (QQ, Field(101)):
+        calls.clear()
+        tds = construct(random_admissible_array(rng, field))
+        assert shape(tds) == (1, 2, 1)
+        split_decomposition(tds, Decomposition.ZSTAR_D)
+        assert verify_split_actions(tds)
+        extract_parameter_array(tds)
+        assert len(calls) == 6, calls
+
+
 def test_verify_eliminates_on_four_columns_only(monkeypatch, rng):
     # the meets are kernels of annihilators, so no elimination in verify
     # is wider than the space; the one exception is the [M | I] of
@@ -378,13 +402,15 @@ def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
     from tdpair121 import tdsystem
 
     calls = []
-    real = tdsystem._inv_grid
+    real = tdpair121.linalg._inv_grid
 
     def spy(g, p):
         calls.append(p)
         return real(g, p)
 
-    monkeypatch.setattr(tdsystem, "_inv_grid", spy)
+    for module in vars(tdpair121).values():
+        if getattr(module, "_inv_grid", None) is real:
+            monkeypatch.setattr(module, "_inv_grid", spy)
     for field in (QQ, Field(101)):
         pa = random_admissible_array(rng, field)
         a, astar = canonical_matrices(pa)
