@@ -94,30 +94,38 @@ def test_calls_on_a_non_matrix_fail_closed(call, junk):
 
 
 @pytest.mark.parametrize("call, expected, junk", [
-    (lambda x: shape(x), "a TDSystem", None),
-    (lambda x: split_decomposition(x, Decomposition.Z_D), "a TDSystem", None),
-    (lambda x: verify_split_actions(x), "a TDSystem", None),
-    (lambda x: extract_parameter_array(x), "a TDSystem", None),
-    (lambda x: eta_vectors(x), "a TDSystem", None),
-    (lambda x: canonical_seed(x), "a TDSystem", None),
-    (lambda x: basis_matrix(x, SZD), "a TDSystem", None),
-    (lambda x: represent(x, "A", SZD), "a TDSystem", None),
-    (lambda x: transition_numeric(x, SZD, SZZ), "a TDSystem", None),
-    (lambda x: construct(x), "a ParameterArray", None),
-    (lambda x: admissible(x), "a ParameterArray", None),
-    (lambda x: derived_params(x), "a ParameterArray", None),
-    (lambda x: canonical_matrices(x), "a ParameterArray", None),
-    (lambda x: derived_of_relative_consistency(x), "a ParameterArray", None),
-    (lambda x: represent_formula(x, "A", SZD), "a ParameterArray", None),
-    (lambda x: transition_formula(x, SZD, SZZ), "a ParameterArray", None),
-    (lambda x: relative(x, "d"), "a ParameterArray", None),
-    (lambda x: D4Word("d") * x, "a D4Word", "d"),
-    (lambda x: Matrix.identity(x, 2), "a Field", None),
-    (lambda x: Matrix.zeros(x, 2, 2), "a Field", None),
-    (lambda x: Matrix.from_json(x, [["1"]]), "a Field", None),
-    (lambda x: Subspace(x, 4, []), "a Field", None),
-    (lambda x: Subspace.zero(x, 4), "a Field", None),
-    (lambda x: Subspace.column_space(x), "a Matrix", None),
+    (lambda x: shape(x), "TDSystem", None),
+    (lambda x: split_decomposition(x, Decomposition.Z_D), "TDSystem", None),
+    (lambda x: verify_split_actions(x), "TDSystem", None),
+    (lambda x: extract_parameter_array(x), "TDSystem", None),
+    (lambda x: eta_vectors(x), "TDSystem", None),
+    (lambda x: canonical_seed(x), "TDSystem", None),
+    (lambda x: basis_matrix(x, SZD), "TDSystem", None),
+    (lambda x: represent(x, "A", SZD), "TDSystem", None),
+    (lambda x: transition_numeric(x, SZD, SZZ), "TDSystem", None),
+    (lambda x: construct(x), "ParameterArray", None),
+    (lambda x: admissible(x), "ParameterArray", None),
+    (lambda x: derived_params(x), "ParameterArray", None),
+    (lambda x: canonical_matrices(x), "ParameterArray", None),
+    (lambda x: derived_of_relative_consistency(x), "ParameterArray", None),
+    (lambda x: represent_formula(x, "A", SZD), "ParameterArray", None),
+    (lambda x: transition_formula(x, SZD, SZZ), "ParameterArray", None),
+    (lambda x: relative(x, "d"), "ParameterArray", None),
+    (lambda x: D4Word("d") * x, "D4Word", "d"),
+    (lambda x: Matrix.identity(x, 2), "Field", None),
+    (lambda x: Matrix.zeros(x, 2, 2), "Field", None),
+    (lambda x: Matrix.from_json(x, [["1"]]), "Field", None),
+    (lambda x: Subspace(x, 4, []), "Field", None),
+    (lambda x: Subspace.zero(x, 4), "Field", None),
+    (lambda x: Subspace.column_space(x), "Matrix", None),
+])
+def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
+    # each raised AttributeError, which no documented error covers
+    with pytest.raises(TypeError, match=f"^expected a {expected}, got {type(junk).__name__}$"):
+        call(junk)
+
+
+@pytest.mark.parametrize("call, expected, junk", [
     (lambda x: Subspace(QQ, x, []), "an int", None),
     (lambda x: Subspace(QQ, x, []), "an int", True),
     (lambda x: parse_element("1", x), "a Field", None),
@@ -126,7 +134,7 @@ def test_calls_on_a_non_matrix_fail_closed(call, junk):
     (lambda x: ParameterArray(x, (1, 0, -1), (1, 0, -1), 2, 1), "a Field", None),
     (lambda x: admissible(ParameterArray(QQ, (x, 0, -1), (1, 0, -1), 2, 1)), "a FieldElement", 1),
 ])
-def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
+def test_argument_checks_name_the_expected_type(call, expected, junk):
     # each raised AttributeError or nothing, which no documented error covers
     with pytest.raises(TypeError, match=f"^expected {expected}, got {type(junk).__name__}$"):
         call(junk)
