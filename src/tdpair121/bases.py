@@ -61,10 +61,17 @@ class EtaVectors:
     eta2star: tuple
 
 
+def _require_idempotents(tds) -> None:
+    """_require(tds, TDSystem); ValueError for a system without E and Estar."""
+    _require(tds, TDSystem)
+    if len(tds.E) != 3 or len(tds.Estar) != 3:
+        raise ValueError("the system holds no idempotents; build it with TDSystem.from_matrices")
+
+
 def canonical_seed(tds: TDSystem):
     """First dual eigenspace image of the earliest standard vector,
     rescaled so its first nonzero coordinate is 1."""
-    _require(tds, TDSystem)
+    _require_idempotents(tds)
     return _box(tds.field, *_canonical_seed(tds))
 
 
@@ -82,7 +89,7 @@ def _canonical_seed(tds: TDSystem) -> tuple:
 def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
     """The chain vectors grown from a seed of the first dual eigenspace;
     without a seed, the system's own, grown once from :func:`canonical_seed`."""
-    _require(tds, TDSystem)
+    _require_idempotents(tds)
     if seed is None:
         return tds._bases.eta
     return _boxed_eta(tds.field, _chain(tds, _vector_of(tds.field, seed)))
@@ -147,7 +154,7 @@ class _SystemBases:
 
 def _bases_for(tds: TDSystem, eta: EtaVectors | None) -> _SystemBases:
     """The system's own record for the canonical seed, else a fresh one."""
-    _require(tds, TDSystem)
+    _require_idempotents(tds)
     own = tds._bases
     return own if eta is None or eta == own.eta else _SystemBases(tds, eta)
 

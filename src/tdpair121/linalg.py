@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add, and_, eq, mul
 
 from . import _poly
@@ -32,13 +32,11 @@ class SingularMatrixError(ValueError):
 
 Vector = tuple  # tuple of FieldElement
 
-# One raw form per object, private to this module: bases, params and
-# tdsystem only hand raw values to its rules, each implemented once, such
-# as _columns, _scale_raw and Subspace._maps (and _poly._primitive).
 # Fractions are built only where a public value leaves, by _box: Matrix.rows
 # and Subspace.basis on first read, returned vectors and charpoly's
 # coefficients; poly_roots wraps _poly.roots' raw scalars.  Public input is
 # unboxed (_unbox) and cleared of denominators (_grid_of) on the way in.
+# The raw forms, one per object:
 # - A raw grid is a pair (rows, den): over GF(p) residues in [0, p) over
 #   den 1, over QQ integer rows over one positive denominator, not
 #   necessarily the least.  Every Matrix holds one (Matrix._grid), and
@@ -143,14 +141,15 @@ def _add_grids(a, b, p: int):
     return [[x * fa + y * fb for x, y in zip(r, s)] for r, s in zip(ra, rb)], da * fa
 
 
-def _scale_grid(g, c, p: int):
-    """Raw grid of c*M for the raw grid g of M and a raw scalar c (an int
-    or, over QQ, a Fraction)."""
+def _scale_columns(g, cs, p: int):
+    """Raw grid of M diag(cs) for the raw grid g of M and raw scalars cs (ints
+    or, over QQ, Fractions); over QQ over den times their denominators' lcm."""
     rows, den = g
     if p:
-        return [[a * c % p for a in r] for r in rows], 1
-    cn = c.numerator
-    return [[a * cn for a in r] for r in rows], den * c.denominator
+        return [[x * c % p for x, c in zip(r, cs)] for r in rows], 1
+    lcm = math.lcm(*[c.denominator for c in cs])
+    fs = [c.numerator * (lcm // c.denominator) for c in cs]
+    return [list(map(mul, r, fs)) for r in rows], den * lcm
 
 
 def _scale_raw(c, v, p: int) -> tuple:
@@ -288,12 +287,6 @@ def _ann(rows, n: int, p: int) -> list:
     return out
 
 
-def _meet_rows(x, y, n: int, p: int) -> list:
-    """Raw rows of span(x) /\\ span(y) in F^n, in reduced echelon form: the
-    annihilator of the sum of their annihilators."""
-    return _ann(_ann(x, n, p) + _ann(y, n, p), n, p)
-
-
 def _shaped(rows) -> list:
     """rows, checked to be a nonempty rectangular grid: the one shape rule
     of every public Matrix constructor."""
@@ -409,11 +402,11 @@ class Matrix:
         return self + -other
 
     def __neg__(self) -> Matrix:
-        return Matrix._from_grid(self.field, _scale_grid(self._grid, -1, self.field.p))
+        return self.scale(-1)
 
     def scale(self, c: FieldElement) -> Matrix:
-        field = self.field
-        return Matrix._from_grid(field, _scale_grid(self._grid, field(c).val, field.p))
+        field, cs = self.field, [self.field(c).val] * self.ncols
+        return Matrix._from_grid(field, _scale_columns(self._grid, cs, field.p))
 
     def shift(self, c: FieldElement) -> Matrix:
         """self - c*I."""
@@ -590,12 +583,11 @@ class Subspace:
         return Subspace._from_vals(self.field, self.ambient, list(self._rows + other._rows))
 
     def __and__(self, other: Subspace) -> Subspace:
-        """Intersection, the annihilator of the sum of the two annihilators
-        (:func:`_meet_rows`)."""
+        """Intersection, the annihilator of the sum of the two annihilators."""
         self._compat(other)
-        n = self.ambient
+        n, p = self.ambient, self.field.p
         return Subspace._from_echelon(self.field, n,
-                                      _meet_rows(self._rows, other._rows, n, self.field.p))
+                                      _ann(_ann(self._rows, n, p) + _ann(other._rows, n, p), n, p))
 
     def _compat(self, other: Subspace) -> None:
         if not isinstance(other, Subspace):
@@ -725,11 +717,18 @@ def _eigenspaces(m: Matrix, evs) -> tuple:
 
 
 def _eigenbasis(spaces, p: int) -> tuple:
-    """P, the raw grid with the raw rows of independent spaces that span
-    F^n side by side as columns, P^-1, and the column indices of each space."""
-    basis = _columns([(v, 1) for s in spaces for v in s._rows])
-    idx = [range(end - s.dim, end) for s, end in zip(spaces, accumulate(s.dim for s in spaces))]
-    return basis, _inv_grid(basis, p), idx
+    """P, the raw grid with the raw rows of independent spaces side by side
+    as columns, a repeated one once, then the unit vectors off their pivots
+    that complete a basis of F^n; and the column indices of each space."""
+    cols, at = [], {}
+    for s in spaces:
+        if s._rows not in at:
+            at[s._rows] = range(len(cols), len(cols) + s.dim)
+            cols += s._rows
+    if len(cols) < (n := spaces[0].ambient):
+        pivots = _rref(list(cols), p)
+        cols += [[int(i == k) for i in range(n)] for k in range(n) if k not in pivots]
+    return ([list(r) for r in zip(*cols)], 1), [at[s._rows] for s in spaces]
 
 
 def _spectral(m: Matrix, evs) -> tuple:
@@ -742,7 +741,8 @@ def _spectral(m: Matrix, evs) -> tuple:
     if not ok:
         raise ValueError("repeated eigenvalue supplied" if len(set(evs)) != len(evs)
                          else "matrix is not diagonalizable with exactly these eigenvalues")
-    (b, _), (q, den), idx = _eigenbasis(spaces, m.field.p)
+    (b, _), idx = _eigenbasis(spaces, m.field.p)
+    q, den = _inv_grid((b, 1), m.field.p)
     return spaces, tuple(Matrix._from_grid(m.field, _mul_grids(
         ([[r[k] for k in ks] for r in b], 1), ([q[k] for k in ks], den), m.field.p)) for ks in idx)
 

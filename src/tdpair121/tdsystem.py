@@ -5,22 +5,19 @@ spectra such that each matrix acts block-tridiagonally on the other's
 eigenspace chain and the pair admits no common proper nonzero invariant
 subspace.  This module verifies the axioms one by one, searches for valid
 orderings, builds the six eigenspace-chain decompositions, and computes
-the shape.  Tridiagonality, the ordering search and the invariant-subspace
-search read one view of the pair, built once per verification: A* in a
-basis of A's eigenspaces, whose block (i, j) is E_i A* E_j, and which
-blocks of it, and of A in A*'s eigenspaces, are zero; an ordering is an
-index permutation of the view.  The decompositions and the shape run on
-raw rows: of the twelve meets of chain members only the four middle
-components are real, each the annihilator of two side-sum annihilators,
-and the shape is their dimensions plus one rank per decomposition.
+the shape, all on one matrix: C = P^-1 P*, the transition EigA -> EigA*
+from A's eigenbasis P to A*'s, P*.  In A's eigen-coordinates V_i is spanned
+by unit vectors I_i and V*_j by the columns J_j of C; A* there is C D* C^-1
+and A in A*'s C^-1 D C, whose zero blocks decide tridiagonality; a meet is
+C[:, J] ker(C[I^c, J]); and the shape reads corners of C and C^-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import combinations, permutations, product
+from functools import cache, cached_property
+from itertools import chain, combinations, permutations, product
 
 from . import _poly
 from .fields import Field, _require
@@ -30,9 +27,9 @@ from .linalg import (
     _ann,
     _eigenbasis,
     _eigenspaces,
-    _meet_rows,
+    _inv_grid,
     _mul_grids,
-    _rank,
+    _scale_columns,
     _spectral,
     eigen_data,
     subspace_sum,
@@ -72,11 +69,14 @@ class TDSystem:
         return _eigenspaces(self.A, self.theta)[0], _eigenspaces(self.Astar, self.thetastar)[0]
 
     @cached_property
+    def _transition(self):
+        """:func:`_transition` of the eigenspaces, built on first use."""
+        return _transition(*self._spaces, self.field.p)
+
+    @cached_property
     def _decomps(self):
         """The six decompositions of the eigenspaces, built on first use."""
-        field = self.field
-        return {dec: tuple(Subspace._from_echelon(field, 4, c) for c in comps)
-                for dec, comps in _decompositions(*self._spaces).items()}
+        return _decompositions(self.field, *self._spaces, *self._transition)
 
     @cached_property
     def _bases(self):
@@ -113,6 +113,17 @@ class Decomposition(Enum):
     DSTAR_D = "[D*D]"
     Z_D = "[0D]"
     ZSTAR_DSTAR = "[0*D*]"
+
+
+# The split decompositions by the orders ao, so in which they run A's and
+# A*'s eigenvalues: component i meets the sums of the duals so[:i + 1] and the
+# spaces ao[i:]; A - theta[ao[i]] maps it to i + 1, A* - thetastar[so[i]] to i - 1.
+_SPLIT_ORDERS = {
+    Decomposition.ZSTAR_D: ((0, 1, 2), (0, 1, 2)),
+    Decomposition.ZSTAR_Z: ((2, 1, 0), (0, 1, 2)),
+    Decomposition.DSTAR_Z: ((2, 1, 0), (2, 1, 0)),
+    Decomposition.DSTAR_D: ((0, 1, 2), (2, 1, 0)),
+}
 
 
 @dataclass(frozen=True)
@@ -178,8 +189,8 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     (spaces, diag_a), (duals, diag_s) = _eigenspaces(a, theta), _eigenspaces(astar, thetastar)
     if not (diag_a and diag_s):
         return _undiagonalizable(diag_a, diag_s)
-    same = (0, 1, 2)
-    return _verify_on_spaces(a, astar, _view(a, astar, theta, spaces, duals), same, same)
+    view = _view(a.field.p, theta, thetastar, spaces, duals)
+    return _verify_on_spaces(a, astar, view, (0, 1, 2), (0, 1, 2))
 
 
 def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
@@ -188,27 +199,28 @@ def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
                               ("tridiagonal_AstarE", "tridiagonal_AEstar", "irreducible"))
 
 
-def _view(a, astar, theta, spaces, duals):
-    """What the checks and the ordering search read: a's eigenvalues theta
-    and eigenspaces, astar's eigenspaces duals, astar in the coordinates of
-    spaces, and the zero-block tables of astar on spaces and a on duals."""
-    coords = _coordinates(astar, spaces)
-    far_s = _zero_blocks(*_coordinates(a, duals))
-    return theta, spaces, duals, coords, _zero_blocks(*coords), far_s
+def _view(p, theta, thetastar, spaces, duals):
+    """What the checks read, for eigenspaces of A and A* that each span the
+    space: theta, spaces, B = C D* C^-1 = P^-1 A* P with the blocks of
+    spaces, the zero blocks of B and C^-1 D C, and C, C^-1 and blocks."""
+    c, inv, idx, jdx = frame = _transition(spaces, duals, p)[1:]
+    diag = lambda evs, blocks: [t.val for t, ks in zip(evs, blocks) for _ in ks]
+    b = _mul_grids(_scale_columns(c, diag(thetastar, jdx), p), inv, p)[0]
+    b_dual = _mul_grids(_scale_columns(inv, diag(theta, idx), p), c, p)[0]
+    return theta, spaces, (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame
 
 
 def _verify_on_spaces(a, astar, view, pa, ps):
     """The checks of :func:`verify_td_system` on the view of :func:`_view`,
     with the eigenvalues of a and astar ordered by the index permutations
     pa and ps of the view's order."""
-    theta, spaces, duals, coords, far_a, far_s = view
+    theta, spaces, coords, far_a, far_s, (c, inv, idx, jdx) = view
     tri_astar, tri_a = far_a[pa[0]][pa[2]], far_s[ps[0]][ps[2]]
     if not (tri_astar and tri_a):
         return VerificationReport(True, True, tri_astar, tri_a, False, None, None, ("irreducible",))
     witness = _invariant_search(a.field, theta, spaces, astar, coords)
-    decomps = _decompositions([spaces[i] for i in pa], [duals[i] for i in ps])
-    return VerificationReport(True, True, True, True, witness is None,
-                              _consistent_shape(decomps, a.field.p), witness, ())
+    dims = _shape(c, inv, [idx[i] for i in pa], [jdx[i] for i in ps], a.field.p)
+    return VerificationReport(True, True, True, True, witness is None, dims, witness, ())
 
 
 def find_td_orderings(a: Matrix, astar: Matrix):
@@ -231,8 +243,8 @@ def _ordering_perms(a, astar, eda, eds):
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    view = _view(a, astar, eda.eigenvalues, eda.eigenspaces, eds.eigenspaces)
-    *_, far_a, far_s = view
+    view = _view(a.field.p, eda.eigenvalues, eds.eigenvalues, eda.eigenspaces, eds.eigenspaces)
+    far_a, far_s = view[3:5]
     return view, [(pa, ps) for pa in permutations(range(3)) if far_a[pa[0]][pa[2]]
                   for ps in permutations(range(3)) if far_s[ps[0]][ps[2]]]
 
@@ -250,60 +262,42 @@ def _verify_unordered(a: Matrix, astar: Matrix):
     return len(perms), theta, thetastar, _verify_on_spaces(a, astar, view, pa, ps)
 
 
-def _coordinates(m: Matrix, spaces):
-    """m in a basis adapted to the direct sum V = spaces[0] + spaces[1] + ...:
-    the rows of the grid of P^-1 M P, den dropped, and the coordinate
-    indices of each space, for P of :func:`_eigenbasis`.  Every use is
-    homogeneous in the rows and in each coordinate's positive scale."""
-    p = m.field.p
-    basis, inverse, idx = _eigenbasis(spaces, p)
-    return _mul_grids(inverse, _mul_grids(m._grid, basis, p), p)[0], idx
+def _transition(spaces, duals, p):
+    """P*, C = P^-1 P* and C^-1 as raw grids, for P of :func:`_eigenbasis`
+    on spaces and P* on duals, and the column blocks of each in P and P*."""
+    (basis, idx), (dual, jdx) = _eigenbasis(spaces, p), _eigenbasis(duals, p)
+    c = _mul_grids(_inv_grid(basis, p), dual, p)
+    return dual, c, _inv_grid(c, p), idx, jdx
 
 
 def _zero_blocks(grid, idx):
     """Entry [i][j] tells whether E_i M E_j = 0 = E_j M E_i, blocks (i, j)
-    and (j, i) of the grid of :func:`_coordinates`, for the projectors E_i
+    and (j, i) of the grid of M in eigen-coordinates, for the projectors E_i
     of the spaces; M is tridiagonal on them in an order iff [first][last]."""
     return [[not any(grid[r][c] or grid[c][r] for r in ri for c in cj) for cj in idx]
             for ri in idx]
 
 
-def _decompositions(spaces, duals):
-    """All six decompositions, as raw rows in reduced echelon form, from the
-    eigenspaces ker(A - theta_i) and ker(A* - thetastar_i).
+def _decompositions(field, spaces, duals, dual, c, _, idx, jdx):
+    """The six decompositions as canonical subspaces, from the eigenspaces
+    and their :func:`_transition`.  The twelve meets of :data:`_SPLIT_ORDERS`
+    follow one rule: in A's eigen-coordinates a sum of spaces is span(e_I)
+    and a sum of duals span(C[:, J]) for the unions I, J of their blocks (a
+    repeated space has one block, a zero space none; completing unit vectors
+    are in no chain member), so the meet is C[:, J] ker(C[I^c, J]), in the
+    original coordinates P*[:, J] ker(C[I^c, J])."""
+    p, vecs = field.p, list(zip(*dual[0]))
 
-    For the chains pa[i] = spaces[0] + ... + spaces[i], sa[i] = spaces[i] +
-    ... + spaces[2], and pd, sd of the duals, [0*D] is (pd[i] /\\ sa[i]),
-    [0*0] (pd[i] /\\ pa[2-i]), [D*0] (sd[2-i] /\\ pa[2-i]) and [D*D]
-    (sd[2-i] /\\ sa[i]).  Only the middle components are real meets.  X /\\ Y
-    is the annihilator of ann(X) + ann(Y), so the annihilators of the four
-    side sums pd[1], sd[1], pa[1] and sa[1] (each from the spaces' rows side
-    by side, no chain sum built) are taken once, and each middle is the
-    annihilator of two of them.  The other eight meet a space with a side's
-    sum pa[2] = sa[0] (pd[2] = sd[0]): V, a trivial meet, when the side's
-    spaces are pairwise distinct with dims adding up to 4, as distinct
-    eigenspaces of one matrix are independent; else (a TDSystem built with
-    a repeated theta) a meet taken in full.
-    """
-    p = spaces[0].field.p
-    a, d = [s._rows for s in spaces], [s._rows for s in duals]
+    @cache  # each side component is shared by two decompositions
+    def meet(ds, ss):
+        js, inside = sorted({j for d in ds for j in jdx[d]}), {i for s in ss for i in idx[s]}
+        kernel = _ann([[c[0][r][j] for j in js] for r in range(4) if r not in inside], len(js), p)
+        vals = _mul_grids((kernel, 1), ([vecs[j] for j in js], 1), p)[0]
+        return Subspace._from_vals(field, 4, vals)
 
-    def cut(side, x):
-        spans = sum(map(len, side)) == 4 and len(set(side)) == 3
-        return x if spans else _meet_rows(x, [r for s in side for r in s], 4, p)
-
-    d0, d2, a0, a2 = cut(a, d[0]), cut(a, d[2]), cut(d, a[0]), cut(d, a[2])
-    # the annihilators of pd[1], sd[1], pa[1] and sa[1]
-    npd, nsd, npa, nsa = (_ann(x + y, 4, p) for x, y in
-                          ((d[0], d[1]), (d[1], d[2]), (a[0], a[1]), (a[1], a[2])))
-    return {
-        Decomposition.ZSTAR_D: (d0, _ann(npd + nsa, 4, p), a2),
-        Decomposition.ZSTAR_Z: (d0, _ann(npd + npa, 4, p), a0),
-        Decomposition.DSTAR_Z: (d2, _ann(nsd + npa, 4, p), a0),
-        Decomposition.DSTAR_D: (d2, _ann(nsd + nsa, 4, p), a2),
-        Decomposition.Z_D: tuple(a),
-        Decomposition.ZSTAR_DSTAR: tuple(d),
-    }
+    return {**{dec: tuple(meet(frozenset(so[:i + 1]), frozenset(ao[i:])) for i in range(3))
+               for dec, (ao, so) in _SPLIT_ORDERS.items()},
+            Decomposition.Z_D: tuple(spaces), Decomposition.ZSTAR_DSTAR: tuple(duals)}
 
 
 def split_decomposition(tds: TDSystem, dec: Decomposition):
@@ -314,35 +308,33 @@ def split_decomposition(tds: TDSystem, dec: Decomposition):
     return list(tds._decomps[dec])
 
 
-def _consistent_shape(decomps, p):
-    """Dims of the six decompositions of :func:`_decompositions`, or None if
-    they disagree or fail to be direct (dims adding up to 4, and rank 4 of
-    the stacked rows over GF(p), or QQ for p = 0)."""
-    dims = {tuple(map(len, comps)) for comps in decomps.values()}
-    these = dims.pop() if len(dims) == 1 else None
-    if these is None or sum(these) != 4 or any(
-            _rank([r for c in comps for r in c], p) != 4 for comps in decomps.values()):
+def _shape(c, inv, idx, jdx, p):
+    """The dims of all six decompositions if they agree and each is direct,
+    else None, for C, C^-1 of :func:`_transition` and blocks in chain order.
+    [0D] and [0*D*] are direct iff each side's blocks partition the space,
+    and all dims agree only if both sides have dims (d, e, d).  [0*D] is then
+    direct iff V*_0 /\\ sa[1] = 0 = pd[1] /\\ V_2, iff C[I_0, J_0] and C[I_0 +
+    I_1, J_0 + J_1] are nonsingular; by complementary minors the latter is iff
+    C^-1[J_2, I_2] is.  The others reverse a chain or two, so all six are
+    direct iff corners C[I_a, J_b], C^-1[J_b, I_a], a, b in {0, 2}, are."""
+    dims = tuple(map(len, idx))
+    if dims != tuple(map(len, jdx)) or dims[0] != dims[2] or any(
+            sorted(chain(*blocks)) != [0, 1, 2, 3] for blocks in (idx, jdx)):
         return None
-    return these
+    corners = [(m[0], rs, ks) for i in (idx[0], idx[2]) for j in (jdx[0], jdx[2])
+               for m, rs, ks in ((c, i, j), (inv, j, i))]
+    ok = all(_poly.charpoly([[m[r][k] for k in ks] for r in rs], p)[0] for m, rs, ks in corners)
+    return dims if ok else None
 
 
 def shape(tds: TDSystem):
     """Component dimensions, cross-checked over all six decompositions."""
     _require(tds, TDSystem)
-    dims = _consistent_shape({dec: [c._rows for c in comps] for dec, comps in tds._decomps.items()},
-                             tds.field.p)
+    dims = _shape(*tds._transition[1:], tds.field.p)
     if dims is None:
         raise ValueError("decomposition dimensions are inconsistent; "
                          "not a verified tridiagonal system")
     return dims
-
-
-_SPLIT_ACTION = {
-    Decomposition.ZSTAR_D: (lambda i: i, lambda i: i),
-    Decomposition.ZSTAR_Z: (lambda i: 2 - i, lambda i: i),
-    Decomposition.DSTAR_Z: (lambda i: 2 - i, lambda i: 2 - i),
-    Decomposition.DSTAR_D: (lambda i: i, lambda i: 2 - i),
-}
 
 
 def verify_split_actions(tds: TDSystem) -> bool:
@@ -351,13 +343,12 @@ def verify_split_actions(tds: TDSystem) -> bool:
     zero = Subspace.zero(tds.field, 4)
     a, astar = tds.A._grid, tds.Astar._grid
     theta, thetastar = ([x.val for x in t] for t in (tds.theta, tds.thetastar))
-    for dec, (a_idx, s_idx) in _SPLIT_ACTION.items():
+    for dec, (ao, so) in _SPLIT_ORDERS.items():
         # a zero fourth component, comps[3] = comps[-1]: the ends map to zero
         comps = (*tds._decomps[dec], zero)
-        for i in range(3):
-            if not (comps[i]._maps(a, theta[a_idx(i)], comps[i + 1])
-                    and comps[i]._maps(astar, thetastar[s_idx(i)], comps[i - 1])):
-                return False
+        if not all(comps[i]._maps(a, theta[ao[i]], comps[i + 1])
+                   and comps[i]._maps(astar, thetastar[so[i]], comps[i - 1]) for i in range(3)):
+            return False
     # [0D] and [0*D*] are the eigenspaces themselves: only the window is checked
     for dec, other in ((Decomposition.Z_D, astar), (Decomposition.ZSTAR_DSTAR, a)):
         comps = tds._decomps[dec]
@@ -390,16 +381,18 @@ def common_invariant_subspace(a: Matrix, astar: Matrix) -> Subspace | None:
     ed = eigen_data(a)
     if not ed.diagonalizable:
         raise ValueError("first matrix is not diagonalizable over its field")
-    return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar,
-                             _coordinates(astar, ed.eigenspaces))
+    p = a.field.p
+    basis, idx = _eigenbasis(ed.eigenspaces, p)
+    b = _mul_grids(_inv_grid(basis, p), _mul_grids(astar._grid, basis, p), p)[0]
+    return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar, (b, idx))
 
 
 def _invariant_search(field, eigenvalues, eigenspaces, astar, coords):
     """The search behind :func:`common_invariant_subspace`, on eigenspaces
-    the caller already has and astar in their coordinates (coords, from
-    :func:`_coordinates`).  Slices are taken by dimension, ties by
-    eigenvalue, so the first witness found does not depend on the order
-    in which the caller lists the eigenvalues."""
+    the caller already has and coords: the rows of P^-1 astar P, up to a
+    positive scale, and the blocks of P of :func:`_eigenbasis`.  Slices are
+    taken by dimension, ties by eigenvalue, so the first witness found does
+    not depend on the order in which the caller lists the eigenvalues."""
     order = sorted(range(len(eigenspaces)),
                    key=lambda i: (eigenspaces[i].dim, eigenvalues[i].val))
     spaces = [eigenspaces[i] for i in order]

@@ -18,14 +18,18 @@ from tdpair121 import (
     ParameterArray,
     QQ,
     Subspace,
+    TDSystem,
     admissible,
     basis_matrix,
+    canonical_matrices,
     canonical_seed,
     construct,
     derived_params,
     eta_vectors,
+    extract_parameter_array,
     represent,
     represent_formula,
+    shape,
     split_decomposition,
     transition_formula,
     transition_numeric,
@@ -399,6 +403,31 @@ def test_numeric_matrices_match_independent_products(p, bits):
 
 
 # -- each derived object once ---------------------------------------------------
+
+def test_system_without_idempotents_fails_closed():
+    # a TDSystem built field by field with E = Estar = () has decompositions,
+    # a shape and a parameter array, read off its eigenspaces; the bases read
+    # E*_0, E_1 and E*_1, so every entry point refuses it with ValueError
+    field = Field(7)
+    pa = ParameterArray.make(field, (1, 2, 3), (4, 5, 6), 3, 2)
+    a, astar = canonical_matrices(pa)
+    bare = TDSystem(a, astar, pa.theta, pa.thetastar, (), ())
+    seed = canonical_seed(construct(pa))
+    calls = [
+        lambda: canonical_seed(bare),
+        lambda: eta_vectors(bare),
+        lambda: eta_vectors(bare, seed),
+        lambda: basis_matrix(bare, BasisId.EIG_A),
+        lambda: basis_matrix(bare, BasisId.EIG_ASTAR, eta_vectors(construct(pa))),
+        lambda: represent(bare, "A", BasisId.SPLIT_ZD),
+        lambda: transition_numeric(bare, BasisId.EIG_A, BasisId.SPLIT_DD),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="no idempotents"):
+            call()
+    assert shape(bare) == (1, 2, 1)
+    assert extract_parameter_array(bare) == pa
+
 
 def test_eta_vectors_without_seed_is_the_canonical_chain(rng, gf101):
     for field in (QQ, gf101):

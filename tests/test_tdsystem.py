@@ -395,6 +395,34 @@ def test_verify_eliminates_on_four_columns_only(monkeypatch, rng):
         assert calls and wide and all(c == (8, "_inv_grid") for c in wide), wide
 
 
+def test_verify_reads_the_shape_without_eliminating(monkeypatch, rng):
+    # an ordered verify eliminates for the six eigenspaces and the inverses
+    # of P and of C = P^-1 P*; the shape reads determinants of corner
+    # blocks of C and C^-1, so a witness adds the only other reductions
+    # (22 per verify while the meets were annihilators and directness ranks)
+    calls = []
+    real = tdpair121.linalg._rref
+
+    def spy(work, p):
+        calls.append(p)
+        return real(work, p)
+
+    for module in vars(tdpair121).values():
+        if getattr(module, "_rref", None) is real:
+            monkeypatch.setattr(module, "_rref", spy)
+    for field in (QQ, Field(10007)):
+        for make in (random_admissible_array, random_boundary_array):
+            pa = make(rng, field)
+            a, astar = canonical_matrices(pa)
+            q = random_invertible(rng, field, Matrix)
+            qi = q.invert()
+            calls.clear()
+            report = verify_td_system(qi * a * q, qi * astar * q, pa.theta, pa.thetastar)
+            assert report.shape == (1, 2, 1)
+            assert report.irreducible is (make is random_admissible_array)
+            assert len(calls) <= 16, len(calls)
+
+
 def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
     # the ordering search and the checks read one view of the pair, so
     # each matrix is written in the other's eigenspace basis once: one
@@ -524,6 +552,81 @@ def test_shape_matches_enumeration_oracle(p):
         # span V even where the dims add up to 4
         _oracle_agrees(TDSystem(a, astar, (theta[0],) + tuple(theta[:2]), thetastar, (), ()))
     assert None in shapes and (1, 2, 1) in shapes
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_completed_basis_route_matches_enumeration_oracle(p):
+    # TDSystems built field by field whose eigenspaces do not form a basis,
+    # so P and P* are completed by unit vectors: a theta holding a value
+    # that is no eigenvalue (an empty block), a repeated theta (one block
+    # for two members), and pairs with two eigenplanes each, ordered with a
+    # non-eigenvalue in the middle, whose corner blocks are 2 x 2
+    import random
+
+    from make_decomposition_pins import _invertible
+
+    field = Field(p)
+    a, astar, theta, thetastar = pair(random.Random(f"completed-basis:{p}"), field, 0, 0)
+    other = next(x for x in field.elements() if x not in theta)
+    systems = [TDSystem(a, astar, t, thetastar, (), ())
+               for t in ((theta[0], other, theta[2]), (theta[0], theta[0], theta[2]))]
+    x, y, z, xs, zs = (field(v) for v in (1, 0, 3, 2, 4))
+    for k in range(2):
+        rng = random.Random(f"completed-basis:{p}:{k}")
+        s, u = _invertible(rng, field, 0), _invertible(rng, field, 0)
+        planes = (s * Matrix.diagonal(field, [x, x, z, z]) * s.invert(),
+                  u * Matrix.diagonal(field, [xs, xs, zs, zs]) * u.invert())
+        systems.append(TDSystem(*planes, (x, y, z), (xs, y, zs), (), ()))
+    shapes = [_oracle_agrees(tds) for tds in systems]
+    assert shapes[:2] == [None, None] and (2, 0, 2) in shapes
+
+
+def test_directness_is_read_off_the_transition():
+    # of the 39 decomposition pins that pass both tridiagonal checks with
+    # shape null, six have dims (1, 2, 1) in all six decompositions, and
+    # only directness, the corner blocks of C and C^-1, turns them down
+    pins = json.loads((Path(__file__).parent / "data" / "decomposition_pins.json").read_text())
+    undirect = []
+    for i, p in enumerate(pins):
+        field = Field.from_json(p["field"])
+        a, astar = Matrix.from_json(field, p["A"]), Matrix.from_json(field, p["Astar"])
+        theta, thetastar = ([field.parse(x) for x in p[k]] for k in ("theta", "thetastar"))
+        report = verify_td_system(a, astar, theta, thetastar)
+        if not (report.tridiagonal_astar_e and report.tridiagonal_a_estar) or report.shape:
+            continue
+        tds = TDSystem.from_matrices(a, astar, theta, thetastar)
+        if all(tuple(c.dim for c in split_decomposition(tds, dec)) == (1, 2, 1)
+               for dec in Decomposition):
+            undirect.append(i)
+            with pytest.raises(ValueError):
+                shape(tds)
+    assert undirect == [9, 56, 74, 88, 114, 126]
+
+
+def test_each_corner_of_the_transition_decides_directness():
+    # A = diag(1, 2, 2, 3) and A* = C diag(1, 2, 2, 4) C^-1 over GF(5), so
+    # C is the transition up to scaling its blocks; in each system one of
+    # the eight corners C[I_a, J_b], C^-1[J_b, I_a] (a, b in {0, 2}) is zero
+    # and the other seven are not, so exactly that corner makes one split
+    # decomposition not direct and the shape undefined
+    import random
+
+    field, rng = Field(5), random.Random("corner-pins")
+    a = Matrix.diagonal(field, [1, 2, 2, 3])
+    theta, thetastar = (field(1), field(2), field(3)), (field(1), field(2), field(4))
+    corners = [(m, r, k) for i in (0, 3) for j in (0, 3) for m, r, k in ((0, i, j), (1, j, i))]
+    for zero in range(8):
+        while True:
+            rows = [[rng.randrange(5) for _ in range(4)] for _ in range(4)]
+            c = Matrix(field, rows)
+            if c.det().is_zero:
+                continue
+            pair_ = (c, c.invert())
+            vals = [pair_[m].rows[r][k].is_zero for m, r, k in corners]
+            if vals == [n == zero for n in range(8)]:
+                break
+        astar = c * Matrix.diagonal(field, [1, 2, 2, 4]) * c.invert()
+        assert _oracle_agrees(TDSystem(a, astar, theta, thetastar, (), ())) is None
 
 
 def test_shape_matches_enumeration_oracle_gf2():
