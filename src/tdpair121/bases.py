@@ -258,9 +258,7 @@ def _ctx(pa: ParameterArray) -> tuple:
     S[i][j] = 1/(s_i - s_j) (i != j), iv = 1/varphi and ip = 1/phi.
 
     Raises ValueError for an inadmissible array; conditions (i) and (ii)
-    are what make the eight inverted values nonzero.  Kept in the array's
-    __dict__, as ParameterArray._derived is, where _tabulate reads it.
-    """
+    make the eight inverted values nonzero.  Kept as ParameterArray._table_ctx."""
     _require_admissible(pa)
     p, dp = pa.field.p, pa._derived
     vals = [x.val for x in (*pa.theta, *pa.thetastar, pa.varphi, pa.phi,
@@ -272,9 +270,7 @@ def _ctx(pa: ParameterArray) -> tuple:
         (t0 - t1, t0 - t2, t1 - t2, s0 - s1, s0 - s2, s1 - s2, vp, ph), p)
     T = ((0, i01, i02), (-i01, 0, i12), (-i02, -i12, 0))
     S = ((0, j01, j02), (-j01, 0, j12), (-j02, -j12, 0))
-    ctx = pa.__dict__["_table_ctx"] = (
-        t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip)
-    return ctx
+    return t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip
 
 
 def _tabulate(pa: ParameterArray, table) -> Matrix:
@@ -282,7 +278,7 @@ def _tabulate(pa: ParameterArray, table) -> Matrix:
     residues over GF(p); over QQ, where the entries are ints and _Qs, the
     grid of :func:`linalg._grid_of`."""
     _require(pa, ParameterArray)
-    rows = table(pa.__dict__.get("_table_ctx") or _ctx(pa))
+    rows = table(pa._table_ctx)
     p = pa.field.p
     if p:
         return Matrix._from_grid(pa.field, ([[a % p, b % p, c % p, d % p]
@@ -307,7 +303,7 @@ def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
     transition_numeric is an actual check.
     """
     if _known(frm) is _known(to):
-        _ctx(pa)  # the same admissibility gate
+        _require_admissible(pa)  # the gate of the tables
         return Matrix.identity(pa.field, 4)
     return _tabulate(pa, _TRANSITION_TABLE[(frm, to)])
 

@@ -57,6 +57,12 @@ class ParameterArray:
     def _admissibility(self) -> AdmissibilityReport:
         return admissible(self)
 
+    @cached_property
+    def _table_ctx(self) -> tuple:
+        from .bases import _ctx  # the raw values the formula tables read
+
+        return _ctx(self)
+
     def to_json(self) -> dict:
         return {
             "field": self.field.to_json(),

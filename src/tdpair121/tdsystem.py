@@ -20,7 +20,7 @@ from functools import cache, cached_property
 from itertools import chain, combinations, permutations, product
 
 from . import _poly
-from .fields import Field, _require
+from .fields import Field, FieldElement, _require
 from .linalg import (
     Matrix,
     Subspace,
@@ -48,6 +48,25 @@ class TDSystem:
     thetastar: tuple
     E: tuple
     Estar: tuple
+
+    def __post_init__(self):
+        """TypeError and ValueError as :func:`verify_td_system` raises them
+        for malformed input, where theta and thetastar must be tuples of
+        elements of A's field; E and Estar are () or three 4x4 matrices
+        over that field."""
+        for t in (self.theta, self.thetastar):
+            _require(t, tuple)
+            for x in t:
+                _require(x, FieldElement)
+        _check_system(self.A, self.Astar, self.theta, self.thetastar)
+        for es in (self.E, self.Estar):
+            _require(es, tuple)
+            for e in es:
+                _require(e, Matrix)
+            if es and (len(es) != 3 or any(e.field is not self.field or e.nrows != 4
+                                           or e.ncols != 4 for e in es)):
+                raise ValueError("E and Estar must each be () or three 4x4 matrices "
+                                 "over the field of A")
 
     @classmethod
     def from_matrices(cls, a: Matrix, astar: Matrix, theta, thetastar) -> TDSystem:
@@ -117,7 +136,8 @@ class Decomposition(Enum):
 
 # The split decompositions by the orders ao, so in which they run A's and
 # A*'s eigenvalues: component i meets the sums of the duals so[:i + 1] and the
-# spaces ao[i:]; A - theta[ao[i]] maps it to i + 1, A* - thetastar[so[i]] to i - 1.
+# spaces ao[i:].  Once both tridiagonality windows hold, A - theta[ao[i]] maps
+# it into i + 1, A* - thetastar[so[i]] into i - 1 (Ito, Tanabe, Terwilliger 2001).
 _SPLIT_ORDERS = {
     Decomposition.ZSTAR_D: ((0, 1, 2), (0, 1, 2)),
     Decomposition.ZSTAR_Z: ((2, 1, 0), (0, 1, 2)),
@@ -338,24 +358,21 @@ def shape(tds: TDSystem):
 
 
 def verify_split_actions(tds: TDSystem) -> bool:
-    """Check the raising/lowering action table on all six decompositions."""
+    """Check the raising/lowering table on all six decompositions: for the
+    orders ao, so of :data:`_SPLIT_ORDERS`, (A - theta_ao[i]) U_i in U_{i+1}
+    and (A* - thetastar_so[i]) U_i in U_{i-1} (U_3 = U_-1 = 0), and the windows
+    A* V_i in V_{i-1} + V_i + V_{i+1} and A V*_i in V*_{i-1} + V*_i + V*_{i+1}.
+
+    Only the windows are checked, on the kept eigenspaces, as they imply the
+    rest for any theta, repeated or no eigenvalue.  U_i = (V*_so[0] + ... +
+    V*_so[i]) /\\ (V_ao[i] + ... + V_ao[2]) for V_k = ker(A - theta_k), V*_k
+    likewise.  A - theta_ao[i] kills V_ao[i] and keeps each V_k, so it maps the
+    right-hand sum into V_ao[i+1] + ... (0 for i = 2), and by its window, in
+    either order of the duals, the left-hand one into V*_so[0] + ... + V*_so[i+1]:
+    U_i into U_{i+1}.  A* - thetastar_so[i] maps U_i into U_{i-1} likewise."""
     _require(tds, TDSystem)
-    zero = Subspace.zero(tds.field, 4)
-    a, astar = tds.A._grid, tds.Astar._grid
-    theta, thetastar = ([x.val for x in t] for t in (tds.theta, tds.thetastar))
-    for dec, (ao, so) in _SPLIT_ORDERS.items():
-        # a zero fourth component, comps[3] = comps[-1]: the ends map to zero
-        comps = (*tds._decomps[dec], zero)
-        if not all(comps[i]._maps(a, theta[ao[i]], comps[i + 1])
-                   and comps[i]._maps(astar, thetastar[so[i]], comps[i - 1]) for i in range(3)):
-            return False
-    # [0D] and [0*D*] are the eigenspaces themselves: only the window is checked
-    for dec, other in ((Decomposition.Z_D, astar), (Decomposition.ZSTAR_DSTAR, a)):
-        comps = tds._decomps[dec]
-        for i in range(3):
-            if not comps[i]._maps(other, 0, subspace_sum(comps[max(i - 1, 0):i + 2])):
-                return False
-    return True
+    return all(comps[i]._maps(other._grid, 0, subspace_sum(comps[max(i - 1, 0):i + 2]))
+               for comps, other in zip(tds._spaces, (tds.Astar, tds.A)) for i in range(3))
 
 
 # -- common invariant subspace search ----------------------------------------

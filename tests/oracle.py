@@ -302,11 +302,13 @@ def decompositions_mod(a_rows, astar_rows, theta, thetastar, p):
     """The six eigenspace-chain decompositions over GF(p), by name, each
     as (dims, direct).
 
-    Every component X /\\ Y of chain members is the set of all p^4 vectors
-    lying in both, each membership decided by rank_mod; a decomposition is
-    direct when its dims add up to 4 and its components together have rank
-    4.  The chains are pa[i] = V_0 + ... + V_i, sa[i] = V_i + ... + V_2 for
-    the eigenspaces V_i = ker(A - theta_i), and pd, sd for A*.
+    Every component X /\\ Y of chain members is the set of all p^dim
+    vectors of the member of smaller rank (combinations of its rref_mod
+    basis) that lie in the other, each membership decided by rank_mod; a
+    decomposition is direct when its dims add up to 4 and its components
+    together have rank 4.  The chains are pa[i] = V_0 + ... + V_i,
+    sa[i] = V_i + ... + V_2 for the eigenspaces V_i = ker(A - theta_i), and
+    pd, sd for A*.
     """
     spaces = [eigenspace_basis_mod(a_rows, t, p) for t in theta]
     duals = [eigenspace_basis_mod(astar_rows, t, p) for t in thetastar]
@@ -317,9 +319,12 @@ def decompositions_mod(a_rows, astar_rows, theta, thetastar, p):
         return pre, suf
 
     def meet(x, y):
-        rx, ry = rank_mod(x, p), rank_mod(y, p)
-        return [v for v in product(range(p), repeat=4)
-                if rank_mod(x + [v], p) == rx and rank_mod(y + [v], p) == ry]
+        if rank_mod(x, p) > rank_mod(y, p):
+            x, y = y, x
+        basis, ry = rref_mod(x, p), rank_mod(y, p)
+        span = (tuple(sum(c * b[k] for c, b in zip(cs, basis)) % p for k in range(4))
+                for cs in product(range(p), repeat=len(basis)))
+        return [v for v in span if rank_mod(y + [v], p) == ry]
 
     pa, sa = chains(spaces)
     pd, sd = chains(duals)

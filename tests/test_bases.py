@@ -280,6 +280,26 @@ def test_formulas_share_one_admissibility_gate(gf101):
                 assert str(info.value) == message
 
 
+def test_tables_invert_once_per_array(monkeypatch, gf101):
+    # the eight inversions of the table context run once per array: an
+    # identity transition only passes the admissibility gate, where it
+    # once rebuilt the context on every call
+    calls = []
+    real = bases_module._inverses
+
+    def spy(vals, p):
+        calls.append(p)
+        return real(vals, p)
+
+    monkeypatch.setattr(bases_module, "_inverses", spy)
+    pa = ParameterArray.make(gf101, (1, 2, 3), (4, 5, 7), 9, 11)
+    for frm, to in ((BasisId.EIG_A, BasisId.EIG_A), (BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ),
+                    (BasisId.SPLIT_DD, BasisId.SPLIT_DD)):
+        transition_formula(pa, frm, to)
+    represent_formula(pa, "A", BasisId.SPLIT_ZD)
+    assert calls == [101]
+
+
 def _tables():
     """The closed-form tables of bases.py: the functions whose one return
     is a 4x4 list literal, read off the module's source."""

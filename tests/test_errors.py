@@ -151,3 +151,42 @@ def test_parameter_array_holds_elements_of_its_field():
     # an element of another field raised nothing until a formula mixed them
     with pytest.raises(TypeError, match=r"^expected an element of QQ, got one of GF\(5\)$"):
         ParameterArray(QQ, P0.theta, P0.thetastar, Field(5)(2), P0.phi)
+
+
+GF7_TDS = construct(ParameterArray.make(Field(7), (1, 2, 3), (4, 5, 6), 3, 2))
+
+
+def _system(**fields):
+    """GF7_TDS with the given fields replaced, built field by field."""
+    t = GF7_TDS
+    return TDSystem(*(fields.get(k, getattr(t, k))
+                      for k in ("A", "Astar", "theta", "thetastar", "E", "Estar")))
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    (dict(theta=(1, 2, 3)), TypeError, "expected a FieldElement, got int"),
+    (dict(theta=list(GF7_TDS.theta)), TypeError, "expected a tuple, got list"),
+    (dict(A=None), TypeError, "expected a Matrix, got NoneType"),
+    (dict(E=list(GF7_TDS.E)), TypeError, "expected a tuple, got list"),
+    (dict(Estar=(None,) * 3), TypeError, "expected a Matrix, got NoneType"),
+    (dict(thetastar=GF7_TDS.thetastar[:2]), ValueError, "eigenvalue lists must have length 3"),
+    (dict(theta=(QQ(1), QQ(2), QQ(3))), ValueError, "element of QQ is not in GF(7)"),
+    (dict(A=Matrix.identity(Field(7), 3)), ValueError, "both matrices must be 4x4"),
+    (dict(Astar=Matrix.identity(QQ, 4)), ValueError, "matrices live over different fields"),
+    (dict(E=GF7_TDS.E[:2]), ValueError,
+     "E and Estar must each be () or three 4x4 matrices over the field of A"),
+    (dict(Estar=(Matrix.identity(QQ, 4),) * 3), ValueError,
+     "E and Estar must each be () or three 4x4 matrices over the field of A"),
+], ids=["int-theta", "list-theta", "no-A", "list-E", "no-Estar", "short-thetastar",
+        "theta-of-QQ", "3x3-A", "mixed-fields", "two-E", "Estar-of-QQ"])
+def test_system_built_field_by_field_fails_closed(fields, error, message):
+    # each was accepted, and every system function then raised an
+    # undocumented AttributeError, IndexError, TypeError or SingularMatrixError
+    with pytest.raises(error) as info:
+        _system(**fields)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_system_built_field_by_field_keeps_its_idempotents_optional():
+    assert _system(E=(), Estar=()).to_json() == GF7_TDS.to_json()
+    assert _system() == GF7_TDS

@@ -29,6 +29,7 @@ from tdpair121 import (
     find_td_orderings,
     shape,
     split_decomposition,
+    subspace_sum,
     verify_split_actions,
     verify_td_system,
 )
@@ -671,6 +672,108 @@ def test_split_actions_detect_corruption(p0, tds):
 def test_split_actions_random_systems(rng, gf101):
     for field in (QQ, gf101):
         assert verify_split_actions(construct(random_admissible_array(rng, field)))
+
+
+# the split decompositions by the orders in which component i runs A's and
+# A*'s eigenvalues: it meets V*_so[0] + ... + V*_so[i] and V_ao[i] + ... + V_ao[2]
+SPLIT_ORDERS = {
+    Decomposition.ZSTAR_D: ((0, 1, 2), (0, 1, 2)),
+    Decomposition.ZSTAR_Z: ((2, 1, 0), (0, 1, 2)),
+    Decomposition.DSTAR_Z: ((2, 1, 0), (2, 1, 0)),
+    Decomposition.DSTAR_D: ((0, 1, 2), (2, 1, 0)),
+}
+
+
+def _maps(m, src, dst):
+    return dst.contains_subspace(src.image(m))
+
+
+def _split_table(tds):
+    """The 24 inclusions (A - theta_ao[i]) U_i in U_{i+1} and (A* -
+    thetastar_so[i]) U_i in U_{i-1} of the split decompositions, U_3 = U_-1 = 0."""
+    zero = Subspace.zero(tds.field, 4)
+    for dec, (ao, so) in SPLIT_ORDERS.items():
+        u = split_decomposition(tds, dec) + [zero]
+        if not all(_maps(tds.A.shift(tds.theta[ao[i]]), u[i], u[i + 1])
+                   and _maps(tds.Astar.shift(tds.thetastar[so[i]]), u[i], u[i - 1])
+                   for i in range(3)):
+            return False
+    return True
+
+
+def _windows(tds):
+    """A* V_i in V_{i-1} + V_i + V_{i+1} and A V*_i likewise, on [0D] and [0*D*]."""
+    for dec, m in ((Decomposition.Z_D, tds.Astar), (Decomposition.ZSTAR_DSTAR, tds.A)):
+        v = split_decomposition(tds, dec)
+        if not all(_maps(m, v[i], subspace_sum(v[max(i - 1, 0):i + 2])) for i in range(3)):
+            return False
+    return True
+
+
+def test_split_actions_match_the_full_table():
+    # the raising/lowering table, computed on the public API, against
+    # verify_split_actions, which checks only the two windows: on seeded
+    # pairs with arbitrary orderings (repeated values, non-eigenvalues) and
+    # on constructed systems; the windows imply the 24 split inclusions,
+    # which alone do not imply the windows
+    import random
+
+    outcomes, repeated = set(), set()
+    for p in (2, 3, 5):
+        field = Field(p)
+        for i in range(60):
+            rng = random.Random(f"split-table:{p}:{i}")
+            systems = []
+            if p > 2 and i % 3 == 0:
+                systems.append(construct(random_admissible_array(rng, field)))
+                a, astar = systems[0].A, systems[0].Astar
+            else:
+                a, astar = pair(rng, field, i % KINDS, 0)[:2]
+            theta = tuple(field(rng.randrange(p)) for _ in range(3))
+            thetastar = tuple(field(rng.randrange(p)) for _ in range(3))
+            systems.append(TDSystem(a, astar, theta, thetastar, (), ()))
+            for tds in systems:
+                table, windows = _split_table(tds), _windows(tds)
+                got = verify_split_actions(tds)
+                assert got == (table and windows)
+                assert table or not windows
+                outcomes.add((got, table))
+                if len(set(tds.theta)) < 3:
+                    repeated.add(got)
+    assert outcomes == {(True, True), (False, True), (False, False)}
+    assert repeated == {True, False}
+
+
+def test_split_action_pins_are_the_windows_of_their_reports():
+    # on every pinned pair that from_matrices accepts, the pinned split-action
+    # check is the conjunction of the report's two tridiagonal checks
+    pins = json.loads((Path(__file__).parent / "data" / "decomposition_pins.json").read_text())
+    checked = 0
+    for p in pins:
+        if p["system"] is None or p.get("direct"):
+            continue
+        report = p["report"]
+        assert p["system"]["split_actions"] is (report["tridiagonal_AstarE"]
+                                                and report["tridiagonal_AEstar"])
+        checked += 1
+    assert checked == 170
+
+
+def test_split_actions_build_no_decomposition(monkeypatch, rng):
+    # the windows read the kept eigenspaces: no meet, no annihilator and no
+    # inverse of an eigenbasis, which only split_decomposition pays for
+    systems = [construct(random_admissible_array(rng, field)) for field in (QQ, Field(101))]
+    calls = []
+    for name in ("_decompositions", "_ann", "_inv_grid"):
+        for module in vars(tdpair121).values():
+            real = getattr(module, name, None)
+            if callable(real):
+                monkeypatch.setattr(module, name,
+                                    lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args))
+    assert all(verify_split_actions(tds) for tds in systems)
+    assert calls == []
+    split_decomposition(systems[0], Decomposition.ZSTAR_D)
+    assert "_decompositions" in calls
 
 
 # -- invariant subspace search ------------------------------------------------
