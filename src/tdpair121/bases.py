@@ -4,10 +4,10 @@ From a seed vector in the first dual eigenspace, four chain vectors are
 built; they generate four split bases plus one eigenbasis for each of the
 two transformations.  Representation and transition matrices come in two
 independent flavors: closed formulas in the parameter array, and numeric
-computation from the basis matrices.  The two must agree exactly; the
-formula tables below are transcriptions, never compositions, so that the
-cross-check is meaningful.  Both flavors run on raw values and return
-matrices that keep their raw grids, so the cross-check compares grids.
+slices of one elimination per basis B, B^-1 [all six bases | A B | A* B].
+The two must agree exactly; the formula tables below are transcriptions,
+never compositions, so that the cross-check is meaningful.  Both flavors
+run on raw values and return matrices that keep their raw grids.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from .linalg import (
     _apply_raw,
     _box,
     _columns,
+    _cut,
     _grid_of,
+    _hstack,
     _inv_grid,
     _mul_grids,
     _scale_raw,
@@ -121,96 +123,82 @@ def _boxed_eta(field, chain) -> EtaVectors:
     return EtaVectors(*(_box(field, *v) for v in chain))
 
 
+_AT = {b: 4 * k for k, b in enumerate(BasisId)}  # column offsets in the grid of the six
+
+
 class _SystemBases:
-    """One system's chain vectors for one seed, boxed (eta) and raw, and
-    its six bases with their inverses as raw grids, each built on first
-    use."""
+    """One system's chain vectors for one seed, boxed (eta) and raw, and its six bases."""
 
     def __init__(self, tds: TDSystem, eta: EtaVectors | None = None):
-        field = tds.field
         if eta is None:
             self.chain = _chain(tds, _canonical_seed(tds))
-            self.eta = _boxed_eta(field, self.chain)
         else:
             _require(eta, EtaVectors)
-            self.chain = tuple(_vector_of(field, v) for v in
+            self.chain = tuple(_vector_of(tds.field, v) for v in
                                (eta.eta0star, eta.eta0, eta.eta2, eta.eta2star))
-            self.eta = eta
-        self._pairs = {}
+        self.eta = eta or _boxed_eta(tds.field, self.chain)
+        self._solved = None
 
-    def pair(self, tds: TDSystem, basis: BasisId):
-        """The raw grids of the basis matrix and of its inverse."""
-        got = self._pairs.get(basis)
-        if got is None:
-            m = _columns(_basis_columns(tds, _known(basis), self.chain))
-            try:
-                got = self._pairs[basis] = m, _inv_grid(m, tds.field.p)
-            except SingularMatrixError:
-                raise SingularMatrixError(
-                    f"{basis.value} columns are dependent; input is not shape (1,2,1)"
-                ) from None
-        return got
+    def solved(self, tds: TDSystem) -> dict:
+        """The raw grid of the six bases side by side, keyed None, and for each
+        basis B that of B^-1 [B_SplitZD | ... | B_EigAstar | A B | A* B], keyed B.
+        Until all six are solved each call raises the first failure: ValueError
+        for unreadable split scalars, else SingularMatrixError for a dependent basis."""
+        if self._solved is None:
+            p = tds.field.p
+            eta0star, eta0, eta2, eta2star = self.chain
+            (t0, _, t2), (s0, _, s2) = ([x.val for x in v] for v in (tds.theta, tds.thetastar))
+            a, astar, e1, estar1 = (m._grid for m in (tds.A, tds.Astar, tds.E[1], tds.Estar[1]))
+            pa = extract_parameter_array(tds)
+            vp, ph = pa.varphi.val, pa.phi.val
+            # the columns of the six bases in BasisId order; (M - c I)v is Mv - cv
+            bases = _columns([
+                eta0star, _apply_raw(a, eta0star, p, t0), _apply_raw(astar, eta2, p, s2), eta2,
+                eta0star, _apply_raw(a, eta0star, p, t2), _apply_raw(astar, eta0, p, s2), eta0,
+                eta2star, _apply_raw(a, eta2star, p, t2),
+                _scale_raw(vp, _apply_raw(astar, eta0, p, s0), p), _scale_raw(vp, eta0, p),
+                eta2star, _apply_raw(a, eta2star, p, t0),
+                _scale_raw(ph, _apply_raw(astar, eta2, p, s0), p), _scale_raw(ph, eta2, p),
+                eta0, _apply_raw(e1, eta0star, p), _apply_raw(e1, eta2star, p), eta2,
+                eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star])
+            ab, asb = (_mul_grids(m, bases, p) for m in (a, astar))
+            solved = {None: bases}
+            for b, at in _AT.items():
+                try:
+                    solved[b] = _inv_grid(_cut(bases, at), p,
+                                          _hstack([bases, _cut(ab, at), _cut(asb, at)]))
+                except SingularMatrixError:
+                    raise SingularMatrixError(f"{b.value} columns are dependent; "
+                                              "input is not shape (1,2,1)") from None
+            self._solved = solved
+        return self._solved
 
 
-def _bases_for(tds: TDSystem, eta: EtaVectors | None) -> _SystemBases:
-    """The system's own record for the canonical seed, else a fresh one."""
+def _numeric(tds: TDSystem, eta: EtaVectors | None, basis, at: int) -> Matrix:
+    """Columns at to at + 3 of _SystemBases.solved()[basis], for the record of eta."""
     _require_idempotents(tds)
     own = tds._bases
-    return own if eta is None or eta == own.eta else _SystemBases(tds, eta)
+    rec = own if eta is None or eta == own.eta else _SystemBases(tds, eta)
+    return Matrix._from_grid(tds.field, _cut(rec.solved(tds)[basis], at))
 
 
 def basis_matrix(tds: TDSystem, basis: BasisId, eta: EtaVectors | None = None) -> Matrix:
     """4x4 matrix whose columns are the requested basis, in order."""
-    rec = _bases_for(tds, eta)
-    return Matrix._from_grid(tds.field, rec.pair(tds, basis)[0])
-
-
-def _basis_columns(tds: TDSystem, basis: BasisId, chain) -> list:
-    """The basis as raw vectors, from the raw chain vectors; (M - c I)v is
-    taken as Mv - cv."""
-    p = tds.field.p
-    eta0star, eta0, eta2, eta2star = chain
-    t0, _, t2 = (x.val for x in tds.theta)
-    s0, _, s2 = (x.val for x in tds.thetastar)
-    a, astar = tds.A._grid, tds.Astar._grid
-    if basis is BasisId.SPLIT_ZD:
-        return [eta0star, _apply_raw(a, eta0star, p, t0), _apply_raw(astar, eta2, p, s2), eta2]
-    if basis is BasisId.SPLIT_ZZ:
-        return [eta0star, _apply_raw(a, eta0star, p, t2), _apply_raw(astar, eta0, p, s2), eta0]
-    if basis is BasisId.SPLIT_DZ:
-        vp = extract_parameter_array(tds).varphi.val
-        return [eta2star, _apply_raw(a, eta2star, p, t2),
-                _scale_raw(vp, _apply_raw(astar, eta0, p, s0), p), _scale_raw(vp, eta0, p)]
-    if basis is BasisId.SPLIT_DD:
-        ph = extract_parameter_array(tds).phi.val
-        return [eta2star, _apply_raw(a, eta2star, p, t0),
-                _scale_raw(ph, _apply_raw(astar, eta2, p, s0), p), _scale_raw(ph, eta2, p)]
-    if basis is BasisId.EIG_A:
-        e1 = tds.E[1]._grid
-        return [eta0, _apply_raw(e1, eta0star, p), _apply_raw(e1, eta2star, p), eta2]
-    estar1 = tds.Estar[1]._grid  # BasisId.EIG_ASTAR
-    return [eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star]
+    return _numeric(tds, eta, None, _AT[_known(basis)])
 
 
 def represent(tds: TDSystem, which: str, basis: BasisId,
               eta: EtaVectors | None = None) -> Matrix:
-    """Matrix of the chosen transformation with respect to the basis:
-    B^-1 (M B) on raw grids; the matrix keeps the grid."""
+    """Matrix B^-1 (M B) of the chosen transformation M in the basis B."""
     if which not in ("A", "Astar"):
         raise ValueError("operator must be 'A' or 'Astar'")
-    b, b_inv = _bases_for(tds, eta).pair(tds, basis)
-    m = tds.A if which == "A" else tds.Astar
-    p = tds.field.p
-    return Matrix._from_grid(tds.field, _mul_grids(b_inv, _mul_grids(m._grid, b, p), p))
+    return _numeric(tds, eta, _known(basis), 24 if which == "A" else 28)
 
 
 def transition_numeric(tds: TDSystem, frm: BasisId, to: BasisId,
                        eta: EtaVectors | None = None) -> Matrix:
-    """Transition matrix computed as (from basis)^-1 (to basis), on raw
-    grids; the matrix keeps the grid."""
-    rec = _bases_for(tds, eta)
-    return Matrix._from_grid(tds.field, _mul_grids(rec.pair(tds, frm)[1], rec.pair(tds, to)[0],
-                                                   tds.field.p))
+    """Transition matrix (from basis)^-1 (to basis)."""
+    return _numeric(tds, eta, _known(frm), _AT[_known(to)])
 
 
 # -- closed-form tables -------------------------------------------------------

@@ -49,7 +49,7 @@ Vector = tuple  # tuple of FieldElement
 # _rref is the only elimination, for both fields: over GF(p) it scales
 # pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
 # meets are annihilators (_ann), read off one elimination on as many
-# columns as the space has, so only _inv_grid eliminates on 2n columns.
+# columns as the space has; only _inv_grid eliminates on [g | I] or [g | rhs].
 
 _new = object.__new__
 
@@ -110,6 +110,18 @@ def _columns(vectors):
                                    for v, d in vectors])], den
 
 
+def _hstack(grids):
+    """Raw grid of raw grids of as many rows side by side, over their denominators' lcm."""
+    den = math.lcm(*[d for _, d in grids])
+    parts = [rows if d == den else [[x * (den // d) for x in r] for r in rows] for rows, d in grids]
+    return [list(chain.from_iterable(rs)) for rs in zip(*parts)], den
+
+
+def _cut(g, at: int):
+    """Raw grid of the four columns at to at + 3 of the raw grid g."""
+    return [r[at:at + 4] for r in g[0]], g[1]
+
+
 def _mul_grids(a, b, p: int):
     """Raw grid of the product of two raw grids of matching shapes."""
     (ra, da), (rb, db) = a, b
@@ -160,20 +172,20 @@ def _scale_raw(c, v, p: int) -> tuple:
     return _vector([c.numerator * x for x in vals], c.denominator * den)
 
 
-def _inv_grid(g, p: int):
-    """Raw grid of the inverse of the square raw grid g; raises
-    SingularMatrixError when g is singular.
+def _inv_grid(g, p: int, rhs=None):
+    """Raw grid of g^-1 rhs for a square raw grid g and a raw grid rhs of as
+    many rows, g^-1 without rhs; raises SingularMatrixError for a singular g.
 
-    _rref reduces [R | I] for the raw rows R.  Over QQ its fraction-free
-    elimination leaves row i as a_i times row i of [I | R^-1], so
-    (R/den)^-1 = den * R^-1 is one grid over lcm(a_i), which is cut down to
-    the least common denominator: the inverses of a system's bases are
-    built once and enter many products, which is where their size costs."""
+    _rref reduces [R | S] for the raw rows R of g and S of rhs (I over 1
+    without rhs).  Over QQ its fraction-free elimination leaves row i as a_i
+    times row i of [I | R^-1 S], so (R/den)^-1 (S/sden) = den R^-1 S / sden
+    is one grid over lcm(a_i) sden, cut down to the least common denominator."""
     rows, den = g
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise SingularMatrixError("cannot invert a non-square matrix")
-    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    srows, sden = rhs or ([[1 if i == j else 0 for j in range(n)] for i in range(n)], 1)
+    work = [[*r, *s] for r, s in zip(rows, srows, strict=True)]
     if _rref(work, p) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     if p:
@@ -181,8 +193,8 @@ def _inv_grid(g, p: int):
     lcm = math.lcm(*[r[i] for i, r in enumerate(work)])
     rows = [[x * f for x in r[n:]] for r, f in
             ((r, den * (lcm // r[i])) for i, r in enumerate(work))]
-    g = math.gcd(lcm, *[x for r in rows for x in r])
-    return [[x // g for x in r] for r in rows], lcm // g
+    g = math.gcd(lcm * sden, *[x for r in rows for x in r])
+    return [[x // g for x in r] for r in rows], lcm * sden // g
 
 
 def _image(g, vals, c) -> list:

@@ -2,14 +2,16 @@ import ast
 import inspect
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import oracle
+import tdpair121
 import tdpair121.bases as bases_module
-from conftest import random_admissible_array, random_boundary_array
+from conftest import random_admissible_array, random_boundary_array, random_invertible
 from tdpair121 import (
     BasisId,
     Decomposition,
@@ -17,6 +19,7 @@ from tdpair121 import (
     Matrix,
     ParameterArray,
     QQ,
+    SingularMatrixError,
     Subspace,
     TDSystem,
     admissible,
@@ -455,3 +458,86 @@ def test_eta_vectors_without_seed_is_the_canonical_chain(rng, gf101):
         own = eta_vectors(tds)
         assert own == eta_vectors(tds, canonical_seed(tds))
         assert eta_vectors(tds) is own
+
+
+def test_the_42_numeric_matrices_cost_six_eliminations_and_two_products(monkeypatch, rng):
+    # each basis B is solved once against all six bases and its A and A*
+    # images, B^-1 [B_SplitZD | ... | B_EigAstar | A B | A* B], one
+    # elimination of a 4x36 grid, after two wide products A (all six) and
+    # A* (all six); the 42 matrices are slices of the six grids (they took
+    # 6 inversions and 54 products), and reading them again costs nothing
+    calls = []
+    for name in ("_rref", "_mul_grids"):
+        real = getattr(tdpair121.linalg, name)
+
+        def spy(*args, _n=name, _f=real):
+            width = len(args[0][0]) if _n == "_rref" else None
+            calls.append((_n, width, sys._getframe(1).f_code.co_name if width else None))
+            return _f(*args)
+
+        for module in vars(tdpair121).values():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    for field in (QQ, Field(101)):
+        tds = construct(random_admissible_array(rng, field))
+        eta_vectors(tds)  # the chain vectors and the split scalars are read first
+        extract_parameter_array(tds)
+        calls.clear()
+        for _ in range(2):
+            matrices = [represent(tds, w, b) for w in ("A", "Astar") for b in BasisId]
+            matrices += [transition_numeric(tds, f, t) for f in BasisId for t in BasisId
+                         if f is not t]
+            assert len(matrices) == 42
+        assert sorted(calls, key=str) == [("_mul_grids", None, None)] * 2 + \
+            [("_rref", 36, "_inv_grid")] * 6, calls
+
+
+def _bases_calls(tds):
+    """All 48 numeric calls: 6 basis matrices, 12 representations and 36
+    transitions, the identities included."""
+    calls = [lambda b=b: basis_matrix(tds, b) for b in BasisId]
+    calls += [lambda w=w, b=b: represent(tds, w, b) for w in ("A", "Astar") for b in BasisId]
+    calls += [lambda f=f, t=t: transition_numeric(tds, f, t) for f in BasisId for t in BasisId]
+    return calls
+
+
+def test_the_six_bases_stand_or_fall_together():
+    # on random GF(5) systems a basis can be dependent, or the split
+    # scalars unreadable, while other bases are not: every numeric call
+    # now raises that first failure, where represent(., EigA) returned on
+    # such systems, so no "transition" into a dependent basis is returned
+    field = Field(5)
+    outcomes = {}
+    for i in range(25):
+        rng = random.Random(f"bases-fall-together:{i}")
+        pair = []
+        for _ in range(2):
+            vals = [field(x) for x in rng.sample(range(5), 3)]
+            s = random_invertible(rng, field, Matrix)
+            d = Matrix.diagonal(field, [vals[0], vals[1], vals[1], vals[2]])
+            pair.append((s * d * s.invert(), vals))
+        (a, theta), (astar, thetastar) = pair
+        tds = TDSystem.from_matrices(a, astar, theta, thetastar)
+        try:
+            eta_vectors(tds)
+        except ValueError:
+            continue  # a chain vector vanishes, so there are no bases to build
+        got = set()
+        for call in _bases_calls(tds):
+            try:
+                call()
+                got.add(None)
+            except ValueError as e:  # SingularMatrixError included
+                got.add((type(e), str(e)))
+        assert len(got) == 1, (i, got)
+        outcomes[i] = got.pop()
+    dependent = "{} columns are dependent; input is not shape (1,2,1)".format
+    unread = (ValueError, "split scalars vanish; input is not a shape-(1,2,1) system")
+    assert outcomes == {
+        0: (SingularMatrixError, dependent("SplitDZ")), 1: None,
+        5: (SingularMatrixError, dependent("SplitZZ")), 6: unread,
+        7: (SingularMatrixError, dependent("SplitZZ")),
+        8: (SingularMatrixError, dependent("SplitZD")),
+        9: unread,  # SplitZZ is dependent too: the columns are read first
+        17: unread, 22: (SingularMatrixError, dependent("SplitZD")), 24: None,
+    }

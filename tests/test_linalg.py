@@ -16,6 +16,7 @@ from tdpair121 import (
     charpoly,
     construct,
     eigen_data,
+    linalg,
     poly_roots,
     primitive_idempotents,
     subspace_combine,
@@ -836,6 +837,48 @@ def test_contains_subspace_matches_dimension_of_sum(p):
         assert u.contains_subspace(w) == expected
         assert u.contains_subspace(u) and u.contains_subspace(Subspace.zero(field, 4))
     assert 0 < inside < 60
+
+
+@pytest.mark.parametrize("p, bits", [(0, 3), (0, 100), (3, 0), (101, 0), (2**61 - 1, 0)])
+def test_inv_grid_solves_a_right_hand_side_like_the_oracle(p, bits):
+    # g^-1 rhs from one elimination of [g | rhs] equals the oracle's inverse
+    # times rhs, block by block, for square and wider right-hand sides over
+    # denominators of their own; over QQ the grid is over the least one
+    rng = random.Random(f"inv-grid-rhs:{p}:{bits}")
+
+    def entry():
+        if p:
+            return rng.randrange(p)
+        return Fraction(rng.randint(-2**bits, 2**bits), rng.randint(1, 2**bits))
+
+    checked = 0
+    for width in (4, 12, 4, 12, 12, 4, 12, 12):
+        g_rows = [[entry() for _ in range(4)] for _ in range(4)]
+        s_rows = [[entry() for _ in range(width)] for _ in range(4)]
+        g, rhs = linalg._grid_of(g_rows, p), linalg._grid_of(s_rows, p)
+        if oracle.det(g_rows, p) == 0:
+            with pytest.raises(SingularMatrixError):
+                linalg._inv_grid(g, p, rhs)
+            continue
+        rows, den = linalg._inv_grid(g, p, rhs)
+        got = [[x % p if p else Fraction(x, den) for x in r] for r in rows]
+        inverse = oracle.mat_inverse(g_rows, p)
+        for j in range(0, width, 4):
+            block = [r[j:j + 4] for r in s_rows]
+            assert [r[j:j + 4] for r in got] == oracle.mat_mul(inverse, block, p)
+        if not p:
+            assert math.gcd(den, *[x for r in rows for x in r]) == 1
+        with pytest.raises(ValueError):  # a taller right-hand side is not cut short
+            linalg._inv_grid(g, p, (rhs[0] + rhs[0][:1], rhs[1]))
+        checked += 1
+    assert checked >= 6
+    # a singular g raises with a right-hand side too, rank 3 and rank 0
+    for g_rows in (_raw_mul([[entry() for _ in range(3)] for _ in range(4)],
+                            [[entry() for _ in range(4)] for _ in range(3)], p),
+                   [[0] * 4 for _ in range(4)]):
+        rhs = linalg._grid_of([[entry() for _ in range(12)] for _ in range(4)], p)
+        with pytest.raises(SingularMatrixError):
+            linalg._inv_grid(linalg._grid_of(g_rows, p), p, rhs)
 
 
 # -- QQ kernels at high bit length against sympy --------------------------------
