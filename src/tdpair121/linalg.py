@@ -46,6 +46,12 @@ Vector = tuple  # tuple of FieldElement
 # - Subspace._rows are the reduced echelon rows, over QQ each scaled to a
 #   primitive integer row with a positive pivot: no rank, annihilator or
 #   membership test sees the scale, and a row enters _apply_raw as (row, 1).
+# - A frame (_Frame) is a matrix's spectral data for one ordered tuple of raw
+#   eigenvalues: the eigenspaces, whether they diagonalize it, P of
+#   _eigenbasis with its column blocks and P^-1.  A matrix keeps its frames in
+#   Matrix._frames, keyed by that tuple, for as long as it lives; idempotents,
+#   eigen_data, verification, a system's eigenspaces and its transition and the
+#   invariant search all read them there, so each is built once per matrix.
 # _rref is the only elimination, for both fields: over GF(p) it scales
 # pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
 # meets are annihilators (_ann), read off one elimination on as many
@@ -272,6 +278,17 @@ def _rank(rows, p: int) -> int:
     return len(_rref(list(rows), p))
 
 
+def _det_small(rows, p: int):
+    """Determinant of a square raw grid of order 0, 1 or 2 in closed form, 1,
+    a or ad - bc: over GF(p) a residue, over QQ that of the integer rows."""
+    if len(rows) < 2:
+        det = rows[0][0] if rows else 1
+    else:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+    return det % p if p else det
+
+
 def _ann(rows, n: int, p: int) -> list:
     """Canonical raw rows (as Subspace._rows) of the annihilator of the raw
     rows in F^n, the null space {v : r . v = 0 for r in rows}; all of F^n
@@ -313,10 +330,12 @@ class Matrix:
     A matrix is its raw grid ``_grid`` = (rows, den), set when it is built:
     over GF(p) rows of residues in [0, p) over den 1, over QQ integer rows
     over one positive denominator.  ``rows``, a tuple of rows of
-    FieldElements, is boxed from the grid on first read.
+    FieldElements, is boxed from the grid on first read.  ``_frames``, set on
+    the first :func:`_frame`, maps ordered tuples of raw eigenvalues to their
+    :class:`_Frame`; no comparison, hash or boxed value reads it.
     """
 
-    __slots__ = ("field", "rows", "_grid")
+    __slots__ = ("field", "rows", "_grid", "_frames")
 
     def __getattr__(self, name):
         # reached only when a slot is unset: the rows, before their first read
@@ -704,11 +723,12 @@ class EigenData:
 
 def eigen_data(m: Matrix) -> EigenData:
     """Eigenvalues in the base field, their eigenspaces, and whether the matrix
-    is diagonalizable over its field, as :func:`_eigenspaces` decides."""
+    is diagonalizable over its field, read off its :func:`_frame` for them."""
     _require(m, Matrix)
     roots = poly_roots(m.field, charpoly(m))
     values, mults = tuple(zip(*roots)) or ((), ())
-    return EigenData(values, mults, *_eigenspaces(m, values))
+    frame = _frame(m, values)
+    return EigenData(values, mults, frame.spaces, frame.ok)
 
 
 def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
@@ -719,19 +739,12 @@ def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
     return Subspace._from_echelon(m.field, n, _ann(rows, n, p))
 
 
-def _eigenspaces(m: Matrix, evs) -> tuple:
-    """The eigenspaces ker(m - e I) of a square m for the values evs, and the
-    one rule of whether m is diagonalizable with exactly these values: they
-    are distinct, and the spaces nonzero with dimensions adding up to n."""
-    spaces = tuple(_eigenspace(m, e) for e in evs)
-    return spaces, (all(s._rows for s in spaces) and sum(s.dim for s in spaces) == m.nrows
-                    and len(set(evs)) == len(evs))
-
-
 def _eigenbasis(spaces, p: int) -> tuple:
     """P, the raw grid with the raw rows of independent spaces side by side
     as columns, a repeated one once, then the unit vectors off their pivots
-    that complete a basis of F^n; and the column indices of each space."""
+    that complete a basis of F^n; and the column indices of each space.
+    Both are tuples of ints and ranges, which the cyclic garbage collector
+    stops tracking, as a frame keeps them for the life of its matrix."""
     cols, at = [], {}
     for s in spaces:
         if s._rows not in at:
@@ -740,23 +753,68 @@ def _eigenbasis(spaces, p: int) -> tuple:
     if len(cols) < (n := spaces[0].ambient):
         pivots = _rref(list(cols), p)
         cols += [[int(i == k) for i in range(n)] for k in range(n) if k not in pivots]
-    return ([list(r) for r in zip(*cols)], 1), [at[s._rows] for s in spaces]
+    return (tuple(zip(*cols)), 1), tuple(at[s._rows] for s in spaces)
+
+
+class _Frame:
+    """The spectral data of a square matrix M for one ordered tuple of values:
+    ``spaces``, the eigenspaces ker(M - e I); ``ok``, whether M is
+    diagonalizable with exactly these values, as :func:`_frame` decides;
+    ``basis``, P and the column blocks of each space, as :func:`_eigenbasis`
+    gives them; and ``inverse``, P^-1.  P and P^-1 are built on first read.
+    A frame holds subspaces and raw grids only, never its matrix."""
+
+    __slots__ = ("spaces", "ok", "p", "_basis", "_inverse")
+
+    def __init__(self, spaces, ok: bool, p: int):
+        self.spaces, self.ok, self.p = spaces, ok, p
+        self._basis = self._inverse = None
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = _eigenbasis(self.spaces, self.p)
+        return self._basis
+
+    @property
+    def inverse(self) -> tuple:
+        if self._inverse is None:  # kept as tuples, as P is
+            rows, den = _inv_grid(self.basis[0], self.p)
+            self._inverse = tuple(map(tuple, rows)), den
+        return self._inverse
+
+
+def _frame(m: Matrix, evs) -> _Frame:
+    """The frame of the square m for the values evs, elements of its field:
+    built on the first request for that ordered tuple and kept on m, so a
+    different order of the same values gets a frame of its own."""
+    key = tuple(e.val for e in evs)
+    try:
+        frames = m._frames
+    except AttributeError:
+        frames = m._frames = {}
+    frame = frames.get(key)
+    if frame is None:  # the one rule: distinct values, nonzero spaces adding up to n
+        spaces = tuple(_eigenspace(m, e) for e in evs)
+        ok = (all(s._rows for s in spaces) and sum(s.dim for s in spaces) == m.nrows
+              and len(set(key)) == len(key))
+        frame = frames[key] = _Frame(spaces, ok, m.field.p)
+    return frame
 
 
 def _spectral(m: Matrix, evs) -> tuple:
-    """The eigenspaces and primitive idempotents of the square m for the
-    values evs, raising ValueError as :func:`primitive_idempotents`: E_i is
-    the thin product P[:, I_i] P^-1[I_i, :] of :func:`_eigenbasis`."""
+    """The primitive idempotents of the square m for the values evs, raising
+    ValueError as :func:`primitive_idempotents`: E_i is the thin product
+    P[:, I_i] P^-1[I_i, :] of its :func:`_frame`."""
     if not evs:
         raise ValueError("no eigenvalues supplied")
-    spaces, ok = _eigenspaces(m, evs)
-    if not ok:
+    frame = _frame(m, evs)
+    if not frame.ok:
         raise ValueError("repeated eigenvalue supplied" if len(set(evs)) != len(evs)
                          else "matrix is not diagonalizable with exactly these eigenvalues")
-    (b, _), idx = _eigenbasis(spaces, m.field.p)
-    q, den = _inv_grid((b, 1), m.field.p)
-    return spaces, tuple(Matrix._from_grid(m.field, _mul_grids(
-        ([[r[k] for k in ks] for r in b], 1), ([q[k] for k in ks], den), m.field.p)) for ks in idx)
+    ((b, _), idx), (q, den), p = frame.basis, frame.inverse, m.field.p
+    return tuple(Matrix._from_grid(m.field, _mul_grids(
+        ([[r[k] for k in ks] for r in b], 1), ([q[k] for k in ks], den), p)) for ks in idx)
 
 
 def primitive_idempotents(m: Matrix, eigenvalues):
@@ -765,4 +823,4 @@ def primitive_idempotents(m: Matrix, eigenvalues):
     _require(m, Matrix)
     if m.nrows != m.ncols:
         raise ValueError("idempotents of a non-square matrix")
-    return list(_spectral(m, [m.field(e) for e in eigenvalues])[1])
+    return list(_spectral(m, [m.field(e) for e in eigenvalues]))

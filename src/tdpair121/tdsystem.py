@@ -25,9 +25,8 @@ from .linalg import (
     Matrix,
     Subspace,
     _ann,
-    _eigenbasis,
-    _eigenspaces,
-    _inv_grid,
+    _det_small,
+    _frame,
     _mul_grids,
     _scale_columns,
     _spectral,
@@ -39,8 +38,9 @@ from .linalg import (
 @dataclass(frozen=True)
 class TDSystem:
     """Matrix pair with ordered eigenvalues and ordered idempotents.  Its
-    eigenspaces are kept: from_matrices stores those it read the idempotents
-    off, and a system built field by field builds them on first use."""
+    eigenspaces are those of the frames that A and A* keep for theta and
+    thetastar: from_matrices reads the idempotents off them, and a system
+    built field by field builds them on first use."""
 
     A: Matrix
     Astar: Matrix
@@ -73,24 +73,26 @@ class TDSystem:
         """Raises ValueError on malformed input, as verify_td_system does,
         or when a matrix is not diagonalizable with exactly its eigenvalues."""
         theta, thetastar = _check_system(a, astar, theta, thetastar)
-        (spaces, e), (duals, estar) = _spectral(a, theta), _spectral(astar, thetastar)
-        tds = cls(a, astar, theta, thetastar, e, estar)
-        tds.__dict__["_spaces"] = spaces, duals
-        return tds
+        return cls(a, astar, theta, thetastar, _spectral(a, theta), _spectral(astar, thetastar))
 
     @property
     def field(self) -> Field:
         return self.A.field
 
-    @cached_property
+    @property
+    def _frames(self):
+        """The frames of A for theta and of A* for thetastar."""
+        return _frame(self.A, self.theta), _frame(self.Astar, self.thetastar)
+
+    @property
     def _spaces(self):
         """The eigenspaces of A for theta and of A* for thetastar."""
-        return _eigenspaces(self.A, self.theta)[0], _eigenspaces(self.Astar, self.thetastar)[0]
+        return tuple(f.spaces for f in self._frames)
 
     @cached_property
     def _transition(self):
-        """:func:`_transition` of the eigenspaces, built on first use."""
-        return _transition(*self._spaces, self.field.p)
+        """:func:`_transition` of the frames, built on first use."""
+        return _transition(*self._frames, self.field.p)
 
     @cached_property
     def _decomps(self):
@@ -206,11 +208,11 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     (wrong sizes, mixed fields, wrong list lengths) raises.
     """
     theta, thetastar = _check_system(a, astar, theta, thetastar)
-    (spaces, diag_a), (duals, diag_s) = _eigenspaces(a, theta), _eigenspaces(astar, thetastar)
-    if not (diag_a and diag_s):
-        return _undiagonalizable(diag_a, diag_s)
-    view = _view(a.field.p, theta, thetastar, spaces, duals)
-    return _verify_on_spaces(a, astar, view, (0, 1, 2), (0, 1, 2))
+    fa, fs = _frame(a, theta), _frame(astar, thetastar)
+    if not (fa.ok and fs.ok):
+        return _undiagonalizable(fa.ok, fs.ok)
+    return _verify_on_spaces(a, astar, _view(a.field.p, theta, thetastar, fa, fs),
+                             (0, 1, 2), (0, 1, 2))
 
 
 def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
@@ -219,15 +221,16 @@ def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
                               ("tridiagonal_AstarE", "tridiagonal_AEstar", "irreducible"))
 
 
-def _view(p, theta, thetastar, spaces, duals):
-    """What the checks read, for eigenspaces of A and A* that each span the
-    space: theta, spaces, B = C D* C^-1 = P^-1 A* P with the blocks of
-    spaces, the zero blocks of B and C^-1 D C, and C, C^-1 and blocks."""
-    c, inv, idx, jdx = frame = _transition(spaces, duals, p)[1:]
+def _view(p, theta, thetastar, fa, fs):
+    """What the checks read, for frames fa of A and fs of A* whose
+    eigenspaces each span the space: theta, A's eigenspaces, B = C D* C^-1
+    = P^-1 A* P with their blocks, the zero blocks of B and C^-1 D C, and C,
+    C^-1 and blocks."""
+    c, inv, idx, jdx = frame = _transition(fa, fs, p)[1:]
     diag = lambda evs, blocks: [t.val for t, ks in zip(evs, blocks) for _ in ks]
     b = _mul_grids(_scale_columns(c, diag(thetastar, jdx), p), inv, p)[0]
     b_dual = _mul_grids(_scale_columns(inv, diag(theta, idx), p), c, p)[0]
-    return theta, spaces, (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame
+    return theta, fa.spaces, (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame
 
 
 def _verify_on_spaces(a, astar, view, pa, ps):
@@ -263,7 +266,8 @@ def _ordering_perms(a, astar, eda, eds):
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    view = _view(a.field.p, eda.eigenvalues, eds.eigenvalues, eda.eigenspaces, eds.eigenspaces)
+    view = _view(a.field.p, eda.eigenvalues, eds.eigenvalues,
+                 _frame(a, eda.eigenvalues), _frame(astar, eds.eigenvalues))
     far_a, far_s = view[3:5]
     return view, [(pa, ps) for pa in permutations(range(3)) if far_a[pa[0]][pa[2]]
                   for ps in permutations(range(3)) if far_s[ps[0]][ps[2]]]
@@ -282,12 +286,12 @@ def _verify_unordered(a: Matrix, astar: Matrix):
     return len(perms), theta, thetastar, _verify_on_spaces(a, astar, view, pa, ps)
 
 
-def _transition(spaces, duals, p):
-    """P*, C = P^-1 P* and C^-1 as raw grids, for P of :func:`_eigenbasis`
-    on spaces and P* on duals, and the column blocks of each in P and P*."""
-    (basis, idx), (dual, jdx) = _eigenbasis(spaces, p), _eigenbasis(duals, p)
-    c = _mul_grids(_inv_grid(basis, p), dual, p)
-    return dual, c, _inv_grid(c, p), idx, jdx
+def _transition(fa, fs, p):
+    """P*, C = P^-1 P* and C^-1 = P*^-1 P as raw grids, for the eigenbases P
+    of the frame fa and P* of fs, and the column blocks of each in P and P*:
+    two products of the frames' inverses, so C is never inverted."""
+    (basis, idx), (dual, jdx) = fa.basis, fs.basis
+    return dual, _mul_grids(fa.inverse, dual, p), _mul_grids(fs.inverse, basis, p), idx, jdx
 
 
 def _zero_blocks(grid, idx):
@@ -336,14 +340,15 @@ def _shape(c, inv, idx, jdx, p):
     direct iff V*_0 /\\ sa[1] = 0 = pd[1] /\\ V_2, iff C[I_0, J_0] and C[I_0 +
     I_1, J_0 + J_1] are nonsingular; by complementary minors the latter is iff
     C^-1[J_2, I_2] is.  The others reverse a chain or two, so all six are
-    direct iff corners C[I_a, J_b], C^-1[J_b, I_a], a, b in {0, 2}, are."""
+    direct iff corners C[I_a, J_b], C^-1[J_b, I_a], a, b in {0, 2}, are: d x d
+    blocks with 2d <= 4, whose determinants :func:`_det_small` reads in closed form."""
     dims = tuple(map(len, idx))
     if dims != tuple(map(len, jdx)) or dims[0] != dims[2] or any(
             sorted(chain(*blocks)) != [0, 1, 2, 3] for blocks in (idx, jdx)):
         return None
     corners = [(m[0], rs, ks) for i in (idx[0], idx[2]) for j in (jdx[0], jdx[2])
                for m, rs, ks in ((c, i, j), (inv, j, i))]
-    ok = all(_poly.charpoly([[m[r][k] for k in ks] for r in rs], p)[0] for m, rs, ks in corners)
+    ok = all(_det_small([[m[r][k] for k in ks] for r in rs], p) for m, rs, ks in corners)
     return dims if ok else None
 
 
@@ -398,9 +403,9 @@ def common_invariant_subspace(a: Matrix, astar: Matrix) -> Subspace | None:
     ed = eigen_data(a)
     if not ed.diagonalizable:
         raise ValueError("first matrix is not diagonalizable over its field")
-    p = a.field.p
-    basis, idx = _eigenbasis(ed.eigenspaces, p)
-    b = _mul_grids(_inv_grid(basis, p), _mul_grids(astar._grid, basis, p), p)[0]
+    p, frame = a.field.p, _frame(a, ed.eigenvalues)
+    basis, idx = frame.basis
+    b = _mul_grids(frame.inverse, _mul_grids(astar._grid, basis, p), p)[0]
     return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar, (b, idx))
 
 

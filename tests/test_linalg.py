@@ -10,6 +10,7 @@ from conftest import deadline, random_invertible, random_scalar
 from tdpair121 import (
     Field,
     Matrix,
+    ParameterArray,
     QQ,
     SingularMatrixError,
     Subspace,
@@ -879,6 +880,80 @@ def test_inv_grid_solves_a_right_hand_side_like_the_oracle(p, bits):
         rhs = linalg._grid_of([[entry() for _ in range(12)] for _ in range(4)], p)
         with pytest.raises(SingularMatrixError):
             linalg._inv_grid(linalg._grid_of(g_rows, p), p, rhs)
+
+
+@pytest.mark.parametrize("p, bits", [(0, 6), (0, 100), (2, 0), (5, 0), (2**61 - 1, 0)])
+def test_small_determinants_match_the_oracle(p, bits):
+    # the corner blocks of the shape rule are d x d with 2d <= 4; their
+    # closed-form determinants (1, a, ad - bc) equal the oracle's elimination
+    # on raw blocks: residues over GF(p), integer rows over QQ
+    rng = random.Random(f"small-det:{p}:{bits}")
+
+    def entry():
+        return rng.randrange(p) if p else rng.randint(-2**bits, 2**bits)
+
+    zeros = 0
+    for d in (0, 1, 2):
+        for k in range(60):
+            rows = [[entry() for _ in range(d)] for _ in range(d)]
+            if d == 2 and k % 4 == 0:  # a rank-1 block
+                f = entry()
+                rows[1] = [x * f % p if p else x * f for x in rows[0]]
+            got = linalg._det_small(rows, p)
+            assert got == oracle.det(rows, p), rows
+            assert 0 <= got < p if p else isinstance(got, int)
+            zeros += not got
+    assert zeros >= 15
+    with pytest.raises(ValueError):
+        linalg._det_small([[entry() for _ in range(3)] for _ in range(3)], p)
+
+
+def _referents(start):
+    """Every object reachable from start by gc referents, start included,
+    not walking into types, modules or functions."""
+    import gc
+    import types
+
+    seen, todo = {}, [start]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            seen[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_frame_holds_no_reference_to_its_matrix():
+    # a matrix keeps its frames for as long as it lives, and a frame, once
+    # filled, holds subspaces and raw grids only: it neither keeps its
+    # matrix alive nor reaches any Matrix; a frame changes no comparison
+    import gc
+
+    for field in (QQ, Field(101)):
+        t = construct(ParameterArray.make(field, (1, 2, 3), (5, 7, 11), 13, 17))
+        assert verify_td_system(t.A, t.Astar, t.theta, t.thetastar).overall
+        frame = linalg._frame(t.A, t.theta)
+        assert frame.ok and frame.basis and frame.inverse
+        assert linalg._frame(t.A, t.theta) is frame
+        reached = _referents(frame)
+        assert any(isinstance(x, Subspace) for x in reached)
+        assert not any(isinstance(x, Matrix) for x in reached)
+
+        bare = Matrix.from_json(field, t.A.to_json())
+        assert not hasattr(bare, "_frames") and hasattr(t.A, "_frames")
+        assert bare == t.A and t.A == bare and hash(bare) == hash(t.A)
+        assert bare.rows == t.A.rows
+
+        def frames():
+            return sum(isinstance(x, linalg._Frame) for x in gc.get_objects())
+
+        a = Matrix.from_json(field, t.A.to_json())
+        linalg._frame(a, t.theta)
+        kept = frames()
+        del a
+        gc.collect()
+        assert frames() == kept - 1
 
 
 # -- QQ kernels at high bit length against sympy --------------------------------

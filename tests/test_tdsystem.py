@@ -25,6 +25,7 @@ from tdpair121 import (
     canonical_matrices,
     common_invariant_subspace,
     construct,
+    eigen_data,
     extract_parameter_array,
     find_td_orderings,
     shape,
@@ -398,9 +399,9 @@ def test_verify_eliminates_on_four_columns_only(monkeypatch, rng):
 
 def test_verify_reads_the_shape_without_eliminating(monkeypatch, rng):
     # an ordered verify eliminates for the six eigenspaces and the inverses
-    # of P and of C = P^-1 P*; the shape reads determinants of corner
-    # blocks of C and C^-1, so a witness adds the only other reductions
-    # (22 per verify while the meets were annihilators and directness ranks)
+    # of P and P*; the shape reads determinants of corner blocks of C and
+    # C^-1 in closed form, so a witness adds the only other reduction (22
+    # per verify while the meets were annihilators and directness ranks)
     calls = []
     real = tdpair121.linalg._rref
 
@@ -421,21 +422,22 @@ def test_verify_reads_the_shape_without_eliminating(monkeypatch, rng):
             report = verify_td_system(qi * a * q, qi * astar * q, pa.theta, pa.thetastar)
             assert report.shape == (1, 2, 1)
             assert report.irreducible is (make is random_admissible_array)
-            assert len(calls) <= 16, len(calls)
+            assert len(calls) == 8 + (not report.irreducible), len(calls)
 
 
 def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
     # the ordering search and the checks read one view of the pair, so
-    # each matrix is written in the other's eigenspace basis once: one
-    # inversion of that basis per matrix, with orderings given or not
+    # each eigenbasis is inverted once: P and P*, kept in the frames of
+    # eigen_data's order; verifying the pair again under given orderings
+    # inverts only the eigenbasis of a matrix whose ordering differs from it
     from tdpair121 import tdsystem
 
     calls = []
     real = tdpair121.linalg._inv_grid
 
-    def spy(g, p):
+    def spy(g, p, rhs=None):
         calls.append(p)
-        return real(g, p)
+        return real(g, p, rhs)
 
     for module in vars(tdpair121).values():
         if getattr(module, "_inv_grid", None) is real:
@@ -450,9 +452,69 @@ def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
         found, _, _, report = tdsystem._verify_unordered(a, astar)
         assert found == 4 and report.overall and report.shape == (1, 2, 1)
         assert len(calls) == 2, calls
+        fresh = sum(tuple(t) != eigen_data(m).eigenvalues
+                    for m, t in ((a, pa.theta), (astar, pa.thetastar)))
         calls.clear()
         assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
-        assert len(calls) == 2, calls
+        assert len(calls) == fresh, (calls, fresh)
+        calls.clear()
+        assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
+        assert tdsystem._verify_unordered(a, astar)[0] == 4
+        assert calls == []
+
+
+def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng):
+    # construct builds the frames of A and A* (six eigenspaces, P^-1 and
+    # P*^-1) and keeps them on the matrices, so verifying its matrices builds
+    # none; a fresh pair builds its own, inverts only P and P*, never C, and
+    # reads the shape with no characteristic polynomial.  A frame is kept per
+    # ordering: a new order of A's eigenvalues builds A's spaces again, and
+    # the system's own order still reads its own frame afterwards.
+    from tdpair121 import _poly, linalg
+
+    calls = []
+    real_space, real_inv, real_charpoly = linalg._eigenspace, linalg._inv_grid, _poly.charpoly
+
+    def inv_spy(g, p, rhs=None):
+        calls.append(("inv", g))
+        return real_inv(g, p, rhs)
+
+    monkeypatch.setattr(linalg, "_eigenspace", lambda m, e: calls.append(("space", e))
+                        or real_space(m, e))
+    monkeypatch.setattr(linalg, "_inv_grid", inv_spy)
+    monkeypatch.setattr(_poly, "charpoly", lambda rows, p: calls.append(("charpoly", p))
+                        or real_charpoly(rows, p))
+
+    def counts():
+        kinds = [kind for kind, _ in calls]
+        calls.clear()
+        return kinds.count("space"), kinds.count("inv"), kinds.count("charpoly")
+
+    for field in (QQ, Field(101)):
+        pa = random_admissible_array(rng, field)
+        calls.clear()
+        t = construct(pa)
+        report = verify_td_system(t.A, t.Astar, t.theta, t.thetastar)
+        assert report.overall and report.shape == (1, 2, 1)
+        assert counts() == (6, 2, 0)
+
+        q = random_invertible(rng, field, Matrix)
+        qi = q.invert()
+        a, astar = qi * t.A * q, qi * t.Astar * q
+        calls.clear()
+        report = verify_td_system(a, astar, t.theta, t.thetastar)
+        assert report.overall and report.shape == (1, 2, 1)
+        inverted = [g for kind, g in calls if kind == "inv"]
+        assert counts() == (6, 2, 0)
+        assert inverted == [linalg._frame(a, t.theta).basis[0],
+                            linalg._frame(astar, t.thetastar).basis[0]]
+
+        swapped = (t.theta[1], t.theta[0], t.theta[2])
+        report = verify_td_system(t.A, t.Astar, swapped, t.thetastar)
+        assert not report.tridiagonal_astar_e and report.tridiagonal_a_estar
+        assert counts() == (3, 1, 0)
+        assert verify_td_system(t.A, t.Astar, t.theta, t.thetastar).overall
+        assert counts() == (0, 0, 0)
 
 
 def test_qq_fractions_are_built_only_at_the_boxing_edge(monkeypatch, rng):
