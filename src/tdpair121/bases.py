@@ -94,11 +94,13 @@ def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
     _require_idempotents(tds)
     if seed is None:
         return tds._bases.eta
-    return _boxed_eta(tds.field, _chain(tds, _vector_of(tds.field, seed)))
+    return _boxed_eta(tds.field, _chain(tds, _vector_of(tds.field, seed))[0])
 
 
 def _chain(tds: TDSystem, seed: tuple) -> tuple:
-    """Raw vectors (eta0*, eta0, eta2, eta2*) grown from the raw seed eta0*."""
+    """Raw vectors (eta0*, eta0, eta2, eta2*) grown from the raw seed eta0*,
+    and the first factor of three of the products, ((A - t0)eta0*,
+    (A - t2)eta0*, (A* - s0)eta2), which are columns of split bases too."""
     p = tds.field.p
     if len(seed[0]) != 4:
         raise ValueError("seed vector must have 4 coordinates")
@@ -109,14 +111,15 @@ def _chain(tds: TDSystem, seed: tuple) -> tuple:
     t0, t1, t2 = (x.val for x in tds.theta)
     s0, s1 = tds.thetastar[0].val, tds.thetastar[1].val
     a, astar = tds.A._grid, tds.Astar._grid
-    eta0 = _apply_raw(a, _apply_raw(a, seed, p, t2), p, t1)
-    eta2 = _apply_raw(a, _apply_raw(a, seed, p, t0), p, t1)
-    eta2star = _apply_raw(astar, _apply_raw(astar, eta2, p, s0), p, s1)
+    zd, zz = _apply_raw(a, seed, p, t0), _apply_raw(a, seed, p, t2)
+    eta0, eta2 = _apply_raw(a, zz, p, t1), _apply_raw(a, zd, p, t1)
+    dd = _apply_raw(astar, eta2, p, s0)
+    eta2star = _apply_raw(astar, dd, p, s1)
     for name, v in (("eta0", eta0), ("eta2", eta2), ("eta2star", eta2star)):
         if not any(v[0]):
             raise ValueError(f"chain vector {name} vanished; "
                              "input is not a shape-(1,2,1) system")
-    return seed, eta0, eta2, eta2star
+    return (seed, eta0, eta2, eta2star), (zd, zz, dd)
 
 
 def _boxed_eta(field, chain) -> EtaVectors:
@@ -127,15 +130,19 @@ _AT = {b: 4 * k for k, b in enumerate(BasisId)}  # column offsets in the grid of
 
 
 class _SystemBases:
-    """One system's chain vectors for one seed, boxed (eta) and raw, and its six bases."""
+    """One system's chain vectors for one seed, boxed (eta) and raw, and its
+    six bases.  ``steps`` are the three partial products of :func:`_chain`,
+    kept from the growth of the chain, or None for a chain handed in as
+    EtaVectors, whose steps solved() then forms itself."""
 
     def __init__(self, tds: TDSystem, eta: EtaVectors | None = None):
         if eta is None:
-            self.chain = _chain(tds, _canonical_seed(tds))
+            self.chain, self.steps = _chain(tds, _canonical_seed(tds))
         else:
             _require(eta, EtaVectors)
             self.chain = tuple(_vector_of(tds.field, v) for v in
                                (eta.eta0star, eta.eta0, eta.eta2, eta.eta2star))
+            self.steps = None
         self.eta = eta or _boxed_eta(tds.field, self.chain)
         self._solved = None
 
@@ -151,14 +158,17 @@ class _SystemBases:
             a, astar, e1, estar1 = (m._grid for m in (tds.A, tds.Astar, tds.E[1], tds.Estar[1]))
             pa = extract_parameter_array(tds)
             vp, ph = pa.varphi.val, pa.phi.val
+            zd, zz, dd = self.steps or (_apply_raw(a, eta0star, p, t0),
+                                        _apply_raw(a, eta0star, p, t2),
+                                        _apply_raw(astar, eta2, p, s0))
             # the columns of the six bases in BasisId order; (M - c I)v is Mv - cv
             bases = _columns([
-                eta0star, _apply_raw(a, eta0star, p, t0), _apply_raw(astar, eta2, p, s2), eta2,
-                eta0star, _apply_raw(a, eta0star, p, t2), _apply_raw(astar, eta0, p, s2), eta0,
+                eta0star, zd, _apply_raw(astar, eta2, p, s2), eta2,
+                eta0star, zz, _apply_raw(astar, eta0, p, s2), eta0,
                 eta2star, _apply_raw(a, eta2star, p, t2),
                 _scale_raw(vp, _apply_raw(astar, eta0, p, s0), p), _scale_raw(vp, eta0, p),
                 eta2star, _apply_raw(a, eta2star, p, t0),
-                _scale_raw(ph, _apply_raw(astar, eta2, p, s0), p), _scale_raw(ph, eta2, p),
+                _scale_raw(ph, dd, p), _scale_raw(ph, eta2, p),
                 eta0, _apply_raw(e1, eta0star, p), _apply_raw(e1, eta2star, p), eta2,
                 eta0star, _apply_raw(estar1, eta0, p), _apply_raw(estar1, eta2, p), eta2star])
             ab, asb = (_mul_grids(m, bases, p) for m in (a, astar))
@@ -243,7 +253,10 @@ def _inverses(vals, p: int) -> list:
 def _ctx(pa: ParameterArray) -> tuple:
     """The raw values the tables read: theta, thetastar, varphi, phi, the
     four derived scalars, the inverses T[i][j] = 1/(t_i - t_j) and
-    S[i][j] = 1/(s_i - s_j) (i != j), iv = 1/varphi and ip = 1/phi.
+    S[i][j] = 1/(s_i - s_j) (i != j), iv = 1/varphi and ip = 1/phi; then
+    the six differences in both signs, tij = t_i - t_j and sij = s_i - s_j;
+    then the inverse products the tables repeat, iv_ip = iv ip,
+    T10_12 = T[1][0] T[1][2], S10_12, T01_02, S01_02, T02_12 and S02_12.
 
     Raises ValueError for an inadmissible array; conditions (i) and (ii)
     make the eight inverted values nonzero.  Kept as ParameterArray._table_ctx."""
@@ -254,11 +267,15 @@ def _ctx(pa: ParameterArray) -> tuple:
     if not p:
         vals = [_Q(v.numerator, v.denominator) for v in vals]
     t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2 = vals
-    i01, i02, i12, j01, j02, j12, iv, ip = _inverses(
-        (t0 - t1, t0 - t2, t1 - t2, s0 - s1, s0 - s2, s1 - s2, vp, ph), p)
+    t01, t02, t12, s01, s02, s12 = diffs = (t0 - t1, t0 - t2, t1 - t2, s0 - s1, s0 - s2, s1 - s2)
+    i01, i02, i12, j01, j02, j12, iv, ip = _inverses((*diffs, vp, ph), p)
     T = ((0, i01, i02), (-i01, 0, i12), (-i02, -i12, 0))
     S = ((0, j01, j02), (-j01, 0, j12), (-j02, -j12, 0))
-    return t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip
+    prods = [iv * ip, T[1][0] * i12, S[1][0] * j12, i01 * i02, j01 * j02, i02 * i12, j02 * j12]
+    if p:
+        prods = [x % p for x in prods]
+    return (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+            t01, -t01, t02, -t02, t12, -t12, s01, -s01, s02, -s02, s12, -s12, *prods)
 
 
 def _tabulate(pa: ParameterArray, table) -> Matrix:
@@ -298,117 +315,144 @@ def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
 
 # Each table below transcribes one closed form of the paper.  It divides
 # nowhere: a quotient a / ((t_i - t_j) (s_k - s_l) varphi) is written
-# a * T[i][j] * S[k][l] * iv, with the inverses _ctx took once per array.
+# a * T[i][j] * S[k][l] * iv, with the inverses _ctx took once per array,
+# and it subtracts nowhere: t_i - t_j is tij, s_i - s_j sij, as _ctx formed
+# them.  A product of inverses that many tables share, such as
+# T[1][0] * T[1][2], is read as one name, T10_12.
 # Over GF(p) the entries come out as unreduced ints, over QQ as ints and
 # _Qs; _tabulate turns either into a grid.
 
 def _rep_a_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[t0, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, vp2, t2]]
 
 def _rep_astar_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[s0, vp1, vp, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s2]]
 
 def _rep_a_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[t2, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, ph2, t0]]
 
 def _rep_astar_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[s0, ph1, ph, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s2]]
 
 def _rep_a_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[t2, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, vp1, t0]]
 
 def _rep_astar_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[s2, vp2, vp, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s0]]
 
 def _rep_a_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[t0, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, ph1, t2]]
 
 def _rep_astar_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[s2, ph2, ph, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s0]]
 
 def _rep_a_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[t0, 0, 0, 0],
             [0, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 0, 0, t2]]
 
 def _rep_astar_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
         [s0 + vp1 * T[0][1],
          vp1 * T[0][1] * T[0][1] * T[2][0],
          vp * ph2 * T[0][1] * T[0][1] * T[2][0],
          0],
         [ph * S[0][2],
-         s1 + (vp + vp1 * (t1 - t2) * (s0 - s2)) * T[1][0] * T[1][2] * S[0][2],
-         vp * ph * T[1][0] * T[1][2] * S[0][2],
+         s1 + (vp + vp1 * t12 * s02) * T10_12 * S[0][2],
+         vp * ph * T10_12 * S[0][2],
          vp * S[0][2]],
         [S[2][0],
-         T[1][0] * T[1][2] * S[2][0],
-         s1 + (vp + vp2 * (t1 - t0) * (s2 - s0)) * T[1][0] * T[1][2] * S[2][0],
+         T10_12 * S[2][0],
+         s1 + (vp + vp2 * t10 * s20) * T10_12 * S[2][0],
          S[2][0]],
         [0,
-         ph1 * T[1][2] * T[1][2] * T[0][2],
-         ph * vp2 * T[1][2] * T[1][2] * T[0][2],
+         ph1 * T[1][2] * T02_12,
+         ph * vp2 * T[1][2] * T02_12,
          s2 + vp2 * T[2][1]],
     ]
 
 def _rep_a_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
         [t0 + vp1 * S[0][1],
          ph * vp1 * S[0][1] * S[0][1] * S[2][0],
          vp * ph1 * S[0][1] * S[0][1] * S[2][0],
          0],
         [T[0][2],
-         t1 + (vp + vp1 * (t0 - t2) * (s1 - s2)) * T[0][2] * S[1][0] * S[1][2],
-         vp * T[0][2] * S[1][0] * S[1][2],
+         t1 + (vp + vp1 * t02 * s12) * T[0][2] * S10_12,
+         vp * T[0][2] * S10_12,
          vp * T[0][2]],
         [T[2][0],
-         ph * T[2][0] * S[1][0] * S[1][2],
-         t1 + (vp + vp2 * (t0 - t2) * (s0 - s1)) * T[2][0] * S[1][0] * S[1][2],
+         ph * T[2][0] * S10_12,
+         t1 + (vp + vp2 * t02 * s01) * T[2][0] * S10_12,
          ph * T[2][0]],
         [0,
-         ph2 * S[1][2] * S[1][2] * S[0][2],
-         vp2 * S[1][2] * S[1][2] * S[0][2],
+         ph2 * S[1][2] * S02_12,
+         vp2 * S[1][2] * S02_12,
          t2 + vp2 * S[2][1]],
     ]
 
 def _rep_astar_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[s0, 0, 0, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 0],
@@ -434,275 +478,335 @@ _REPRESENT_TABLE = {
 # transitions among the four split bases (ring neighbours)
 
 def _t_zd_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[1, t0 - t2, (t0 - t2) * ph2, (t0 - t2) * (t0 - t1)],
-            [0, 1, (t0 - t2) * (s1 - s2), t0 - t2],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[1, t02, t02 * ph2, t02 * t01],
+            [0, 1, t02 * s12, t02],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
 def _t_zz_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[1, t2 - t0, (t2 - t0) * vp2, (t2 - t0) * (t2 - t1)],
-            [0, 1, (t2 - t0) * (s1 - s2), t2 - t0],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[1, t20, t20 * vp2, t20 * t21],
+            [0, 1, t20 * s12, t20],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
 def _t_zz_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[ph, 0, 0, 0],
             [0, ph, 0, 0],
-            [s2 - s0, (s2 - s0) * (t1 - t2), vp, 0],
-            [(s2 - s0) * (s2 - s1), (s2 - s0) * vp2, (s2 - s0) * vp, vp]]
+            [s20, s20 * t12, vp, 0],
+            [s20 * s21, s20 * vp2, s20 * vp, vp]]
 
 def _t_dz_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[ip, 0, 0, 0],
             [0, ip, 0, 0],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t2) * iv * ip, iv, 0],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * ph1 * iv * ip, (s0 - s2) * iv, iv]]
+            [s02 * iv_ip, s02 * t12 * iv_ip, iv, 0],
+            [s02 * s01 * iv_ip, s02 * ph1 * iv_ip, s02 * iv, iv]]
 
 def _t_dz_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[1, t2 - t0, (t2 - t0) * ph1, (t2 - t0) * (t2 - t1)],
-            [0, 1, (t2 - t0) * (s1 - s0), t2 - t0],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[1, t20, t20 * ph1, t20 * t21],
+            [0, 1, t20 * s10, t20],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
 def _t_dd_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[1, t0 - t2, (t0 - t2) * vp1, (t0 - t2) * (t0 - t1)],
-            [0, 1, (t0 - t2) * (s1 - s0), t0 - t2],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[1, t02, t02 * vp1, t02 * t01],
+            [0, 1, t02 * s10, t02],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
 def _t_dd_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[iv, 0, 0, 0],
             [0, iv, 0, 0],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t0) * iv * ip, ip, 0],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * vp1 * iv * ip, (s0 - s2) * ip, ip]]
+            [s02 * iv_ip, s02 * t10 * iv_ip, ip, 0],
+            [s02 * s01 * iv_ip, s02 * vp1 * iv_ip, s02 * ip, ip]]
 
 def _t_zd_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[vp, 0, 0, 0],
             [0, vp, 0, 0],
-            [s2 - s0, (s2 - s0) * (t1 - t0), ph, 0],
-            [(s2 - s0) * (s2 - s1), (s2 - s0) * ph2, (s2 - s0) * ph, ph]]
+            [s20, s20 * t10, ph, 0],
+            [s20 * s21, s20 * ph2, s20 * ph, ph]]
 
 
 # transitions among the four split bases (diagonals)
 
 def _t_zd_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[vp, (t0 - t2) * vp, (t0 - t2) * vp * vp1, (t0 - t2) * (t0 - t1) * vp],
-            [0, vp, (t0 - t2) * (s1 - s0) * vp, (t0 - t2) * vp],
-            [s2 - s0, (s2 - s0) * (t1 - t2), vp, 0],
-            [(s2 - s0) * (s2 - s1), (s2 - s0) * vp2, (s2 - s0) * vp, vp]]
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[vp, t02 * vp, t02 * vp * vp1, t02 * t01 * vp],
+            [0, vp, t02 * s10 * vp, t02 * vp],
+            [s20, s20 * t12, vp, 0],
+            [s20 * s21, s20 * vp2, s20 * vp, vp]]
 
 def _t_dz_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[ip, (t2 - t0) * ip, (t2 - t0) * vp2 * ip, (t2 - t0) * (t2 - t1) * ip],
-            [0, ip, (t2 - t0) * (s1 - s2) * ip, (t2 - t0) * ip],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t0) * iv * ip, ip, 0],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * vp1 * iv * ip, (s0 - s2) * ip, ip]]
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[ip, t20 * ip, t20 * vp2 * ip, t20 * t21 * ip],
+            [0, ip, t20 * s12 * ip, t20 * ip],
+            [s02 * iv_ip, s02 * t10 * iv_ip, ip, 0],
+            [s02 * s01 * iv_ip, s02 * vp1 * iv_ip, s02 * ip, ip]]
 
 def _t_zz_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[ph, (t2 - t0) * ph, (t2 - t0) * ph * ph1, (t2 - t0) * (t2 - t1) * ph],
-            [0, ph, (t2 - t0) * (s1 - s0) * ph, (t2 - t0) * ph],
-            [s2 - s0, (s2 - s0) * (t1 - t0), ph, 0],
-            [(s2 - s0) * (s2 - s1), (s2 - s0) * ph2, (s2 - s0) * ph, ph]]
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[ph, t20 * ph, t20 * ph * ph1, t20 * t21 * ph],
+            [0, ph, t20 * s10 * ph, t20 * ph],
+            [s20, s20 * t10, ph, 0],
+            [s20 * s21, s20 * ph2, s20 * ph, ph]]
 
 def _t_dd_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[iv, (t0 - t2) * iv, (t0 - t2) * ph2 * iv, (t0 - t2) * (t0 - t1) * iv],
-            [0, iv, (t0 - t2) * (s1 - s2) * iv, (t0 - t2) * iv],
-            [(s0 - s2) * iv * ip, (s0 - s2) * (t1 - t2) * iv * ip, iv, 0],
-            [(s0 - s2) * (s0 - s1) * iv * ip, (s0 - s2) * ph1 * iv * ip, (s0 - s2) * iv, iv]]
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[iv, t02 * iv, t02 * ph2 * iv, t02 * t01 * iv],
+            [0, iv, t02 * s12 * iv, t02 * iv],
+            [s02 * iv_ip, s02 * t12 * iv_ip, iv, 0],
+            [s02 * s01 * iv_ip, s02 * ph1 * iv_ip, s02 * iv, iv]]
 
 
 # transitions between a split basis and the first eigenbasis
 
 def _t_zd_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
-        [(t0 - t1) * (t0 - t2), 0, 0, 0],
-        [t0 - t2, T[1][0], vp * T[1][0], 0],
-        [0, 0, s2 - s0, 0],
-        [1, T[1][0] * T[1][2], (vp + vp2 * (t1 - t0) * (s2 - s0)) * T[1][0] * T[1][2], 1],
+        [t01 * t02, 0, 0, 0],
+        [t02, T[1][0], vp * T[1][0], 0],
+        [0, 0, s20, 0],
+        [1, T10_12, (vp + vp2 * t10 * s20) * T10_12, 1],
     ]
 
 def _t_eiga_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[T[0][1] * T[0][2], 0, 0, 0],
-            [1, t1 - t0, vp * S[0][2], 0],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[T01_02, 0, 0, 0],
+            [1, t10, vp * S[0][2], 0],
             [0, 0, S[2][0], 0],
             [T[2][0] * T[2][1], T[2][1], vp2 * T[2][1], 1]]
 
 def _t_zz_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
-        [0, 0, 0, (t2 - t0) * (t2 - t1)],
-        [0, T[1][2], ph * T[1][2], t2 - t0],
-        [0, 0, s2 - s0, 0],
-        [1, T[1][0] * T[1][2], (ph + ph2 * (t1 - t2) * (s2 - s0)) * T[1][0] * T[1][2], 1],
+        [0, 0, 0, t20 * t21],
+        [0, T[1][2], ph * T[1][2], t20],
+        [0, 0, s20, 0],
+        [1, T10_12, (ph + ph2 * t12 * s20) * T10_12, 1],
     ]
 
 def _t_eiga_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[T[0][1] * T[0][2], T[0][1], ph2 * T[0][1], 1],
-            [1, t1 - t2, ph * S[0][2], 0],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[T01_02, T[0][1], ph2 * T[0][1], 1],
+            [1, t12, ph * S[0][2], 0],
             [0, 0, S[2][0], 0],
             [T[2][0] * T[2][1], 0, 0, 0]]
 
 def _t_dz_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
-        [0, 0, 0, (t2 - t0) * (t2 - t1) * ip],
-        [0, ip * T[1][2], T[1][2], (t2 - t0) * ip],
-        [0, (s0 - s2) * iv * ip, 0, 0],
+        [0, 0, 0, t20 * t21 * ip],
+        [0, ip * T[1][2], T[1][2], t20 * ip],
+        [0, s02 * iv_ip, 0, 0],
         [iv,
-         (ph + ph1 * (t1 - t0) * (s0 - s2)) * T[1][0] * T[1][2] * iv * ip,
-         T[1][0] * T[1][2],
+         (ph + ph1 * t10 * s02) * T10_12 * iv_ip,
+         T10_12,
          ip],
     ]
 
 def _t_eiga_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[vp * T[0][1] * T[0][2], vp * T[0][1], vp * vp1 * T[0][1], vp],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[vp * T01_02, vp * T[0][1], vp * vp1 * T[0][1], vp],
             [0, 0, vp * ph * S[0][2], 0],
-            [1, t1 - t2, vp * S[2][0], 0],
-            [ph * T[0][2] * T[1][2], 0, 0, 0]]
+            [1, t12, vp * S[2][0], 0],
+            [ph * T02_12, 0, 0, 0]]
 
 def _t_dd_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
-        [(t0 - t1) * (t0 - t2) * iv, 0, 0, 0],
-        [(t0 - t2) * iv, iv * T[1][0], T[1][0], 0],
-        [0, (s0 - s2) * iv * ip, 0, 0],
+        [t01 * t02 * iv, 0, 0, 0],
+        [t02 * iv, iv * T[1][0], T[1][0], 0],
+        [0, s02 * iv_ip, 0, 0],
         [iv,
-         (vp + vp1 * (t1 - t2) * (s0 - s2)) * T[1][0] * T[1][2] * iv * ip,
-         T[1][0] * T[1][2],
+         (vp + vp1 * t12 * s02) * T10_12 * iv_ip,
+         T10_12,
          ip],
     ]
 
 def _t_eiga_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[vp * T[0][1] * T[0][2], 0, 0, 0],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[vp * T01_02, 0, 0, 0],
             [0, 0, vp * ph * S[0][2], 0],
-            [1, t1 - t0, ph * S[2][0], 0],
-            [ph * T[0][2] * T[1][2], ph * T[2][1], ph * ph1 * T[2][1], ph]]
+            [1, t10, ph * S[2][0], 0],
+            [ph * T02_12, ph * T[2][1], ph * ph1 * T[2][1], ph]]
 
 
 # transitions between a split basis and the second eigenbasis
 
 def _t_zd_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
         [1,
-         (ph + ph2 * (t0 - t2) * (s1 - s0)) * S[1][0] * S[1][2],
-         vp * S[1][0] * S[1][2],
+         (ph + ph2 * t02 * s10) * S10_12,
+         vp * S10_12,
          vp],
-        [0, t0 - t2, 0, 0],
-        [0, S[1][2], S[1][2], s2 - s0],
-        [0, 0, 0, (s2 - s0) * (s2 - s1)],
+        [0, t02, 0, 0],
+        [0, S[1][2], S[1][2], s20],
+        [0, 0, 0, s20 * s21],
     ]
 
 def _t_eigastar_zd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[1, vp1 * S[0][1], vp * S[0][1], vp * S[0][1] * S[0][2]],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[1, vp1 * S[0][1], vp * S[0][1], vp * S01_02],
             [0, T[0][2], 0, 0],
-            [0, T[2][0], s1 - s2, 1],
-            [0, 0, 0, S[0][2] * S[1][2]]]
+            [0, T[2][0], s12, 1],
+            [0, 0, 0, S02_12]]
 
 def _t_zz_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
         [1,
-         ph * S[1][0] * S[1][2],
-         (vp + vp2 * (t0 - t2) * (s0 - s1)) * S[1][0] * S[1][2],
+         ph * S10_12,
+         (vp + vp2 * t02 * s01) * S10_12,
          ph],
-        [0, 0, t2 - t0, 0],
-        [0, S[1][2], S[1][2], s2 - s0],
-        [0, 0, 0, (s2 - s0) * (s2 - s1)],
+        [0, 0, t20, 0],
+        [0, S[1][2], S[1][2], s20],
+        [0, 0, 0, s20 * s21],
     ]
 
 def _t_eigastar_zz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[1, ph1 * S[0][1], ph * S[0][1], ph * S[0][1] * S[0][2]],
-            [0, T[0][2], s1 - s2, 1],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[1, ph1 * S[0][1], ph * S[0][1], ph * S01_02],
+            [0, T[0][2], s12, 1],
             [0, T[2][0], 0, 0],
-            [0, 0, 0, S[0][2] * S[1][2]]]
+            [0, 0, 0, S02_12]]
 
 def _t_dz_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
         [ip,
-         S[1][0] * S[1][2],
-         (vp + vp2 * (t0 - t2) * (s0 - s1)) * S[1][0] * S[1][2] * ip,
+         S10_12,
+         (vp + vp2 * t02 * s01) * S10_12 * ip,
          1],
-        [0, 0, (t2 - t0) * ip, 0],
-        [(s0 - s2) * iv * ip, iv * S[1][0], ip * S[1][0], 0],
-        [(s0 - s2) * (s0 - s1) * iv * ip, 0, 0, 0],
+        [0, 0, t20 * ip, 0],
+        [s02 * iv_ip, iv * S[1][0], ip * S[1][0], 0],
+        [s02 * s01 * iv_ip, 0, 0, 0],
     ]
 
 def _t_eigastar_dz(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
-    return [[0, 0, 0, vp * ph * S[0][1] * S[0][2]],
-            [0, vp * T[0][2], (s1 - s0) * vp, vp],
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+    return [[0, 0, 0, vp * ph * S01_02],
+            [0, vp * T[0][2], s10 * vp, vp],
             [0, ph * T[2][0], 0, 0],
             [1, vp2 * S[2][1], vp * S[2][1], vp * S[2][1] * S[2][0]]]
 
 def _t_dd_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
         [iv,
-         (vp + vp1 * (t0 - t2) * (s1 - s2)) * S[1][0] * S[1][2] * iv,
-         S[1][0] * S[1][2],
+         (vp + vp1 * t02 * s12) * S10_12 * iv,
+         S10_12,
          1],
-        [0, (t0 - t2) * iv, 0, 0],
-        [(s0 - s2) * iv * ip, iv * S[1][0], ip * S[1][0], 0],
-        [(s0 - s2) * (s0 - s1) * iv * ip, 0, 0, 0],
+        [0, t02 * iv, 0, 0],
+        [s02 * iv_ip, iv * S[1][0], ip * S[1][0], 0],
+        [s02 * s01 * iv_ip, 0, 0, 0],
     ]
 
 def _t_eigastar_dd(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [[0, 0, 0, vp * ph * S[1][0] * S[2][0]],
             [0, vp * T[0][2], 0, 0],
-            [0, ph * T[2][0], (s1 - s0) * ph, ph],
+            [0, ph * T[2][0], s10 * ph, ph],
             [1, ph2 * S[2][1], ph * S[2][1], ph * S[2][1] * S[2][0]]]
 
 
 # transitions between the two eigenbases
 
 def _t_eiga_eigastar(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
-        [T[0][1] * T[0][2],
-         (ph + ph2 * (t0 - t2) * (s1 - s0)) * T[0][1] * T[0][2] * S[1][0] * S[1][2],
-         vp * T[0][1] * T[0][2] * S[1][0] * S[1][2],
-         vp * T[0][1] * T[0][2]],
+        [T01_02,
+         (ph + ph2 * t02 * s10) * T01_02 * S10_12,
+         vp * T01_02 * S10_12,
+         vp * T01_02],
         [1, ph * S[0][2] * S[1][0], vp * S[0][2] * S[1][0], 0],
         [0, S[2][1] * S[0][2], S[2][1] * S[0][2], 1],
-        [T[0][2] * T[1][2],
-         ph * T[0][2] * T[1][2] * S[1][0] * S[1][2],
-         (vp + vp2 * (t0 - t2) * (s0 - s1)) * T[0][2] * T[1][2] * S[1][0] * S[1][2],
-         ph * T[0][2] * T[1][2]],
+        [T02_12,
+         ph * T02_12 * S10_12,
+         (vp + vp2 * t02 * s01) * T02_12 * S10_12,
+         ph * T02_12],
     ]
 
 def _t_eigastar_eiga(c):
-    t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip = c
+    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
+     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
+     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
     return [
-        [ph * S[0][1] * S[0][2],
-         (vp + vp1 * (t1 - t2) * (s0 - s2)) * T[1][0] * T[1][2] * S[0][1] * S[0][2],
-         vp * ph * T[1][0] * T[1][2] * S[0][1] * S[0][2],
-         vp * S[0][1] * S[0][2]],
+        [ph * S01_02,
+         (vp + vp1 * t12 * s02) * T10_12 * S01_02,
+         vp * ph * T10_12 * S01_02,
+         vp * S01_02],
         [1, T[1][0] * T[0][2], vp * T[1][0] * T[0][2], 0],
         [0, T[2][1] * T[0][2], ph * T[2][1] * T[0][2], 1],
-        [S[1][2] * S[0][2],
-         T[1][0] * T[1][2] * S[0][2] * S[1][2],
-         (vp + vp2 * (t1 - t0) * (s2 - s0)) * T[1][0] * T[1][2] * S[0][2] * S[1][2],
-         S[0][2] * S[1][2]],
+        [S02_12,
+         T10_12 * S02_12,
+         (vp + vp2 * t10 * s20) * T10_12 * S02_12,
+         S02_12],
     ]
 
 

@@ -49,9 +49,11 @@ Vector = tuple  # tuple of FieldElement
 # - A frame (_Frame) is a matrix's spectral data for one ordered tuple of raw
 #   eigenvalues: the eigenspaces, whether they diagonalize it, P of
 #   _eigenbasis with its column blocks and P^-1.  A matrix keeps its frames in
-#   Matrix._frames, keyed by that tuple, for as long as it lives; idempotents,
+#   Matrix._frames, keyed by that tuple (residues over GF(p), integer pairs
+#   (numerator, denominator) over QQ), for as long as it lives; idempotents,
 #   eigen_data, verification, a system's eigenspaces and its transition and the
 #   invariant search all read them there, so each is built once per matrix.
+#   Beside them, Matrix._roots keeps the eigenvalues eigen_data found.
 # _rref is the only elimination, for both fields: over GF(p) it scales
 # pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
 # meets are annihilators (_ann), read off one elimination on as many
@@ -331,11 +333,14 @@ class Matrix:
     over GF(p) rows of residues in [0, p) over den 1, over QQ integer rows
     over one positive denominator.  ``rows``, a tuple of rows of
     FieldElements, is boxed from the grid on first read.  ``_frames``, set on
-    the first :func:`_frame`, maps ordered tuples of raw eigenvalues to their
-    :class:`_Frame`; no comparison, hash or boxed value reads it.
+    the first :func:`_frame`, maps ordered tuples of raw eigenvalues (residues
+    over GF(p), (numerator, denominator) pairs over QQ) to their
+    :class:`_Frame`; ``_roots``, set on the first :func:`eigen_data`, holds
+    the eigenvalues and multiplicities it found.  No comparison, hash or
+    boxed value reads either.
     """
 
-    __slots__ = ("field", "rows", "_grid", "_frames")
+    __slots__ = ("field", "rows", "_grid", "_frames", "_roots")
 
     def __getattr__(self, name):
         # reached only when a slot is unset: the rows, before their first read
@@ -723,10 +728,15 @@ class EigenData:
 
 def eigen_data(m: Matrix) -> EigenData:
     """Eigenvalues in the base field, their eigenspaces, and whether the matrix
-    is diagonalizable over its field, read off its :func:`_frame` for them."""
+    is diagonalizable over its field, read off its :func:`_frame` for them.
+    The roots of the characteristic polynomial are found on the first call
+    and kept on the matrix, so a later call finds no root again."""
     _require(m, Matrix)
-    roots = poly_roots(m.field, charpoly(m))
-    values, mults = tuple(zip(*roots)) or ((), ())
+    try:
+        values, mults = m._roots
+    except AttributeError:  # found on the first call, then kept on m
+        roots = poly_roots(m.field, charpoly(m))
+        values, mults = m._roots = tuple(zip(*roots)) or ((), ())
     frame = _frame(m, values)
     return EigenData(values, mults, frame.spaces, frame.ok)
 
@@ -787,8 +797,12 @@ class _Frame:
 def _frame(m: Matrix, evs) -> _Frame:
     """The frame of the square m for the values evs, elements of its field:
     built on the first request for that ordered tuple and kept on m, so a
-    different order of the same values gets a frame of its own."""
-    key = tuple(e.val for e in evs)
+    different order of the same values gets a frame of its own.  The key is
+    the tuple of residues over GF(p) and of (numerator, denominator) pairs
+    over QQ: a reduced Fraction is one pair, and a tuple of ints hashes in
+    C where Fraction.__hash__ is Python code."""
+    key = (tuple(e.val for e in evs) if m.field.p
+           else tuple((e.val.numerator, e.val.denominator) for e in evs))
     try:
         frames = m._frames
     except AttributeError:

@@ -102,7 +102,14 @@ class DerivedParams:
 
 def derived_params(pa: ParameterArray) -> DerivedParams:
     """The four scalars by which the quadratic products act on the end
-    eigenspaces, as closed formulas in the array."""
+    eigenspaces, as closed formulas in the array.  All four share one
+    term d = (phi - varphi)/((t0 - t2)(s0 - s2)), the one division:
+
+        varphi1 = d - (t0 - t1)(s0 - s1),  varphi2 = d - (t1 - t2)(s1 - s2),
+        phi1    = d + (t1 - t2)(s0 - s1),  phi2    = d + (t0 - t1)(s1 - s2),
+
+    where the paper's phi1 and phi2 divide varphi - phi by (t2 - t0)(s0 - s2),
+    which gives d again."""
     _require(pa, ParameterArray)
     t0, t1, t2 = pa.theta
     s0, s1, s2 = pa.thetastar
@@ -110,12 +117,9 @@ def derived_params(pa: ParameterArray) -> DerivedParams:
         raise ValueError("derived parameters undefined: theta[0] == theta[2]")
     if s0 == s2:
         raise ValueError("derived parameters undefined: thetastar[0] == thetastar[2]")
-    vp, ph = pa.varphi, pa.phi
-    vp1 = (ph - vp) / ((t0 - t2) * (s0 - s2)) - (t0 - t1) * (s0 - s1)
-    ph1 = (vp - ph) / ((t2 - t0) * (s0 - s2)) - (t2 - t1) * (s0 - s1)
-    ph2 = (vp - ph) / ((t2 - t0) * (s0 - s2)) - (t1 - t0) * (s1 - s2)
-    vp2 = (ph - vp) / ((t0 - t2) * (s0 - s2)) - (t1 - t2) * (s1 - s2)
-    return DerivedParams(vp1, vp2, ph1, ph2)
+    a, b, astar, bstar = t0 - t1, t1 - t2, s0 - s1, s1 - s2
+    d = (pa.phi - pa.varphi) / ((a + b) * (astar + bstar))
+    return DerivedParams(d - a * astar, d - b * bstar, d + b * astar, d + a * bstar)
 
 
 @dataclass(frozen=True)

@@ -465,9 +465,13 @@ def test_the_42_numeric_matrices_cost_six_eliminations_and_two_products(monkeypa
     # images, B^-1 [B_SplitZD | ... | B_EigAstar | A B | A* B], one
     # elimination of a 4x36 grid, after two wide products A (all six) and
     # A* (all six); the 42 matrices are slices of the six grids (they took
-    # 6 inversions and 54 products), and reading them again costs nothing
+    # 6 inversions and 54 products), and reading them again costs nothing.
+    # Growing the chain applies A or A* 7 times, and the bases take 9 more
+    # matrix-vector products: (A - t0)eta0*, (A - t2)eta0* and (A* - s0)eta2
+    # are kept from the chain (12, 19 in all, when each was formed twice).
+    # A chain handed in as EtaVectors forms those three once, in the bases.
     calls = []
-    for name in ("_rref", "_mul_grids"):
+    for name in ("_rref", "_mul_grids", "_apply_raw"):
         real = getattr(tdpair121.linalg, name)
 
         def spy(*args, _n=name, _f=real):
@@ -480,16 +484,65 @@ def test_the_42_numeric_matrices_cost_six_eliminations_and_two_products(monkeypa
                 monkeypatch.setattr(module, name, spy)
     for field in (QQ, Field(101)):
         tds = construct(random_admissible_array(rng, field))
-        eta_vectors(tds)  # the chain vectors and the split scalars are read first
-        extract_parameter_array(tds)
+        extract_parameter_array(tds)  # the split scalars are read first
+        calls.clear()
+        eta = eta_vectors(tds)
+        assert calls == [("_apply_raw", None, None)] * 7
         calls.clear()
         for _ in range(2):
             matrices = [represent(tds, w, b) for w in ("A", "Astar") for b in BasisId]
             matrices += [transition_numeric(tds, f, t) for f in BasisId for t in BasisId
                          if f is not t]
             assert len(matrices) == 42
-        assert sorted(calls, key=str) == [("_mul_grids", None, None)] * 2 + \
-            [("_rref", 36, "_inv_grid")] * 6, calls
+        solved = [("_apply_raw", None, None)] * 9 + [("_mul_grids", None, None)] * 2 + \
+            [("_rref", 36, "_inv_grid")] * 6
+        assert sorted(calls, key=str) == solved, calls
+        other = eta_vectors(tds, tuple(tds.field(3) * x for x in eta.eta0star))
+        calls.clear()
+        assert represent(tds, "A", BasisId.EIG_A, other) == matrices[4]
+        assert sorted(calls, key=str) == [("_apply_raw", None, None)] * 3 + solved, calls
+
+
+def test_the_qq_tables_subtract_nowhere(monkeypatch, rng):
+    # _ctx forms the six eigenvalue differences once per array, in both
+    # signs, with the inverse products the tables share; the 42 tables read
+    # them by name, so once the context is built no table subtracts (the
+    # tables made 184 subtractions per array when each formed its own)
+    calls = []
+    real = bases_module._Q.__sub__
+    monkeypatch.setattr(bases_module._Q, "__sub__", lambda a, b: calls.append(b) or real(a, b))
+    for _ in range(3):
+        pa = random_admissible_array(rng, QQ)
+        pa._table_ctx
+        calls.clear()
+        matrices = [represent_formula(pa, w, b) for w in ("A", "Astar") for b in BasisId]
+        matrices += [transition_formula(pa, f, t) for f in BasisId for t in BasisId
+                     if f is not t]
+        assert len(matrices) == 42 and calls == []
+        tds = construct(pa)
+        assert matrices == [represent(tds, w, b) for w in ("A", "Astar") for b in BasisId] + \
+            [transition_numeric(tds, f, t) for f in BasisId for t in BasisId if f is not t]
+
+
+def test_the_qq_pipeline_hashes_no_fraction(monkeypatch, rng):
+    # a matrix keys its frames by (numerator, denominator) pairs over QQ,
+    # which hash in C; construct, verify on its matrices, the chain and the
+    # 42 numeric matrices then hash no Fraction (Fraction.__hash__ is
+    # Python code, and frame keys of Fractions hashed about 30 per array)
+    from tdpair121 import verify_td_system
+
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or real(x))
+    for _ in range(3):
+        pa = random_admissible_array(rng, QQ)
+        tds = construct(pa)
+        assert verify_td_system(tds.A, tds.Astar, tds.theta, tds.thetastar).overall
+        eta_vectors(tds)
+        matrices = [represent(tds, w, b) for w in ("A", "Astar") for b in BasisId]
+        matrices += [transition_numeric(tds, f, t) for f in BasisId for t in BasisId
+                     if f is not t]
+        assert len(matrices) == 42 and calls == []
 
 
 def _bases_calls(tds):

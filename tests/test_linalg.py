@@ -956,6 +956,39 @@ def test_a_frame_holds_no_reference_to_its_matrix():
         assert frames() == kept - 1
 
 
+def test_eigen_data_finds_the_roots_once_per_matrix(monkeypatch, rng):
+    # eigen_data keeps the eigenvalues it found on the matrix, beside its
+    # frames: a second call, and the ordering search and the invariant
+    # search after it, find no characteristic polynomial and no roots.  The
+    # kept roots change no comparison, hash or boxed value.
+    from tdpair121 import _poly, common_invariant_subspace, find_td_orderings
+
+    calls = []
+    for name in ("charpoly", "roots"):
+        real = getattr(_poly, name)
+        monkeypatch.setattr(_poly, name, lambda *args, _n=name, _f=real:
+                            calls.append(_n) or _f(*args))
+    for field in (QQ, Field(101), Field(10007)):
+        t = construct(ParameterArray.make(field, (1, 2, 3), (5, 7, 11), 13, 17))
+        q = random_invertible(rng, field, Matrix)
+        qi = q.invert()
+        a, astar = qi * t.A * q, qi * t.Astar * q
+        calls.clear()
+        first = eigen_data(a)
+        assert calls == ["charpoly", "roots"]
+        calls.clear()
+        assert eigen_data(a) == first and calls == []
+        eigen_data(astar)
+        calls.clear()
+        assert len(find_td_orderings(a, astar)) == 4
+        assert common_invariant_subspace(a, astar) is None
+        assert calls == []
+
+        bare = Matrix.from_json(field, a.to_json())
+        assert not hasattr(bare, "_roots") and hasattr(a, "_roots")
+        assert bare == a and a == bare and hash(bare) == hash(a) and bare.rows == a.rows
+
+
 # -- QQ kernels at high bit length against sympy --------------------------------
 
 def _big(rng, bits=100):

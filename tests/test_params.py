@@ -55,6 +55,28 @@ def test_derived_params_denominator_errors(p0):
         derived_params(bad)
 
 
+def test_derived_params_divide_once(monkeypatch, rng, gf101):
+    # the four scalars share d = (phi - varphi)/((t0 - t2)(s0 - s2)), the
+    # one field division (the four quotients of the paper took four), and
+    # still agree with the oracle's direct evaluation of those quotients
+    from tdpair121.fields import FieldElement
+
+    calls = []
+    real = FieldElement.__truediv__
+    monkeypatch.setattr(FieldElement, "__truediv__", lambda a, b: calls.append(b) or real(a, b))
+    for field in (QQ, gf101):
+        for _ in range(40):
+            pa = random_array_with_denominators(rng, field)
+            calls.clear()
+            dp = derived_params(pa)
+            assert len(calls) == 1
+            got = (dp.varphi1.val, dp.varphi2.val, dp.phi1.val, dp.phi2.val)
+            args = ([x.val for x in pa.theta], [x.val for x in pa.thetastar],
+                    pa.varphi.val, pa.phi.val)
+            assert got == (oracle.derived_formulas_mod(field.p, *args) if field.p
+                           else oracle.derived_formulas(*args))
+
+
 def test_product_identity_random(rng, gf101):
     for field in (QQ, gf101):
         for _ in range(300):
