@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .fields import _require
 from .linalg import (
@@ -185,10 +186,17 @@ class _SystemBases:
 
 
 def _numeric(tds: TDSystem, eta: EtaVectors | None, basis, at: int) -> Matrix:
-    """Columns at to at + 3 of _SystemBases.solved()[basis], for the record of eta."""
+    """Columns at to at + 3 of _SystemBases.solved()[basis], for the record of
+    eta.  Beside the record of its canonical chain (_bases) the system keeps
+    that of the last other eta asked about (_eta_bases), so calls with one
+    seed solve its six bases once, and no more than two records are kept."""
     _require_idempotents(tds)
-    own = tds._bases
-    rec = own if eta is None or eta == own.eta else _SystemBases(tds, eta)
+    rec = tds._bases
+    if eta is not None and eta != rec.eta:
+        rec = getattr(tds, "_eta_bases", None)
+        if rec is None or eta != rec.eta:
+            rec = _SystemBases(tds, eta)
+            object.__setattr__(tds, "_eta_bases", rec)  # the system is frozen
     return Matrix._from_grid(tds.field, _cut(rec.solved(tds)[basis], at))
 
 
@@ -250,13 +258,15 @@ def _inverses(vals, p: int) -> list:
             else _Q(-v.denominator, -v.numerator) for v in vals]
 
 
-def _ctx(pa: ParameterArray) -> tuple:
-    """The raw values the tables read: theta, thetastar, varphi, phi, the
-    four derived scalars, the inverses T[i][j] = 1/(t_i - t_j) and
-    S[i][j] = 1/(s_i - s_j) (i != j), iv = 1/varphi and ip = 1/phi; then
-    the six differences in both signs, tij = t_i - t_j and sij = s_i - s_j;
-    then the inverse products the tables repeat, iv_ip = iv ip,
-    T10_12 = T[1][0] T[1][2], S10_12, T01_02, S01_02, T02_12 and S02_12.
+def _ctx(pa: ParameterArray) -> dict:
+    """The raw values the tables read, as one dict by name: theta t0, t1,
+    t2, thetastar s0, s1, s2, varphi vp, phi ph, the derived scalars vp1,
+    vp2, ph1, ph2, the inverses T[i][j] = 1/(t_i - t_j) and S[i][j] =
+    1/(s_i - s_j) (i != j), iv = 1/varphi and ip = 1/phi; the six
+    differences in both signs, tij = t_i - t_j and sij = s_i - s_j; and the
+    inverse products the tables repeat, iv_ip = iv ip, T10_12 = T[1][0]
+    T[1][2], S10_12, T01_02, S01_02, T02_12 and S02_12.  Each table names
+    what it reads as its parameters.
 
     Raises ValueError for an inadmissible array; conditions (i) and (ii)
     make the eight inverted values nonzero.  Kept as ParameterArray._table_ctx."""
@@ -274,8 +284,13 @@ def _ctx(pa: ParameterArray) -> tuple:
     prods = [iv * ip, T[1][0] * i12, S[1][0] * j12, i01 * i02, j01 * j02, i02 * i12, j02 * j12]
     if p:
         prods = [x % p for x in prods]
-    return (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-            t01, -t01, t02, -t02, t12, -t12, s01, -s01, s02, -s02, s12, -s12, *prods)
+    iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12 = prods
+    return dict(t0=t0, t1=t1, t2=t2, s0=s0, s1=s1, s2=s2, vp=vp, ph=ph,
+                vp1=vp1, vp2=vp2, ph1=ph1, ph2=ph2, T=T, S=S, iv=iv, ip=ip,
+                t01=t01, t10=-t01, t02=t02, t20=-t02, t12=t12, t21=-t12,
+                s01=s01, s10=-s01, s02=s02, s20=-s02, s12=s12, s21=-s12,
+                iv_ip=iv_ip, T10_12=T10_12, S10_12=S10_12, T01_02=T01_02,
+                S01_02=S01_02, T02_12=T02_12, S02_12=S02_12)
 
 
 def _tabulate(pa: ParameterArray, table) -> Matrix:
@@ -283,7 +298,7 @@ def _tabulate(pa: ParameterArray, table) -> Matrix:
     residues over GF(p); over QQ, where the entries are ints and _Qs, the
     grid of :func:`linalg._grid_of`."""
     _require(pa, ParameterArray)
-    rows = table(pa._table_ctx)
+    rows = table(*_READS[table](pa._table_ctx))
     p = pa.field.p
     if p:
         return Matrix._from_grid(pa.field, ([[a % p, b % p, c % p, d % p]
@@ -313,100 +328,73 @@ def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
     return _tabulate(pa, _TRANSITION_TABLE[(frm, to)])
 
 
-# Each table below transcribes one closed form of the paper.  It divides
-# nowhere: a quotient a / ((t_i - t_j) (s_k - s_l) varphi) is written
-# a * T[i][j] * S[k][l] * iv, with the inverses _ctx took once per array,
-# and it subtracts nowhere: t_i - t_j is tij, s_i - s_j sij, as _ctx formed
-# them.  A product of inverses that many tables share, such as
-# T[1][0] * T[1][2], is read as one name, T10_12.
+# Each table below transcribes one closed form of the paper.  Its
+# parameters are the names of _ctx it reads, and _tabulate passes exactly
+# those (_READS).  It divides nowhere: a quotient
+# a / ((t_i - t_j) (s_k - s_l) varphi) is written a * T[i][j] * S[k][l] * iv,
+# with the inverses _ctx took once per array, and it subtracts nowhere:
+# t_i - t_j is tij, s_i - s_j sij, as _ctx formed them.  A product of
+# inverses that many tables share, such as T[1][0] * T[1][2], is read as
+# one name, T10_12.
 # Over GF(p) the entries come out as unreduced ints, over QQ as ints and
 # _Qs; _tabulate turns either into a grid.
 
-def _rep_a_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_a_zd(t0, t1, t2, vp2):
     return [[t0, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, vp2, t2]]
 
-def _rep_astar_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_astar_zd(s0, s1, s2, vp, vp1):
     return [[s0, vp1, vp, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s2]]
 
-def _rep_a_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_a_zz(t0, t1, t2, ph2):
     return [[t2, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, ph2, t0]]
 
-def _rep_astar_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_astar_zz(s0, s1, s2, ph, ph1):
     return [[s0, ph1, ph, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s2]]
 
-def _rep_a_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_a_dz(t0, t1, t2, vp1):
     return [[t2, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, vp1, t0]]
 
-def _rep_astar_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_astar_dz(s0, s1, s2, vp, vp2):
     return [[s2, vp2, vp, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s0]]
 
-def _rep_a_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_a_dd(t0, t1, t2, ph1):
     return [[t0, 0, 0, 0],
             [1, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 1, ph1, t2]]
 
-def _rep_astar_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_astar_dd(s0, s1, s2, ph, ph2):
     return [[s2, ph2, ph, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 1],
             [0, 0, 0, s0]]
 
-def _rep_a_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_a_eiga(t0, t1, t2):
     return [[t0, 0, 0, 0],
             [0, t1, 0, 0],
             [0, 0, t1, 0],
             [0, 0, 0, t2]]
 
-def _rep_astar_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_astar_eiga(s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S,
+                    t10, t12, s02, s20, T10_12, T02_12):
     return [
         [s0 + vp1 * T[0][1],
          vp1 * T[0][1] * T[0][1] * T[2][0],
@@ -426,10 +414,8 @@ def _rep_astar_eiga(c):
          s2 + vp2 * T[2][1]],
     ]
 
-def _rep_a_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_a_eigastar(t0, t1, t2, vp, ph, vp1, vp2, ph1, ph2, T, S,
+                    t02, s01, s12, S10_12, S02_12):
     return [
         [t0 + vp1 * S[0][1],
          ph * vp1 * S[0][1] * S[0][1] * S[2][0],
@@ -449,10 +435,7 @@ def _rep_a_eigastar(c):
          t2 + vp2 * S[2][1]],
     ]
 
-def _rep_astar_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _rep_astar_eigastar(s0, s1, s2):
     return [[s0, 0, 0, 0],
             [0, s1, 0, 0],
             [0, 0, s1, 0],
@@ -477,73 +460,49 @@ _REPRESENT_TABLE = {
 
 # transitions among the four split bases (ring neighbours)
 
-def _t_zd_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zd_zz(ph2, t01, t02, s12):
     return [[1, t02, t02 * ph2, t02 * t01],
             [0, 1, t02 * s12, t02],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
-def _t_zz_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zz_zd(vp2, t20, t21, s12):
     return [[1, t20, t20 * vp2, t20 * t21],
             [0, 1, t20 * s12, t20],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
-def _t_zz_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zz_dz(vp, ph, vp2, t12, s20, s21):
     return [[ph, 0, 0, 0],
             [0, ph, 0, 0],
             [s20, s20 * t12, vp, 0],
             [s20 * s21, s20 * vp2, s20 * vp, vp]]
 
-def _t_dz_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dz_zz(ph1, iv, ip, t12, s01, s02, iv_ip):
     return [[ip, 0, 0, 0],
             [0, ip, 0, 0],
             [s02 * iv_ip, s02 * t12 * iv_ip, iv, 0],
             [s02 * s01 * iv_ip, s02 * ph1 * iv_ip, s02 * iv, iv]]
 
-def _t_dz_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dz_dd(ph1, t20, t21, s10):
     return [[1, t20, t20 * ph1, t20 * t21],
             [0, 1, t20 * s10, t20],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
-def _t_dd_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dd_dz(vp1, t01, t02, s10):
     return [[1, t02, t02 * vp1, t02 * t01],
             [0, 1, t02 * s10, t02],
             [0, 0, 1, 0],
             [0, 0, 0, 1]]
 
-def _t_dd_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dd_zd(vp1, iv, ip, t10, s01, s02, iv_ip):
     return [[iv, 0, 0, 0],
             [0, iv, 0, 0],
             [s02 * iv_ip, s02 * t10 * iv_ip, ip, 0],
             [s02 * s01 * iv_ip, s02 * vp1 * iv_ip, s02 * ip, ip]]
 
-def _t_zd_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zd_dd(vp, ph, ph2, t10, s20, s21):
     return [[vp, 0, 0, 0],
             [0, vp, 0, 0],
             [s20, s20 * t10, ph, 0],
@@ -552,37 +511,25 @@ def _t_zd_dd(c):
 
 # transitions among the four split bases (diagonals)
 
-def _t_zd_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zd_dz(vp, vp1, vp2, t01, t02, t12, s10, s20, s21):
     return [[vp, t02 * vp, t02 * vp * vp1, t02 * t01 * vp],
             [0, vp, t02 * s10 * vp, t02 * vp],
             [s20, s20 * t12, vp, 0],
             [s20 * s21, s20 * vp2, s20 * vp, vp]]
 
-def _t_dz_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dz_zd(vp1, vp2, ip, t10, t20, t21, s01, s02, s12, iv_ip):
     return [[ip, t20 * ip, t20 * vp2 * ip, t20 * t21 * ip],
             [0, ip, t20 * s12 * ip, t20 * ip],
             [s02 * iv_ip, s02 * t10 * iv_ip, ip, 0],
             [s02 * s01 * iv_ip, s02 * vp1 * iv_ip, s02 * ip, ip]]
 
-def _t_zz_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zz_dd(ph, ph1, ph2, t10, t20, t21, s10, s20, s21):
     return [[ph, t20 * ph, t20 * ph * ph1, t20 * t21 * ph],
             [0, ph, t20 * s10 * ph, t20 * ph],
             [s20, s20 * t10, ph, 0],
             [s20 * s21, s20 * ph2, s20 * ph, ph]]
 
-def _t_dd_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dd_zz(ph1, ph2, iv, t01, t02, t12, s01, s02, s12, iv_ip):
     return [[iv, t02 * iv, t02 * ph2 * iv, t02 * t01 * iv],
             [0, iv, t02 * s12 * iv, t02 * iv],
             [s02 * iv_ip, s02 * t12 * iv_ip, iv, 0],
@@ -591,10 +538,7 @@ def _t_dd_zz(c):
 
 # transitions between a split basis and the first eigenbasis
 
-def _t_zd_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zd_eiga(vp, vp2, T, t01, t10, t02, s20, T10_12):
     return [
         [t01 * t02, 0, 0, 0],
         [t02, T[1][0], vp * T[1][0], 0],
@@ -602,19 +546,13 @@ def _t_zd_eiga(c):
         [1, T10_12, (vp + vp2 * t10 * s20) * T10_12, 1],
     ]
 
-def _t_eiga_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eiga_zd(vp, vp2, T, S, t10, T01_02):
     return [[T01_02, 0, 0, 0],
             [1, t10, vp * S[0][2], 0],
             [0, 0, S[2][0], 0],
             [T[2][0] * T[2][1], T[2][1], vp2 * T[2][1], 1]]
 
-def _t_zz_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zz_eiga(ph, ph2, T, t20, t12, t21, s20, T10_12):
     return [
         [0, 0, 0, t20 * t21],
         [0, T[1][2], ph * T[1][2], t20],
@@ -622,19 +560,13 @@ def _t_zz_eiga(c):
         [1, T10_12, (ph + ph2 * t12 * s20) * T10_12, 1],
     ]
 
-def _t_eiga_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eiga_zz(ph, ph2, T, S, t12, T01_02):
     return [[T01_02, T[0][1], ph2 * T[0][1], 1],
             [1, t12, ph * S[0][2], 0],
             [0, 0, S[2][0], 0],
             [T[2][0] * T[2][1], 0, 0, 0]]
 
-def _t_dz_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dz_eiga(ph, ph1, T, iv, ip, t10, t20, t21, s02, iv_ip, T10_12):
     return [
         [0, 0, 0, t20 * t21 * ip],
         [0, ip * T[1][2], T[1][2], t20 * ip],
@@ -645,19 +577,13 @@ def _t_dz_eiga(c):
          ip],
     ]
 
-def _t_eiga_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eiga_dz(vp, ph, vp1, T, S, t12, T01_02, T02_12):
     return [[vp * T01_02, vp * T[0][1], vp * vp1 * T[0][1], vp],
             [0, 0, vp * ph * S[0][2], 0],
             [1, t12, vp * S[2][0], 0],
             [ph * T02_12, 0, 0, 0]]
 
-def _t_dd_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dd_eiga(vp, vp1, T, iv, ip, t01, t02, t12, s02, iv_ip, T10_12):
     return [
         [t01 * t02 * iv, 0, 0, 0],
         [t02 * iv, iv * T[1][0], T[1][0], 0],
@@ -668,10 +594,7 @@ def _t_dd_eiga(c):
          ip],
     ]
 
-def _t_eiga_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eiga_dd(vp, ph, ph1, T, S, t10, T01_02, T02_12):
     return [[vp * T01_02, 0, 0, 0],
             [0, 0, vp * ph * S[0][2], 0],
             [1, t10, ph * S[2][0], 0],
@@ -680,10 +603,7 @@ def _t_eiga_dd(c):
 
 # transitions between a split basis and the second eigenbasis
 
-def _t_zd_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zd_eigastar(vp, ph, ph2, S, t02, s10, s20, s21, S10_12):
     return [
         [1,
          (ph + ph2 * t02 * s10) * S10_12,
@@ -694,19 +614,13 @@ def _t_zd_eigastar(c):
         [0, 0, 0, s20 * s21],
     ]
 
-def _t_eigastar_zd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eigastar_zd(vp, vp1, T, S, s12, S01_02, S02_12):
     return [[1, vp1 * S[0][1], vp * S[0][1], vp * S01_02],
             [0, T[0][2], 0, 0],
             [0, T[2][0], s12, 1],
             [0, 0, 0, S02_12]]
 
-def _t_zz_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_zz_eigastar(vp, ph, vp2, S, t02, t20, s01, s20, s21, S10_12):
     return [
         [1,
          ph * S10_12,
@@ -717,19 +631,13 @@ def _t_zz_eigastar(c):
         [0, 0, 0, s20 * s21],
     ]
 
-def _t_eigastar_zz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eigastar_zz(ph, ph1, T, S, s12, S01_02, S02_12):
     return [[1, ph1 * S[0][1], ph * S[0][1], ph * S01_02],
             [0, T[0][2], s12, 1],
             [0, T[2][0], 0, 0],
             [0, 0, 0, S02_12]]
 
-def _t_dz_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dz_eigastar(vp, vp2, S, iv, ip, t02, t20, s01, s02, iv_ip, S10_12):
     return [
         [ip,
          S10_12,
@@ -740,19 +648,13 @@ def _t_dz_eigastar(c):
         [s02 * s01 * iv_ip, 0, 0, 0],
     ]
 
-def _t_eigastar_dz(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eigastar_dz(vp, ph, vp2, T, S, s10, S01_02):
     return [[0, 0, 0, vp * ph * S01_02],
             [0, vp * T[0][2], s10 * vp, vp],
             [0, ph * T[2][0], 0, 0],
             [1, vp2 * S[2][1], vp * S[2][1], vp * S[2][1] * S[2][0]]]
 
-def _t_dd_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_dd_eigastar(vp, vp1, S, iv, ip, t02, s01, s02, s12, iv_ip, S10_12):
     return [
         [iv,
          (vp + vp1 * t02 * s12) * S10_12 * iv,
@@ -763,10 +665,7 @@ def _t_dd_eigastar(c):
         [s02 * s01 * iv_ip, 0, 0, 0],
     ]
 
-def _t_eigastar_dd(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eigastar_dd(vp, ph, ph2, T, S, s10):
     return [[0, 0, 0, vp * ph * S[1][0] * S[2][0]],
             [0, vp * T[0][2], 0, 0],
             [0, ph * T[2][0], s10 * ph, ph],
@@ -775,10 +674,7 @@ def _t_eigastar_dd(c):
 
 # transitions between the two eigenbases
 
-def _t_eiga_eigastar(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eiga_eigastar(vp, ph, vp2, ph2, S, t02, s01, s10, S10_12, T01_02, T02_12):
     return [
         [T01_02,
          (ph + ph2 * t02 * s10) * T01_02 * S10_12,
@@ -792,10 +688,7 @@ def _t_eiga_eigastar(c):
          ph * T02_12],
     ]
 
-def _t_eigastar_eiga(c):
-    (t0, t1, t2, s0, s1, s2, vp, ph, vp1, vp2, ph1, ph2, T, S, iv, ip,
-     t01, t10, t02, t20, t12, t21, s01, s10, s02, s20, s12, s21,
-     iv_ip, T10_12, S10_12, T01_02, S01_02, T02_12, S02_12) = c
+def _t_eigastar_eiga(vp, ph, vp1, vp2, T, t10, t12, s02, s20, T10_12, S01_02, S02_12):
     return [
         [ph * S01_02,
          (vp + vp1 * t12 * s02) * T10_12 * S01_02,
@@ -843,3 +736,8 @@ _TRANSITION_TABLE = {
     (BasisId.EIG_ASTAR, BasisId.EIG_A): _t_eigastar_eiga,
 }
 
+
+# each table's getter of the context values it reads, in the order of its
+# parameters; one itemgetter call per table, not a keyword call
+_READS = {table: itemgetter(*table.__code__.co_varnames[:table.__code__.co_argcount])
+          for table in (*_REPRESENT_TABLE.values(), *_TRANSITION_TABLE.values())}

@@ -48,8 +48,9 @@ Vector = tuple  # tuple of FieldElement
 #   membership test sees the scale, and a row enters _apply_raw as (row, 1).
 # - A frame (_Frame) is a matrix's spectral data for one ordered tuple of raw
 #   eigenvalues: the eigenspaces, whether they diagonalize it, P of
-#   _eigenbasis with its column blocks and P^-1.  A matrix keeps its frames in
-#   Matrix._frames, keyed by that tuple (residues over GF(p), integer pairs
+#   _eigenbasis with its column blocks and P^-1.  A matrix keeps the frames
+#   of the orderings of its spectrum, and only those, in Matrix._frames,
+#   keyed by that tuple (residues over GF(p), integer pairs
 #   (numerator, denominator) over QQ), for as long as it lives; idempotents,
 #   eigen_data, verification, a system's eigenspaces and its transition and the
 #   invariant search all read them there, so each is built once per matrix.
@@ -333,11 +334,11 @@ class Matrix:
     over GF(p) rows of residues in [0, p) over den 1, over QQ integer rows
     over one positive denominator.  ``rows``, a tuple of rows of
     FieldElements, is boxed from the grid on first read.  ``_frames``, set on
-    the first :func:`_frame`, maps ordered tuples of raw eigenvalues (residues
-    over GF(p), (numerator, denominator) pairs over QQ) to their
-    :class:`_Frame`; ``_roots``, set on the first :func:`eigen_data`, holds
-    the eigenvalues and multiplicities it found.  No comparison, hash or
-    boxed value reads either.
+    the first :func:`_frame`, maps the orderings of its spectrum, as tuples
+    of raw eigenvalues (residues over GF(p), (numerator, denominator) pairs
+    over QQ), to their :class:`_Frame`; ``_roots``, set on the first
+    :func:`eigen_data`, holds the eigenvalues and multiplicities it found.
+    No comparison, hash or boxed value reads either.
     """
 
     __slots__ = ("field", "rows", "_grid", "_frames", "_roots")
@@ -796,11 +797,12 @@ class _Frame:
 
 def _frame(m: Matrix, evs) -> _Frame:
     """The frame of the square m for the values evs, elements of its field:
-    built on the first request for that ordered tuple and kept on m, so a
-    different order of the same values gets a frame of its own.  The key is
-    the tuple of residues over GF(p) and of (numerator, denominator) pairs
-    over QQ: a reduced Fraction is one pair, and a tuple of ints hashes in
-    C where Fraction.__hash__ is Python code."""
+    built on the first request for that ordered tuple and kept on m only if
+    m is diagonalizable with exactly those values, so each ordering of its
+    spectrum gets a frame of its own and any other tuple leaves none.  The
+    key is the tuple of residues over GF(p) and of (numerator, denominator)
+    pairs over QQ: a reduced Fraction is one pair, and a tuple of ints
+    hashes in C where Fraction.__hash__ is Python code."""
     key = (tuple(e.val for e in evs) if m.field.p
            else tuple((e.val.numerator, e.val.denominator) for e in evs))
     try:
@@ -812,7 +814,9 @@ def _frame(m: Matrix, evs) -> _Frame:
         spaces = tuple(_eigenspace(m, e) for e in evs)
         ok = (all(s._rows for s in spaces) and sum(s.dim for s in spaces) == m.nrows
               and len(set(key)) == len(key))
-        frame = frames[key] = _Frame(spaces, ok, m.field.p)
+        frame = _Frame(spaces, ok, m.field.p)
+        if ok:  # an ordering of the spectrum; any other tuple is answered, not kept
+            frames[key] = frame
     return frame
 
 

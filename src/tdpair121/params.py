@@ -58,8 +58,9 @@ class ParameterArray:
         return admissible(self)
 
     @cached_property
-    def _table_ctx(self) -> tuple:
-        from .bases import _ctx  # the raw values the formula tables read
+    def _table_ctx(self) -> dict:
+        """The raw values the formula tables read, by name (bases._ctx)."""
+        from .bases import _ctx
 
         return _ctx(self)
 

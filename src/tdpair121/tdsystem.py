@@ -38,9 +38,9 @@ from .linalg import (
 @dataclass(frozen=True)
 class TDSystem:
     """Matrix pair with ordered eigenvalues and ordered idempotents.  Its
-    eigenspaces are those of the frames that A and A* keep for theta and
-    thetastar: from_matrices reads the idempotents off them, and a system
-    built field by field builds them on first use."""
+    eigenspaces are those of the frames of A for theta and of A* for
+    thetastar, kept on the system: from_matrices reads the idempotents off
+    them, and a system built field by field builds them on first use."""
 
     A: Matrix
     Astar: Matrix
@@ -79,9 +79,9 @@ class TDSystem:
     def field(self) -> Field:
         return self.A.field
 
-    @property
+    @cached_property
     def _frames(self):
-        """The frames of A for theta and of A* for thetastar."""
+        """The frames of A for theta and of A* for thetastar, built once."""
         return _frame(self.A, self.theta), _frame(self.Astar, self.thetastar)
 
     @property
@@ -101,7 +101,8 @@ class TDSystem:
 
     @cached_property
     def _bases(self):
-        """Chain vectors and bases of the canonical seed."""
+        """Chain vectors and bases of the canonical seed; beside them,
+        bases._numeric keeps those of the last other eta as _eta_bases."""
         from .bases import _SystemBases
 
         return _SystemBases(self)

@@ -321,21 +321,29 @@ def _tables():
 
 def test_tables_divide_nowhere_and_call_nothing():
     # each of the 12 + 30 tables is a transcription on its own: it divides
-    # nowhere (the inverses are read from its argument), calls no function,
-    # and reads no name but its own locals, so it is never composed from
-    # another table or from the numeric side
+    # nowhere (the inverses are read from its parameters), calls no
+    # function, assigns no name and reads no name but its parameters, so it
+    # is never composed from another table or from the numeric side.  Its
+    # parameters are the names of the context it reads, each of them read,
+    # and together the 42 tables read every name of the context
     tables = _tables()
     assert len(tables) == 42
+    declared = set()
     for fn in tables:
-        local = {a.arg for a in fn.args.args}
-        local |= {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
-                  for target in node.targets for t in ast.walk(target)
-                  if isinstance(t, ast.Name)}
+        params = {a.arg for a in fn.args.args}
+        read = set()
         for node in ast.walk(fn):
             assert not isinstance(node, (ast.Div, ast.FloorDiv, ast.Call, ast.Attribute)), \
                 f"{fn.name}: {ast.dump(node)[:60]}"
             if isinstance(node, ast.Name):
-                assert node.id in local, f"{fn.name} reads {node.id}"
+                assert isinstance(node.ctx, ast.Load), f"{fn.name} assigns {node.id}"
+                assert node.id in params, f"{fn.name} reads {node.id}"
+                read.add(node.id)
+        assert read == params, f"{fn.name} never reads {params - read}"
+        declared |= params
+    for field in (QQ, Field(101)):
+        pa = ParameterArray.make(field, (1, 2, 3), (4, 5, 7), 9, 11)
+        assert declared == set(bases_module._ctx(pa))
 
 
 @pytest.mark.parametrize("p, bits", [(5, 0), (7, 0), (2 ** 61 - 1, 0), (0, 100)])
@@ -501,6 +509,36 @@ def test_the_42_numeric_matrices_cost_six_eliminations_and_two_products(monkeypa
         calls.clear()
         assert represent(tds, "A", BasisId.EIG_A, other) == matrices[4]
         assert sorted(calls, key=str) == [("_apply_raw", None, None)] * 3 + solved, calls
+
+
+def test_one_other_eta_solves_its_six_bases_once(monkeypatch, rng):
+    # the system keeps the record of the last non-canonical eta beside its
+    # own, so the 42 matrices of one such eta run 6 eliminations, where each
+    # call once built and solved a fresh set of bases (252 eliminations);
+    # a second eta takes the one slot, and the canonical chain keeps its own
+    calls = []
+    real = bases_module._inv_grid
+    monkeypatch.setattr(bases_module, "_inv_grid",
+                        lambda *args: calls.append(args[1]) or real(*args))
+
+    def all_42(eta):
+        calls.clear()
+        out = [represent(tds, w, b, eta) for w in ("A", "Astar") for b in BasisId]
+        out += [transition_numeric(tds, f, t, eta) for f in BasisId for t in BasisId
+                if f is not t]
+        assert len(out) == 42
+        return out
+
+    for field in (QQ, Field(10007)):
+        tds = construct(random_admissible_array(rng, field))
+        own = all_42(None)
+        seed = eta_vectors(tds).eta0star
+        etas = [eta_vectors(tds, tuple(field(k) * x for x in seed)) for k in (3, 5)]
+        assert all_42(etas[0]) == own and len(calls) == 6
+        assert all_42(etas[0]) == own and calls == []
+        assert all_42(etas[1]) == own and len(calls) == 6
+        assert all_42(eta_vectors(tds)) == own and calls == []
+        assert all_42(etas[1]) == own and calls == []
 
 
 def test_the_qq_tables_subtract_nowhere(monkeypatch, rng):

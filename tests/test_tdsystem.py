@@ -1,5 +1,6 @@
 import json
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -515,6 +516,40 @@ def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng)
         assert counts() == (3, 1, 0)
         assert verify_td_system(t.A, t.Astar, t.theta, t.thetastar).overall
         assert counts() == (0, 0, 0)
+
+
+def test_frames_are_kept_only_for_orderings_of_the_spectrum(monkeypatch, rng):
+    # a matrix keeps the frame of a tuple only if it is diagonalizable with
+    # exactly those values: verifies under many theta guesses, which are not
+    # its spectrum, leave at most one frame per ordering of it, where every
+    # guess once left a frame of its own for the life of the matrix.  A
+    # system built field by field with such a theta keeps its frames
+    # itself, so it builds their spaces once.
+    from tdpair121 import linalg
+
+    field = Field(10007)
+    t = construct(random_admissible_array(rng, field))
+    for _ in range(300):
+        guess = tuple(field(rng.randrange(10007)) for _ in range(3))
+        report = verify_td_system(t.A, t.Astar, guess, t.thetastar)
+        assert report.diagonalizable_a is (sorted(x.val for x in guess)
+                                           == sorted(x.val for x in t.theta))
+    for theta, thetastar in zip(permutations(t.theta), permutations(t.thetastar)):
+        verify_td_system(t.A, t.Astar, theta, thetastar)
+    for m, spectrum in ((t.A, t.theta), (t.Astar, t.thetastar)):
+        orderings = {tuple(x.val for x in o) for o in permutations(spectrum)}
+        assert len(m._frames) <= 6 and set(m._frames) <= orderings
+
+    calls = []
+    real = linalg._eigenspace
+    monkeypatch.setattr(linalg, "_eigenspace", lambda m, e: calls.append(e) or real(m, e))
+    bad = (t.theta[0], t.theta[0], t.theta[2])
+    system = TDSystem(t.A, t.Astar, bad, t.thetastar, (), ())
+    assert not system._frames[0].ok and system._frames[1].ok
+    spaces = system._spaces
+    assert system._transition and system._spaces == spaces
+    assert calls == list(bad)
+    assert len(t.A._frames) <= 6
 
 
 def test_qq_fractions_are_built_only_at_the_boxing_edge(monkeypatch, rng):
