@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from operator import add, and_, eq, mul
 
 from . import _poly
@@ -48,13 +48,14 @@ Vector = tuple  # tuple of FieldElement
 #   membership test sees the scale, and a row enters _apply_raw as (row, 1).
 # - A frame (_Frame) is a matrix's spectral data for one ordered tuple of raw
 #   eigenvalues: the eigenspaces, whether they diagonalize it, P of
-#   _eigenbasis with its column blocks and P^-1.  A matrix keeps the frames
-#   of the orderings of its spectrum, and only those, in Matrix._frames,
-#   keyed by that tuple (residues over GF(p), integer pairs
-#   (numerator, denominator) over QQ), for as long as it lives; idempotents,
-#   eigen_data, verification, a system's eigenspaces and its transition and the
-#   invariant search all read them there, so each is built once per matrix.
-#   Beside them, Matrix._roots keeps the eigenvalues eigen_data found.
+#   _eigenbasis with its column blocks and P^-1.  A matrix keeps one record of
+#   its spectrum, Matrix._spectrum, for as long as it lives: one frame, the
+#   raw values in its order and their multiplicities.  Any other ordering of
+#   those values is that frame relabelled (_Frame._relabel), its spaces and
+#   blocks permuted and P and P^-1 shared, so nothing is eliminated again;
+#   idempotents, eigen_data, verification, a system's eigenspaces and its
+#   transition and the invariant search all read it, so each is built once
+#   per matrix.  Values are compared with ==, never hashed.
 # _rref is the only elimination, for both fields: over GF(p) it scales
 # pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
 # meets are annihilators (_ann), read off one elimination on as many
@@ -333,15 +334,14 @@ class Matrix:
     A matrix is its raw grid ``_grid`` = (rows, den), set when it is built:
     over GF(p) rows of residues in [0, p) over den 1, over QQ integer rows
     over one positive denominator.  ``rows``, a tuple of rows of
-    FieldElements, is boxed from the grid on first read.  ``_frames``, set on
-    the first :func:`_frame`, maps the orderings of its spectrum, as tuples
-    of raw eigenvalues (residues over GF(p), (numerator, denominator) pairs
-    over QQ), to their :class:`_Frame`; ``_roots``, set on the first
-    :func:`eigen_data`, holds the eigenvalues and multiplicities it found.
-    No comparison, hash or boxed value reads either.
+    FieldElements, is boxed from the grid on first read.  ``_spectrum``, the
+    record of its spectrum (a :class:`_Frame`, the raw values in its order and
+    their multiplicities), is set by the first :func:`_frame` that finds the
+    matrix diagonalizable, or else by the first :func:`eigen_data`, with the
+    frame of the roots it found.  No comparison, hash or boxed value reads it.
     """
 
-    __slots__ = ("field", "rows", "_grid", "_frames", "_roots")
+    __slots__ = ("field", "rows", "_grid", "_spectrum")
 
     def __getattr__(self, name):
         # reached only when a slot is unset: the rows, before their first read
@@ -728,18 +728,22 @@ class EigenData:
 
 
 def eigen_data(m: Matrix) -> EigenData:
-    """Eigenvalues in the base field, their eigenspaces, and whether the matrix
-    is diagonalizable over its field, read off its :func:`_frame` for them.
-    The roots of the characteristic polynomial are found on the first call
-    and kept on the matrix, so a later call finds no root again."""
+    """Eigenvalues in the base field, ascending as :func:`poly_roots` gives
+    them, with their multiplicities and eigenspaces, and whether the matrix is
+    diagonalizable over its field, read off the record of its spectrum.  Only
+    a matrix with no record finds the roots of its characteristic polynomial;
+    it then keeps their frame, so a later call finds no root again."""
     _require(m, Matrix)
     try:
-        values, mults = m._roots
-    except AttributeError:  # found on the first call, then kept on m
-        roots = poly_roots(m.field, charpoly(m))
-        values, mults = m._roots = tuple(zip(*roots)) or ((), ())
-    frame = _frame(m, values)
-    return EigenData(values, mults, frame.spaces, frame.ok)
+        frame, vals, mults = m._spectrum
+    except AttributeError:  # the roots' frame is kept even if it fails the one rule
+        values, mults = tuple(zip(*poly_roots(m.field, charpoly(m)))) or ((), ())
+        frame, vals = _frame(m, values), tuple(e.val for e in values)
+        m._spectrum = frame, vals, mults
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return EigenData(tuple(FieldElement._raw(m.field, vals[i]) for i in order),
+                     tuple(mults[i] for i in order),
+                     tuple(frame.spaces[i] for i in order), frame.ok)
 
 
 def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
@@ -753,9 +757,10 @@ def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
 def _eigenbasis(spaces, p: int) -> tuple:
     """P, the raw grid with the raw rows of independent spaces side by side
     as columns, a repeated one once, then the unit vectors off their pivots
-    that complete a basis of F^n; and the column indices of each space.
-    Both are tuples of ints and ranges, which the cyclic garbage collector
-    stops tracking, as a frame keeps them for the life of its matrix."""
+    that complete a basis of F^n; and the column indices of each space.  A
+    relabelled frame permutes the blocks, so they may come in any column
+    order.  Both are tuples of ints and ranges, which the cyclic garbage
+    collector stops tracking, as a frame keeps them for the life of its matrix."""
     cols, at = [], {}
     for s in spaces:
         if s._rows not in at:
@@ -772,14 +777,23 @@ class _Frame:
     ``spaces``, the eigenspaces ker(M - e I); ``ok``, whether M is
     diagonalizable with exactly these values, as :func:`_frame` decides;
     ``basis``, P and the column blocks of each space, as :func:`_eigenbasis`
-    gives them; and ``inverse``, P^-1.  P and P^-1 are built on first read.
-    A frame holds subspaces and raw grids only, never its matrix."""
+    gives them; and ``inverse``, P^-1: built on first read, or shared with
+    the frame that :meth:`_relabel` permuted, so the blocks may come in any
+    column order.  A frame holds subspaces and raw grids only, never its matrix."""
 
     __slots__ = ("spaces", "ok", "p", "_basis", "_inverse")
 
     def __init__(self, spaces, ok: bool, p: int):
         self.spaces, self.ok, self.p = spaces, ok, p
         self._basis = self._inverse = None
+
+    def _relabel(self, order) -> _Frame:
+        """The frame of these values reordered by the indices order: spaces
+        and column blocks permuted, P and P^-1 shared (built here if not yet)."""
+        frame = _Frame(tuple(self.spaces[i] for i in order), self.ok, self.p)
+        (b, idx), frame._inverse = self.basis, self.inverse
+        frame._basis = b, tuple(idx[i] for i in order)
+        return frame
 
     @property
     def basis(self) -> tuple:
@@ -796,27 +810,22 @@ class _Frame:
 
 
 def _frame(m: Matrix, evs) -> _Frame:
-    """The frame of the square m for the values evs, elements of its field:
-    built on the first request for that ordered tuple and kept on m only if
-    m is diagonalizable with exactly those values, so each ordering of its
-    spectrum gets a frame of its own and any other tuple leaves none.  The
-    key is the tuple of residues over GF(p) and of (numerator, denominator)
-    pairs over QQ: a reduced Fraction is one pair, and a tuple of ints
-    hashes in C where Fraction.__hash__ is Python code."""
-    key = (tuple(e.val for e in evs) if m.field.p
-           else tuple((e.val.numerator, e.val.denominator) for e in evs))
-    try:
-        frames = m._frames
-    except AttributeError:
-        frames = m._frames = {}
-    frame = frames.get(key)
-    if frame is None:  # the one rule: distinct values, nonzero spaces adding up to n
-        spaces = tuple(_eigenspace(m, e) for e in evs)
-        ok = (all(s._rows for s in spaces) and sum(s.dim for s in spaces) == m.nrows
-              and len(set(key)) == len(key))
-        frame = _Frame(spaces, ok, m.field.p)
-        if ok:  # an ordering of the spectrum; any other tuple is answered, not kept
-            frames[key] = frame
+    """The frame of the square m for the values evs, elements of its field.
+    An ordering of the values of m's record is its frame, relabelled unless in
+    the record's order.  Any other tuple gets a frame built for it, kept as
+    the record of a matrix with none only if m is diagonalizable with exactly
+    those values (the one rule: distinct values, nonzero spaces adding up to n)."""
+    raw = [e.val for e in evs]
+    kept, vals, _ = getattr(m, "_spectrum", (None, None, None))
+    if kept is not None and len(raw) == len(vals) and all(v in raw for v in vals):
+        order = tuple(map(vals.index, raw))
+        return kept if order == tuple(range(len(raw))) else kept._relabel(order)
+    spaces = tuple(_eigenspace(m, e) for e in evs)
+    ok = (all(s._rows for s in spaces) and sum(s.dim for s in spaces) == m.nrows
+          and all(x != y for x, y in combinations(raw, 2)))
+    frame = _Frame(spaces, ok, m.field.p)
+    if ok and kept is None:  # the spectrum's one frame; any other is answered, not kept
+        m._spectrum = frame, tuple(raw), tuple(s.dim for s in spaces)
     return frame
 
 

@@ -40,7 +40,9 @@ class TDSystem:
     """Matrix pair with ordered eigenvalues and ordered idempotents.  Its
     eigenspaces are those of the frames of A for theta and of A* for
     thetastar, kept on the system: from_matrices reads the idempotents off
-    them, and a system built field by field builds them on first use."""
+    them, and a system built field by field builds them on first use.  For
+    an ordering of a matrix's spectrum the frame relabels the matrix's own,
+    so its blocks may come in any column order."""
 
     A: Matrix
     Astar: Matrix
@@ -226,9 +228,10 @@ def _view(p, theta, thetastar, fa, fs):
     """What the checks read, for frames fa of A and fs of A* whose
     eigenspaces each span the space: theta, A's eigenspaces, B = C D* C^-1
     = P^-1 A* P with their blocks, the zero blocks of B and C^-1 D C, and C,
-    C^-1 and blocks."""
+    C^-1 and blocks.  The blocks may come in any column order, so D and D*
+    place each eigenvalue at its block's columns."""
     c, inv, idx, jdx = frame = _transition(fa, fs, p)[1:]
-    diag = lambda evs, blocks: [t.val for t, ks in zip(evs, blocks) for _ in ks]
+    diag = lambda evs, bs: [*map({k: t.val for t, ks in zip(evs, bs) for k in ks}.get, range(4))]
     b = _mul_grids(_scale_columns(c, diag(thetastar, jdx), p), inv, p)[0]
     b_dual = _mul_grids(_scale_columns(inv, diag(theta, idx), p), c, p)[0]
     return theta, fa.spaces, (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame

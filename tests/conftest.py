@@ -1,5 +1,7 @@
+import gc
 import random
 import signal
+import types
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -80,6 +82,19 @@ def random_invertible(rng, field, matrix_cls):
                                for _ in range(4)])
         if not m.det().is_zero:
             return m
+
+
+def referents(start):
+    """Every object reachable from start by gc referents, start included,
+    not walking into types, modules or functions."""
+    seen, todo = {}, [start]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            seen[id(obj)] = obj
+            todo.extend(gc.get_referents(obj))
+    return list(seen.values())
 
 
 @pytest.fixture

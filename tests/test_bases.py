@@ -563,11 +563,15 @@ def test_the_qq_tables_subtract_nowhere(monkeypatch, rng):
 
 
 def test_the_qq_pipeline_hashes_no_fraction(monkeypatch, rng):
-    # a matrix keys its frames by (numerator, denominator) pairs over QQ,
-    # which hash in C; construct, verify on its matrices, the chain and the
-    # 42 numeric matrices then hash no Fraction (Fraction.__hash__ is
-    # Python code, and frame keys of Fractions hashed about 30 per array)
-    from tdpair121 import verify_td_system
+    # a matrix keeps one frame and tells an ordering of its spectrum by
+    # comparing raw values with ==, never by hashing them; construct, verify
+    # on its matrices under every ordering of theta (each relabels the kept
+    # frame), eigen_data, the ordering search, the chain and the 42 numeric
+    # matrices then hash no Fraction (Fraction.__hash__ is Python code, and
+    # frame keys of Fractions once hashed about 30 per array)
+    from itertools import permutations
+
+    from tdpair121 import eigen_data, find_td_orderings, verify_td_system
 
     calls = []
     real = Fraction.__hash__
@@ -575,7 +579,11 @@ def test_the_qq_pipeline_hashes_no_fraction(monkeypatch, rng):
     for _ in range(3):
         pa = random_admissible_array(rng, QQ)
         tds = construct(pa)
-        assert verify_td_system(tds.A, tds.Astar, tds.theta, tds.thetastar).overall
+        reports = [verify_td_system(tds.A, tds.Astar, theta, tds.thetastar)
+                   for theta in permutations(tds.theta)]
+        assert [r.overall for r in reports] == [True, False, False, False, False, True]
+        assert eigen_data(tds.A).diagonalizable and eigen_data(tds.Astar).diagonalizable
+        assert len(find_td_orderings(tds.A, tds.Astar)) == 4
         eta_vectors(tds)
         matrices = [represent(tds, w, b) for w in ("A", "Astar") for b in BasisId]
         matrices += [transition_numeric(tds, f, t) for f in BasisId for t in BasisId

@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 
 import oracle
-from conftest import deadline, random_invertible, random_scalar
+from conftest import deadline, random_invertible, random_scalar, referents
 from tdpair121 import (
     Field,
     Matrix,
@@ -908,24 +908,8 @@ def test_small_determinants_match_the_oracle(p, bits):
         linalg._det_small([[entry() for _ in range(3)] for _ in range(3)], p)
 
 
-def _referents(start):
-    """Every object reachable from start by gc referents, start included,
-    not walking into types, modules or functions."""
-    import gc
-    import types
-
-    seen, todo = {}, [start]
-    while todo:
-        obj = todo.pop()
-        if id(obj) not in seen and not isinstance(
-                obj, (type, types.ModuleType, types.FunctionType)):
-            seen[id(obj)] = obj
-            todo.extend(gc.get_referents(obj))
-    return list(seen.values())
-
-
 def test_a_frame_holds_no_reference_to_its_matrix():
-    # a matrix keeps its frames for as long as it lives, and a frame, once
+    # a matrix keeps its frame for as long as it lives, and a frame, once
     # filled, holds subspaces and raw grids only: it neither keeps its
     # matrix alive nor reaches any Matrix; a frame changes no comparison
     import gc
@@ -936,12 +920,12 @@ def test_a_frame_holds_no_reference_to_its_matrix():
         frame = linalg._frame(t.A, t.theta)
         assert frame.ok and frame.basis and frame.inverse
         assert linalg._frame(t.A, t.theta) is frame
-        reached = _referents(frame)
+        reached = referents(frame)
         assert any(isinstance(x, Subspace) for x in reached)
         assert not any(isinstance(x, Matrix) for x in reached)
 
         bare = Matrix.from_json(field, t.A.to_json())
-        assert not hasattr(bare, "_frames") and hasattr(t.A, "_frames")
+        assert not hasattr(bare, "_spectrum") and hasattr(t.A, "_spectrum")
         assert bare == t.A and t.A == bare and hash(bare) == hash(t.A)
         assert bare.rows == t.A.rows
 
@@ -956,18 +940,26 @@ def test_a_frame_holds_no_reference_to_its_matrix():
         assert frames() == kept - 1
 
 
-def test_eigen_data_finds_the_roots_once_per_matrix(monkeypatch, rng):
-    # eigen_data keeps the eigenvalues it found on the matrix, beside its
-    # frames: a second call, and the ordering search and the invariant
-    # search after it, find no characteristic polynomial and no roots.  The
-    # kept roots change no comparison, hash or boxed value.
-    from tdpair121 import _poly, common_invariant_subspace, find_td_orderings
+def _spy_roots(monkeypatch):
+    """The list that _poly.charpoly and _poly.roots append their names to."""
+    from tdpair121 import _poly
 
     calls = []
     for name in ("charpoly", "roots"):
         real = getattr(_poly, name)
         monkeypatch.setattr(_poly, name, lambda *args, _n=name, _f=real:
                             calls.append(_n) or _f(*args))
+    return calls
+
+
+def test_eigen_data_finds_the_roots_once_per_matrix(monkeypatch, rng):
+    # eigen_data keeps the frame of the eigenvalues it found as the record of
+    # the matrix's spectrum: a second call, and the ordering search and the
+    # invariant search after it, find no characteristic polynomial and no
+    # roots.  The record changes no comparison, hash or boxed value.
+    from tdpair121 import common_invariant_subspace, find_td_orderings
+
+    calls = _spy_roots(monkeypatch)
     for field in (QQ, Field(101), Field(10007)):
         t = construct(ParameterArray.make(field, (1, 2, 3), (5, 7, 11), 13, 17))
         q = random_invertible(rng, field, Matrix)
@@ -985,8 +977,50 @@ def test_eigen_data_finds_the_roots_once_per_matrix(monkeypatch, rng):
         assert calls == []
 
         bare = Matrix.from_json(field, a.to_json())
-        assert not hasattr(bare, "_roots") and hasattr(a, "_roots")
+        assert not hasattr(bare, "_spectrum") and hasattr(a, "_spectrum")
         assert bare == a and a == bare and hash(bare) == hash(a) and bare.rows == a.rows
+
+
+def test_a_constructed_system_finds_no_roots(monkeypatch):
+    # construct keeps the frames of theta and thetastar as the records of A
+    # and A*: eigen_data reads the spectrum off them, ascending as the roots
+    # would come, and the searches after it find no characteristic polynomial
+    # and no roots, where each matrix once found both on its first eigen_data
+    from tdpair121 import common_invariant_subspace, find_td_orderings
+
+    calls = _spy_roots(monkeypatch)
+    for field in (QQ, Field(101), Field(10007)):
+        t = construct(ParameterArray.make(field, (3, 1, 2), (11, 5, 7), 13, 17))
+        calls.clear()
+        eda, eds = eigen_data(t.A), eigen_data(t.Astar)
+        assert [x.val for x in eda.eigenvalues] == [1, 2, 3]
+        assert [x.val for x in eds.eigenvalues] == [5, 7, 11]
+        assert eda.multiplicities == eds.multiplicities == (2, 1, 1)  # theta_1 = 1, thetastar_1 = 5
+        assert eda.diagonalizable and eds.diagonalizable
+        assert len(find_td_orderings(t.A, t.Astar)) == 4
+        assert common_invariant_subspace(t.A, t.Astar) is None
+        assert calls == []
+        bare = Matrix.from_json(field, t.A.to_json())
+        assert eigen_data(bare) == eda and calls == ["charpoly", "roots"]
+
+
+def test_eigen_data_of_a_jordan_block_builds_its_spaces_once(monkeypatch):
+    # a matrix that is not diagonalizable keeps the frame of its roots as its
+    # record too: three eigen_data calls build its three eigenspaces once,
+    # where each call once built them again
+    calls = []
+    real = linalg._eigenspace
+    monkeypatch.setattr(linalg, "_eigenspace", lambda m, e: calls.append(e) or real(m, e))
+    field = Field(10007)
+    m = Matrix(field, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
+    eds = [eigen_data(m) for _ in range(3)]
+    assert eds[0] == eds[1] == eds[2]
+    assert [x.val for x in eds[0].eigenvalues] == [1, 2, 3]
+    assert eds[0].multiplicities == (2, 1, 1) and not eds[0].diagonalizable
+    assert [s.dim for s in eds[0].eigenspaces] == [1, 1, 1]
+    assert [x.val for x in calls] == [1, 2, 3]
+    assert not verify_td_system(m, m, [field(2), field(1), field(3)], [1, 2, 3]).diagonalizable_a
+    assert len(calls) == 3
 
 
 # -- QQ kernels at high bit length against sympy --------------------------------

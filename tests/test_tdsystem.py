@@ -1,6 +1,6 @@
 import json
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -12,6 +12,7 @@ from conftest import (
     random_boundary_array,
     random_invertible,
     random_scalar,
+    referents,
 )
 from make_decomposition_pins import KINDS, dumps as dump_decompositions, pair
 from make_decomposition_pins import pin as decomposition_pin
@@ -26,7 +27,6 @@ from tdpair121 import (
     canonical_matrices,
     common_invariant_subspace,
     construct,
-    eigen_data,
     extract_parameter_array,
     find_td_orderings,
     shape,
@@ -430,7 +430,7 @@ def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
     # the ordering search and the checks read one view of the pair, so
     # each eigenbasis is inverted once: P and P*, kept in the frames of
     # eigen_data's order; verifying the pair again under given orderings
-    # inverts only the eigenbasis of a matrix whose ordering differs from it
+    # relabels those frames and inverts nothing
     from tdpair121 import tdsystem
 
     calls = []
@@ -453,11 +453,9 @@ def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
         found, _, _, report = tdsystem._verify_unordered(a, astar)
         assert found == 4 and report.overall and report.shape == (1, 2, 1)
         assert len(calls) == 2, calls
-        fresh = sum(tuple(t) != eigen_data(m).eigenvalues
-                    for m, t in ((a, pa.theta), (astar, pa.thetastar)))
         calls.clear()
         assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
-        assert len(calls) == fresh, (calls, fresh)
+        assert calls == []
         calls.clear()
         assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
         assert tdsystem._verify_unordered(a, astar)[0] == 4
@@ -468,9 +466,10 @@ def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng)
     # construct builds the frames of A and A* (six eigenspaces, P^-1 and
     # P*^-1) and keeps them on the matrices, so verifying its matrices builds
     # none; a fresh pair builds its own, inverts only P and P*, never C, and
-    # reads the shape with no characteristic polynomial.  A frame is kept per
-    # ordering: a new order of A's eigenvalues builds A's spaces again, and
-    # the system's own order still reads its own frame afterwards.
+    # reads the shape with no characteristic polynomial.  One frame is kept
+    # per matrix: a new order of A's eigenvalues relabels it, building no
+    # space and inverting nothing, and the system's own order still reads
+    # its own blocks afterwards.
     from tdpair121 import _poly, linalg
 
     calls = []
@@ -513,32 +512,37 @@ def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng)
         swapped = (t.theta[1], t.theta[0], t.theta[2])
         report = verify_td_system(t.A, t.Astar, swapped, t.thetastar)
         assert not report.tridiagonal_astar_e and report.tridiagonal_a_estar
-        assert counts() == (3, 1, 0)
+        assert counts() == (0, 0, 0)
         assert verify_td_system(t.A, t.Astar, t.theta, t.thetastar).overall
         assert counts() == (0, 0, 0)
 
 
 def test_frames_are_kept_only_for_orderings_of_the_spectrum(monkeypatch, rng):
-    # a matrix keeps the frame of a tuple only if it is diagonalizable with
-    # exactly those values: verifies under many theta guesses, which are not
-    # its spectrum, leave at most one frame per ordering of it, where every
-    # guess once left a frame of its own for the life of the matrix.  A
-    # system built field by field with such a theta keeps its frames
-    # itself, so it builds their spaces once.
+    # a matrix keeps one frame, of the first ordering of its spectrum it is
+    # asked about: verifies under many theta guesses, which are not its
+    # spectrum, and under all 36 ordering pairs leave that one frame per
+    # matrix, where every guess once left a frame of its own and every
+    # ordering still did.  A system built field by field with such a theta
+    # keeps its frames itself, so it builds their spaces once.
     from tdpair121 import linalg
 
     field = Field(10007)
     t = construct(random_admissible_array(rng, field))
+    kept = [t.A._spectrum, t.Astar._spectrum]
     for _ in range(300):
         guess = tuple(field(rng.randrange(10007)) for _ in range(3))
         report = verify_td_system(t.A, t.Astar, guess, t.thetastar)
         assert report.diagonalizable_a is (sorted(x.val for x in guess)
                                            == sorted(x.val for x in t.theta))
-    for theta, thetastar in zip(permutations(t.theta), permutations(t.thetastar)):
-        verify_td_system(t.A, t.Astar, theta, thetastar)
-    for m, spectrum in ((t.A, t.theta), (t.Astar, t.thetastar)):
-        orderings = {tuple(x.val for x in o) for o in permutations(spectrum)}
-        assert len(m._frames) <= 6 and set(m._frames) <= orderings
+    passed = [(theta, thetastar) for theta, thetastar in
+              product(permutations(t.theta), permutations(t.thetastar))
+              if verify_td_system(t.A, t.Astar, theta, thetastar).overall]
+    assert passed == [(th, ts) for th in (t.theta, t.theta[::-1])
+                      for ts in (t.thetastar, t.thetastar[::-1])]
+    for m, spectrum, record in zip((t.A, t.Astar), (t.theta, t.thetastar), kept):
+        assert m._spectrum is record
+        assert record[1] == tuple(x.val for x in spectrum)
+        assert sum(isinstance(x, linalg._Frame) for x in referents(m)) == 1
 
     calls = []
     real = linalg._eigenspace
@@ -549,7 +553,7 @@ def test_frames_are_kept_only_for_orderings_of_the_spectrum(monkeypatch, rng):
     spaces = system._spaces
     assert system._transition and system._spaces == spaces
     assert calls == list(bad)
-    assert len(t.A._frames) <= 6
+    assert t.A._spectrum is kept[0]
 
 
 def test_qq_fractions_are_built_only_at_the_boxing_edge(monkeypatch, rng):
@@ -734,7 +738,6 @@ def test_shape_matches_enumeration_oracle_gf2():
     # pairs, and the scalar pair (I, 0), whose orderings with a
     # non-eigenvalue give shapes such as (0, 4, 0)
     import random
-    from itertools import product
 
     field = Field(2)
     pairs = [pair(random.Random(f"shape-oracle:2:{i}"), field, i, 0)[:2] for i in range(2)]
