@@ -293,12 +293,13 @@ def _ctx(pa: ParameterArray) -> dict:
                 S01_02=S01_02, T02_12=T02_12, S02_12=S02_12)
 
 
-def _tabulate(pa: ParameterArray, table) -> Matrix:
-    """The matrix of one table at the array's raw values, keeping its grid:
-    residues over GF(p); over QQ, where the entries are ints and _Qs, the
-    grid of :func:`linalg._grid_of`."""
+def _tabulate(pa: ParameterArray, key) -> Matrix:
+    """The matrix of the table _TABLES keeps under key, at the array's raw
+    values, keeping its grid: residues over GF(p); over QQ, where the
+    entries are ints and _Qs, the grid of :func:`linalg._grid_of`."""
     _require(pa, ParameterArray)
-    rows = table(*_READS[table](pa._table_ctx))
+    table, reads = _TABLES[key]
+    rows = table(*reads(pa._table_ctx))
     p = pa.field.p
     if p:
         return Matrix._from_grid(pa.field, ([[a % p, b % p, c % p, d % p]
@@ -311,7 +312,7 @@ def represent_formula(pa: ParameterArray, which: str, basis: BasisId) -> Matrix:
     raises ValueError for an unknown operator or basis, or an inadmissible array."""
     if which not in ("A", "Astar"):
         raise ValueError("operator must be 'A' or 'Astar'")
-    return _tabulate(pa, _REPRESENT_TABLE[(which, _known(basis))])
+    return _tabulate(pa, (which, _known(basis)))
 
 
 def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
@@ -325,19 +326,19 @@ def transition_formula(pa: ParameterArray, frm: BasisId, to: BasisId) -> Matrix:
     if _known(frm) is _known(to):
         _require_admissible(pa)  # the gate of the tables
         return Matrix.identity(pa.field, 4)
-    return _tabulate(pa, _TRANSITION_TABLE[(frm, to)])
+    return _tabulate(pa, (frm, to))
 
 
-# Each table below transcribes one closed form of the paper.  Its
-# parameters are the names of _ctx it reads, and _tabulate passes exactly
-# those (_READS).  It divides nowhere: a quotient
+# Each table below transcribes one closed form of the paper.  Its name,
+# _rep_<which>_<code> or _t_<frm>_<to>, gives its key in the registry
+# _TABLES at the end, and its parameters, the names of _ctx it reads, are
+# exactly what _tabulate passes it.  It divides nowhere: a quotient
 # a / ((t_i - t_j) (s_k - s_l) varphi) is written a * T[i][j] * S[k][l] * iv,
 # with the inverses _ctx took once per array, and it subtracts nowhere:
 # t_i - t_j is tij, s_i - s_j sij, as _ctx formed them.  A product of
 # inverses that many tables share, such as T[1][0] * T[1][2], is read as
-# one name, T10_12.
-# Over GF(p) the entries come out as unreduced ints, over QQ as ints and
-# _Qs; _tabulate turns either into a grid.
+# one name, T10_12.  Over GF(p) the entries come out as unreduced ints,
+# over QQ as ints and _Qs; _tabulate turns either into a grid.
 
 def _rep_a_zd(t0, t1, t2, vp2):
     return [[t0, 0, 0, 0],
@@ -440,22 +441,6 @@ def _rep_astar_eigastar(s0, s1, s2):
             [0, s1, 0, 0],
             [0, 0, s1, 0],
             [0, 0, 0, s2]]
-
-
-_REPRESENT_TABLE = {
-    ("A", BasisId.SPLIT_ZD): _rep_a_zd,
-    ("Astar", BasisId.SPLIT_ZD): _rep_astar_zd,
-    ("A", BasisId.SPLIT_ZZ): _rep_a_zz,
-    ("Astar", BasisId.SPLIT_ZZ): _rep_astar_zz,
-    ("A", BasisId.SPLIT_DZ): _rep_a_dz,
-    ("Astar", BasisId.SPLIT_DZ): _rep_astar_dz,
-    ("A", BasisId.SPLIT_DD): _rep_a_dd,
-    ("Astar", BasisId.SPLIT_DD): _rep_astar_dd,
-    ("A", BasisId.EIG_A): _rep_a_eiga,
-    ("Astar", BasisId.EIG_A): _rep_astar_eiga,
-    ("A", BasisId.EIG_ASTAR): _rep_a_eigastar,
-    ("Astar", BasisId.EIG_ASTAR): _rep_astar_eigastar,
-}
 
 
 # transitions among the four split bases (ring neighbours)
@@ -703,41 +688,16 @@ def _t_eigastar_eiga(vp, ph, vp1, vp2, T, t10, t12, s02, s20, T10_12, S01_02, S0
     ]
 
 
-_TRANSITION_TABLE = {
-    (BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ): _t_zd_zz,
-    (BasisId.SPLIT_ZZ, BasisId.SPLIT_ZD): _t_zz_zd,
-    (BasisId.SPLIT_ZZ, BasisId.SPLIT_DZ): _t_zz_dz,
-    (BasisId.SPLIT_DZ, BasisId.SPLIT_ZZ): _t_dz_zz,
-    (BasisId.SPLIT_DZ, BasisId.SPLIT_DD): _t_dz_dd,
-    (BasisId.SPLIT_DD, BasisId.SPLIT_DZ): _t_dd_dz,
-    (BasisId.SPLIT_DD, BasisId.SPLIT_ZD): _t_dd_zd,
-    (BasisId.SPLIT_ZD, BasisId.SPLIT_DD): _t_zd_dd,
-    (BasisId.SPLIT_ZD, BasisId.SPLIT_DZ): _t_zd_dz,
-    (BasisId.SPLIT_DZ, BasisId.SPLIT_ZD): _t_dz_zd,
-    (BasisId.SPLIT_ZZ, BasisId.SPLIT_DD): _t_zz_dd,
-    (BasisId.SPLIT_DD, BasisId.SPLIT_ZZ): _t_dd_zz,
-    (BasisId.SPLIT_ZD, BasisId.EIG_A): _t_zd_eiga,
-    (BasisId.EIG_A, BasisId.SPLIT_ZD): _t_eiga_zd,
-    (BasisId.SPLIT_ZZ, BasisId.EIG_A): _t_zz_eiga,
-    (BasisId.EIG_A, BasisId.SPLIT_ZZ): _t_eiga_zz,
-    (BasisId.SPLIT_DZ, BasisId.EIG_A): _t_dz_eiga,
-    (BasisId.EIG_A, BasisId.SPLIT_DZ): _t_eiga_dz,
-    (BasisId.SPLIT_DD, BasisId.EIG_A): _t_dd_eiga,
-    (BasisId.EIG_A, BasisId.SPLIT_DD): _t_eiga_dd,
-    (BasisId.SPLIT_ZD, BasisId.EIG_ASTAR): _t_zd_eigastar,
-    (BasisId.EIG_ASTAR, BasisId.SPLIT_ZD): _t_eigastar_zd,
-    (BasisId.SPLIT_ZZ, BasisId.EIG_ASTAR): _t_zz_eigastar,
-    (BasisId.EIG_ASTAR, BasisId.SPLIT_ZZ): _t_eigastar_zz,
-    (BasisId.SPLIT_DZ, BasisId.EIG_ASTAR): _t_dz_eigastar,
-    (BasisId.EIG_ASTAR, BasisId.SPLIT_DZ): _t_eigastar_dz,
-    (BasisId.SPLIT_DD, BasisId.EIG_ASTAR): _t_dd_eigastar,
-    (BasisId.EIG_ASTAR, BasisId.SPLIT_DD): _t_eigastar_dd,
-    (BasisId.EIG_A, BasisId.EIG_ASTAR): _t_eiga_eigastar,
-    (BasisId.EIG_ASTAR, BasisId.EIG_A): _t_eigastar_eiga,
-}
+def _entry(name: str) -> tuple:
+    """The table of that name, KeyError if none, and the itemgetter of the
+    context values it reads, in the order of its parameters."""
+    table = globals()[name]
+    return table, itemgetter(*table.__code__.co_varnames[:table.__code__.co_argcount])
 
 
-# each table's getter of the context values it reads, in the order of its
-# parameters; one itemgetter call per table, not a keyword call
-_READS = {table: itemgetter(*table.__code__.co_varnames[:table.__code__.co_argcount])
-          for table in (*_REPRESENT_TABLE.values(), *_TRANSITION_TABLE.values())}
+# (which, basis) and (frm, to) -> (table, getter), keyed by the tables' names
+_CODE = dict(zip(BasisId, ("zd", "zz", "dz", "dd", "eiga", "eigastar")))
+_TABLES = {**{(w, b): _entry(f"_rep_{w.lower()}_{c}") for w in ("A", "Astar")
+              for b, c in _CODE.items()},
+           **{(f, t): _entry(f"_t_{_CODE[f]}_{_CODE[t]}") for f in BasisId for t in BasisId
+              if f is not t}}

@@ -263,7 +263,7 @@ class FieldElement:
         )
 
     def __lt__(self, other):
-        # total order used only for deterministic sorting of outputs
+        # by raw value within one field, so callers can sort; no library code does
         self._check(other)
         return self.val < other.val
 

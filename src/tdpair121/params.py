@@ -199,9 +199,7 @@ def _scalar_action(image, projector, field: Field) -> FieldElement:
     nonzero entry."""
     (img, di), (proj, dp) = image, projector
     img, proj = [x for r in img for x in r], [y for r in proj for y in r]
-    j = next((j for j, y in enumerate(proj) if y), None)
-    if j is None:
-        raise ValueError("projector is zero")
+    j = next(j for j, y in enumerate(proj) if y)
     if _rank([img, proj], field.p) > 1:
         raise ValueError("product does not act as a scalar on the eigenspace; "
                          "input is not a shape-(1,2,1) system")
@@ -217,6 +215,8 @@ def _read_parameter_array(tds: TDSystem) -> ParameterArray:
     t0, t1, t2 = (t.val for t in tds.theta)
     s1, s2 = tds.thetastar[1].val, tds.thetastar[2].val
     basis = [(r, 1) for r in tds._spaces[1][0]._rows]
+    if not basis:
+        raise ValueError("thetastar[0] is not an eigenvalue of A*: its eigenspace V*_0 is zero")
 
     def split_scalar(t):
         """The scalar of (A* - s1)(A* - s2)(A - t1)(A - t) on V*_0."""

@@ -346,6 +346,25 @@ def test_tables_divide_nowhere_and_call_nothing():
         assert declared == set(bases_module._ctx(pa))
 
 
+def test_one_registry_keys_the_42_tables_by_their_names():
+    # _TABLES is read off the tables' names at import: _rep_<which>_<code>
+    # under (which, basis), _t_<frm>_<to> under (frm, to).  It holds each of
+    # the 42 tables of the source once, with the getter of the context
+    # values its parameters name, in their order
+    registry = bases_module._TABLES
+    assert set(registry) == ({(w, b) for w in ("A", "Astar") for b in BasisId}
+                             | {(f, t) for f in BasisId for t in BasisId if f is not t})
+    assert registry[("A", BasisId.SPLIT_ZD)][0] is bases_module._rep_a_zd
+    assert registry[(BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ)][0] is bases_module._t_zd_zz
+    tables = {fn.name: [a.arg for a in fn.args.args] for fn in _tables()}
+    assert sorted(table.__name__ for table, _ in registry.values()) == sorted(tables)
+    assert all(getattr(bases_module, table.__name__) is table for table, _ in registry.values())
+    names = {name: name for name in bases_module._ctx(
+        ParameterArray.make(Field(101), (1, 2, 3), (4, 5, 7), 9, 11))}
+    for table, reads in registry.values():
+        assert list(reads(names)) == tables[table.__name__], table.__name__
+
+
 @pytest.mark.parametrize("p, bits", [(5, 0), (7, 0), (2 ** 61 - 1, 0), (0, 100)])
 def test_all_42_formulas_match_numeric_where_slips_show(p, bits):
     # small primes wrap every entry, a 61-bit prime leaves products of

@@ -46,6 +46,16 @@ A, ASTAR, THETA = TDS.A, TDS.Astar, TDS.theta
 GRID = [[1, 0, 0, 0]] * 4  # a grid of a Matrix's shape that is no Matrix
 D = Matrix.diagonal(QQ, [1, 2, 2, 3])
 SZD, SZZ = BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ
+GF7_TDS = construct(ParameterArray.make(Field(7), (1, 2, 3), (4, 5, 6), 3, 2))
+F7 = GF7_TDS.field
+NO_ESTAR0 = dict(Estar=(Matrix(F7, [[0] * 4] * 4), *GF7_TDS.Estar[1:]))
+
+
+def _system(**fields):
+    """GF7_TDS with the given fields replaced, built field by field."""
+    t = GF7_TDS
+    return TDSystem(*(fields.get(k, getattr(t, k))
+                      for k in ("A", "Astar", "theta", "thetastar", "E", "Estar")))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -66,6 +76,14 @@ SZD, SZZ = BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ
     (lambda: eta_vectors(TDSystem.from_matrices(D, D, (1, 2, 3), (1, 2, 3))),
      "chain vector eta2 vanished; input is not a shape-(1,2,1) system"),
     (lambda: Subspace(QQ, -1, []), "ambient dimension must not be negative"),
+    # thetastar[0] = 0 is no eigenvalue of A*, whose V*_0 is then zero; the
+    # message named a zero projector, where such a system holds none
+    (lambda: extract_parameter_array(
+        _system(thetastar=(F7(0), *GF7_TDS.thetastar[1:]), E=(), Estar=())),
+     "thetastar[0] is not an eigenvalue of A*: its eigenspace V*_0 is zero"),
+    (lambda: canonical_seed(_system(**NO_ESTAR0)), "zero projector"),
+    (lambda: eta_vectors(_system(**NO_ESTAR0)), "zero projector"),
+    (lambda: basis_matrix(_system(**NO_ESTAR0), SZD), "zero projector"),
 ])
 def test_documented_value_errors(call, message):
     with pytest.raises(ValueError) as info:
@@ -151,16 +169,6 @@ def test_parameter_array_holds_elements_of_its_field():
     # an element of another field raised nothing until a formula mixed them
     with pytest.raises(TypeError, match=r"^expected an element of QQ, got one of GF\(5\)$"):
         ParameterArray(QQ, P0.theta, P0.thetastar, Field(5)(2), P0.phi)
-
-
-GF7_TDS = construct(ParameterArray.make(Field(7), (1, 2, 3), (4, 5, 6), 3, 2))
-
-
-def _system(**fields):
-    """GF7_TDS with the given fields replaced, built field by field."""
-    t = GF7_TDS
-    return TDSystem(*(fields.get(k, getattr(t, k))
-                      for k in ("A", "Astar", "theta", "thetastar", "E", "Estar")))
 
 
 @pytest.mark.parametrize("fields, error, message", [

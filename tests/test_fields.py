@@ -80,6 +80,11 @@ def test_format_parse_roundtrip(rng):
 def test_rational_arithmetic_examples():
     assert QQ(Fraction(1, 2)) + QQ(Fraction(1, 3)) == QQ(Fraction(5, 6))
     assert field_arith(QQ("1/2"), QQ("1/3"), "add") == QQ("5/6")
+    assert field_arith(QQ("1/2"), QQ("1/3"), "sub") == QQ("1/6")
+    assert field_arith(QQ("-1/2"), QQ("1/3"), "mul") == QQ("-1/6")
+    assert QQ("-1/2") < QQ("1/3") and not QQ("1/3") < QQ("1/3")
+    assert [bool(x) for x in (QQ("1/3"), QQ(0), Field(13)(1), Field(13)(13))] == \
+        [True, False, True, False]
 
 
 def test_prime_field_division_matches_exhaustive_search():
@@ -101,13 +106,16 @@ def test_descriptor_mismatch():
         QQ(1) + Field(13)(1)
     with pytest.raises(ValueError):
         Field(5)(1) * Field(7)(1)
+    with pytest.raises(ValueError):
+        QQ(1) < Field(13)(2)
 
 
 def test_characteristic_must_be_prime():
     for p in (1, 4, 6, 9, 100):
         with pytest.raises(ValueError):
             Field(p)
-    Field(2), Field(3), Field(97)  # fine
+    assert [Field(p).characteristic for p in (2, 3, 97)] == [2, 3, 97]
+    assert QQ.characteristic == 0
 
 
 def test_primality_matches_sieve():
