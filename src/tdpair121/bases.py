@@ -91,11 +91,14 @@ def _canonical_seed(tds: TDSystem) -> tuple:
 
 def eta_vectors(tds: TDSystem, seed=None) -> EtaVectors:
     """The chain vectors grown from a seed of the first dual eigenspace;
-    without a seed, the system's own, grown once from :func:`canonical_seed`."""
+    without a seed, the system's own, grown once from :func:`canonical_seed`.
+    The record grown from a seed is kept as the system's _eta_bases."""
     _require_idempotents(tds)
     if seed is None:
         return tds._bases.eta
-    return _boxed_eta(tds.field, _chain(tds, _vector_of(tds.field, seed))[0])
+    rec = _SystemBases(tds, _vector_of(tds.field, seed))
+    object.__setattr__(tds, "_eta_bases", rec)  # the system is frozen
+    return rec.eta
 
 
 def _chain(tds: TDSystem, seed: tuple) -> tuple:
@@ -131,20 +134,13 @@ _AT = {b: 4 * k for k, b in enumerate(BasisId)}  # column offsets in the grid of
 
 
 class _SystemBases:
-    """One system's chain vectors for one seed, boxed (eta) and raw, and its
-    six bases.  ``steps`` are the three partial products of :func:`_chain`,
-    kept from the growth of the chain, or None for a chain handed in as
-    EtaVectors, whose steps solved() then forms itself."""
+    """One system's chain vectors grown from one raw seed, boxed (eta) and
+    raw, and its six bases.  ``steps`` are the three partial products of
+    :func:`_chain`, kept from the growth of the chain."""
 
-    def __init__(self, tds: TDSystem, eta: EtaVectors | None = None):
-        if eta is None:
-            self.chain, self.steps = _chain(tds, _canonical_seed(tds))
-        else:
-            _require(eta, EtaVectors)
-            self.chain = tuple(_vector_of(tds.field, v) for v in
-                               (eta.eta0star, eta.eta0, eta.eta2, eta.eta2star))
-            self.steps = None
-        self.eta = eta or _boxed_eta(tds.field, self.chain)
+    def __init__(self, tds: TDSystem, seed: tuple):
+        self.chain, self.steps = _chain(tds, seed)
+        self.eta = _boxed_eta(tds.field, self.chain)
         self._solved = None
 
     def solved(self, tds: TDSystem) -> dict:
@@ -159,9 +155,7 @@ class _SystemBases:
             a, astar, e1, estar1 = (m._grid for m in (tds.A, tds.Astar, tds.E[1], tds.Estar[1]))
             pa = extract_parameter_array(tds)
             vp, ph = pa.varphi.val, pa.phi.val
-            zd, zz, dd = self.steps or (_apply_raw(a, eta0star, p, t0),
-                                        _apply_raw(a, eta0star, p, t2),
-                                        _apply_raw(astar, eta2, p, s0))
+            zd, zz, dd = self.steps
             # the columns of the six bases in BasisId order; (M - c I)v is Mv - cv
             bases = _columns([
                 eta0star, zd, _apply_raw(astar, eta2, p, s2), eta2,
@@ -188,14 +182,19 @@ class _SystemBases:
 def _numeric(tds: TDSystem, eta: EtaVectors | None, basis, at: int) -> Matrix:
     """Columns at to at + 3 of _SystemBases.solved()[basis], for the record of
     eta.  Beside the record of its canonical chain (_bases) the system keeps
-    that of the last other eta asked about (_eta_bases), so calls with one
-    seed solve its six bases once, and no more than two records are kept."""
+    that of the last other eta grown or asked about (_eta_bases), so calls
+    with one seed solve its six bases once, and no more than two records are
+    kept.  Any other eta is grown again from its eta0*; ValueError unless
+    that gives eta back."""
     _require_idempotents(tds)
     rec = tds._bases
     if eta is not None and eta != rec.eta:
         rec = getattr(tds, "_eta_bases", None)
         if rec is None or eta != rec.eta:
-            rec = _SystemBases(tds, eta)
+            _require(eta, EtaVectors)
+            rec = _SystemBases(tds, _vector_of(tds.field, eta.eta0star))
+            if rec.eta != eta:
+                raise ValueError("eta is not the chain grown from its eta0*")
             object.__setattr__(tds, "_eta_bases", rec)  # the system is frozen
     return Matrix._from_grid(tds.field, _cut(rec.solved(tds)[basis], at))
 

@@ -21,9 +21,9 @@ from .bases import (
     transition_numeric,
 )
 from .fields import Field, _is_prime
-from .linalg import Matrix
+from .linalg import Matrix, eigen_data
 from .params import ParameterArray, _enumerate_counts, _require_admissible, construct
-from .tdsystem import _undiagonalizable, _verify_unordered, verify_td_system
+from .tdsystem import _undiagonalizable, find_td_orderings, verify_td_system
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -148,13 +148,16 @@ def cmd_verify(args) -> int:
         report = verify_td_system(a, astar, theta, thetastar)
     else:
         try:
-            doc["orderings_found"], theta, thetastar, report = _verify_unordered(a, astar)
+            orderings = find_td_orderings(a, astar)
         except ValueError as exc:
             doc.update(orderings_found=0, reason=str(exc))
             report = _undiagonalizable(False, False)
-        else:
-            doc["theta"] = [str(x) for x in theta]
-            doc["thetastar"] = [str(x) for x in thetastar]
+        else:  # verify_td_system relabels the frames the search kept
+            theta, thetastar = orderings[0] if orderings else (
+                eigen_data(a).eigenvalues, eigen_data(astar).eigenvalues)
+            doc.update(orderings_found=len(orderings), theta=[str(x) for x in theta],
+                       thetastar=[str(x) for x in thetastar])
+            report = verify_td_system(a, astar, theta, thetastar)
     doc["verification"] = report.to_json()
     ok = report.overall and report.shape == (1, 2, 1)
     return _emit(doc, None, EXIT_OK if ok else EXIT_UNVERIFIED)

@@ -104,10 +104,10 @@ class TDSystem:
     @cached_property
     def _bases(self):
         """Chain vectors and bases of the canonical seed; beside them,
-        bases._numeric keeps those of the last other eta as _eta_bases."""
-        from .bases import _SystemBases
+        bases keeps those of the last other seed as _eta_bases."""
+        from .bases import _SystemBases, _canonical_seed
 
-        return _SystemBases(self)
+        return _SystemBases(self, _canonical_seed(self))
 
     @cached_property
     def _params(self):
@@ -214,8 +214,13 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     fa, fs = _frame(a, theta), _frame(astar, thetastar)
     if not (fa.ok and fs.ok):
         return _undiagonalizable(fa.ok, fs.ok)
-    return _verify_on_spaces(a, astar, _view(a.field.p, theta, thetastar, fa, fs),
-                             (0, 1, 2), (0, 1, 2))
+    coords, far_a, far_s, (c, inv, idx, jdx) = _view(a.field.p, theta, thetastar, fa, fs)
+    tri_astar, tri_a = far_a[0][2], far_s[0][2]
+    if not (tri_astar and tri_a):
+        return VerificationReport(True, True, tri_astar, tri_a, False, None, None, ("irreducible",))
+    witness = _invariant_search(a.field, theta, fa.spaces, astar, coords)
+    dims = _shape(c, inv, idx, jdx, a.field.p)
+    return VerificationReport(True, True, True, True, witness is None, dims, witness, ())
 
 
 def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
@@ -226,28 +231,16 @@ def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
 
 def _view(p, theta, thetastar, fa, fs):
     """What the checks read, for frames fa of A and fs of A* whose
-    eigenspaces each span the space: theta, A's eigenspaces, B = C D* C^-1
-    = P^-1 A* P with their blocks, the zero blocks of B and C^-1 D C, and C,
-    C^-1 and blocks.  The blocks may come in any column order, so D and D*
-    place each eigenvalue at its block's columns."""
+    eigenspaces each span the space: B = C D* C^-1 = P^-1 A* P with the
+    blocks of A's eigenspaces, the zero blocks of B and C^-1 D C, and C,
+    C^-1 and blocks.  The
+    blocks may come in any column order, so D and D* place each eigenvalue
+    at its block's columns."""
     c, inv, idx, jdx = frame = _transition(fa, fs, p)[1:]
     diag = lambda evs, bs: [*map({k: t.val for t, ks in zip(evs, bs) for k in ks}.get, range(4))]
     b = _mul_grids(_scale_columns(c, diag(thetastar, jdx), p), inv, p)[0]
     b_dual = _mul_grids(_scale_columns(inv, diag(theta, idx), p), c, p)[0]
-    return theta, fa.spaces, (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame
-
-
-def _verify_on_spaces(a, astar, view, pa, ps):
-    """The checks of :func:`verify_td_system` on the view of :func:`_view`,
-    with the eigenvalues of a and astar ordered by the index permutations
-    pa and ps of the view's order."""
-    theta, spaces, coords, far_a, far_s, (c, inv, idx, jdx) = view
-    tri_astar, tri_a = far_a[pa[0]][pa[2]], far_s[ps[0]][ps[2]]
-    if not (tri_astar and tri_a):
-        return VerificationReport(True, True, tri_astar, tri_a, False, None, None, ("irreducible",))
-    witness = _invariant_search(a.field, theta, spaces, astar, coords)
-    dims = _shape(c, inv, [idx[i] for i in pa], [jdx[i] for i in ps], a.field.p)
-    return VerificationReport(True, True, True, True, witness is None, dims, witness, ())
+    return (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame
 
 
 def find_td_orderings(a: Matrix, astar: Matrix):
@@ -255,39 +248,21 @@ def find_td_orderings(a: Matrix, astar: Matrix):
 
     Requires both matrices diagonalizable with exactly 3 eigenvalues;
     returns a lexicographically ordered list of (theta, thetastar) pairs.
+    The 36 pairs are read off the zero-block tables of one view in the
+    :func:`eigen_data` order: an ordering passes iff the blocks between
+    its first and last eigenspace vanish.
     """
     _check_pair(a, astar)
     eda, eds = eigen_data(a), eigen_data(astar)
-    return [(tuple(eda.eigenvalues[i] for i in pa), tuple(eds.eigenvalues[i] for i in ps))
-            for pa, ps in _ordering_perms(a, astar, eda, eds)[1]]
-
-
-def _ordering_perms(a, astar, eda, eds):
-    """The view of a and astar on the eigen data eda of a and eds of
-    astar, and the orderings of :func:`find_td_orderings` as index
-    permutations of those eigenvalues."""
     if not eda.diagonalizable or len(eda.eigenvalues) != 3:
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    view = _view(a.field.p, eda.eigenvalues, eds.eigenvalues,
-                 _frame(a, eda.eigenvalues), _frame(astar, eds.eigenvalues))
-    far_a, far_s = view[3:5]
-    return view, [(pa, ps) for pa in permutations(range(3)) if far_a[pa[0]][pa[2]]
-                  for ps in permutations(range(3)) if far_s[ps[0]][ps[2]]]
-
-
-def _verify_unordered(a: Matrix, astar: Matrix):
-    """Verify on the first ordering pair of :func:`find_td_orderings`, or
-    on the eigenvalues in :func:`eigen_data` order when none passes, on
-    one view of the pair.  Returns (number of orderings, theta, thetastar,
-    report); raises ValueError as find_td_orderings."""
-    eda, eds = eigen_data(a), eigen_data(astar)
-    view, perms = _ordering_perms(a, astar, eda, eds)
-    pa, ps = perms[0] if perms else ((0, 1, 2), (0, 1, 2))
-    theta = tuple(eda.eigenvalues[i] for i in pa)
-    thetastar = tuple(eds.eigenvalues[i] for i in ps)
-    return len(perms), theta, thetastar, _verify_on_spaces(a, astar, view, pa, ps)
+    ta, ts = eda.eigenvalues, eds.eigenvalues
+    far_a, far_s = _view(a.field.p, ta, ts, _frame(a, ta), _frame(astar, ts))[1:3]
+    return [(tuple(ta[i] for i in pa), tuple(ts[i] for i in ps))
+            for pa in permutations(range(3)) if far_a[pa[0]][pa[2]]
+            for ps in permutations(range(3)) if far_s[ps[0]][ps[2]]]
 
 
 def _transition(fa, fs, p):

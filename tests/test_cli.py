@@ -253,9 +253,9 @@ def test_verify_identity_pair_exit_3(capsys, tmp_path):
 
 @pytest.mark.parametrize("p", [0, 7])
 def test_verify_without_orderings_matches_library(capsys, tmp_path, rng, p):
-    # the CLI shares one eigen computation between the ordering search and
-    # the checks; it must answer as find_td_orderings + verify_td_system do,
-    # the fallback to eigen_data order included
+    # verify without orderings runs find_td_orderings, then verify_td_system
+    # on the first ordering found, or on eigen_data's order when none
+    # passes; its document must be exactly what that pair gives
     from conftest import random_admissible_array, random_invertible, random_scalar
     from tdpair121 import Field, Matrix, eigen_data, find_td_orderings, verify_td_system
     field = Field(p) if p else QQ
@@ -293,6 +293,39 @@ def test_verify_without_orderings_matches_library(capsys, tmp_path, rng, p):
         assert code == (0 if report.overall and report.shape == (1, 2, 1) else 3)
         found.add(bool(orderings))
     assert found == {True, False}
+
+
+@pytest.mark.parametrize("p", [0, 101, 10007])
+def test_verify_without_orderings_costs_one_spectral_decomposition(
+        capsys, monkeypatch, tmp_path, rng, p):
+    # the ordering search finds the roots of both charpolys and keeps the
+    # frames of their eigen_data order: six eigenspaces, and P and P*
+    # inverted, 8 eliminations in all; the verify on the first ordering
+    # relabels those frames, so it adds no elimination, charpoly or root
+    # finding to a fresh pair
+    from conftest import random_admissible_array, random_invertible
+    import tdpair121
+    from tdpair121 import Field, Matrix, _poly, linalg
+    field = Field(p) if p else QQ
+    calls = []
+    for module, name in ((linalg, "_rref"), (linalg, "_eigenspace"),
+                         (_poly, "charpoly"), (_poly, "roots")):
+        real = getattr(module, name)
+        spy = lambda *args, _n=name, _f=real: calls.append(_n) or _f(*args)
+        for other in vars(tdpair121).values():
+            if getattr(other, name, None) is real:
+                monkeypatch.setattr(other, name, spy)
+    q = random_invertible(rng, field, Matrix)
+    qi = q.invert()
+    a, astar = (qi * m * q for m in canonical_matrices(random_admissible_array(rng, field)))
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"field": field.to_json(),
+                                "A": a.to_json(), "Astar": astar.to_json()}))
+    calls.clear()
+    code, doc = run(capsys, "verify", str(path))
+    assert code == 0 and doc["orderings_found"] == 4
+    assert sorted(calls) == sorted(["_rref"] * 8 + ["_eigenspace"] * 6
+                                   + ["charpoly", "roots"] * 2), calls
 
 
 EYE = [["1", "0", "0", "0"], ["0", "1", "0", "0"],

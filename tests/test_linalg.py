@@ -37,6 +37,7 @@ def test_matrix_product_and_identity():
     assert m * Matrix.identity(QQ, 4) == m
     mm = m * m
     assert mm.rows[0][1] == QQ(4)
+    assert repr(mm) == "Matrix[1 4 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1]"
 
 
 def test_invert_identity_and_diagonal():
@@ -111,6 +112,8 @@ def test_poly_roots_prime_field():
     # x^2 + 1 over GF(5): roots 2 and 3
     roots = poly_roots(f5, [f5(1), f5(0), f5(1)])
     assert [(str(r), m) for r, m in roots] == [("2", 1), ("3", 1)]
+    # a nonzero constant has no root; from p = 64 on, without trying residues
+    assert poly_roots(Field(101), [5]) == []
 
 
 def _int_poly_mul(a, b, p):
@@ -459,6 +462,9 @@ def test_subspace_canonical_equality():
     b = Subspace(QQ, 4, [(3, 0, 0, 0), (5, 7, 0, 0)])
     assert a == b
     assert a.basis == b.basis
+    assert repr(a) == "Subspace(dim=2, basis=[('1', '0', '0', '0'), ('0', '1', '0', '0')])"
+    with pytest.raises(AttributeError, match="^'Subspace' object has no attribute 'rows'$"):
+        a.rows
 
 
 def test_dimension_formula_random(rng):

@@ -256,6 +256,8 @@ def test_word_reduction_canonical_forms():
     assert D4Word(FLIP_PRIMARY + SWAP) == D4Word(SWAP + FLIP_DUAL)
     assert D4Word(FLIP_DUAL + SWAP) == D4Word(SWAP + FLIP_PRIMARY)
     assert D4Word(FLIP_DUAL + FLIP_PRIMARY) == D4Word(FLIP_PRIMARY + FLIP_DUAL)
+    assert repr(D4Word()) == "D4Word(identity)"
+    assert repr(D4Word(SWAP + FLIP_DUAL)) == "D4Word('D*')"
     # closure of the composition table
     for w1 in words:
         for w2 in words:
@@ -282,13 +284,20 @@ def test_admissibility_is_orbit_invariant(rng, gf101):
                 assert admissible(relative(pa, word)).ok == ok
 
 
-def test_derived_of_relative_consistency_instances(rng, p0, gf101):
+def test_derived_of_relative_consistency_instances(monkeypatch, rng, p0, gf101):
     assert derived_of_relative_consistency(p0)
     for _ in range(25):
         assert derived_of_relative_consistency(
             random_admissible_array(rng, gf101))
     for _ in range(10):
         assert derived_of_relative_consistency(random_admissible_array(rng, QQ))
+    # the check bites: with any one generator's permutation wrong, it fails
+    from tdpair121 import params
+    pa = random_admissible_array(rng, QQ)
+    for letter, perm in list(params._DERIVED_SWAP.items()):
+        with monkeypatch.context() as patch:
+            patch.setitem(params._DERIVED_SWAP, letter, perm[::-1])
+            assert not derived_of_relative_consistency(pa), letter
 
 
 def test_centered_array_collapses_derived_params(rng):

@@ -427,12 +427,11 @@ def test_verify_reads_the_shape_without_eliminating(monkeypatch, rng):
 
 
 def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
-    # the ordering search and the checks read one view of the pair, so
-    # each eigenbasis is inverted once: P and P*, kept in the frames of
-    # eigen_data's order; verifying the pair again under given orderings
-    # relabels those frames and inverts nothing
-    from tdpair121 import tdsystem
-
+    # verify without orderings is find_td_orderings, then verify_td_system
+    # on the first ordering found: the search inverts P and P*, kept in the
+    # frames of eigen_data's order, and the verify relabels those frames,
+    # so each eigenbasis is inverted once; verifying the pair again under
+    # given orderings, or searching again, inverts nothing
     calls = []
     real = tdpair121.linalg._inv_grid
 
@@ -450,15 +449,16 @@ def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
         qi = q.invert()
         a, astar = qi * a * q, qi * astar * q
         calls.clear()
-        found, _, _, report = tdsystem._verify_unordered(a, astar)
-        assert found == 4 and report.overall and report.shape == (1, 2, 1)
+        orderings = find_td_orderings(a, astar)
+        report = verify_td_system(a, astar, *orderings[0])
+        assert len(orderings) == 4 and report.overall and report.shape == (1, 2, 1)
         assert len(calls) == 2, calls
         calls.clear()
         assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
         assert calls == []
         calls.clear()
         assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
-        assert tdsystem._verify_unordered(a, astar)[0] == 4
+        assert len(find_td_orderings(a, astar)) == 4
         assert calls == []
 
 
