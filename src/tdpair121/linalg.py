@@ -58,8 +58,12 @@ Vector = tuple  # tuple of FieldElement
 #   per matrix.  Values are compared with ==, never hashed.
 # _rref is the only elimination, for both fields: over GF(p) it scales
 # pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
-# meets are annihilators (_ann), read off one elimination on as many
-# columns as the space has; only _inv_grid eliminates on [g | I] or [g | rhs].
+# meets are read by one null-space reader (_null) off one elimination on as
+# many columns as the space has, of rows given with their columns reversed:
+# _ann reverses the rows it is given, and _eigenspace builds the shifted
+# rows of M - e I reversed in one pass.  The reader returns the canonical
+# rows with their pivots, the free columns the elimination found.  Only
+# _inv_grid eliminates on [g | I] or [g | rhs].
 
 _new = object.__new__
 
@@ -69,8 +73,11 @@ def _unbox(field: Field, vec) -> list:
 
     Elements of field pass by an identity test; ints, Fractions and strings
     are coerced; an element of another field raises ValueError and any
-    other value TypeError.
+    other value TypeError.  A string is no vector, though it is a sequence,
+    so vec itself being one raises TypeError too.
     """
+    if isinstance(vec, str):
+        raise TypeError(f"expected a vector, got {type(vec).__name__}")
     return [field(x).val for x in vec]
 
 
@@ -293,20 +300,18 @@ def _det_small(rows, p: int):
     return det % p if p else det
 
 
-def _ann(rows, n: int, p: int) -> list:
-    """Canonical raw rows (as Subspace._rows) of the annihilator of the raw
-    rows in F^n, the null space {v : r . v = 0 for r in rows}; all of F^n
-    when there are no rows.
+def _null(work, n: int, p: int) -> tuple:
+    """Canonical raw rows (as Subspace._rows, tuples) of the null space in
+    F^n of raw rows whose n columns work holds reversed, with their pivots:
+    all of F^n when there are no rows.  work is reduced in place.
 
-    The rows are reduced with their columns reversed.  The null-space
-    vector of a free column f of that form is 1 at f, 0 at the other free
-    columns and nonzero only left of f; read back in the original order,
-    these vectors lead with 1 at their own columns and are 0 at each
-    other's: the reduced echelon form, over QQ cleared and made primitive.
-    """
-    work = [r[::-1] for r in rows]
+    The null-space vector of a free column f of the reversed form is 1 at f,
+    0 at the other free columns and nonzero only left of f; read back in the
+    original order, these vectors lead with 1 at their own columns n - 1 - f
+    and are 0 at each other's: the reduced echelon form, over QQ cleared and
+    made primitive with a positive pivot, and those columns its pivots."""
     pivots = _rref(work, p)
-    out = []
+    rows, leads = [], []
     for f in range(n - 1, -1, -1):
         if f in pivots:
             continue
@@ -316,8 +321,15 @@ def _ann(rows, n: int, p: int) -> list:
         for row, c in zip(work, pivots):
             if row[f]:
                 v[n - 1 - c] = -row[f] % p if p else -row[f] * lead // row[c]
-        out.append(v if p else _primitive(v, lead))
-    return out
+        rows.append(tuple(v) if p else tuple(_primitive(v, lead)))
+        leads.append(n - 1 - f)
+    return tuple(rows), tuple(leads)
+
+
+def _ann(rows, n: int, p: int) -> tuple:
+    """Canonical raw rows and pivots, as :func:`_null` gives them, of the
+    annihilator of the raw rows in F^n, {v : r . v = 0 for r in rows}."""
+    return _null([r[::-1] for r in rows], n, p)
 
 
 def _shaped(rows) -> list:
@@ -495,9 +507,8 @@ class Matrix:
     def kernel(self):
         """Basis of the null space, as a list of vectors in reduced echelon
         form."""
-        n = self.ncols
-        return list(Subspace._from_echelon(self.field, n,
-                                          _ann(self._grid[0], n, self.field.p)).basis)
+        n, p = self.ncols, self.field.p
+        return list(Subspace._from_echelon(self.field, n, _ann(self._grid[0], n, p)).basis)
 
     def to_json(self):
         return [[str(x) for x in row] for row in self.rows]
@@ -545,24 +556,24 @@ class Subspace:
         return s
 
     @classmethod
-    def _from_echelon(cls, field: Field, ambient: int, rows) -> Subspace:
-        """Span of canonical raw rows already in reduced echelon form, such
-        as those of :func:`_ann`, taken as they are."""
+    def _from_echelon(cls, field: Field, ambient: int, null) -> Subspace:
+        """The subspace of canonical raw rows with their pivots, both tuples,
+        as :func:`_null` returns them, taken as they are."""
         s = object.__new__(cls)
-        s._set(field, ambient, rows, [next(j for j, x in enumerate(r) if x) for r in rows])
+        s._set(field, ambient, *null)
         return s
 
     def _span(self, field, ambient, work) -> None:
         p = field.p
         pivots = _rref(work, p)
-        self._set(field, ambient, [r if p else _primitive(r, r[c])
-                                   for r, c in zip(work, pivots)], pivots)
+        self._set(field, ambient, tuple(tuple(r) if p else tuple(_primitive(r, r[c]))
+                                        for r, c in zip(work, pivots)), tuple(pivots))
 
     def _set(self, field, ambient, rows, pivots) -> None:
         self.field = field
         self.ambient = ambient
-        self._rows = tuple(tuple(r) for r in rows)
-        self._pivots = tuple(pivots)
+        self._rows = rows
+        self._pivots = pivots
 
     @classmethod
     def zero(cls, field: Field, ambient: int) -> Subspace:
@@ -623,8 +634,8 @@ class Subspace:
         """Intersection, the annihilator of the sum of the two annihilators."""
         self._compat(other)
         n, p = self.ambient, self.field.p
-        return Subspace._from_echelon(self.field, n,
-                                      _ann(_ann(self._rows, n, p) + _ann(other._rows, n, p), n, p))
+        return Subspace._from_echelon(
+            self.field, n, _ann(_ann(self._rows, n, p)[0] + _ann(other._rows, n, p)[0], n, p))
 
     def _compat(self, other: Subspace) -> None:
         if not isinstance(other, Subspace):
@@ -713,6 +724,7 @@ def charpoly(m: Matrix):
 def poly_roots(field: Field, coeffs):
     """Roots in the field with multiplicities, as a list of (root, mult)
     ascending by value; over QQ found on the integer-cleared polynomial."""
+    _require(field, Field)
     cs = _poly.trim(_grid_of([_unbox(field, coeffs)], field.p)[0][0])
     if not cs:
         raise ValueError("the zero polynomial has every element as a root")
@@ -747,11 +759,20 @@ def eigen_data(m: Matrix) -> EigenData:
 
 
 def _eigenspace(m: Matrix, e: FieldElement) -> Subspace:
-    """ker(m - e I) of a square matrix: the annihilator of the rows of its
-    raw grid, whose denominator does not change it."""
-    p, n = m.field.p, m.ncols
-    rows, _ = _shift_grid(m._grid, e.val, p)
-    return Subspace._from_echelon(m.field, n, _ann(rows, n, p))
+    """ker(m - e I) of a square matrix, read by :func:`_null` off the rows of
+    M - e I, built with their columns reversed in one pass (a grid's rows are
+    lists, so a reversed copy takes the shift in place).  Over QQ, for the
+    raw grid rows/den of M and e = cn/cd, they are the rows of cd*rows -
+    cn*den*I, a scale of M - e I that does not change its kernel."""
+    (rows, den), p, c, n = m._grid, m.field.p, e.val, m.ncols
+    cn, cd = (c, 1) if p else (c.numerator * den, c.denominator)
+    work = []
+    for i, r in enumerate(rows):
+        w = r[::-1] if cd == 1 else [x * cd for x in reversed(r)]
+        k = n - 1 - i
+        w[k] = (w[k] - cn) % p if p else w[k] - cn
+        work.append(w)
+    return Subspace._from_echelon(m.field, n, _null(work, n, p))
 
 
 def _eigenbasis(spaces, p: int) -> tuple:

@@ -8,7 +8,7 @@ orderings, builds the six eigenspace-chain decompositions, and computes
 the shape, all on one matrix: C = P^-1 P*, the transition EigA -> EigA*
 from A's eigenbasis P to A*'s, P*.  In A's eigen-coordinates V_i is spanned
 by unit vectors I_i and V*_j by the columns J_j of C; A* there is C D* C^-1
-and A in A*'s C^-1 D C, whose zero blocks decide tridiagonality; a meet is
+and A in A*'s C^-1 D C, whose far blocks decide tridiagonality; a meet is
 C[:, J] ker(C[I^c, J]); and the shape reads corners of C and C^-1.
 """
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain, combinations, permutations, product
+from operator import mul
 
 from . import _poly
 from .fields import Field, FieldElement, _require
@@ -214,12 +215,13 @@ def verify_td_system(a: Matrix, astar: Matrix, theta, thetastar) -> Verification
     fa, fs = _frame(a, theta), _frame(astar, thetastar)
     if not (fa.ok and fs.ok):
         return _undiagonalizable(fa.ok, fs.ok)
-    coords, far_a, far_s, (c, inv, idx, jdx) = _view(a.field.p, theta, thetastar, fa, fs)
-    tri_astar, tri_a = far_a[0][2], far_s[0][2]
+    p = a.field.p
+    coords, dual, (c, inv, idx, jdx) = _view(p, theta, thetastar, fa, fs)
+    tri_astar, tri_a = _apart(p, idx[0], idx[2], coords[0]), _apart(p, jdx[0], jdx[2], *dual)
     if not (tri_astar and tri_a):
         return VerificationReport(True, True, tri_astar, tri_a, False, None, None, ("irreducible",))
     witness = _invariant_search(a.field, theta, fa.spaces, astar, coords)
-    dims = _shape(c, inv, idx, jdx, a.field.p)
+    dims = _shape(c, inv, idx, jdx, p)
     return VerificationReport(True, True, True, True, witness is None, dims, witness, ())
 
 
@@ -231,16 +233,35 @@ def _undiagonalizable(diag_a, diag_s) -> VerificationReport:
 
 def _view(p, theta, thetastar, fa, fs):
     """What the checks read, for frames fa of A and fs of A* whose
-    eigenspaces each span the space: B = C D* C^-1 = P^-1 A* P with the
-    blocks of A's eigenspaces, the zero blocks of B and C^-1 D C, and C,
-    C^-1 and blocks.  The
+    eigenspaces each span the space: B = C D* C^-1 = P^-1 A* P whole, as the
+    invariant search reads all of it, with the blocks of A's eigenspaces;
+    C^-1 D C = P*^-1 A P* as its two factors, the raw rows of C^-1 D and the
+    columns of C, which :func:`_apart` reads only at the blocks it is asked
+    about, never forming the product; and C, C^-1 and the blocks.  The
     blocks may come in any column order, so D and D* place each eigenvalue
     at its block's columns."""
     c, inv, idx, jdx = frame = _transition(fa, fs, p)[1:]
     diag = lambda evs, bs: [*map({k: t.val for t, ks in zip(evs, bs) for k in ks}.get, range(4))]
     b = _mul_grids(_scale_columns(c, diag(thetastar, jdx), p), inv, p)[0]
-    b_dual = _mul_grids(_scale_columns(inv, diag(theta, idx), p), c, p)[0]
-    return (b, idx), _zero_blocks(b, idx), _zero_blocks(b_dual, jdx), frame
+    dual = _scale_columns(inv, diag(theta, idx), p)[0], [*zip(*c[0])]
+    return (b, idx), dual, frame
+
+
+def _apart(p, ri, cj, rows, cols=None) -> bool:
+    """Whether blocks (ri, cj) and (cj, ri) of a matrix M in eigen-coordinates
+    vanish, E_i M E_j = 0 = E_j M E_i for the projectors E_i onto the spaces
+    of the coordinate blocks: M is tridiagonal on the blocks in an order iff
+    its first and last blocks are apart.  M is the raw rows, read as they
+    are, or with cols the product of the raw rows and the raw columns cols,
+    of which only the entries at the two blocks are dotted out.  Entries are
+    read up to scale."""
+    def at(r, k):
+        if cols is None:
+            return rows[r][k]
+        x = sum(map(mul, rows[r], cols[k]))
+        return x % p if p else x
+
+    return not any(at(r, k) or at(k, r) for r in ri for k in cj)
 
 
 def find_td_orderings(a: Matrix, astar: Matrix):
@@ -248,9 +269,11 @@ def find_td_orderings(a: Matrix, astar: Matrix):
 
     Requires both matrices diagonalizable with exactly 3 eigenvalues;
     returns a lexicographically ordered list of (theta, thetastar) pairs.
-    The 36 pairs are read off the zero-block tables of one view in the
-    :func:`eigen_data` order: an ordering passes iff the blocks between
-    its first and last eigenspace vanish.
+    The 36 pairs are read off one view in the :func:`eigen_data` order: an
+    ordering passes iff its first and last eigenspaces are :func:`_apart`,
+    which is asked of the three pairs of blocks of each matrix.  The ends
+    of an ordering of 0, 1, 2 are the two indices other than its middle
+    one, so each pair's answer is kept at the index of the third block.
     """
     _check_pair(a, astar)
     eda, eds = eigen_data(a), eigen_data(astar)
@@ -258,11 +281,14 @@ def find_td_orderings(a: Matrix, astar: Matrix):
         raise ValueError("first matrix is not diagonalizable with 3 eigenvalues")
     if not eds.diagonalizable or len(eds.eigenvalues) != 3:
         raise ValueError("second matrix is not diagonalizable with 3 eigenvalues")
-    ta, ts = eda.eigenvalues, eds.eigenvalues
-    far_a, far_s = _view(a.field.p, ta, ts, _frame(a, ta), _frame(astar, ts))[1:3]
+    ta, ts, p = eda.eigenvalues, eds.eigenvalues, a.field.p
+    (b, idx), dual, (*_, jdx) = _view(p, ta, ts, _frame(a, ta), _frame(astar, ts))
+    ends = ((1, 2), (0, 2), (0, 1))
+    mid_a = [_apart(p, idx[i], idx[j], b) for i, j in ends]
+    mid_s = [_apart(p, jdx[i], jdx[j], *dual) for i, j in ends]
     return [(tuple(ta[i] for i in pa), tuple(ts[i] for i in ps))
-            for pa in permutations(range(3)) if far_a[pa[0]][pa[2]]
-            for ps in permutations(range(3)) if far_s[ps[0]][ps[2]]]
+            for pa in permutations(range(3)) if mid_a[pa[1]]
+            for ps in permutations(range(3)) if mid_s[ps[1]]]
 
 
 def _transition(fa, fs, p):
@@ -271,14 +297,6 @@ def _transition(fa, fs, p):
     two products of the frames' inverses, so C is never inverted."""
     (basis, idx), (dual, jdx) = fa.basis, fs.basis
     return dual, _mul_grids(fa.inverse, dual, p), _mul_grids(fs.inverse, basis, p), idx, jdx
-
-
-def _zero_blocks(grid, idx):
-    """Entry [i][j] tells whether E_i M E_j = 0 = E_j M E_i, blocks (i, j)
-    and (j, i) of the grid of M in eigen-coordinates, for the projectors E_i
-    of the spaces; M is tridiagonal on them in an order iff [first][last]."""
-    return [[not any(grid[r][c] or grid[c][r] for r in ri for c in cj) for cj in idx]
-            for ri in idx]
 
 
 def _decompositions(field, spaces, duals, dual, c, _, idx, jdx):
@@ -294,7 +312,8 @@ def _decompositions(field, spaces, duals, dual, c, _, idx, jdx):
     @cache  # each side component is shared by two decompositions
     def meet(ds, ss):
         js, inside = sorted({j for d in ds for j in jdx[d]}), {i for s in ss for i in idx[s]}
-        kernel = _ann([[c[0][r][j] for j in js] for r in range(4) if r not in inside], len(js), p)
+        rows = [[c[0][r][j] for j in js] for r in range(4) if r not in inside]
+        kernel, _ = _ann(rows, len(js), p)
         vals = _mul_grids((kernel, 1), ([vecs[j] for j in js], 1), p)[0]
         return Subspace._from_vals(field, 4, vals)
 

@@ -136,11 +136,33 @@ def test_calls_on_a_non_matrix_fail_closed(call, junk):
     (lambda x: Subspace(x, 4, []), "Field", None),
     (lambda x: Subspace.zero(x, 4), "Field", None),
     (lambda x: Subspace.column_space(x), "Matrix", None),
+    (lambda x: poly_roots(x, []), "Field", None),
+    (lambda x: poly_roots(x, ()), "Field", "1/2"),
+    (lambda x: poly_roots(x, [1]), "Field", None),
 ])
 def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
-    # each raised AttributeError, which no documented error covers
+    # each raised AttributeError, which no documented error covers, or for
+    # poly_roots with coefficients "'NoneType' object is not callable"
     with pytest.raises(TypeError, match=f"^expected a {expected}, got {type(junk).__name__}$"):
         call(junk)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Matrix(QQ, ["12", "34"]),
+    lambda: Matrix(Field(7), "12"),
+    lambda: Matrix.from_columns(QQ, ["12"]),
+    lambda: Matrix.diagonal(QQ, "12"),
+    lambda: Matrix.identity(QQ, 2).apply("12"),
+    lambda: poly_roots(QQ, "12"),
+    lambda: Subspace(QQ, 2, ["12"]),
+    lambda: Subspace(QQ, 2).contains("12"),
+    lambda: eta_vectors(TDS, "1234"),
+])
+def test_a_str_is_not_a_vector(call):
+    # a string was read as the sequence of its characters: Matrix(QQ, ["12",
+    # "34"]) was [[1, 2], [3, 4]] and poly_roots(QQ, "12") the root -1/2
+    with pytest.raises(TypeError, match="^expected a vector, got str$"):
+        call()
 
 
 @pytest.mark.parametrize("call, expected, junk", [

@@ -1029,6 +1029,123 @@ def test_eigen_data_of_a_jordan_block_builds_its_spaces_once(monkeypatch):
     assert len(calls) == 3
 
 
+# -- the null-space reader ------------------------------------------------------
+
+def _leads(rows):
+    """The first nonzero column of each raw row."""
+    return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
+
+
+def _similar(rng, field, values):
+    """S diag(values) S^-1 for a random invertible S of that order."""
+    n = len(values)
+    while True:
+        s = Matrix(field, [[random_scalar(rng, field) for _ in range(n)] for _ in range(n)])
+        if s.rank() == n:
+            return s * Matrix.diagonal(field, values) * s.invert()
+
+
+def _assert_echelon_kernel(rows, t, got, p):
+    """got is the reduced echelon basis of ker(M - t) over GF(p), for raw
+    rows of M of any order n: each row is killed, there are n - rank(M - t)
+    of them (oracle.rank_mod), and oracle.rref_mod leaves them as they are.
+    Those three pin the one reduced echelon basis of the kernel."""
+    n = len(rows)
+    shifted = [[(x - t * (i == j)) % p for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    for v in got:
+        assert all(sum(map(lambda a, b: a * b, r, v)) % p == 0 for r in shifted)
+    assert len(got) == n - oracle.rank_mod(shifted, p)
+    assert oracle.rref_mod(got, p) == [list(v) for v in got]
+
+
+@pytest.mark.parametrize("p", [2, 7, 2**61 - 1])
+def test_eigenspaces_match_independent_oracles(p):
+    # the eigenspace reader on matrices of eigenvalue pattern (x, y, y, z),
+    # at each of their values and one more, against the enumeration oracle
+    # eigenspace_basis_mod where p^4 vectors can be listed, and for every
+    # p against the rank and echelon oracles
+    rng = random.Random(f"eigenspace-reader:{p}")
+    field = Field(p)
+    dims = set()
+    for _ in range(12):
+        x, y, z = (rng.randrange(p) for _ in range(3))
+        m = _similar(rng, field, [x, y, y, z])
+        rows = [[e.val for e in r] for r in m.rows]
+        for t in sorted({x, y, z, rng.randrange(p)}):
+            s = linalg._eigenspace(m, field(t))
+            got = [list(r) for r in s._rows]
+            if p < 10:
+                assert got == oracle.rref_mod(oracle.eigenspace_basis_mod(rows, t, p), p)
+            _assert_echelon_kernel(rows, t, got, p)
+            assert s._pivots == _leads(s._rows) and s.dim == len(got)
+            dims.add(s.dim)
+    assert {0, 1, 2} <= dims, dims
+    # 2x2 and 5x5 matrices through eigen_data: the values, in ascending
+    # order, their multiplicities and every eigenspace
+    for values in ([3, 5], [1, 1, 4, 6, 6]):
+        m = _similar(rng, field, [v % p for v in values])
+        rows = [[e.val for e in r] for r in m.rows]
+        ed = eigen_data(m)
+        distinct = sorted({v % p for v in values})
+        assert [e.val for e in ed.eigenvalues] == distinct and ed.diagonalizable
+        assert list(ed.multiplicities) == [[v % p for v in values].count(v) for v in distinct]
+        for e, s in zip(ed.eigenvalues, ed.eigenspaces):
+            _assert_echelon_kernel(rows, e.val, [list(r) for r in s._rows], p)
+            assert s._pivots == _leads(s._rows)
+
+
+def test_qq_eigenspaces_match_sympy():
+    # over QQ the shifted rows are scaled by an eigenvalue's denominator;
+    # the boxed basis must be sympy's reduced echelon null space, for 2x2,
+    # 4x4 and 5x5 matrices, eigenvalues with denominators 2 and 3, a plane
+    # and a value that is no eigenvalue
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("eigenspace-reader:QQ")
+
+    def null_rref(rows, t):
+        sm = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+        ns = (sm - sympy.Rational(t.numerator, t.denominator) * sympy.eye(len(rows))).nullspace()
+        if not ns:
+            return []
+        red = sympy.Matrix.hstack(*ns).T.rref()[0]
+        return [[Fraction(int(x.p), int(x.q)) for x in red.row(i)] for i in range(len(ns))]
+
+    h, third = Fraction(3, 2), Fraction(-1, 3)
+    for values in ([h, -1], [h, third, third, 2], [h, h, third, 2, 2]):
+        for _ in range(2):
+            m = _similar(rng, QQ, values)
+            rows = [[e.val for e in r] for r in m.rows]
+            ed = eigen_data(m)
+            assert [e.val for e in ed.eigenvalues] == sorted(set(values)) and ed.diagonalizable
+            spaces = list(zip(ed.eigenvalues, ed.eigenspaces))
+            spaces.append((QQ(Fraction(5, 7)), linalg._eigenspace(m, QQ(Fraction(5, 7)))))
+            for e, s in spaces:
+                assert [[x.val for x in v] for v in s.basis] == null_rref(rows, e.val)
+                assert s._pivots == _leads(s._rows)
+                assert all(r[j] > 0 and math.gcd(*r) == 1 for r, j in zip(s._rows, s._pivots))
+            counts = [values.count(v) for v in sorted(set(values))]
+            assert [s.dim for _, s in spaces] == counts + [0]
+
+
+@pytest.mark.parametrize("p", KERNEL_CHARACTERISTICS)
+def test_kernels_and_meets_carry_their_pivots(p):
+    # Matrix.kernel and & read the null-space reader's rows and pivots as
+    # they are: each pivot is its row's first nonzero column, and the
+    # kernel is the boxed rows
+    rng = random.Random(f"null-pivots:{p}")
+    field = Field(p)
+    mats = _raw_matrices(rng, p, 24)
+    for a_rows, b_rows in zip(mats, mats[1:] + mats[:1]):
+        a = Matrix(field, a_rows)
+        rows, pivots = linalg._ann(a._grid[0], 4, p)
+        assert pivots == _leads(rows)
+        span = Subspace(field, 4, [[field(x) for x in r] for r in rows])
+        assert [[x.val for x in v] for v in a.kernel()] == [[x.val for x in v] for v in span.basis]
+        meet = Subspace(field, 4, a_rows[:2]) & Subspace(field, 4, b_rows[:3])
+        assert meet._pivots == _leads(meet._rows)
+        assert isinstance(meet._rows, tuple) and all(type(r) is tuple for r in meet._rows)
+
+
 # -- QQ kernels at high bit length against sympy --------------------------------
 
 def _big(rng, bits=100):

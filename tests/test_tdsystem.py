@@ -206,12 +206,11 @@ def test_find_orderings_symmetric_in_the_pair(tds):
     assert {(ts, th) for th, ts in direct} == set(swapped)
 
 
-def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
-    """Ordering pairs passing the tridiagonal axioms, by raw products
-    E_i A* E_j and E*_i A E*_j of the primitive idempotents: ints mod p,
-    or Fractions for p = 0."""
+def _far_blocks_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
+    """Tables [i][j] telling whether E_i A* E_j = 0 and whether E*_i A E*_j
+    = 0, by raw products of the primitive idempotents: ints mod p, or
+    Fractions for p = 0."""
     from fractions import Fraction
-    from itertools import permutations
 
     def mul(x, y):
         out = [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
@@ -233,38 +232,47 @@ def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
         return [[not any(map(any, mul(mul(e[i], m), e[j]))) for j in range(3)]
                 for i in range(3)]
 
-    fa = far(idempotents(a_rows, evs_a), astar_rows)
-    fs = far(idempotents(astar_rows, evs_s), a_rows)
+    return far(idempotents(a_rows, evs_a), astar_rows), far(idempotents(astar_rows, evs_s), a_rows)
+
+
+def _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p):
+    """Ordering pairs passing the tridiagonal axioms, by the block test of
+    :func:`_far_blocks_from_idempotents`."""
+    fa, fs = _far_blocks_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p)
     return [(tuple(evs_a[i] for i in pa), tuple(evs_s[i] for i in ps))
             for pa in permutations(range(3)) if fa[pa[0]][pa[2]] and fa[pa[2]][pa[0]]
             for ps in permutations(range(3)) if fs[ps[0]][ps[2]] and fs[ps[2]][ps[0]]]
 
 
+def _idempotent_test_pair(rng, field, kind):
+    """A pair with eigenvalue pattern (a, b, b, c) on both sides and its
+    sorted raw spectra: kind 0 conjugated independently (mostly not
+    tridiagonal), 1 conjugated by one matrix (every ordering passes), 2 a
+    conjugated canonical system (four orderings)."""
+    p = field.p
+    values = range(p) if p else range(-6, 7)
+    if kind == 2:
+        pa = random_admissible_array(rng, field)
+        a, astar = canonical_matrices(pa)
+        s = random_invertible(rng, field, Matrix)
+        a, astar = s * a * s.invert(), s * astar * s.invert()
+        return a, astar, sorted(x.val for x in pa.theta), sorted(x.val for x in pa.thetastar)
+    evs_a, evs_s = sorted(rng.sample(values, 3)), sorted(rng.sample(values, 3))
+    s = random_invertible(rng, field, Matrix)
+    s_star = random_invertible(rng, field, Matrix) if kind == 0 else s
+    x, y, z = rng.sample(evs_a, 3)
+    a = s * Matrix.diagonal(field, [x, y, y, z]) * s.invert()
+    x, y, z = rng.sample(evs_s, 3)
+    astar = s_star * Matrix.diagonal(field, [x, y, y, z]) * s_star.invert()
+    return a, astar, evs_a, evs_s
+
+
 @pytest.mark.parametrize("p", [7, 13, pytest.param(0, id="QQ")])
 def test_find_orderings_match_idempotent_definition(rng, p):
-    # pairs with eigenvalue pattern (a, b, b, c) on both sides: independently
-    # conjugated (mostly not tridiagonal), conjugated by one matrix (every
-    # ordering passes), and conjugated canonical systems (four orderings)
     field = Field(p)
-    values = range(p) if p else range(-6, 7)
     counts = {0: 0, 4: 0, 36: 0}
     for trial in range(36):
-        kind = trial % 3
-        if kind == 2:
-            pa = random_admissible_array(rng, field)
-            a, astar = canonical_matrices(pa)
-            s = random_invertible(rng, field, Matrix)
-            a, astar = s * a * s.invert(), s * astar * s.invert()
-            evs_a = sorted(x.val for x in pa.theta)
-            evs_s = sorted(x.val for x in pa.thetastar)
-        else:
-            evs_a, evs_s = sorted(rng.sample(values, 3)), sorted(rng.sample(values, 3))
-            s = random_invertible(rng, field, Matrix)
-            s_star = random_invertible(rng, field, Matrix) if kind == 0 else s
-            x, y, z = rng.sample(evs_a, 3)
-            a = s * Matrix.diagonal(field, [x, y, y, z]) * s.invert()
-            x, y, z = rng.sample(evs_s, 3)
-            astar = s_star * Matrix.diagonal(field, [x, y, y, z]) * s_star.invert()
+        a, astar, evs_a, evs_s = _idempotent_test_pair(rng, field, trial % 3)
         a_rows = [[x.val for x in row] for row in a.rows]
         astar_rows = [[x.val for x in row] for row in astar.rows]
         expected = _orderings_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p)
@@ -274,6 +282,30 @@ def test_find_orderings_match_idempotent_definition(rng, p):
         if len(got) in counts:
             counts[len(got)] += 1
     assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("p", [7, 13, pytest.param(0, id="QQ")])
+def test_verify_matches_idempotent_definition_under_all_orderings(rng, p):
+    # verify asks the far-block test for blocks (0, 2) of each matrix in the
+    # given order, find_td_orderings for the three pairs of blocks in
+    # eigen_data's order: each flag is judged here on its own, under all
+    # 36 ordering pairs, by products of the primitive idempotents
+    field = Field(p)
+    seen = set()
+    for trial in range(12):
+        a, astar, evs_a, evs_s = _idempotent_test_pair(rng, field, trial % 3)
+        a_rows = [[x.val for x in row] for row in a.rows]
+        astar_rows = [[x.val for x in row] for row in astar.rows]
+        fa, fs = _far_blocks_from_idempotents(a_rows, astar_rows, evs_a, evs_s, p)
+        for pa, ps in product(permutations(range(3)), repeat=2):
+            report = verify_td_system(a, astar, [field(evs_a[i]) for i in pa],
+                                      [field(evs_s[i]) for i in ps])
+            assert report.diagonalizable_a and report.diagonalizable_astar
+            flags = (report.tridiagonal_astar_e, report.tridiagonal_a_estar)
+            assert flags == (fa[pa[0]][pa[2]] and fa[pa[2]][pa[0]],
+                             fs[ps[0]][ps[2]] and fs[ps[2]][ps[0]])
+            seen.add(flags)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_derived_objects_die_with_the_system(p0):
@@ -424,6 +456,42 @@ def test_verify_reads_the_shape_without_eliminating(monkeypatch, rng):
             assert report.shape == (1, 2, 1)
             assert report.irreducible is (make is random_admissible_array)
             assert len(calls) == 8 + (not report.irreducible), len(calls)
+
+
+def test_verify_forms_c_its_inverse_and_b_only(monkeypatch, rng):
+    # a fresh pair costs three grid products, C, C^-1 and B = C D* C^-1, as
+    # the far blocks of C^-1 D C are dotted out of its factors, and eight
+    # eliminations: the six eigenspaces, each read by the one null-space
+    # reader off shifted rows built in place (no _shift_grid), and the
+    # inverses of P and P*; kernels and meets reach the same reader
+    from tdpair121 import linalg, tdsystem
+
+    calls = []
+    for name in ("_mul_grids", "_rref", "_shift_grid"):
+        real = getattr(linalg, name)
+        spy = (lambda *args, _n=name, _f=real:
+               calls.append((_n, sys._getframe(1).f_code.co_name)) or _f(*args))
+        for module in vars(tdpair121).values():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    assert not hasattr(tdsystem, "_zero_blocks")
+    field = Field(10007)
+    for _ in range(3):
+        pa = random_admissible_array(rng, field)
+        a, astar = canonical_matrices(pa)
+        q = random_invertible(rng, field, Matrix)
+        qi = q.invert()
+        a, astar = qi * a * q, qi * astar * q
+        calls.clear()
+        report = verify_td_system(a, astar, pa.theta, pa.thetastar)
+        assert report.overall and report.shape == (1, 2, 1)
+        assert sorted(calls) == sorted([("_mul_grids", "_transition")] * 2
+                                       + [("_mul_grids", "_view")]
+                                       + [("_rref", "_null")] * 6
+                                       + [("_rref", "_inv_grid")] * 2), calls
+    calls.clear()
+    assert len(a.kernel()) == 0 and (Subspace.full(field, 4) & Subspace.zero(field, 4)).is_zero
+    assert calls and set(calls) - {("_rref", "_span")} == {("_rref", "_null")}, calls
 
 
 def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
