@@ -68,8 +68,8 @@ Vector = tuple  # tuple of FieldElement
 _new = object.__new__
 
 
-def _unbox(field: Field, vec) -> list:
-    """Raw values of a vector over field.
+def _elements(field: Field, vec) -> tuple:
+    """The entries of a vector, or of a list of eigenvalues, as elements of field.
 
     Elements of field pass by an identity test; ints, Fractions and strings
     are coerced; an element of another field raises ValueError and any
@@ -78,7 +78,12 @@ def _unbox(field: Field, vec) -> list:
     """
     if isinstance(vec, str):
         raise TypeError(f"expected a vector, got {type(vec).__name__}")
-    return [field(x).val for x in vec]
+    return tuple(map(field, vec))
+
+
+def _unbox(field: Field, vec) -> list:
+    """Raw values of a vector over field, coerced as :func:`_elements`."""
+    return [x.val for x in _elements(field, vec)]
 
 
 def _box(field: Field, vals, den=1) -> Vector:
@@ -223,9 +228,13 @@ def _image(g, vals, c) -> list:
 
 def _apply_raw(g, v, p: int, c=0) -> tuple:
     """The raw vector (M - c*I)v for the raw grid g of M, a raw vector v
-    and a raw scalar c; Mv when c is left out."""
-    w = _image(g, v[0], c)
-    return ([x % p for x in w], 1) if p else _vector(w, g[1] * v[1] * c.denominator)
+    and a raw scalar c; Mv when c is left out.  Over GF(p) each row of g
+    is read once, its dot product with v shifted and reduced in one pass;
+    over QQ the image of :func:`_image` is made canonical."""
+    vals = v[0]
+    if p:
+        return [(sum(map(mul, row, vals)) - c * y) % p for row, y in zip(g[0], vals)], 1
+    return _vector(_image(g, vals, c), g[1] * v[1] * c.denominator)
 
 
 def _rref(work, p: int):
@@ -237,8 +246,9 @@ def _rref(work, p: int):
     Over GF(p) the pivot row is scaled to 1.  When column c takes its
     pivot, every row from the pivot row down is zero left of c: a column
     without a pivot is zero from the pivot row down, and each earlier pivot
-    column was cleared.  So the pivot row is zero left of c, and each
-    update keeps row[:c] and rewrites the row from column c on only.
+    column was cleared.  So the pivot row is zero left of c, and an update
+    row - f * pivot row, reduced mod p, leaves the residues of row[:c] as
+    they are: as over QQ, each update rewrites the whole row in one pass.
 
     Over QQ elimination is fraction-free: each update cross-multiplies two
     rows and divides the result by its content, so entries stay as small
@@ -263,14 +273,13 @@ def _rref(work, p: int):
             inv = pow(a, -1, p)
             top = [x * inv % p for x in top]
         work[r] = top
-        tail = top[c:]
         for i in range(nrows):
             row = work[i]
             f = row[c]
             if not f or i == r:
                 continue
             if p:
-                work[i] = [*row[:c], *[(x - f * y) % p for x, y in zip(row[c:], tail)]]
+                work[i] = [(x - f * y) % p for x, y in zip(row, top)]
             else:
                 g = math.gcd(a, f)
                 fa, ff = a // g, f // g
@@ -383,10 +392,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
+        _require(n, int)
         return cls._from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> Matrix:
+        _require(nrows, int)
+        _require(ncols, int)
         return cls._from_rows(field, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
@@ -871,4 +883,4 @@ def primitive_idempotents(m: Matrix, eigenvalues):
     _require(m, Matrix)
     if m.nrows != m.ncols:
         raise ValueError("idempotents of a non-square matrix")
-    return list(_spectral(m, [m.field(e) for e in eigenvalues]))
+    return list(_spectral(m, _elements(m.field, eigenvalues)))

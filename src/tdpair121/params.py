@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .fields import Field, FieldElement, _require
-from .linalg import Matrix, _apply_raw, _columns, _rank
+from .linalg import Matrix, _apply_raw, _columns, _elements, _rank
 from .tdsystem import TDSystem
 
 
@@ -30,16 +30,13 @@ class ParameterArray:
 
     @classmethod
     def make(cls, field: Field, theta, thetastar, varphi, phi) -> ParameterArray:
-        return cls(
-            field,
-            tuple(field(x) for x in theta),
-            tuple(field(x) for x in thetastar),
-            field(varphi),
-            field(phi),
-        )
+        return cls(field, _elements(field, theta), _elements(field, thetastar),
+                   field(varphi), field(phi))
 
     def __post_init__(self):
         _require(self.field, Field)
+        _require(self.theta, tuple)
+        _require(self.thetastar, tuple)
         if len(self.theta) != 3 or len(self.thetastar) != 3:
             raise ValueError("eigenvalue sequences must have length 3")
         for x in (*self.theta, *self.thetastar, self.varphi, self.phi):

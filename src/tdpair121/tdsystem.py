@@ -27,6 +27,7 @@ from .linalg import (
     Subspace,
     _ann,
     _det_small,
+    _elements,
     _frame,
     _mul_grids,
     _scale_columns,
@@ -196,10 +197,11 @@ def _check_pair(a: Matrix, astar: Matrix) -> None:
 
 def _check_system(a: Matrix, astar: Matrix, theta, thetastar) -> tuple:
     """theta and thetastar as tuples of elements of a's field; raises
-    TypeError unless a and astar are matrices, and ValueError unless they
-    are 4x4 over one field and both lists have length 3."""
+    TypeError unless a and astar are matrices or when a list is a str, and
+    ValueError unless they are 4x4 over one field and both lists have
+    length 3."""
     _check_pair(a, astar)
-    theta, thetastar = (tuple(map(a.field, t)) for t in (theta, thetastar))
+    theta, thetastar = (_elements(a.field, t) for t in (theta, thetastar))
     if len(theta) != 3 or len(thetastar) != 3:
         raise ValueError("eigenvalue lists must have length 3")
     return theta, thetastar
@@ -428,20 +430,42 @@ def _invariant_search(field, eigenvalues, eigenspaces, astar, coords):
         f"eigenspace dimension profile {dims} is only searchable over prime fields")
 
 
+@cache
+def _sum_candidates(n):
+    """The proper sums of whole eigenspaces that _search_profile_211 tries,
+    for its n eigenspaces (four lines, or two lines and the plane at
+    coordinates 2 and 3 when n = 3): one list per dimension 1, 2 and 3, each
+    in the order combinations(range(n), r) gives them for r = 1, 2, ..., as
+    (chosen eigenspaces, their coordinates, the bit mask of the others)."""
+    dims = (1, 1, 2) if n == 3 else (1,) * n
+    out = ([], [], [])
+    for r in range(1, n):
+        for chosen in combinations(range(n), r):
+            inside = tuple(k for i in chosen for k in range(i, i + dims[i]))
+            if len(inside) < 4:
+                out[len(inside) - 1].append((chosen, inside, 15 - sum(1 << k for k in inside)))
+    return tuple(map(tuple, out))
+
+
 def _search_profile_211(field, spaces, astar, b):
     """Search when every eigenspace is a line except at most one plane, on
     b, the raw rows of astar in the coordinates of spaces: line i has
-    coordinate i, and the plane's basis u1, u2 the last two."""
+    coordinate i, and the plane's basis u1, u2 the last two.
+
+    b is read once, into one bit mask per column of the rows where that
+    column is nonzero: a sum of whole eigenspaces is invariant when no
+    column inside it reaches a row outside it."""
     n = len(spaces)
-    plane = spaces[-1] if spaces[-1].dim == 2 else None
-    sums = [(chosen, [k for i in chosen for k in range(i, i + spaces[i].dim)])
-            for r in range(1, n + 1) for chosen in combinations(range(n), r)]
+    plane = spaces[-1] if n == 3 else None
+    reach = [bool(w) | bool(x) << 1 | bool(y) << 2 | bool(z) << 3 for w, x, y, z in zip(*b)]
     # candidates by dimension d: sums of whole eigenspaces, then a family of
     # d - 1 eigenlines plus a variable line of the plane
-    for d in (1, 2, 3):
-        for chosen, inside in sums:
-            if len(inside) == d and not any(
-                    b[r][c] for c in inside for r in range(4) if r not in inside):
+    for d, sums in zip((1, 2, 3), _sum_candidates(n)):
+        for chosen, inside, outside in sums:
+            hit = 0
+            for c in inside:
+                hit |= reach[c]
+            if not hit & outside:
                 return subspace_sum(spaces[i] for i in chosen)
         if plane is None:
             continue

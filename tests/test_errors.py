@@ -49,6 +49,10 @@ SZD, SZZ = BasisId.SPLIT_ZD, BasisId.SPLIT_ZZ
 GF7_TDS = construct(ParameterArray.make(Field(7), (1, 2, 3), (4, 5, 6), 3, 2))
 F7 = GF7_TDS.field
 NO_ESTAR0 = dict(Estar=(Matrix(F7, [[0] * 4] * 4), *GF7_TDS.Estar[1:]))
+F101 = Field(101)
+GF101_PA = ParameterArray.make(F101, (1, 2, 3), (5, 7, 11), 13, 17)
+GF101_A, GF101_ASTAR = canonical_matrices(GF101_PA)
+GF101_REST = (GF101_PA.thetastar, GF101_PA.varphi, GF101_PA.phi)
 
 
 def _system(**fields):
@@ -139,6 +143,12 @@ def test_calls_on_a_non_matrix_fail_closed(call, junk):
     (lambda x: poly_roots(x, []), "Field", None),
     (lambda x: poly_roots(x, ()), "Field", "1/2"),
     (lambda x: poly_roots(x, [1]), "Field", None),
+    # a list was kept, so the array could not be hashed and compared
+    # unequal to the one ParameterArray.make builds
+    pytest.param(lambda x: ParameterArray(F101, x, *GF101_REST), "tuple",
+                 list(GF101_PA.theta), id="ParameterArray-theta-list"),
+    pytest.param(lambda x: ParameterArray(F101, GF101_PA.theta, x, *GF101_REST[1:]), "tuple",
+                 list(GF101_PA.thetastar), id="ParameterArray-thetastar-list"),
 ])
 def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
     # each raised AttributeError, which no documented error covers, or for
@@ -157,10 +167,16 @@ def test_calls_on_the_wrong_type_fail_closed(call, expected, junk):
     lambda: Subspace(QQ, 2, ["12"]),
     lambda: Subspace(QQ, 2).contains("12"),
     lambda: eta_vectors(TDS, "1234"),
+    lambda: verify_td_system(GF101_A, GF101_ASTAR, "123", "579"),
+    lambda: TDSystem.from_matrices(GF101_A, GF101_ASTAR, "123", "579"),
+    lambda: primitive_idempotents(GF101_A, "123"),
+    lambda: ParameterArray.make(F101, "123", "579", 13, 17),
 ])
 def test_a_str_is_not_a_vector(call):
     # a string was read as the sequence of its characters: Matrix(QQ, ["12",
-    # "34"]) was [[1, 2], [3, 4]] and poly_roots(QQ, "12") the root -1/2
+    # "34"]) was [[1, 2], [3, 4]] and poly_roots(QQ, "12") the root -1/2;
+    # as a list of eigenvalues, "579" was (5, 7, 9), so verify_td_system
+    # reported on theta* = (5, 7, 9) and ParameterArray.make built it
     with pytest.raises(TypeError, match="^expected a vector, got str$"):
         call()
 
@@ -173,6 +189,10 @@ def test_a_str_is_not_a_vector(call):
     (lambda x: represent(TDS, "A", SZD, x), "an EtaVectors", (1, 2)),
     (lambda x: ParameterArray(x, (1, 0, -1), (1, 0, -1), 2, 1), "a Field", None),
     (lambda x: admissible(ParameterArray(QQ, (x, 0, -1), (1, 0, -1), 2, 1)), "a FieldElement", 1),
+    # True was read as the size 1
+    pytest.param(lambda x: Matrix.identity(QQ, x), "an int", True, id="identity-size"),
+    pytest.param(lambda x: Matrix.zeros(QQ, x, 2), "an int", True, id="zeros-nrows"),
+    pytest.param(lambda x: Matrix.zeros(QQ, 2, x), "an int", True, id="zeros-ncols"),
 ])
 def test_argument_checks_name_the_expected_type(call, expected, junk):
     # each raised AttributeError or nothing, which no documented error covers

@@ -952,16 +952,33 @@ def random_diagonalizable(rng, field):
     return s * d * s.invert()
 
 
+def random_flagged_pair(rng, field):
+    """S D S^-1 and S T S^-1 for a random invertible S, diagonal D and upper
+    triangular T: both fix the flag of S's first columns, so the pair has
+    invariant subspaces of every dimension."""
+    s = random_invertible(rng, field, Matrix)
+    d = Matrix.diagonal(field, [random_scalar(rng, field) for _ in range(4)])
+    t = Matrix(field, [[random_scalar(rng, field) if j >= i else 0 for j in range(4)]
+                       for i in range(4)])
+    s_inv = s.invert()
+    return s * d * s_inv, s * t * s_inv
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_invariant_search_agrees_with_bruteforce(rng, p):
     field = Field(p)
     subspaces = oracle.all_subspaces_mod(p)
     assert len(subspaces) == oracle.gaussian_binomial_total(p)
     trials = 25 if p < 5 else 8
+    pairs = []
     for _ in range(trials):
         a = random_diagonalizable(rng, field)
-        astar = Matrix(field, [[random_scalar(rng, field) for _ in range(4)]
-                               for _ in range(4)])
+        pairs.append((a, Matrix(field, [[random_scalar(rng, field) for _ in range(4)]
+                                        for _ in range(4)])))
+    # pairs with a witness in each dimension, so that a search trying the
+    # dimensions out of order returns a larger witness than the least
+    pairs += [random_flagged_pair(rng, field) for _ in range(trials)]
+    for a, astar in pairs:
         got = common_invariant_subspace(a, astar)
         a_rows = [[x.val for x in row] for row in a.rows]
         astar_rows = [[x.val for x in row] for row in astar.rows]
@@ -970,6 +987,9 @@ def test_invariant_search_agrees_with_bruteforce(rng, p):
         if got is not None:
             assert 0 < got.dim < 4
             assert got.is_invariant(a) and got.is_invariant(astar)
+            # the oracle lists subspaces by dimension, so its first hit has
+            # the least dimension, as the search's witness must
+            assert got.dim == len(expected)
 
 
 def test_invariant_witnesses_pinned():
