@@ -3,6 +3,12 @@
 Exit codes: 0 success, 1 usage, I/O or parse errors, 2 inadmissible
 parameter array, 3 verification failure.  All JSON output has sorted keys
 and fixed array ordering, so identical inputs give byte-identical output.
+
+Each process runs one subcommand, so each `cmd_*` imports the modules it
+runs and the top of this module imports `fields` alone: `report` loads
+every module, `verify` `linalg` and `tdsystem`, `construct` `params`
+(with what it imports, but not `bases`), and `enumerate`, which evaluates
+integer polynomials, nothing more.
 """
 
 from __future__ import annotations
@@ -12,18 +18,7 @@ import json
 import os
 import sys
 
-from .bases import (
-    BasisId,
-    basis_matrix,
-    represent,
-    represent_formula,
-    transition_formula,
-    transition_numeric,
-)
 from .fields import Field, _is_prime
-from .linalg import Matrix, eigen_data
-from .params import ParameterArray, _enumerate_counts, _require_admissible, construct
-from .tdsystem import _undiagonalizable, find_td_orderings, verify_td_system
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -66,6 +61,17 @@ def _fail_io(message: str) -> int:
 
 
 def cmd_report(args) -> int:
+    from .bases import (
+        BasisId,
+        basis_matrix,
+        represent,
+        represent_formula,
+        transition_formula,
+        transition_numeric,
+    )
+    from .params import ParameterArray, construct
+    from .tdsystem import verify_td_system
+
     try:
         pa = ParameterArray.from_json(_load_json(args.parameter_array))
     except _PARSE_ERRORS as exc:
@@ -120,6 +126,8 @@ def cmd_report(args) -> int:
 
 def _elements(field: Field, value, shape: tuple, key: str):
     """Parse a list (shape (n,)) or a matrix (shape (n, m)) of element strings."""
+    from .linalg import Matrix
+
     def fits(v, dims):
         return not dims or (isinstance(v, list) and len(v) == dims[0]
                             and all(fits(x, dims[1:]) for x in v))
@@ -131,6 +139,9 @@ def _elements(field: Field, value, shape: tuple, key: str):
 
 
 def cmd_verify(args) -> int:
+    from .linalg import eigen_data
+    from .tdsystem import _undiagonalizable, find_td_orderings, verify_td_system
+
     try:
         data = _load_json(args.system)
         if not isinstance(data, dict) or not isinstance(data.get("field"), dict):
@@ -164,6 +175,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    from .params import ParameterArray, _require_admissible, construct
+
     try:
         pa = ParameterArray.from_json(_load_json(args.parameter_array))
     except _PARSE_ERRORS as exc:
@@ -174,6 +187,59 @@ def cmd_construct(args) -> int:
         print(exc, file=sys.stderr)
         return EXIT_INADMISSIBLE
     return _emit(construct(pa).to_json(), args.out, EXIT_OK)
+
+
+def _enumerate_counts(p: int, orbits: bool) -> dict:
+    """Counts over GF(p), p prime, of the arrays passing (i), (i) and (ii),
+    and all three conditions; with `orbits`, the admissible ones' orbits.
+
+    Admissible count.  A triple passing (i) is t1 + (a, 0, -b) with
+    a = t0-t1, b = t1-t2 and a, b, a+b nonzero: n = p(p-1)(p-2) triples.
+    For theta, thetastar passing (i), `derived_params` gives varphi1 =
+    d - aa* and varphi2 = d - bb*, with d = (phi - varphi)/den and
+    den = (a+b)(a*+b*).  So a nonzero (varphi, phi) fails (iii) exactly
+    when varphi = (d - aa*)(d - bb*).  Each d gives one such pair, with
+    phi = varphi + d*den = (d + ab*)(d + a*b), and it is nonzero unless d
+    is one of aa*, bb*, -ab*, -a*b.  As a, b, a+b and the starred values
+    are nonzero, these four can coincide only as aa* = bb* or ab* = a*b.
+    Given (a, b), each equation fixes a* for every b* != 0, with a* and
+    a*+b* nonzero: (p-1)^2 (p-2) solutions (a, b, a*, b*), times p^2
+    translations.  Each of the n^2 pairs of triples thus has
+    (p-1)^2 - p + 4 - [aa* = bb*] - [ab* = a*b] admissible (varphi, phi):
+
+        N = p^2 (p-1)^2 (p-2) (p^3 - 5p^2 + 11p - 12).
+
+    Orbits.  The admissible arrays form a union of orbits: (i) and (ii)
+    are plainly invariant, `*` fixes varphi, varphi1 and varphi2, and `d`,
+    `D` exchange varphi - varphi1*varphi2 with phi - phi1*phi2, which are
+    equal (expand with phi1 = d + (t1-t2)(s0-s1), phi2 = d + (t0-t1)(s1-s2)
+    and phi - varphi = d*den).  Write the eight group elements as
+    d^a D^b *^c.  Those with c = 0 reverse theta, thetastar or both, and a
+    triple of distinct values is never its own reverse, so none but the
+    identity fixes an array.  Of those with c = 1, `*` fixes exactly the
+    arrays with thetastar = theta, and `dD*` those with thetastar = theta
+    reversed, whatever (varphi, phi); `d*` and `D*` square to dD, so a
+    fixed point of theirs would be one of dD.  A stabilizer holding both
+    `*` and `dD*` would hold their product dD.  So every stabilizer has
+    order 1 or 2, every orbit has 8 or 4 arrays, and the arrays in orbits
+    of size 4 are exactly the N4 admissible arrays with thetastar equal to
+    theta or to theta reversed.  Of the N admissible arrays, N4/4 orbits
+    have size 4 and (N - N4)/8 have size 8.  thetastar = theta gives
+    (a*, b*) = (a, b), so ab* = a*b, and aa* = bb* iff a = b; theta
+    reversed gives (a*, b*) = (-b, -a), the same the other way round.  For
+    odd p, a = b on p(p-1) triples, so N4 = 2(n(p^2 - 3p + 4) - p(p-1)) =
+    2p(p-1)((p-2)(p^2 - 3p + 4) - 1); for p = 2 no triple passes (i).
+    """
+    n = p * (p - 1) * (p - 2)
+    total = p * p * (p - 1) ** 2 * (p - 2) * (p ** 3 - 5 * p * p + 11 * p - 12)
+    result = {"p": p, "pass_i": n * n * p * p, "pass_i_ii": n * n * (p - 1) ** 2,
+              "admissible": total}
+    if orbits:
+        fixed = 2 * p * (p - 1) * ((p - 2) * (p * p - 3 * p + 4) - 1) if p > 2 else 0
+        sizes = {4: fixed // 4, 8: (total - fixed) // 8}
+        result["orbits"] = {"count": sum(sizes.values()),
+                            "sizes": {str(k): v for k, v in sizes.items() if v}}
+    return result
 
 
 def cmd_enumerate(args) -> int:

@@ -5,9 +5,7 @@ scalars (varphi, phi).  Admissibility is the exact three-part criterion
 under which a tridiagonal system with these parameters exists; the
 canonical construction realizes it and extraction inverts it.  The three
 involutions swap / flip-dual / flip-primary generate a dihedral group of
-order 8 acting on arrays.  Over GF(p) the admissible arrays and their
-orbits are counted by polynomials in p, in a fixed number of integer
-operations.
+order 8 acting on arrays.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ class ParameterArray:
 
     @classmethod
     def make(cls, field: Field, theta, thetastar, varphi, phi) -> ParameterArray:
+        _require(field, Field)
         return cls(field, _elements(field, theta), _elements(field, thetastar),
                    field(varphi), field(phi))
 
@@ -342,56 +341,3 @@ def derived_of_relative_consistency(pa: ParameterArray) -> bool:
         if (got.varphi1, got.varphi2, got.phi1, got.phi2) != expected:
             return False
     return True
-
-
-def _enumerate_counts(p: int, orbits: bool) -> dict:
-    """Counts over GF(p), p prime, of the arrays passing (i), (i) and (ii),
-    and all three conditions; with `orbits`, the admissible ones' orbits.
-
-    Admissible count.  A triple passing (i) is t1 + (a, 0, -b) with
-    a = t0-t1, b = t1-t2 and a, b, a+b nonzero: n = p(p-1)(p-2) triples.
-    For theta, thetastar passing (i), `derived_params` gives varphi1 =
-    d - aa* and varphi2 = d - bb*, with d = (phi - varphi)/den and
-    den = (a+b)(a*+b*).  So a nonzero (varphi, phi) fails (iii) exactly
-    when varphi = (d - aa*)(d - bb*).  Each d gives one such pair, with
-    phi = varphi + d*den = (d + ab*)(d + a*b), and it is nonzero unless d
-    is one of aa*, bb*, -ab*, -a*b.  As a, b, a+b and the starred values
-    are nonzero, these four can coincide only as aa* = bb* or ab* = a*b.
-    Given (a, b), each equation fixes a* for every b* != 0, with a* and
-    a*+b* nonzero: (p-1)^2 (p-2) solutions (a, b, a*, b*), times p^2
-    translations.  Each of the n^2 pairs of triples thus has
-    (p-1)^2 - p + 4 - [aa* = bb*] - [ab* = a*b] admissible (varphi, phi):
-
-        N = p^2 (p-1)^2 (p-2) (p^3 - 5p^2 + 11p - 12).
-
-    Orbits.  The admissible arrays form a union of orbits: (i) and (ii)
-    are plainly invariant, `*` fixes varphi, varphi1 and varphi2, and `d`,
-    `D` exchange varphi - varphi1*varphi2 with phi - phi1*phi2, which are
-    equal (expand with phi1 = d + (t1-t2)(s0-s1), phi2 = d + (t0-t1)(s1-s2)
-    and phi - varphi = d*den).  Write the eight group elements as
-    d^a D^b *^c.  Those with c = 0 reverse theta, thetastar or both, and a
-    triple of distinct values is never its own reverse, so none but the
-    identity fixes an array.  Of those with c = 1, `*` fixes exactly the
-    arrays with thetastar = theta, and `dD*` those with thetastar = theta
-    reversed, whatever (varphi, phi); `d*` and `D*` square to dD, so a
-    fixed point of theirs would be one of dD.  A stabilizer holding both
-    `*` and `dD*` would hold their product dD.  So every stabilizer has
-    order 1 or 2, every orbit has 8 or 4 arrays, and the arrays in orbits
-    of size 4 are exactly the N4 admissible arrays with thetastar equal to
-    theta or to theta reversed.  Of the N admissible arrays, N4/4 orbits
-    have size 4 and (N - N4)/8 have size 8.  thetastar = theta gives
-    (a*, b*) = (a, b), so ab* = a*b, and aa* = bb* iff a = b; theta
-    reversed gives (a*, b*) = (-b, -a), the same the other way round.  For
-    odd p, a = b on p(p-1) triples, so N4 = 2(n(p^2 - 3p + 4) - p(p-1)) =
-    2p(p-1)((p-2)(p^2 - 3p + 4) - 1); for p = 2 no triple passes (i).
-    """
-    n = p * (p - 1) * (p - 2)
-    total = p * p * (p - 1) ** 2 * (p - 2) * (p ** 3 - 5 * p * p + 11 * p - 12)
-    result = {"p": p, "pass_i": n * n * p * p, "pass_i_ii": n * n * (p - 1) ** 2,
-              "admissible": total}
-    if orbits:
-        fixed = 2 * p * (p - 1) * ((p - 2) * (p * p - 3 * p + 4) - 1) if p > 2 else 0
-        sizes = {4: fixed // 4, 8: (total - fixed) // 8}
-        result["orbits"] = {"count": sum(sizes.values()),
-                            "sizes": {str(k): v for k, v in sizes.items() if v}}
-    return result

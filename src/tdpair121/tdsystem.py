@@ -470,7 +470,7 @@ def _search_profile_211(field, spaces, astar, b):
         if plane is None:
             continue
         for chosen in combinations(range(n - 1), d - 1):
-            sol = _solve_line_family(field.p, b, chosen)
+            sol = _solve_line_family(field.p, b, reach, chosen)
             if sol is not None:
                 vec = _mul_grids(([list(sol)], 1), (plane._rows, 1), field.p)[0][0]
                 w = Subspace._from_vals(field, 4, [spaces[i]._rows[0] for i in chosen] + [vec])
@@ -480,11 +480,13 @@ def _search_profile_211(field, spaces, astar, b):
     return None
 
 
-def _solve_line_family(p, b, gens):
+def _solve_line_family(p, b, reach, gens):
     """A projective point (x : y) of ints at which span(gens, x*u1 + y*u2)
-    is invariant, or None; b is as in :func:`_search_profile_211`, gens the
-    chosen eigenline coordinates, and u1, u2 sit at coordinates 2 and 3.
-    The conditions are linear forms alpha*x + beta*y and one quadratic
+    is invariant, or None; b and its column masks reach are as in
+    :func:`_search_profile_211`, gens the chosen eigenline coordinates,
+    and u1, u2 sit at coordinates 2 and 3.  One mask test rejects the
+    family when a chosen column reaches an eigenline outside it.  The
+    other conditions are linear forms alpha*x + beta*y and one quadratic
     alpha*x^2 + beta*xy + gamma*y^2, coefficients low degree first.  A
     nonzero linear form vanishes only at (-beta : alpha), returned if
     :func:`_poly.value` finds every condition zero there.  With no such
@@ -492,7 +494,10 @@ def _solve_line_family(p, b, gens):
     its smallest root x = r/q by :func:`_poly.roots`, as (r : q)."""
     k1, k2 = 2, 3
     outside = [r for r in (0, 1) if r not in gens]
-    if any(b[r][j] for j in gens for r in outside):
+    hit = 0
+    for j in gens:
+        hit |= reach[j]
+    if hit & sum(1 << r for r in outside):
         return None
     conds = [[b[k1][j], -b[k2][j]] for j in gens] + [[b[r][k2], b[r][k1]] for r in outside]
     quad = [-b[k1][k2], b[k2][k2] - b[k1][k1], b[k2][k1]]

@@ -112,15 +112,16 @@ def test_report_deterministic_bytes(tmp_path, p0_file):
 def test_report_names_the_matrices_that_fail_the_cross_check(capsys, monkeypatch, p0_file):
     # one perturbed transition table, then also one perturbed representation
     # table: exit 3, and cross_check_failures names exactly those matrices;
-    # a passing report has no such key
-    import tdpair121.cli as cli
+    # a passing report has no such key; cmd_report reads the tables from
+    # bases when it runs, so they are perturbed there
+    import tdpair121.bases as bases
     from tdpair121 import BasisId, Matrix
 
     code, doc = run(capsys, "report", p0_file)
     assert code == 0 and doc["cross_check"] is True
     assert "cross_check_failures" not in doc
 
-    real = cli.transition_formula
+    real = bases.transition_formula
 
     def perturbed(pa, frm, to):
         m = real(pa, frm, to)
@@ -128,19 +129,19 @@ def test_report_names_the_matrices_that_fail_the_cross_check(capsys, monkeypatch
             return m + Matrix.identity(pa.field, 4)
         return m
 
-    monkeypatch.setattr(cli, "transition_formula", perturbed)
+    monkeypatch.setattr(bases, "transition_formula", perturbed)
     code, doc = run(capsys, "report", p0_file)
     assert code == 3
     assert doc["cross_check"] is False
     assert doc["cross_check_failures"] == ["transition SplitZD->SplitZZ"]
 
-    real_rep = cli.represent_formula
+    real_rep = bases.represent_formula
 
     def perturbed_rep(pa, which, basis):
         m = real_rep(pa, which, basis)
         return m + Matrix.identity(pa.field, 4) if (which, basis) == ("Astar", BasisId.EIG_A) else m
 
-    monkeypatch.setattr(cli, "represent_formula", perturbed_rep)
+    monkeypatch.setattr(bases, "represent_formula", perturbed_rep)
     code, doc = run(capsys, "report", p0_file)
     assert code == 3 and doc["cross_check"] is False
     assert doc["cross_check_failures"] == ["represent Astar EigA", "transition SplitZD->SplitZZ"]

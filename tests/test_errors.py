@@ -188,6 +188,9 @@ def test_a_str_is_not_a_vector(call):
     (lambda x: basis_matrix(TDS, SZD, x), "an EtaVectors", (1, 2)),
     (lambda x: represent(TDS, "A", SZD, x), "an EtaVectors", (1, 2)),
     (lambda x: ParameterArray(x, (1, 0, -1), (1, 0, -1), 2, 1), "a Field", None),
+    # None was called on the eigenvalues: "'NoneType' object is not callable"
+    pytest.param(lambda x: ParameterArray.make(x, (1, 2, 3), (5, 7, 11), 13, 17), "a Field",
+                 None, id="make-field"),
     (lambda x: admissible(ParameterArray(QQ, (x, 0, -1), (1, 0, -1), 2, 1)), "a FieldElement", 1),
     # True was read as the size 1
     pytest.param(lambda x: Matrix.identity(QQ, x), "an int", True, id="identity-size"),
