@@ -12,11 +12,10 @@ run on raw values and return matrices that keep their raw grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
 
-from .fields import _require
+from .fields import _frozen, _require
 from .linalg import (
     Matrix,
     SingularMatrixError,
@@ -56,7 +55,7 @@ def _known(basis) -> BasisId:
     return basis
 
 
-@dataclass(frozen=True)
+@_frozen
 class EtaVectors:
     eta0star: tuple
     eta0: tuple

@@ -29,7 +29,7 @@ DEFAULT_MAX_PRIME = 7
 
 
 # what reading and parsing an input file can raise on malformed input
-_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, ZeroDivisionError)
+_PARSE_ERRORS = (OSError, ValueError, TypeError, ZeroDivisionError)
 
 
 def _load_json(path: str) -> dict:
@@ -146,6 +146,9 @@ def cmd_verify(args) -> int:
         data = _load_json(args.system)
         if not isinstance(data, dict) or not isinstance(data.get("field"), dict):
             raise ValueError("a system file is a JSON object with a field object")
+        for key in ("A", "Astar"):
+            if key not in data:
+                raise ValueError(f"a system file needs the key {key!r}")
         field = Field.from_json(data["field"])
         a = _elements(field, data["A"], (4, 4), "A")
         astar = _elements(field, data["Astar"], (4, 4), "Astar")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -61,6 +62,68 @@ def _require(x, cls) -> None:
         name = cls.__name__
         raise TypeError(f"expected {'an' if name[0] in 'AEIOUaeiou' else 'a'} {name}, "
                         f"got {type(x).__name__}")
+
+
+def _frozen(cls):
+    """The record classes' decorator: cls, whose fields are its annotated
+    names in order, gets an __init__ that takes them by position or keyword
+    and then runs cls.__post_init__ if there is one, the repr
+    ``Name(f=..., g=...)``, equality with its own class and a hash, both on
+    the tuple of fields, and a __setattr__ and __delattr__ that raise
+    AttributeError.  Fields live in the instance __dict__, as do the values
+    of a functools.cached_property, which no generated method reads."""
+    names = tuple(cls.__annotations__)
+    n = len(names)
+    fields = attrgetter(*names)
+    post = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = _bind(cls.__name__, names, args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post is not None:
+            post(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(names, fields(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+def _bind(name: str, names: tuple, args: tuple, kwargs: dict) -> list:
+    """The field values of a call with keywords or a wrong number of
+    arguments; TypeError, as for a Python signature, where they do not fit."""
+    if len(args) > len(names):
+        raise TypeError(f"{name}() takes {len(names)} positional arguments "
+                        f"but {len(args)} were given")
+    values = dict(zip(names, args))
+    for key, value in kwargs.items():
+        if key not in names:
+            raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+        if key in values:
+            raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        values[key] = value
+    missing = [n for n in names if n not in values]
+    if missing:
+        raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+    return [values[n] for n in names]
 
 
 # "a" or "a/b": ASCII decimal integers, each with an optional leading "-"
@@ -171,6 +234,8 @@ class Field:
         if kind == "Q":
             return cls(0)
         if kind == "Fp":
+            if "p" not in data:
+                raise ValueError("an Fp field descriptor needs the key 'p'")
             p = data["p"]
             if not isinstance(p, int) or isinstance(p, bool):
                 raise ValueError(f"characteristic must be a JSON integer, got {p!r}")

@@ -15,7 +15,6 @@ roots and determinants are computed on raw coefficients in ``_poly``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, combinations, repeat
@@ -23,7 +22,7 @@ from operator import add, and_, eq, mul
 
 from . import _poly
 from ._poly import _primitive
-from .fields import Field, FieldElement, _require
+from .fields import Field, FieldElement, _frozen, _require
 
 
 class SingularMatrixError(ValueError):
@@ -528,6 +527,8 @@ class Matrix:
     @classmethod
     def from_json(cls, field: Field, data) -> Matrix:
         _require(field, Field)
+        if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+            raise ValueError(f"a matrix is a JSON list of lists, got {data!r}")
         return cls(field, [[field.parse(s) for s in row] for row in data])
 
 
@@ -743,7 +744,7 @@ def poly_roots(field: Field, coeffs):
     return [(FieldElement._raw(field, r), m) for r, m in _poly.roots(cs, field.p)]
 
 
-@dataclass(frozen=True)
+@_frozen
 class EigenData:
     eigenvalues: tuple
     multiplicities: tuple

@@ -10,15 +10,14 @@ order 8 acting on arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .fields import Field, FieldElement, _require
+from .fields import Field, FieldElement, _frozen, _require
 from .linalg import Matrix, _apply_raw, _columns, _elements, _rank
 from .tdsystem import TDSystem
 
 
-@dataclass(frozen=True)
+@_frozen
 class ParameterArray:
     field: Field
     theta: tuple
@@ -33,18 +32,19 @@ class ParameterArray:
                    field(varphi), field(phi))
 
     def __post_init__(self):
-        _require(self.field, Field)
-        _require(self.theta, tuple)
-        _require(self.thetastar, tuple)
-        if len(self.theta) != 3 or len(self.thetastar) != 3:
+        field, theta, thetastar = self.field, self.theta, self.thetastar
+        _require(field, Field)
+        _require(theta, tuple)
+        _require(thetastar, tuple)
+        if len(theta) != 3 or len(thetastar) != 3:
             raise ValueError("eigenvalue sequences must have length 3")
-        for x in (*self.theta, *self.thetastar, self.varphi, self.phi):
+        for x in (*theta, *thetastar, self.varphi, self.phi):
             _require(x, FieldElement)
-            if x.field is not self.field:
-                raise TypeError(f"expected an element of {self.field}, got one of {x.field}")
+            if x.field is not field:
+                raise TypeError(f"expected an element of {field}, got one of {x.field}")
 
     # computed once per array; cached_property stores into the instance
-    # __dict__, which the dataclass's eq, hash and repr never read
+    # __dict__, which the record's eq, hash and repr never read
     @cached_property
     def _derived(self) -> DerivedParams:
         return derived_params(self)
@@ -73,6 +73,9 @@ class ParameterArray:
     def from_json(cls, data: dict) -> ParameterArray:
         if not isinstance(data, dict):
             raise ValueError("a parameter array is a JSON object")
+        for key in ("field", "theta", "thetastar", "varphi", "phi"):
+            if key not in data:
+                raise ValueError(f"a parameter array needs the key {key!r}")
         field = Field.from_json(data["field"])
         for key in ("theta", "thetastar"):
             if not isinstance(data[key], list):
@@ -81,7 +84,7 @@ class ParameterArray:
         return cls(field, theta, thetastar, field.parse(data["varphi"]), field.parse(data["phi"]))
 
 
-@dataclass(frozen=True)
+@_frozen
 class DerivedParams:
     varphi1: FieldElement
     varphi2: FieldElement
@@ -119,7 +122,7 @@ def derived_params(pa: ParameterArray) -> DerivedParams:
     return DerivedParams(d - a * astar, d - b * bstar, d + b * astar, d + a * bstar)
 
 
-@dataclass(frozen=True)
+@_frozen
 class AdmissibilityReport:
     ok: bool
     failed: tuple

@@ -14,14 +14,13 @@ C[:, J] ker(C[I^c, J]); and the shape reads corners of C and C^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
 from itertools import chain, combinations, permutations, product
 from operator import mul
 
 from . import _poly
-from .fields import Field, FieldElement, _require
+from .fields import Field, FieldElement, _frozen, _require
 from .linalg import (
     Matrix,
     Subspace,
@@ -37,7 +36,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
+@_frozen
 class TDSystem:
     """Matrix pair with ordered eigenvalues and ordered idempotents.  Its
     eigenspaces are those of the frames of A for theta and of A* for
@@ -153,7 +152,7 @@ _SPLIT_ORDERS = {
 }
 
 
-@dataclass(frozen=True)
+@_frozen
 class VerificationReport:
     diagonalizable_a: bool
     diagonalizable_astar: bool

@@ -26,7 +26,6 @@ import random
 import tempfile
 from collections import Counter
 from contextlib import redirect_stdout
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,15 +58,16 @@ def array(rng, field, kind, bits, defect=0) -> ParameterArray:
     draw with the given defect (0, 1 or 2) put in."""
     while True:
         vals = [field(_scalar(rng, field, bits)) for _ in range(8)]
-        pa = ParameterArray(field, tuple(vals[0:3]), tuple(vals[3:6]), vals[6], vals[7])
+        theta, thetastar = tuple(vals[0:3]), tuple(vals[3:6])
+        pa = ParameterArray(field, theta, thetastar, vals[6], vals[7])
         if not admissible(pa).ok:
             continue
         if kind != 2:
             return pa
         if defect == 0:
-            return replace(pa, theta=(vals[0], vals[1], vals[0]))
+            return ParameterArray(field, (vals[0], vals[1], vals[0]), thetastar, vals[6], vals[7])
         if defect == 1:
-            return replace(pa, phi=field.zero)
+            return ParameterArray(field, theta, thetastar, vals[6], field.zero)
         return _boundary(pa, field(_scalar(rng, field, bits)))
 
 
@@ -79,7 +79,8 @@ def _boundary(pa: ParameterArray, delta) -> ParameterArray:
     (t0, t1, t2), (s0, s1, s2) = pa.theta, pa.thetastar
     a, b = (t0 - t1) * (s0 - s1), (t1 - t2) * (s1 - s2)
     varphi = (delta - a) * (delta - b)
-    return replace(pa, varphi=varphi, phi=varphi + delta * (t0 - t2) * (s0 - s2))
+    phi = varphi + delta * (t0 - t2) * (s0 - s2)
+    return ParameterArray(pa.field, pa.theta, pa.thetastar, varphi, phi)
 
 
 def cases():

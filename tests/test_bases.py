@@ -3,7 +3,6 @@ import inspect
 import math
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from conftest import random_admissible_array, random_boundary_array, random_inve
 from tdpair121 import (
     BasisId,
     Decomposition,
+    EtaVectors,
     Field,
     Matrix,
     ParameterArray,
@@ -264,8 +264,8 @@ def test_formulas_share_one_admissibility_gate(gf101):
     # refuse every inadmissible array with the same ValueError
     ok = ParameterArray.make(gf101, (1, 2, 3), (4, 5, 7), 9, 11)
     assert admissible(ok).ok
-    bad = [replace(ok, theta=(gf101(1), gf101(1), gf101(3))),
-           replace(ok, phi=gf101.zero),
+    bad = [ParameterArray(gf101, (gf101(1), gf101(1), gf101(3)), ok.thetastar, ok.varphi, ok.phi),
+           ParameterArray(gf101, ok.theta, ok.thetastar, ok.varphi, gf101.zero),
            random_boundary_array(random.Random(5), gf101)]
     for pa in bad:
         failed = list(admissible(pa).failed)
@@ -569,7 +569,8 @@ def test_an_eta_that_is_not_its_own_chain_is_refused():
         tds, other = (construct(ParameterArray.make(field, (1, 2, 3), (5, 7, 11), vp, ph))
                       for vp, ph in ((13, 17), (17, 13)))
         eta = eta_vectors(tds)
-        doubled = replace(eta, eta0star=tuple(field(2) * x for x in eta.eta0star))
+        doubled = EtaVectors(tuple(field(2) * x for x in eta.eta0star), eta.eta0, eta.eta2,
+                             eta.eta2star)
         for bad in (doubled, eta_vectors(other)):
             assert bad != eta
             for call in (lambda: basis_matrix(tds, BasisId.SPLIT_ZD, bad),

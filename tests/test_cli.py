@@ -387,6 +387,22 @@ def test_malformed_parameter_array_exit_1(capsys, tmp_path, command, doc):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, doc, message", [
+    ("report", {}, "a parameter array needs the key 'field'"),
+    ("construct", {k: v for k, v in P0_DOC.items() if k != "phi"},
+     "a parameter array needs the key 'phi'"),
+    ("report", {**P0_DOC, "field": {"kind": "Fp"}}, "an Fp field descriptor needs the key 'p'"),
+    ("verify", {"field": {"kind": "Q"}, "Astar": EYE}, "a system file needs the key 'A'"),
+    ("verify", {"field": {"kind": "Q"}, "A": EYE}, "a system file needs the key 'Astar'"),
+], ids=["report-empty", "construct-no-phi", "report-no-p", "verify-no-A", "verify-no-Astar"])
+def test_a_missing_key_is_named(capsys, tmp_path, command, doc, message):
+    # the error line was the bare KeyError: "error: 'field'", "error: 'A'"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_boundary_system_exit_3_with_witness(capsys, tmp_path, rng):
     pa = random_boundary_array(rng, QQ)
     a, astar = canonical_matrices(pa)

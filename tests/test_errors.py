@@ -88,6 +88,21 @@ def _system(**fields):
     (lambda: canonical_seed(_system(**NO_ESTAR0)), "zero projector"),
     (lambda: eta_vectors(_system(**NO_ESTAR0)), "zero projector"),
     (lambda: basis_matrix(_system(**NO_ESTAR0), SZD), "zero projector"),
+    # a string row was read as its characters: ["12", "34"] was [[1, 2],
+    # [3, 4]], ["1000", "0200", "0030", "0004"] diag(1, 2, 3, 4), and "ab"
+    # failed as the malformed element 'a'
+    (lambda: Matrix.from_json(QQ, ["12", "34"]),
+     "a matrix is a JSON list of lists, got ['12', '34']"),
+    (lambda: Matrix.from_json(QQ, ["1000", "0200", "0030", "0004"]),
+     "a matrix is a JSON list of lists, got ['1000', '0200', '0030', '0004']"),
+    (lambda: Matrix.from_json(QQ, "ab"), "a matrix is a JSON list of lists, got 'ab'"),
+    (lambda: Matrix.from_json(QQ, [["1"], "2"]),
+     "a matrix is a JSON list of lists, got [['1'], '2']"),
+    # a missing key raised a bare KeyError('phi')
+    (lambda: ParameterArray.from_json({k: v for k, v in P0.to_json().items() if k != "phi"}),
+     "a parameter array needs the key 'phi'"),
+    (lambda: ParameterArray.from_json({}), "a parameter array needs the key 'field'"),
+    (lambda: Field.from_json({"kind": "Fp"}), "an Fp field descriptor needs the key 'p'"),
 ])
 def test_documented_value_errors(call, message):
     with pytest.raises(ValueError) as info:

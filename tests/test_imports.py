@@ -96,6 +96,24 @@ def test_report_loads_every_module(files):
     assert loaded_by("report", "--full", files["pa"]) == EVERY_MODULE
 
 
+@pytest.mark.parametrize("argv", [("verify", "system"), ("verify", "bare"),
+                                  ("construct", "pa"), ("report", "--full", "pa")],
+                         ids=["verify", "verify-search", "construct", "report-full"])
+def test_cli_imports_neither_dataclasses_nor_inspect(files, argv):
+    # the records were dataclasses: `dataclasses` imports `inspect`, which
+    # brings `ast`, `dis` and `tokenize`, and generating each class's
+    # methods compiled code at import.  -S keeps .pth files from adding
+    # modules of their own.  No stdlib module the CLI imports on Python
+    # 3.10 to 3.13 (argparse, json, fractions, enum, functools, itertools)
+    # imports either.
+    *head, name = argv
+    proc = child("-S", "-v", "-m", "tdpair121", *head, files[name])
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = set(re.findall(r"^import '([\w.]+)'", proc.stderr, re.M))
+    assert "tdpair121.tdsystem" in imported or "tdpair121.params" in imported
+    assert not imported & {"dataclasses", "inspect"}, sorted(imported)
+
+
 NAMESPACE_PROBE = """
 import json, sys
 import tdpair121
