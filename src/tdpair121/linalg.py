@@ -46,15 +46,17 @@ Vector = tuple  # tuple of FieldElement
 #   primitive integer row with a positive pivot: no rank, annihilator or
 #   membership test sees the scale, and a row enters _apply_raw as (row, 1).
 # - A frame (_Frame) is a matrix's spectral data for one ordered tuple of raw
-#   eigenvalues: the eigenspaces, whether they diagonalize it, P of
-#   _eigenbasis with its column blocks and P^-1.  A matrix keeps one record of
-#   its spectrum, Matrix._spectrum, for as long as it lives: one frame, the
-#   raw values in its order and their multiplicities.  Any other ordering of
+#   eigenvalues: the eigenspaces, whether they diagonalize it, and P of
+#   _eigenbasis with its column blocks.  A matrix keeps one record of its
+#   spectrum, Matrix._spectrum, for as long as it lives: one frame, the raw
+#   values in its order and their multiplicities.  Any other ordering of
 #   those values is that frame relabelled (_Frame._relabel), its spaces and
-#   blocks permuted and P and P^-1 shared, so nothing is eliminated again;
+#   blocks permuted and P shared, so no eigenspace is built again;
 #   idempotents, eigen_data, verification, a system's eigenspaces and its
 #   transition and the invariant search all read it, so each is built once
-#   per matrix.  Values are compared with ==, never hashed.
+#   per matrix.  No frame keeps P^-1: the transition and the invariant
+#   search solve against P (_inv_grid with a right-hand side), and only the
+#   idempotents invert it.  Values are compared with ==, never hashed.
 # _rref is the only elimination, for both fields: over GF(p) it scales
 # pivots to 1, over QQ it is fraction-free.  Null spaces, eigenspaces and
 # meets are read by one null-space reader (_null) off one elimination on as
@@ -73,11 +75,16 @@ def _elements(field: Field, vec) -> tuple:
     Elements of field pass by an identity test; ints, Fractions and strings
     are coerced; an element of another field raises ValueError and any
     other value TypeError.  A string is no vector, though it is a sequence,
-    so vec itself being one raises TypeError too.
+    so vec itself being one raises TypeError too, as does a vec that is no
+    iterable at all.
     """
-    if isinstance(vec, str):
+    try:
+        vals = None if isinstance(vec, str) else iter(vec)
+    except TypeError:
+        vals = None
+    if vals is None:
         raise TypeError(f"expected a vector, got {type(vec).__name__}")
-    return tuple(map(field, vec))
+    return tuple(map(field, vals))
 
 
 def _unbox(field: Field, vec) -> list:
@@ -372,6 +379,7 @@ class Matrix:
         return rows
 
     def __init__(self, field: Field, rows):
+        _require(field, Field)
         self.field = field
         self._grid = _grid_of(_shaped([_unbox(field, r) for r in rows]), field.p)
 
@@ -391,11 +399,16 @@ class Matrix:
 
     @classmethod
     def identity(cls, field: Field, n: int) -> Matrix:
+        """The n x n identity.  n is not bounded: the size is the caller's
+        business, as it is for :meth:`zeros`, and a CLI matrix is bounded by
+        the JSON file it is read from."""
         _require(n, int)
         return cls._from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> Matrix:
+        """The nrows x ncols zero matrix, of any size it is given, as
+        :meth:`identity`."""
         _require(nrows, int)
         _require(ncols, int)
         return cls._from_rows(field, [[0] * ncols for _ in range(nrows)])
@@ -594,6 +607,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> Subspace:
+        _require(ambient, int)
         return cls(field, ambient, [[int(i == j) for j in range(ambient)]
                                     for i in range(ambient)])
 
@@ -809,23 +823,24 @@ def _eigenbasis(spaces, p: int) -> tuple:
 class _Frame:
     """The spectral data of a square matrix M for one ordered tuple of values:
     ``spaces``, the eigenspaces ker(M - e I); ``ok``, whether M is
-    diagonalizable with exactly these values, as :func:`_frame` decides;
+    diagonalizable with exactly these values, as :func:`_frame` decides; and
     ``basis``, P and the column blocks of each space, as :func:`_eigenbasis`
-    gives them; and ``inverse``, P^-1: built on first read, or shared with
-    the frame that :meth:`_relabel` permuted, so the blocks may come in any
-    column order.  A frame holds subspaces and raw grids only, never its matrix."""
+    gives them: built on first read, or shared with the frame that
+    :meth:`_relabel` permuted, so the blocks may come in any column order.
+    A frame holds subspaces and raw grids only, never its matrix, and no
+    P^-1, which only :func:`_spectral` forms."""
 
-    __slots__ = ("spaces", "ok", "p", "_basis", "_inverse")
+    __slots__ = ("spaces", "ok", "p", "_basis")
 
     def __init__(self, spaces, ok: bool, p: int):
         self.spaces, self.ok, self.p = spaces, ok, p
-        self._basis = self._inverse = None
+        self._basis = None
 
     def _relabel(self, order) -> _Frame:
         """The frame of these values reordered by the indices order: spaces
-        and column blocks permuted, P and P^-1 shared (built here if not yet)."""
+        and column blocks permuted, P shared (built here if not yet)."""
         frame = _Frame(tuple(self.spaces[i] for i in order), self.ok, self.p)
-        (b, idx), frame._inverse = self.basis, self.inverse
+        b, idx = self.basis
         frame._basis = b, tuple(idx[i] for i in order)
         return frame
 
@@ -834,13 +849,6 @@ class _Frame:
         if self._basis is None:
             self._basis = _eigenbasis(self.spaces, self.p)
         return self._basis
-
-    @property
-    def inverse(self) -> tuple:
-        if self._inverse is None:  # kept as tuples, as P is
-            rows, den = _inv_grid(self.basis[0], self.p)
-            self._inverse = tuple(map(tuple, rows)), den
-        return self._inverse
 
 
 def _frame(m: Matrix, evs) -> _Frame:
@@ -866,14 +874,16 @@ def _frame(m: Matrix, evs) -> _Frame:
 def _spectral(m: Matrix, evs) -> tuple:
     """The primitive idempotents of the square m for the values evs, raising
     ValueError as :func:`primitive_idempotents`: E_i is the thin product
-    P[:, I_i] P^-1[I_i, :] of its :func:`_frame`."""
+    P[:, I_i] P^-1[I_i, :] for P of its :func:`_frame`, inverted here, the
+    one reader of P^-1, and not kept."""
     if not evs:
         raise ValueError("no eigenvalues supplied")
     frame = _frame(m, evs)
     if not frame.ok:
         raise ValueError("repeated eigenvalue supplied" if len(set(evs)) != len(evs)
                          else "matrix is not diagonalizable with exactly these eigenvalues")
-    ((b, _), idx), (q, den), p = frame.basis, frame.inverse, m.field.p
+    (grid, idx), p = frame.basis, m.field.p
+    (b, _), (q, den) = grid, _inv_grid(grid, p)
     return tuple(Matrix._from_grid(m.field, _mul_grids(
         ([[r[k] for k in ks] for r in b], 1), ([q[k] for k in ks], den), p)) for ks in idx)
 

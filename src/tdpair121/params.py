@@ -249,12 +249,14 @@ class D4Word:
     """Word over {*, d, D}, reduced to one of 8 canonical forms.
 
     The relations are *^2 = d^2 = D^2 = 1, D* = *d, d* = *D, dD = Dd, so
-    every word reduces to d^a D^b *^c with a, b, c in {0, 1}.
+    every word reduces to d^a D^b *^c with a, b, c in {0, 1}.  A word is
+    given as the str of its letters; anything else raises TypeError.
     """
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, letters=""):
+        _require(letters, str)
         a = b = c = 0
         for letter in letters:
             if letter == FLIP_DUAL:

@@ -28,6 +28,7 @@ from .linalg import (
     _det_small,
     _elements,
     _frame,
+    _inv_grid,
     _mul_grids,
     _scale_columns,
     _spectral,
@@ -238,9 +239,10 @@ def _view(p, theta, thetastar, fa, fs):
     invariant search reads all of it, with the blocks of A's eigenspaces;
     C^-1 D C = P*^-1 A P* as its two factors, the raw rows of C^-1 D and the
     columns of C, which :func:`_apart` reads only at the blocks it is asked
-    about, never forming the product; and C, C^-1 and the blocks.  The
-    blocks may come in any column order, so D and D* place each eigenvalue
-    at its block's columns."""
+    about, never forming the product; and C, C^-1 and the blocks.  C and
+    C^-1 are :func:`_transition`'s two solves, so B is the one grid product
+    here and no P^-1 is read.  The blocks may come in any column order, so
+    D and D* place each eigenvalue at its block's columns."""
     c, inv, idx, jdx = frame = _transition(fa, fs, p)[1:]
     diag = lambda evs, bs: [*map({k: t.val for t, ks in zip(evs, bs) for k in ks}.get, range(4))]
     b = _mul_grids(_scale_columns(c, diag(thetastar, jdx), p), inv, p)[0]
@@ -295,9 +297,10 @@ def find_td_orderings(a: Matrix, astar: Matrix):
 def _transition(fa, fs, p):
     """P*, C = P^-1 P* and C^-1 = P*^-1 P as raw grids, for the eigenbases P
     of the frame fa and P* of fs, and the column blocks of each in P and P*:
-    two products of the frames' inverses, so C is never inverted."""
+    C solves P C = P* and C^-1 solves P* C^-1 = P, one elimination each, so
+    neither P, P* nor C is inverted."""
     (basis, idx), (dual, jdx) = fa.basis, fs.basis
-    return dual, _mul_grids(fa.inverse, dual, p), _mul_grids(fs.inverse, basis, p), idx, jdx
+    return dual, _inv_grid(basis, p, dual), _inv_grid(dual, p, basis), idx, jdx
 
 
 def _decompositions(field, spaces, duals, dual, c, _, idx, jdx):
@@ -404,7 +407,7 @@ def common_invariant_subspace(a: Matrix, astar: Matrix) -> Subspace | None:
         raise ValueError("first matrix is not diagonalizable over its field")
     p, frame = a.field.p, _frame(a, ed.eigenvalues)
     basis, idx = frame.basis
-    b = _mul_grids(frame.inverse, _mul_grids(astar._grid, basis, p), p)[0]
+    b = _inv_grid(basis, p, _mul_grids(astar._grid, basis, p))[0]
     return _invariant_search(a.field, ed.eigenvalues, ed.eigenspaces, astar, (b, idx))
 
 

@@ -300,10 +300,10 @@ def test_verify_without_orderings_matches_library(capsys, tmp_path, rng, p):
 def test_verify_without_orderings_costs_one_spectral_decomposition(
         capsys, monkeypatch, tmp_path, rng, p):
     # the ordering search finds the roots of both charpolys and keeps the
-    # frames of their eigen_data order: six eigenspaces, and P and P*
-    # inverted, 8 eliminations in all; the verify on the first ordering
-    # relabels those frames, so it adds no elimination, charpoly or root
-    # finding to a fresh pair
+    # frames of their eigen_data order: six eigenspaces, and C and C^-1
+    # solved against P and P*, 8 eliminations; the verify on the first
+    # ordering relabels those frames, so it adds no eigenspace, charpoly or
+    # root finding to a fresh pair, only its own two solves: 10 in all
     from conftest import random_admissible_array, random_invertible
     import tdpair121
     from tdpair121 import Field, Matrix, _poly, linalg
@@ -325,7 +325,7 @@ def test_verify_without_orderings_costs_one_spectral_decomposition(
     calls.clear()
     code, doc = run(capsys, "verify", str(path))
     assert code == 0 and doc["orderings_found"] == 4
-    assert sorted(calls) == sorted(["_rref"] * 8 + ["_eigenspace"] * 6
+    assert sorted(calls) == sorted(["_rref"] * 10 + ["_eigenspace"] * 6
                                    + ["charpoly", "roots"] * 2), calls
 
 

@@ -211,6 +211,18 @@ def test_a_str_is_not_a_vector(call):
     pytest.param(lambda x: Matrix.identity(QQ, x), "an int", True, id="identity-size"),
     pytest.param(lambda x: Matrix.zeros(QQ, x, 2), "an int", True, id="zeros-nrows"),
     pytest.param(lambda x: Matrix.zeros(QQ, 2, x), "an int", True, id="zeros-ncols"),
+    # each raised a TypeError of Python's own: "'NoneType' object is not
+    # callable", "'str' object cannot be interpreted as an integer", "'int'
+    # object is not iterable" and, from linalg._elements, "'NoneType'
+    # object is not iterable"
+    pytest.param(lambda x: Matrix(x, [[1]]), "a Field", None, id="matrix-field"),
+    pytest.param(lambda x: Subspace.full(QQ, x), "an int", "4", id="full-ambient"),
+    pytest.param(lambda x: D4Word(x), "a str", 3, id="d4word-letters"),
+    pytest.param(lambda x: verify_td_system(A, ASTAR, x, THETA), "a vector", None,
+                 id="verify-theta"),
+    pytest.param(lambda x: poly_roots(QQ, x), "a vector", None, id="poly-roots-coeffs"),
+    pytest.param(lambda x: primitive_idempotents(A, x), "a vector", None,
+                 id="idempotents-values"),
 ])
 def test_argument_checks_name_the_expected_type(call, expected, junk):
     # each raised AttributeError or nothing, which no documented error covers

@@ -916,15 +916,20 @@ def test_small_determinants_match_the_oracle(p, bits):
 
 def test_a_frame_holds_no_reference_to_its_matrix():
     # a matrix keeps its frame for as long as it lives, and a frame, once
-    # filled, holds subspaces and raw grids only: it neither keeps its
-    # matrix alive nor reaches any Matrix; a frame changes no comparison
+    # filled, holds its spaces and P with its blocks only, no P^-1: it
+    # neither keeps its matrix alive nor reaches any Matrix; a frame changes
+    # no comparison
     import gc
 
     for field in (QQ, Field(101)):
         t = construct(ParameterArray.make(field, (1, 2, 3), (5, 7, 11), 13, 17))
         assert verify_td_system(t.A, t.Astar, t.theta, t.thetastar).overall
         frame = linalg._frame(t.A, t.theta)
-        assert frame.ok and frame.basis and frame.inverse
+        assert frame.ok and frame.basis == linalg._eigenbasis(frame.spaces, field.p)
+        held = [x for x in gc.get_referents(frame) if x is not linalg._Frame]
+        assert sorted(map(id, held)) == sorted(
+            map(id, (frame.spaces, frame.ok, frame.p, frame.basis))), held
+        assert not hasattr(frame, "inverse")
         assert linalg._frame(t.A, t.theta) is frame
         reached = referents(frame)
         assert any(isinstance(x, Subspace) for x in reached)

@@ -459,11 +459,12 @@ def test_verify_reads_the_shape_without_eliminating(monkeypatch, rng):
 
 
 def test_verify_forms_c_its_inverse_and_b_only(monkeypatch, rng):
-    # a fresh pair costs three grid products, C, C^-1 and B = C D* C^-1, as
-    # the far blocks of C^-1 D C are dotted out of its factors, and eight
-    # eliminations: the six eigenspaces, each read by the one null-space
-    # reader off shifted rows built in place (no _shift_grid), and the
-    # inverses of P and P*; kernels and meets reach the same reader
+    # a fresh pair costs one grid product, B = C D* C^-1, as the far blocks
+    # of C^-1 D C are dotted out of its factors, and eight eliminations: the
+    # six eigenspaces, each read by the one null-space reader off shifted
+    # rows built in place (no _shift_grid), and the two solves of C and C^-1
+    # against P and P*, neither of which is inverted; kernels and meets reach
+    # the same reader
     from tdpair121 import linalg, tdsystem
 
     calls = []
@@ -485,8 +486,7 @@ def test_verify_forms_c_its_inverse_and_b_only(monkeypatch, rng):
         calls.clear()
         report = verify_td_system(a, astar, pa.theta, pa.thetastar)
         assert report.overall and report.shape == (1, 2, 1)
-        assert sorted(calls) == sorted([("_mul_grids", "_transition")] * 2
-                                       + [("_mul_grids", "_view")]
+        assert sorted(calls) == sorted([("_mul_grids", "_view")]
                                        + [("_rref", "_null")] * 6
                                        + [("_rref", "_inv_grid")] * 2), calls
     calls.clear()
@@ -496,10 +496,11 @@ def test_verify_forms_c_its_inverse_and_b_only(monkeypatch, rng):
 
 def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
     # verify without orderings is find_td_orderings, then verify_td_system
-    # on the first ordering found: the search inverts P and P*, kept in the
-    # frames of eigen_data's order, and the verify relabels those frames,
-    # so each eigenbasis is inverted once; verifying the pair again under
-    # given orderings, or searching again, inverts nothing
+    # on the first ordering found: the search keeps the frames of
+    # eigen_data's order and the verify relabels them, so no eigenspace is
+    # built twice.  No frame keeps an inverse: the search and every verify,
+    # later ones too, solve for C and C^-1 against P and P*, two
+    # eliminations each
     calls = []
     real = tdpair121.linalg._inv_grid
 
@@ -520,25 +521,26 @@ def test_verify_unordered_builds_eigen_coordinates_once(monkeypatch, rng):
         orderings = find_td_orderings(a, astar)
         report = verify_td_system(a, astar, *orderings[0])
         assert len(orderings) == 4 and report.overall and report.shape == (1, 2, 1)
+        assert len(calls) == 4, calls
+        calls.clear()
+        assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
         assert len(calls) == 2, calls
         calls.clear()
         assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
-        assert calls == []
-        calls.clear()
-        assert verify_td_system(a, astar, pa.theta, pa.thetastar).overall
         assert len(find_td_orderings(a, astar)) == 4
-        assert calls == []
+        assert len(calls) == 4, calls
 
 
 def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng):
-    # construct builds the frames of A and A* (six eigenspaces, P^-1 and
-    # P*^-1) and keeps them on the matrices, so verifying its matrices builds
-    # none; a fresh pair builds its own, inverts only P and P*, never C, and
-    # reads the shape with no characteristic polynomial.  One frame is kept
-    # per matrix: a new order of A's eigenvalues relabels it, building no
-    # space and inverting nothing, and the system's own order still reads
-    # its own blocks afterwards.
-    from tdpair121 import _poly, linalg
+    # construct builds the frames of A and A* (six eigenspaces) and keeps
+    # them on the matrices, inverting P and P* for the idempotents only, so
+    # verifying its matrices builds no space and solves for C and C^-1 once
+    # each; a fresh pair builds its own frames, solves against P and P*,
+    # never inverts C, and reads the shape with no characteristic
+    # polynomial.  One frame is kept per matrix: a new order of A's
+    # eigenvalues relabels it, building no space and solving twice, and the
+    # system's own order still reads its own blocks afterwards.
+    from tdpair121 import _poly, linalg, tdsystem
 
     calls = []
     real_space, real_inv, real_charpoly = linalg._eigenspace, linalg._inv_grid, _poly.charpoly
@@ -550,6 +552,7 @@ def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng)
     monkeypatch.setattr(linalg, "_eigenspace", lambda m, e: calls.append(("space", e))
                         or real_space(m, e))
     monkeypatch.setattr(linalg, "_inv_grid", inv_spy)
+    monkeypatch.setattr(tdsystem, "_inv_grid", inv_spy)
     monkeypatch.setattr(_poly, "charpoly", lambda rows, p: calls.append(("charpoly", p))
                         or real_charpoly(rows, p))
 
@@ -564,7 +567,7 @@ def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng)
         t = construct(pa)
         report = verify_td_system(t.A, t.Astar, t.theta, t.thetastar)
         assert report.overall and report.shape == (1, 2, 1)
-        assert counts() == (6, 2, 0)
+        assert counts() == (6, 4, 0)
 
         q = random_invertible(rng, field, Matrix)
         qi = q.invert()
@@ -580,9 +583,9 @@ def test_construct_and_verify_share_one_spectral_decomposition(monkeypatch, rng)
         swapped = (t.theta[1], t.theta[0], t.theta[2])
         report = verify_td_system(t.A, t.Astar, swapped, t.thetastar)
         assert not report.tridiagonal_astar_e and report.tridiagonal_a_estar
-        assert counts() == (0, 0, 0)
+        assert counts() == (0, 2, 0)
         assert verify_td_system(t.A, t.Astar, t.theta, t.thetastar).overall
-        assert counts() == (0, 0, 0)
+        assert counts() == (0, 2, 0)
 
 
 def test_frames_are_kept_only_for_orderings_of_the_spectrum(monkeypatch, rng):
